@@ -14,6 +14,8 @@
 #include <limits>
 #include <vector>
 
+#include "common/contracts.hpp"
+
 namespace dmfb {
 
 /// xoshiro256** engine with splitmix64 seeding and stream splitting.
@@ -109,6 +111,42 @@ class Rng {
 
 /// splitmix64 step — exposed for deterministic seed derivation in tests.
 std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+
+/// Integer form of `uniform01() < prob` for 0 < prob < 1: a raw draw x
+/// passes iff x < bernoulli_threshold(prob). uniform01() is k * 2^-53 for
+/// the integer k = x >> 11, both sides are exact doubles, and k * 2^-53 < q
+/// holds iff k < ceil(q * 2^53) — which for q < 1 is at most 2^53 - 1, so
+/// the shift by 11 cannot overflow.
+inline std::uint64_t bernoulli_threshold(double prob) noexcept {
+  return static_cast<std::uint64_t>(std::ceil(prob * 0x1.0p53)) << 11;
+}
+
+/// v1 trial loop: for each index in [0, count), makes exactly the draws
+/// `rng.bernoulli(prob)` makes, in order, and calls on_hit(index, rng) on a
+/// success so the hit's own draws (classification) continue the same
+/// stream. Every v1 Bernoulli replay site goes through here. Each trial is
+/// one raw draw against bernoulli_threshold(prob), with no u64->double
+/// conversion. Degenerate probabilities keep bernoulli()'s draw semantics:
+/// prob <= 0 draws nothing, prob >= 1 hits every index without a trial
+/// draw. The loop draws from a local copy written back once, so the state
+/// stays in registers across on_hit's stores. NaN (where bernoulli() would
+/// draw and always miss) is a contract violation.
+template <typename OnHit>
+void bernoulli_trials(Rng& rng, std::int32_t count, double prob,
+                      OnHit&& on_hit) {
+  DMFB_EXPECTS(!std::isnan(prob));
+  if (prob <= 0.0 || count <= 0) return;
+  Rng local = rng;
+  if (prob >= 1.0) {
+    for (std::int32_t index = 0; index < count; ++index) on_hit(index, local);
+  } else {
+    const std::uint64_t threshold = bernoulli_threshold(prob);
+    for (std::int32_t index = 0; index < count; ++index) {
+      if (local() < threshold) on_hit(index, local);
+    }
+  }
+  rng = local;
+}
 
 // ---------------------------------------------------------------------------
 // v2 injection draw contract: counter-based per-cell streams.

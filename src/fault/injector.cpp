@@ -43,13 +43,12 @@ BernoulliInjector::BernoulliInjector(double survival_p)
 FaultMap BernoulliInjector::inject(biochip::HexArray& array, Rng& rng) const {
   DMFB_EXPECTS(array.faulty_count() == 0);
   FaultMap map;
-  const double kill_prob = 1.0 - survival_p_;
-  for (std::int32_t cell = 0; cell < array.cell_count(); ++cell) {
-    if (rng.bernoulli(kill_prob)) {
-      array.set_health(cell, biochip::CellHealth::kFaulty);
-      map.records.push_back(make_catastrophic_record(cell, rng));
-    }
-  }
+  bernoulli_trials(rng, array.cell_count(), 1.0 - survival_p_,
+                   [&](std::int32_t cell, Rng& draws) {
+                     array.set_health(cell, biochip::CellHealth::kFaulty);
+                     map.records.push_back(
+                         make_catastrophic_record(cell, draws));
+                   });
   return map;
 }
 

@@ -31,10 +31,11 @@ void kill_catastrophic(biochip::HexArray& array, FaultMap& map,
 
 void apply(const BernoulliInjector& injector, biochip::HexArray& array,
            FaultMap& map, Rng& rng) {
-  const double kill_prob = 1.0 - injector.survival_probability();
-  for (std::int32_t cell = 0; cell < array.cell_count(); ++cell) {
-    if (rng.bernoulli(kill_prob)) kill_catastrophic(array, map, cell, rng);
-  }
+  bernoulli_trials(rng, array.cell_count(),
+                   1.0 - injector.survival_probability(),
+                   [&](std::int32_t cell, Rng& draws) {
+                     kill_catastrophic(array, map, cell, draws);
+                   });
 }
 
 void apply(const FixedCountInjector& injector, biochip::HexArray& array,

@@ -75,6 +75,15 @@ std::string unknown_token_message(std::string_view key,
   return "unknown " + std::string(key) + " '" + std::string(value) + "'";
 }
 
+/// True for a whole number in [0, INT32_MAX]. The range is checked in
+/// double before narrowing: an out-of-range double->int32 cast is UB.
+bool is_cell_count(double value) {
+  return value >= 0.0 &&
+         value <= static_cast<double>(
+                      std::numeric_limits<std::int32_t>::max()) &&
+         value == static_cast<double>(static_cast<std::int32_t>(value));
+}
+
 }  // namespace
 
 ParsedRequest parse_request(std::string_view line,
@@ -236,9 +245,10 @@ ParsedRequest parse_request(std::string_view line,
     return fail("workload \"assay\" requires design \"multiplexed\"");
   }
   if (request.injector == campaign::InjectorKind::kFixedCount &&
-      request.param !=
-          static_cast<double>(static_cast<std::int32_t>(request.param))) {
-    return fail("fixed_count param must be a whole number of cells");
+      !is_cell_count(request.param)) {
+    return fail(
+        "fixed_count param must be a whole number of cells in "
+        "[0, 2147483647]");
   }
   return ParsedRequest{std::move(request), {}};
 }

@@ -39,16 +39,14 @@ inline void burn_defect_classification(Rng& rng) {
 
 void inject_bernoulli(double survival_p, FaultState& state, Rng& rng,
                       InjectTally& tally) {
-  const double kill_prob = 1.0 - survival_p;
   const std::int32_t n = state.design().cell_count();
   tally.trials += n;
-  for (std::int32_t cell = 0; cell < n; ++cell) {
-    if (rng.bernoulli(kill_prob)) {
-      state.set_faulty(cell);
-      burn_defect_classification(rng);
-      ++tally.classification;
-    }
-  }
+  bernoulli_trials(rng, n, 1.0 - survival_p,
+                   [&](std::int32_t cell, Rng& draws) {
+                     state.set_faulty(cell);
+                     burn_defect_classification(draws);
+                     ++tally.classification;
+                   });
 }
 
 void inject_fixed_count(std::int32_t count, FaultState& state, Rng& rng,
@@ -244,12 +242,13 @@ void validate(const FaultModel& model, const ChipDesign& design) {
     case FaultModel::Kind::kBernoulli:
       DMFB_EXPECTS(model.param >= 0.0 && model.param <= 1.0);
       return;
-    case FaultModel::Kind::kFixedCount: {
-      const auto m = static_cast<std::int32_t>(model.param);
-      DMFB_EXPECTS(static_cast<double>(m) == model.param);
-      DMFB_EXPECTS(m >= 0 && m <= design.cell_count());
+    case FaultModel::Kind::kFixedCount:
+      // Range first, in double: narrowing an out-of-range double is UB.
+      DMFB_EXPECTS(model.param >= 0.0 &&
+                   model.param <= static_cast<double>(design.cell_count()));
+      DMFB_EXPECTS(model.param == static_cast<double>(
+                                      static_cast<std::int32_t>(model.param)));
       return;
-    }
     case FaultModel::Kind::kClustered:
       DMFB_EXPECTS(model.param >= 0.0);
       DMFB_EXPECTS(model.cluster.radius >= 0);

@@ -1,6 +1,8 @@
 // Tests for the common kernel: contracts, RNG, statistics.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -94,6 +96,113 @@ TEST(Rng, BernoulliFrequencyMatchesProbability) {
     if (rng.bernoulli(0.3)) ++hits;
   }
   EXPECT_NEAR(static_cast<double>(hits) / trials, 0.3, 0.01);
+}
+
+/// Probabilities at the edges of the integer-threshold equivalence: zero,
+/// the smallest subnormal, 2^-53 and its neighbours, exact multiples of
+/// 2^-53 (0.25, 0.5, 0.75), the largest double below 1, and 1.
+std::vector<double> threshold_edge_probabilities() {
+  const double tiny = 0x1.0p-53;
+  return {0.0,
+          std::numeric_limits<double>::denorm_min(),
+          std::nextafter(tiny, 0.0),
+          tiny,
+          std::nextafter(tiny, 1.0),
+          0.08,
+          0.25,
+          0.5,
+          0.75,
+          0.92,
+          std::nextafter(1.0, 0.0),
+          1.0};
+}
+
+TEST(BernoulliTrials, ReplaysPerIndexBernoulliDrawForDraw) {
+  constexpr std::int32_t kCount = 300;
+  for (const double prob : threshold_edge_probabilities()) {
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+      // Reference: the per-index loop every v1 site used to hand-code, with
+      // one classification draw per hit.
+      Rng reference(seed);
+      std::vector<std::int32_t> expected;
+      for (std::int32_t index = 0; index < kCount; ++index) {
+        if (reference.bernoulli(prob)) {
+          expected.push_back(index);
+          (void)reference.uniform01();
+        }
+      }
+      Rng rng(seed);
+      std::vector<std::int32_t> hits;
+      bernoulli_trials(rng, kCount, prob, [&](std::int32_t index, Rng& draws) {
+        hits.push_back(index);
+        (void)draws.uniform01();
+      });
+      ASSERT_EQ(hits, expected) << "prob=" << prob << " seed=" << seed;
+      // The next raw output pins the final state: same draw count, same
+      // stream, and the local copy was written back.
+      ASSERT_EQ(rng(), reference()) << "prob=" << prob << " seed=" << seed;
+    }
+  }
+}
+
+TEST(BernoulliTrials, ThresholdIsExactAtTheBoundaryDraw) {
+  // Random streams never land on the boundary, so compare the integer test
+  // against uniform01()'s double test on crafted raw draws around it.
+  const auto double_test = [](std::uint64_t x, double prob) {
+    return static_cast<double>(x >> 11) * 0x1.0p-53 < prob;
+  };
+  for (const double prob : threshold_edge_probabilities()) {
+    if (prob <= 0.0 || prob >= 1.0) continue;  // no trial draw
+    const std::uint64_t threshold = bernoulli_threshold(prob);
+    ASSERT_GE(threshold, std::uint64_t{2048}) << prob;
+    for (const std::uint64_t x :
+         {std::uint64_t{0}, threshold - 2049, threshold - 2048,
+          threshold - 1, threshold, threshold + 2047, threshold + 2048,
+          std::numeric_limits<std::uint64_t>::max()}) {
+      EXPECT_EQ(x < threshold, double_test(x, prob))
+          << "prob=" << prob << " x=" << x;
+    }
+  }
+  // q * 2^53 an exact integer k: uniform01() == q at x = k << 11, a miss.
+  for (const double prob : {0.25, 0.5, 0.75}) {
+    const auto boundary =
+        static_cast<std::uint64_t>(prob * 0x1.0p53) << 11;
+    EXPECT_FALSE(double_test(boundary, prob));
+    EXPECT_FALSE(boundary < bernoulli_threshold(prob));
+    EXPECT_TRUE(boundary - 1 < bernoulli_threshold(prob));
+  }
+}
+
+TEST(BernoulliTrials, DegenerateProbabilitiesKeepBernoulliDrawSemantics) {
+  const Rng fresh(17);
+  int calls = 0;
+  const auto count_hits = [&](std::int32_t, Rng&) { ++calls; };
+  // prob <= 0 and count <= 0 draw nothing and hit nothing.
+  for (const double prob : {0.0, -1.0}) {
+    Rng rng = fresh;
+    bernoulli_trials(rng, 100, prob, count_hits);
+    EXPECT_EQ(calls, 0);
+    EXPECT_EQ(rng(), Rng(fresh)());
+  }
+  Rng empty = fresh;
+  bernoulli_trials(empty, 0, 0.5, count_hits);
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(empty(), Rng(fresh)());
+  // prob >= 1 hits every index in order without a trial draw.
+  for (const double prob : {1.0, 2.0}) {
+    Rng rng = fresh;
+    std::vector<std::int32_t> hits;
+    bernoulli_trials(rng, 50, prob,
+                     [&](std::int32_t index, Rng&) { hits.push_back(index); });
+    ASSERT_EQ(hits.size(), 50u);
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i], static_cast<std::int32_t>(i));
+    }
+    EXPECT_EQ(rng(), Rng(fresh)());
+  }
+  Rng rng = fresh;
+  EXPECT_THROW(bernoulli_trials(rng, 10, std::nan(""), count_hits),
+               ContractViolation);
 }
 
 TEST(Rng, UniformBelowStaysBelow) {

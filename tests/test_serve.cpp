@@ -411,6 +411,35 @@ TEST(Server, ErrorLinesStayInStreamAndDaemonKeepsServing) {
   EXPECT_EQ(seen[3].rfind("{\"id\": 5, \"yield\"", 0), 0u) << seen[3];
 }
 
+TEST(Server, OutOfRangeFixedCountParamsGetErrorLines) {
+  // Each param is outside int32 or not whole; the range is checked before
+  // any narrowing cast, so every line is answered with an error in-stream.
+  const char* kParams[] = {"1e20", "-1e20", "2147483648", "2.5"};
+  std::string batch;
+  for (const char* param : kParams) {
+    const std::string line =
+        std::string(R"({"design": "dtmb2_6", "injector": "fixed_count", )") +
+        "\"param\": " + param + "}";
+    const ParsedRequest parsed = parse_request(line, 1);
+    EXPECT_FALSE(parsed.ok()) << line;
+    EXPECT_NE(parsed.error.find("whole number of cells"), std::string::npos)
+        << parsed.error;
+    batch += line + "\n";
+  }
+  ServerOptions options;
+  options.threads = 2;
+  Server server(options);
+  std::istringstream lines(serve_batch(server, batch));
+  std::string line;
+  int answered = 0;
+  while (std::getline(lines, line)) {
+    EXPECT_NE(line.find("\"error\""), std::string::npos) << line;
+    ++answered;
+  }
+  EXPECT_EQ(answered, 4);
+  EXPECT_EQ(server.session_stats().queries, 0u);
+}
+
 TEST(Server, DuplicateQueriesComputeOnceAcrossServeCalls) {
   ServerOptions options;
   options.threads = 2;

@@ -8,6 +8,7 @@
 // bernoulli / fixed-count / clustered kinds. Plus the mixture semantics:
 // standalone draw replay, first-faulter-wins attribution, composition
 // identities, and query-key/cache behaviour.
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -239,6 +240,22 @@ TEST(SimFaultModelValidate, RejectsBadParametricAndMixtures) {
   query.fault = FaultModel::mixture(
       {FaultModel::bernoulli(0.95), FaultModel::parametric(1.0)});
   EXPECT_NO_THROW(session.run(query));
+}
+
+TEST(SimFaultModelValidate, RangeChecksFixedCountBeforeNarrowing) {
+  // Out-of-int32 params must fail the contract, not reach a narrowing cast.
+  const auto design =
+      ChipDesign::make(biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 6, 6));
+  FaultModel model = FaultModel::fixed_count(0);
+  for (const double param :
+       {1e20, -1e20, 2147483648.0, 2.5, -1.0, std::nan("")}) {
+    model.param = param;
+    EXPECT_THROW(validate(model, *design), ContractViolation) << param;
+  }
+  model.param = design->cell_count();
+  EXPECT_NO_THROW(validate(model, *design));
+  model.param = design->cell_count() + 1;
+  EXPECT_THROW(validate(model, *design), ContractViolation);
 }
 
 // ------------------------------------------------------------- query keys

@@ -17,6 +17,7 @@
 #include "biochip/dtmb.hpp"
 #include "common/contracts.hpp"
 #include "fault/injector.hpp"
+#include "fault/mixture.hpp"
 #include "sim/session.hpp"
 #include "yield/compound.hpp"
 #include "yield/monte_carlo.hpp"
@@ -312,6 +313,48 @@ TEST(FaultState, RepairableAgreesWithLocalReconfigurer) {
     }
     array.reset_health();
     state.reset();
+  }
+}
+
+TEST(FaultState, BernoulliFaultSetsAndFinalRngMatchLegacy) {
+  // v1 layer equivalence at degenerate and exact-threshold survival
+  // probabilities: the standalone injector, a one-component mixture and the
+  // bitmap path fault the same cells (same classifications for the two
+  // fault:: paths) and leave the Rng in the same state.
+  auto array = make_test_array();
+  const auto design = ChipDesign::make(array);
+  FaultState state(design);
+  for (const double survival : {0.0, 0.25, 0.9, 1.0}) {
+    const fault::BernoulliInjector standalone(survival);
+    const fault::MixtureInjector mixture({fault::BernoulliInjector(survival)});
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+      Rng legacy_rng(seed);
+      Rng mixture_rng(seed);
+      Rng sim_rng(seed);
+      const fault::FaultMap legacy = standalone.inject(array, legacy_rng);
+      inject(FaultModel::bernoulli(survival), state, sim_rng);
+      ASSERT_EQ(state.faulty_count(),
+                static_cast<std::int32_t>(legacy.records.size()));
+      for (std::int32_t cell = 0; cell < array.cell_count(); ++cell) {
+        ASSERT_EQ(state.is_faulty(cell),
+                  array.health(cell) == biochip::CellHealth::kFaulty)
+            << "survival=" << survival << " seed=" << seed
+            << " cell=" << cell;
+      }
+      array.reset_health();
+      const fault::FaultMap mixed = mixture.inject(array, mixture_rng);
+      ASSERT_EQ(mixed.records.size(), legacy.records.size());
+      for (std::size_t i = 0; i < legacy.records.size(); ++i) {
+        EXPECT_EQ(mixed.records[i].cell, legacy.records[i].cell);
+        EXPECT_EQ(mixed.records[i].catastrophic,
+                  legacy.records[i].catastrophic);
+      }
+      const std::uint64_t next = legacy_rng();
+      EXPECT_EQ(sim_rng(), next) << "survival=" << survival;
+      EXPECT_EQ(mixture_rng(), next) << "survival=" << survival;
+      array.reset_health();
+      state.reset();
+    }
   }
 }
 
