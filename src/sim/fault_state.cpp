@@ -40,6 +40,37 @@ bool FaultState::repairable(reconfig::CoveragePolicy policy,
                             graph::MatchingEngine engine,
                             reconfig::ReplacementPool pool) {
   const ChipDesign::Skeleton& skeleton = design_->skeleton(policy, pool);
+  // First-fit certificate: each faulty covered primary claims its first
+  // healthy candidate nobody claimed before it. A claim for every primary
+  // is a saturating matching, which every engine would confirm, so the CSR
+  // build and the engine run only once first-fit gets stuck. Claims live in
+  // their own epoch of right_stamp_, which the CSR build retires.
+  const std::int32_t claim = next_epoch();
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    std::uint64_t bits = words_[w] & skeleton.cover_words[w];
+    while (bits != 0) {
+      const auto cell =
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+      bits &= bits - 1;
+      const auto row =
+          static_cast<std::size_t>(skeleton.cover_row_of_cell[cell]);
+      bool claimed = false;
+      for (const CellIndex candidate : skeleton.candidates_of(row)) {
+        auto& stamp = right_stamp_[static_cast<std::size_t>(candidate)];
+        if (stamp != claim && !is_faulty(candidate)) {
+          stamp = claim;
+          claimed = true;
+          break;
+        }
+      }
+      if (!claimed) return repairable_by_engine(skeleton, engine);
+    }
+  }
+  return true;
+}
+
+bool FaultState::repairable_by_engine(const ChipDesign::Skeleton& skeleton,
+                                      graph::MatchingEngine engine) {
   next_epoch();
   graph_.clear();
   // Word-parallel scan: one AND per 64 cells selects the faulty primaries
@@ -69,7 +100,6 @@ bool FaultState::repairable(reconfig::CoveragePolicy policy,
       if (graph_.open_row_degree() == 0) return false;
     }
   }
-  if (graph_.left_count() == 0) return true;
   return matcher_.covers_all_left(graph_, engine);
 }
 

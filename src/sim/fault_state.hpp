@@ -13,9 +13,15 @@
 // every coverable primary.
 //
 // Two repairability paths, equal verdicts (pinned by the fuzz suite):
-//   repairable()             — batch: filter the skeleton into a compacted
-//                              CSR graph, run the chosen matching engine
-//                              from scratch.
+//   repairable()             — batch: first a first-fit pass, in which each
+//                              faulty covered primary claims its first
+//                              unclaimed healthy candidate; if every one
+//                              gets a claim, that saturating assignment
+//                              proves the chip repairable. Only when
+//                              first-fit gets stuck is the skeleton filtered
+//                              into a compacted CSR graph for the chosen
+//                              matching engine, which decides every
+//                              contested or unrepairable fault set.
 //   repairable_incremental() — diff this run's fault words against the
 //                              previous accepted run's, drop matches that
 //                              involve departed/newly-faulty cells, and
@@ -91,10 +97,12 @@ class FaultState {
   void reset() noexcept;
 
   // -- repairability --------------------------------------------------------
-  /// True iff local reconfiguration can repair the current fault state:
-  /// the design's pre-built (policy, pool) skeleton is filtered by fault
-  /// bits into a compacted CSR bipartite graph and `engine` checks whether a
-  /// maximum matching saturates every covered faulty primary. Equivalent to
+  /// True iff local reconfiguration can repair the current fault state.
+  /// A first-fit pass over the design's pre-built (policy, pool) skeleton
+  /// answers true when it saturates every covered faulty primary; otherwise
+  /// the skeleton is filtered by fault bits into a compacted CSR bipartite
+  /// graph and `engine` checks whether a maximum matching saturates every
+  /// covered faulty primary. Equivalent to
   /// reconfig::LocalReconfigurer::feasible on an equally-faulted HexArray.
   bool repairable(reconfig::CoveragePolicy policy,
                   graph::MatchingEngine engine,
@@ -127,6 +135,8 @@ class FaultState {
   static constexpr std::int32_t kIncrementalChurnSlack = 8;
 
  private:
+  bool repairable_by_engine(const ChipDesign::Skeleton& skeleton,
+                            graph::MatchingEngine engine);
   bool inc_augment(const ChipDesign::Skeleton& skeleton, CellIndex primary);
   std::int32_t next_epoch() noexcept;
 
@@ -135,7 +145,8 @@ class FaultState {
   std::vector<CellIndex> faulty_cells_;
 
   // Matching scratch: candidate-cell -> compacted right index, valid when
-  // right_stamp_ matches the current epoch.
+  // right_stamp_ matches the current epoch. First-fit claims and the
+  // incremental DFS's visit marks use right_stamp_ in epochs of their own.
   std::vector<std::int32_t> right_index_;
   std::vector<std::int32_t> right_stamp_;
   std::int32_t epoch_ = 0;

@@ -48,11 +48,9 @@ constexpr std::pair<std::int32_t, std::int32_t> kShapes[] = {
     {12, 11},
 };
 
-biochip::HexArray make_array(DtmbKind kind, std::int32_t width,
-                             std::int32_t height) {
-  auto array = biochip::make_dtmb_array(kind, width, height);
-  // Mark a quarter of the primaries assay-used so the used-faulty policy
-  // and the spares-and-unused pool are non-trivial.
+/// Marks a quarter of the primaries assay-used so the used-faulty policy
+/// and the spares-and-unused pool are non-trivial.
+biochip::HexArray with_used_quarter(biochip::HexArray array) {
   std::int32_t marked = 0;
   for (const auto primary : array.primaries()) {
     if (marked >= array.primary_count() / 4) break;
@@ -60,6 +58,11 @@ biochip::HexArray make_array(DtmbKind kind, std::int32_t width,
     ++marked;
   }
   return array;
+}
+
+biochip::HexArray make_array(DtmbKind kind, std::int32_t width,
+                             std::int32_t height) {
+  return with_used_quarter(biochip::make_dtmb_array(kind, width, height));
 }
 
 TEST(FaultStateWords, WordCountFormulaOnBoundaries) {
@@ -189,6 +192,75 @@ TEST(FaultStateWords, PackedVerdictMatchesLegacyPerCellOnBoundarySizes) {
     }
   }
 }
+
+// Every fault set of a 16-cell array against the legacy HexArray
+// reconfigurer, an independent implementation: the packed path (first-fit
+// certificate, then the engine) must agree under each explicit engine. All
+// 2^16 sets run for the spares-only pool under both policies; the
+// spares-and-unused pool takes every 7th set, which keeps the suite to a few
+// seconds per array in Debug sanitizer builds. One test per array, so ctest
+// runs them in parallel.
+class ExhaustiveSixteenCells
+    : public ::testing::TestWithParam<std::pair<DtmbKind, std::int32_t>> {};
+
+TEST_P(ExhaustiveSixteenCells, VerdictMatchesLegacyOnEveryFaultSet) {
+  constexpr graph::MatchingEngine kExplicitEngines[] = {
+      graph::MatchingEngine::kHopcroftKarp, graph::MatchingEngine::kKuhn,
+      graph::MatchingEngine::kDinic, graph::MatchingEngine::kPushRelabel};
+  constexpr std::uint32_t kSets = 1u << 16;
+  const auto [kind, primaries] = GetParam();
+  auto array = with_used_quarter(
+      biochip::make_dtmb_array_with_primaries(kind, primaries));
+  ASSERT_EQ(array.cell_count(), 16);
+  FaultState state(ChipDesign::make(array));
+  std::int32_t mismatches = 0;
+  for (const auto pool : kPools) {
+    const std::uint32_t stride =
+        pool == ReplacementPool::kSparesOnly ? 1 : 7;
+    for (std::uint32_t mask = 0; mask < kSets; mask += stride) {
+      state.reset();
+      for (std::int32_t cell = 0; cell < 16; ++cell) {
+        const bool faulty = ((mask >> cell) & 1) != 0;
+        array.set_health(cell, faulty ? biochip::CellHealth::kFaulty
+                                      : biochip::CellHealth::kHealthy);
+        if (faulty) state.set_faulty(cell);
+      }
+      for (const auto policy : kPolicies) {
+        const bool expected =
+            reconfig::LocalReconfigurer(
+                policy, graph::MatchingEngine::kHopcroftKarp, pool)
+                .feasible(array);
+        for (const auto engine : kExplicitEngines) {
+          if (state.repairable(policy, engine, pool) != expected &&
+              ++mismatches <= 8) {
+            ADD_FAILURE() << "mask=" << mask
+                          << " policy=" << static_cast<int>(policy)
+                          << " pool=" << static_cast<int>(pool)
+                          << " engine=" << static_cast<int>(engine);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FaultStateWords, ExhaustiveSixteenCells,
+    ::testing::Values(std::pair{DtmbKind::kDtmb1_6, 8},
+                      std::pair{DtmbKind::kDtmb2_6, 6},
+                      std::pair{DtmbKind::kDtmb3_6, 8},
+                      std::pair{DtmbKind::kDtmb4_4, 6}),
+    [](const auto& test_info) {
+      switch (test_info.param.first) {
+        case DtmbKind::kDtmb1_6: return "Dtmb1x6";
+        case DtmbKind::kDtmb2_6: return "Dtmb2x6";
+        case DtmbKind::kDtmb2_6B: return "Dtmb2x6B";
+        case DtmbKind::kDtmb3_6: return "Dtmb3x6";
+        case DtmbKind::kDtmb4_4: return "Dtmb4x4";
+      }
+      return "Unknown";
+    });
 
 }  // namespace
 }  // namespace dmfb::sim

@@ -10,6 +10,8 @@
 // randomized insert/remove fault sequences replayed incrementally must give
 // the same verdict as a from-scratch check by every batch engine, with the
 // incremental matching passing its full invariant check after every step.
+// Steps are also classified by a replay of the batch path's first-fit
+// certificate, so the suite proves the engines behind it still run.
 #include <bit>
 #include <cstdint>
 #include <utility>
@@ -184,6 +186,32 @@ sim::FaultState& load_faults(sim::FaultState& state,
   return state;
 }
 
+/// The certificate FaultState::repairable tries before any engine, replayed
+/// independently: covered faulty primaries in cell order, each claiming its
+/// first healthy candidate (skeleton order) that no earlier primary claimed.
+/// True iff every primary gets one.
+bool first_fit_saturates(const sim::FaultState& state,
+                         const sim::ChipDesign::Skeleton& skeleton) {
+  std::vector<char> claimed(
+      static_cast<std::size_t>(state.design().cell_count()), 0);
+  for (const sim::CellIndex primary : skeleton.cover) {
+    if (!state.is_faulty(primary)) continue;
+    const auto row = static_cast<std::size_t>(
+        skeleton.cover_row_of_cell[static_cast<std::size_t>(primary)]);
+    bool found = false;
+    for (const sim::CellIndex candidate : skeleton.candidates_of(row)) {
+      auto& mark = claimed[static_cast<std::size_t>(candidate)];
+      if (!state.is_faulty(candidate) && mark == 0) {
+        mark = 1;
+        found = true;
+        break;
+      }
+    }
+    if (!found) return false;
+  }
+  return true;
+}
+
 std::shared_ptr<const sim::ChipDesign> fuzz_design() {
   // 9x9 DTMB(2,6): 81 cells, so the fault bitmap crosses a word boundary.
   // A quarter of the primaries are assay-used to give the used-faulty
@@ -208,6 +236,13 @@ TEST(IncrementalRepairFuzz, AgreesWithEveryScratchEngineOnRandomSequences) {
       reconfig::ReplacementPool::kSparesOnly,
       reconfig::ReplacementPool::kSparesAndUnusedPrimaries};
   Rng rng(0x19C4E5ULL);
+  // Steps by how the batch path decides them: the first-fit certificate
+  // alone, the engine after first-fit got stuck on a repairable set, or the
+  // engine on an unrepairable set. Each must occur, so the engine fallback
+  // is exercised and not only the certificate.
+  std::int32_t saturated = 0;
+  std::int32_t stuck_repairable = 0;
+  std::int32_t unrepairable = 0;
   for (const auto policy : kPolicies) {
     for (const auto pool : kPools) {
       const auto& skeleton = design->skeleton(policy, pool);
@@ -242,9 +277,20 @@ TEST(IncrementalRepairFuzz, AgreesWithEveryScratchEngineOnRandomSequences) {
           EXPECT_EQ(scratch.repairable(policy, engine, pool), verdict)
               << "step=" << step << " engine=" << static_cast<int>(engine);
         }
+        if (first_fit_saturates(scratch, skeleton)) {
+          EXPECT_TRUE(verdict) << "step=" << step;
+          ++saturated;
+        } else if (verdict) {
+          ++stuck_repairable;
+        } else {
+          ++unrepairable;
+        }
       }
     }
   }
+  EXPECT_GE(saturated, 10);
+  EXPECT_GE(stuck_repairable, 10);
+  EXPECT_GE(unrepairable, 10);
 }
 
 TEST(IncrementalRepairFuzz, SurvivesConfigSwitchesMidSequence) {
