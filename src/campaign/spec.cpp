@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "common/parse.hpp"
+#include "sim/fault_model.hpp"
 
 namespace dmfb::campaign {
 
@@ -17,7 +18,6 @@ using common::parse_uint64;
 constexpr std::int32_t kMaxRuns = 100'000'000;
 constexpr std::int32_t kMaxThreads = 4096;
 constexpr std::int32_t kMaxPrimaries = 1'000'000;
-constexpr std::int32_t kMaxClusterRadius = 64;
 // sigma_scale multiplies the typical() process sigmas; 0 would degenerate
 // the Gaussians and huge values only saturate the fault probability at 1.
 constexpr double kMinSigmaScale = 1e-6;
@@ -243,7 +243,8 @@ class SpecParser {
     } else if (key == "m") {
       int_list(key, value, line_no, 0, kMaxPrimaries, spec_.m_grid);
     } else if (key == "mean_spots") {
-      double_list(key, value, line_no, 0.0, 1e6, spec_.mean_spots_grid);
+      double_list(key, value, line_no, 0.0, sim::kMaxMeanSpots,
+                  spec_.mean_spots_grid);
     } else if (key == "sigma_scale") {
       double_list(key, value, line_no, kMinSigmaScale, kMaxSigmaScale,
                   spec_.sigma_scale_grid);
@@ -251,7 +252,7 @@ class SpecParser {
       token_list(key, value, line_no, parse_injector, kInjectorTokens,
                  spec_.mixture_components);
     } else if (key == "cluster_radius") {
-      scalar_int(key, value, line_no, 0, kMaxClusterRadius,
+      scalar_int(key, value, line_no, 0, sim::kMaxClusterRadius,
                  spec_.cluster.radius);
     } else if (key == "core_kill") {
       scalar_double(key, value, line_no, 0.0, 1.0, spec_.cluster.core_kill);

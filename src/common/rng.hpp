@@ -124,13 +124,13 @@ inline std::uint64_t bernoulli_threshold(double prob) noexcept {
 /// v1 trial loop: for each index in [0, count), makes exactly the draws
 /// `rng.bernoulli(prob)` makes, in order, and calls on_hit(index, rng) on a
 /// success so the hit's own draws (classification) continue the same
-/// stream. Every v1 Bernoulli replay site goes through here. Each trial is
-/// one raw draw against bernoulli_threshold(prob), with no u64->double
-/// conversion. Degenerate probabilities keep bernoulli()'s draw semantics:
-/// prob <= 0 draws nothing, prob >= 1 hits every index without a trial
-/// draw. The loop draws from a local copy written back once, so the state
-/// stays in registers across on_hit's stores. NaN (where bernoulli() would
-/// draw and always miss) is a contract violation.
+/// stream. The v1 Bernoulli injection core (fault/kinds.hpp) runs on it.
+/// Each trial is one raw draw against bernoulli_threshold(prob), with no
+/// u64->double conversion. Degenerate probabilities keep bernoulli()'s
+/// draw semantics: prob <= 0 draws nothing, prob >= 1 hits every index
+/// without a trial draw. The loop draws from a local copy written back
+/// once, so the state stays in registers across on_hit's stores. NaN (where
+/// bernoulli() would draw and always miss) is a contract violation.
 template <typename OnHit>
 void bernoulli_trials(Rng& rng, std::int32_t count, double prob,
                       OnHit&& on_hit) {
@@ -183,8 +183,8 @@ constexpr std::uint64_t counter_mix(std::uint64_t key,
 /// Random access (`at`) never moves the cursor; the serial helpers
 /// (`next`/`uniform01`/`bernoulli`/`uniform_below`) advance it one counter
 /// per raw draw, and `skip` advances it without hashing — consuming a draw
-/// another replay site materialises (e.g. a defect-classification value the
-/// bitmap path never reads) costs nothing.
+/// the record-keeping sink materialises (e.g. a defect-classification value
+/// the bitmap sink never reads) costs nothing.
 class CounterStream {
  public:
   explicit CounterStream(std::uint64_t key) noexcept : key_(key) {}
@@ -235,8 +235,8 @@ class CounterStream {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  /// Advances the cursor by `draws` without hashing: burns draws a parallel
-  /// replay site consumes (classification/attribution values) for free.
+  /// Advances the cursor by `draws` without hashing: consumes draws whose
+  /// values the caller does not need (classification/attribution) for free.
   void skip(std::uint64_t draws) noexcept { cursor_ += draws; }
 
  private:

@@ -17,9 +17,12 @@
 // taxonomy) so downstream reporting can show realistic fault mixes.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "biochip/hex_array.hpp"
+#include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "fault/fault_model.hpp"
 
@@ -33,11 +36,13 @@ inline constexpr double kBreakdownWeight = 0.5;
 inline constexpr double kShortWeight = 0.3;
 
 /// Samples a catastrophic defect type with the given relative weights
-/// (breakdown : short : open). Exposed for tests. Inline: the MC injection
-/// loops burn one classification draw per injected fault, in sequence with
+/// (breakdown : short : open) from exactly one uniform draw of `stream` (an
+/// Rng or a CounterStream). Exposed for tests. Inline: the MC injection
+/// loops make one classification draw per injected fault, in sequence with
 /// the per-cell draws.
-inline CatastrophicDefect sample_catastrophic_defect(Rng& rng) {
-  const double u = rng.uniform01();
+template <typename Stream>
+CatastrophicDefect sample_catastrophic_defect(Stream& stream) {
+  const double u = stream.uniform01();
   if (u < kBreakdownWeight) return CatastrophicDefect::kDielectricBreakdown;
   if (u < kBreakdownWeight + kShortWeight) {
     return CatastrophicDefect::kElectrodeShort;
@@ -45,15 +50,47 @@ inline CatastrophicDefect sample_catastrophic_defect(Rng& rng) {
   return CatastrophicDefect::kOpenConnection;
 }
 
-/// v2 classification draw: same taxonomy weights, consuming exactly one
-/// counter off the stream — the draw the bitmap path skip(1)s past.
-inline CatastrophicDefect sample_catastrophic_defect(CounterStream& stream) {
-  const double u = stream.uniform01();
-  if (u < kBreakdownWeight) return CatastrophicDefect::kDielectricBreakdown;
-  if (u < kBreakdownWeight + kShortWeight) {
-    return CatastrophicDefect::kElectrodeShort;
+/// Largest mean sample_poisson accepts. A sample costs about `mean` draws,
+/// and the count must stay far inside int32 for the loop to be defined.
+inline constexpr double kMaxPoissonMean = 1e6;
+
+/// Poisson sampler on an Rng or a CounterStream — exposed for tests.
+/// Knuth's product method for means up to 700 (draw sequence frozen by the
+/// draw-contract pin); above that, the e^-mean limit underflows, so the
+/// exponent is folded into the uniform product in representable chunks
+/// instead of being biased to ~750. Requires 0 <= mean <= kMaxPoissonMean.
+template <typename Stream>
+std::int32_t sample_poisson(double mean, Stream& stream) {
+  DMFB_EXPECTS(mean >= 0.0 && mean <= kMaxPoissonMean);
+  // exp(-700) is still a normal double, with plenty of margin to the ~745
+  // underflow edge; it is also the chunk size of the exponent folding.
+  constexpr double kDirectMeanLimit = 700.0;
+  if (mean == 0.0) return 0;
+  if (mean <= kDirectMeanLimit) {
+    const double limit = std::exp(-mean);
+    std::int32_t k = 0;
+    double product = 1.0;
+    do {
+      ++k;
+      product *= stream.uniform01();
+    } while (product > limit);
+    return k - 1;
   }
-  return CatastrophicDefect::kOpenConnection;
+  // Stop at the first k + 1 draws with u_1 ... u_{k+1} * e^mean < 1: the
+  // same stopping rule as above, in a range a double can represent.
+  std::int32_t k = 0;
+  double product = 1.0;
+  double pending_exponent = mean;
+  for (;;) {
+    product *= stream.uniform01();
+    while (product < 1.0 && pending_exponent > 0.0) {
+      const double step = std::min(pending_exponent, kDirectMeanLimit);
+      product *= std::exp(step);
+      pending_exponent -= step;
+    }
+    if (pending_exponent <= 0.0 && product <= 1.0) return k;
+    ++k;
+  }
 }
 
 /// Each cell fails independently with probability 1 - survival_p.
@@ -69,7 +106,7 @@ class BernoulliInjector {
 
   /// v2 contract: geometric skip-sampling over the per-run counter stream —
   /// O(faults) draws instead of one per cell. Statistically equivalent to
-  /// inject() but on a different draw trajectory (fault/inject_v2.hpp).
+  /// inject() but on a different draw trajectory (fault/kinds.hpp).
   FaultMap inject_v2(biochip::HexArray& array, CounterStream& stream) const;
 
  private:
@@ -123,11 +160,5 @@ class ClusteredInjector {
   double core_kill_prob_;
   double edge_kill_prob_;
 };
-
-/// Poisson sampler — exposed for tests. Knuth's product method for means up
-/// to 700 (draw sequence frozen by the sim equivalence suite); above that,
-/// the e^-mean limit underflows, so the exponent is folded into the uniform
-/// product in representable chunks instead of being biased to ~750.
-std::int32_t sample_poisson(double mean, Rng& rng);
 
 }  // namespace dmfb::fault

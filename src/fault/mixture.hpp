@@ -7,18 +7,18 @@
 // composes any of the four single-mechanism injectors into one defect draw
 // per run.
 //
-// Composition contract (mirrored bit-for-bit by sim::FaultModel::mixture —
-// the equivalence suite pins the two against each other):
-//  * Every component consumes the Rng exactly as its standalone injector
+// Composition contract (the mixture core in fault/kinds.hpp, which
+// sim::FaultModel::mixture runs too):
+//  * Every component consumes the stream exactly as its standalone injector
 //    would: the per-cell Bernoulli / sample-without-replacement / Gaussian
 //    deviation draws never depend on what earlier components did.
 //    (ClusteredInjector is the one exception by its standalone definition:
 //    its per-cell kill draws already skip cells that are faulty, so in a
 //    mixture they see the earlier components' faults — same as standalone.)
 //  * First faulter wins: a cell already marked faulty by an earlier
-//    component is never re-marked or re-attributed. A catastrophic
-//    component still burns its defect-classification draw for an absorbed
-//    kill (stream alignment); the record is simply not emitted.
+//    component is never re-marked or re-attributed. A component still
+//    consumes the classification/attribution draw of an absorbed kill
+//    (stream alignment); the record is simply not emitted.
 #pragma once
 
 #include <variant>
@@ -52,8 +52,8 @@ class MixtureInjector {
 
   /// v2 contract: the same composition rules on one shared counter stream —
   /// components run in order, each consuming its standalone inject_v2 draw
-  /// sequence (fault/inject_v2.hpp); first faulter wins, and an absorbed
-  /// kill still consumes its classification/attribution draw.
+  /// sequence (fault/kinds.hpp); first faulter wins, and an absorbed kill
+  /// still consumes its classification/attribution draw.
   FaultMap inject_v2(biochip::HexArray& array, CounterStream& stream) const;
 
  private:

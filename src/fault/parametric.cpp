@@ -5,7 +5,7 @@
 #include <numbers>
 
 #include "common/contracts.hpp"
-#include "fault/inject_v2.hpp"
+#include "fault/kinds.hpp"
 
 namespace dmfb::fault {
 
@@ -68,29 +68,7 @@ std::array<Deviation, 3> ParametricInjector::sample_cell(Rng& rng) const {
 }
 
 FaultMap ParametricInjector::inject(biochip::HexArray& array, Rng& rng) const {
-  DMFB_EXPECTS(array.faulty_count() == 0);
-  FaultMap map;
-  for (std::int32_t cell = 0; cell < array.cell_count(); ++cell) {
-    const auto deviations = sample_cell(rng);
-    const Deviation* worst = nullptr;
-    for (const Deviation& deviation : deviations) {
-      if (!deviation.out_of_tolerance) continue;
-      if (worst == nullptr ||
-          std::abs(deviation.value) > std::abs(worst->value)) {
-        worst = &deviation;
-      }
-    }
-    if (worst != nullptr) {
-      array.set_health(cell, biochip::CellHealth::kFaulty);
-      FaultRecord record;
-      record.cell = cell;
-      record.fault_class = FaultClass::kParametric;
-      record.parametric = worst->parameter;
-      record.deviation = worst->value;
-      map.records.push_back(record);
-    }
-  }
-  return map;
+  return record_faults(*this, array, rng);
 }
 
 std::array<double, 3> parametric_attribution_weights_v2(
@@ -122,25 +100,7 @@ std::size_t pick_parametric_attribution_v2(const std::array<double, 3>& weights,
 
 FaultMap ParametricInjector::inject_v2(biochip::HexArray& array,
                                        CounterStream& stream) const {
-  DMFB_EXPECTS(array.faulty_count() == 0);
-  FaultMap map;
-  const std::array<double, 3> weights =
-      parametric_attribution_weights_v2(spec_);
-  skip_sample_bernoulli(
-      stream, array.cell_count(), spec_.cell_fault_probability(),
-      [&](std::int32_t cell) {
-        const std::size_t pick =
-            pick_parametric_attribution_v2(weights, stream.uniform01());
-        const ParameterSpec& param = spec_.parameters[pick];
-        array.set_health(cell, biochip::CellHealth::kFaulty);
-        FaultRecord record;
-        record.cell = cell;
-        record.fault_class = FaultClass::kParametric;
-        record.parametric = param.parameter;
-        record.deviation = param.tolerance;
-        map.records.push_back(record);
-      });
-  return map;
+  return record_faults(*this, array, stream);
 }
 
 }  // namespace dmfb::fault

@@ -2,233 +2,138 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "common/contracts.hpp"
-#include "fault/inject_v2.hpp"
-#include "fault/injector.hpp"
-#include "fault/mixture.hpp"
-#include "fault/parametric.hpp"
-#include "hexgrid/hex_coord.hpp"
+#include "fault/kinds.hpp"
 #include "obs/metrics.hpp"
 
 namespace dmfb::sim {
 
 namespace {
 
-/// Draw tallies for one inject() call, kept in stack locals so the loops
-/// stay free of TLS lookups; flushed to obs once per call. Every field is
-/// a pure function of (model, seed, run), hence a stable counter.
+/// Draw tallies for one inject() call, kept in the sink so the loops stay
+/// free of TLS lookups; flushed to obs once per call. Every field is a pure
+/// function of (model, seed, run), hence a stable counter.
 struct InjectTally {
   std::int64_t trials = 0;          ///< per-cell fault trials evaluated
-  std::int64_t classification = 0;  ///< catastrophic-defect draws (burns)
+  std::int64_t classification = 0;  ///< classification/attribution draws
 };
 
-/// The legacy injectors draw one catastrophic-defect classification per
-/// injected fault (fault::sample_catastrophic_defect). The bitmap path has
-/// no FaultMap to fill, but must burn the identical draw to stay on the
-/// same Rng trajectory.
-inline void burn_defect_classification(Rng& rng) {
-  (void)fault::sample_catastrophic_defect(rng);
-}
+/// FaultState sink for the fault/kinds.hpp cores. It keeps no records, so
+/// it consumes each fault's classification or attribution draw without
+/// evaluating it: a raw draw under v1, skip(1) under v2. The bitmap's
+/// idempotent set_faulty gives first-faulter-wins for mixtures.
+///
+/// Tally: under v1 `trials` counts the per-cell trials the core evaluated;
+/// under v2 it counts fault candidates reaching the sink.
+template <typename Stream>
+class BitmapSink {
+ public:
+  static constexpr bool kV1 = std::is_same_v<Stream, Rng>;
 
-// Each inject_* function is draw-for-draw identical to its fault::*Injector
-// counterpart, and — because FaultState::set_faulty is idempotent and the
-// classification burn happens regardless — also implements the mixture
-// contract (fault::MixtureInjector) when the state arrives pre-faulted:
-// draws replay the standalone sequence, first faulter wins.
-
-void inject_bernoulli(double survival_p, FaultState& state, Rng& rng,
-                      InjectTally& tally) {
-  const std::int32_t n = state.design().cell_count();
-  tally.trials += n;
-  bernoulli_trials(rng, n, 1.0 - survival_p,
-                   [&](std::int32_t cell, Rng& draws) {
-                     state.set_faulty(cell);
-                     burn_defect_classification(draws);
-                     ++tally.classification;
-                   });
-}
-
-void inject_fixed_count(std::int32_t count, FaultState& state, Rng& rng,
-                        InjectTally& tally) {
-  tally.trials += count;
-  tally.classification += count;
-  for (const std::int32_t cell :
-       rng.sample_without_replacement(state.design().cell_count(), count)) {
-    state.set_faulty(cell);
-    burn_defect_classification(rng);
+  /// `ascending`: the cells arrive in strictly ascending order on an empty
+  /// bitmap (a standalone skip-sampled kind), so the v2 path may append
+  /// without the set_faulty membership probe.
+  BitmapSink(FaultState& state, bool ascending)
+      : state_(state), ascending_(ascending) {
+    DMFB_EXPECTS(state.faulty_count() == 0);
   }
-}
 
-void inject_clustered(double mean_spots, const ClusterShape& shape,
-                      FaultState& state, Rng& rng, InjectTally& tally) {
-  const hex::Region& region = state.design().array().region();
-  const std::int32_t spots = fault::sample_poisson(mean_spots, rng);
-  for (std::int32_t spot = 0; spot < spots; ++spot) {
-    const auto center_index = static_cast<std::int32_t>(rng.uniform_below(
-        static_cast<std::uint64_t>(state.design().cell_count())));
-    const hex::HexCoord center = region.coord_at(center_index);
-    for (const hex::HexCoord at : hex::disk(center, shape.radius)) {
-      const CellIndex cell = region.index_of(at);
-      if (cell == hex::kInvalidCell) continue;  // spot clipped by boundary
-      if (state.is_faulty(cell)) continue;
-      const double t = shape.radius == 0
-                           ? 0.0
-                           : static_cast<double>(hex::distance(center, at)) /
-                                 static_cast<double>(shape.radius);
-      const double kill_prob =
-          shape.core_kill + (shape.edge_kill - shape.core_kill) * t;
-      ++tally.trials;
-      if (rng.bernoulli(kill_prob)) {
-        state.set_faulty(cell);
-        burn_defect_classification(rng);
-        ++tally.classification;
-      }
+  std::int32_t cell_count() const noexcept {
+    return state_.design().cell_count();
+  }
+  const hex::Region& region() const noexcept {
+    return state_.design().array().region();
+  }
+  bool is_faulty(CellIndex cell) const noexcept {
+    return state_.is_faulty(cell);
+  }
+
+  void trials(std::int64_t count) noexcept {
+    if constexpr (kV1) tally_.trials += count;
+  }
+
+  void catastrophic(CellIndex cell, Stream& stream) {
+    consume_draw(stream);
+    mark(cell);
+  }
+
+  void parametric(CellIndex cell, Stream& stream,
+                  const fault::ProcessSpec& /*spec*/) {
+    consume_draw(stream);
+    mark(cell);
+  }
+
+  void parametric(CellIndex cell, fault::ParametricDefect /*parameter*/,
+                  double /*deviation*/) {
+    state_.set_faulty(cell);
+  }
+
+  /// One flush per call keeps the per-cell loops TLS-free; the guard makes
+  /// the disabled default a single relaxed load.
+  void flush() const {
+    if (!obs::enabled()) return;
+    obs::count(obs::Metric::kInjectRuns);
+    obs::count(obs::Metric::kInjectCellsFaulted, state_.faulty_count());
+    obs::count(obs::Metric::kInjectCellTrials, tally_.trials);
+    obs::count(obs::Metric::kInjectClassificationDraws, tally_.classification);
+  }
+
+ private:
+  void consume_draw(Stream& stream) noexcept {
+    ++tally_.classification;
+    if constexpr (kV1) {
+      (void)stream();
+    } else {
+      ++tally_.trials;
+      stream.skip(1);
     }
   }
-}
 
-void inject_parametric(double sigma_scale, FaultState& state, Rng& rng,
-                       InjectTally& tally) {
-  // Replays fault::ParametricInjector(typical().scaled(sigma_scale)):
-  // sample_cell always draws three deviations (no fault-state dependence),
-  // and parametric faults carry no catastrophic-classification burn.
-  const fault::ParametricInjector injector(
-      fault::ProcessSpec::typical().scaled(sigma_scale));
-  const std::int32_t n = state.design().cell_count();
-  tally.trials += n;
-  for (std::int32_t cell = 0; cell < n; ++cell) {
-    bool out_of_tolerance = false;
-    for (const fault::Deviation& deviation : injector.sample_cell(rng)) {
-      out_of_tolerance |= deviation.out_of_tolerance;
+  void mark(CellIndex cell) {
+    if (!kV1 && ascending_) {
+      state_.set_faulty_ascending(cell);
+    } else {
+      state_.set_faulty(cell);
     }
-    if (out_of_tolerance) state.set_faulty(cell);
   }
-}
 
-void inject_component(const FaultModel& model, FaultState& state, Rng& rng,
-                      InjectTally& tally) {
+  FaultState& state_;
+  bool ascending_;
+  InjectTally tally_;
+};
+
+/// Dispatches one model onto its core; a mixture runs its components in
+/// order on the same stream and sink.
+template <typename Stream>
+void inject_model(const FaultModel& model, Stream& stream,
+                  BitmapSink<Stream>& sink) {
   switch (model.kind) {
     case FaultModel::Kind::kBernoulli:
-      inject_bernoulli(model.param, state, rng, tally);
+      fault::inject_core(fault::BernoulliInjector(model.param), stream, sink);
       return;
     case FaultModel::Kind::kFixedCount:
-      inject_fixed_count(static_cast<std::int32_t>(model.param), state, rng,
-                         tally);
+      fault::inject_core(
+          fault::FixedCountInjector(static_cast<std::int32_t>(model.param)),
+          stream, sink);
       return;
     case FaultModel::Kind::kClustered:
-      inject_clustered(model.param, model.cluster, state, rng, tally);
+      fault::inject_core(
+          fault::ClusteredInjector(model.param, model.cluster.radius,
+                                   model.cluster.core_kill,
+                                   model.cluster.edge_kill),
+          stream, sink);
       return;
     case FaultModel::Kind::kParametric:
-      inject_parametric(model.param, state, rng, tally);
+      fault::inject_core(
+          fault::ParametricInjector(
+              fault::ProcessSpec::typical().scaled(model.param)),
+          stream, sink);
       return;
     case FaultModel::Kind::kMixture:
       for (const FaultModel& component : model.components) {
-        inject_component(component, state, rng, tally);
-      }
-      return;
-  }
-  DMFB_ASSERT(!"unknown fault model kind");
-}
-
-// The inject_*_v2 functions drive the shared v2 kind algorithms
-// (fault/inject_v2.hpp) with bitmap callbacks, so they replay the exact
-// cursor trajectory of the corresponding fault::*Injector::inject_v2 and
-// mark the same cells. The classification/attribution draw each fault's
-// callback must consume is skip()ed — the bitmap keeps no records. Under
-// v2 the tally counts fault candidates reaching a callback (`trials`) and
-// skipped classification draws (`classification`); both remain pure
-// functions of (model, seed, run).
-//
-// `pristine` selects the bulk ascending-write path: standalone skip-sampled
-// kinds visit cells in strictly ascending order on an empty bitmap, so the
-// set_faulty membership probe is dead weight. Mixture components (and the
-// unsorted fixed-count picks) take the idempotent set_faulty, which also
-// implements first-faulter-wins for free.
-
-void inject_bernoulli_v2(double survival_p, FaultState& state,
-                         CounterStream& stream, InjectTally& tally,
-                         bool pristine) {
-  skip_sample_bernoulli(stream, state.design().cell_count(),
-                        1.0 - survival_p, [&](std::int32_t cell) {
-                          ++tally.trials;
-                          stream.skip(1);  // classification draw
-                          ++tally.classification;
-                          if (pristine) {
-                            state.set_faulty_ascending(cell);
-                          } else {
-                            state.set_faulty(cell);
-                          }
-                        });
-}
-
-void inject_fixed_count_v2(std::int32_t count, FaultState& state,
-                           CounterStream& stream, InjectTally& tally) {
-  fault::fixed_count_v2(stream, state.design().cell_count(), count,
-                        [&](std::int32_t cell) {
-                          ++tally.trials;
-                          stream.skip(1);  // classification draw
-                          ++tally.classification;
-                          state.set_faulty(cell);
-                        });
-}
-
-void inject_clustered_v2(double mean_spots, const ClusterShape& shape,
-                         FaultState& state, CounterStream& stream,
-                         InjectTally& tally) {
-  const hex::Region& region = state.design().array().region();
-  fault::clustered_v2(
-      stream, region, state.design().cell_count(), mean_spots, shape.radius,
-      shape.core_kill, shape.edge_kill,
-      [&](CellIndex cell) { return state.is_faulty(cell); },
-      [&](CellIndex cell) {
-        ++tally.trials;
-        stream.skip(1);  // classification draw
-        ++tally.classification;
-        state.set_faulty(cell);
-      });
-}
-
-void inject_parametric_v2(double sigma_scale, FaultState& state,
-                          CounterStream& stream, InjectTally& tally,
-                          bool pristine) {
-  const double fault_probability = fault::ProcessSpec::typical()
-                                       .scaled(sigma_scale)
-                                       .cell_fault_probability();
-  skip_sample_bernoulli(stream, state.design().cell_count(),
-                        fault_probability, [&](std::int32_t cell) {
-                          ++tally.trials;
-                          stream.skip(1);  // attribution draw
-                          ++tally.classification;
-                          if (pristine) {
-                            state.set_faulty_ascending(cell);
-                          } else {
-                            state.set_faulty(cell);
-                          }
-                        });
-}
-
-void inject_component_v2(const FaultModel& model, FaultState& state,
-                         CounterStream& stream, InjectTally& tally,
-                         bool pristine) {
-  switch (model.kind) {
-    case FaultModel::Kind::kBernoulli:
-      inject_bernoulli_v2(model.param, state, stream, tally, pristine);
-      return;
-    case FaultModel::Kind::kFixedCount:
-      inject_fixed_count_v2(static_cast<std::int32_t>(model.param), state,
-                            stream, tally);
-      return;
-    case FaultModel::Kind::kClustered:
-      inject_clustered_v2(model.param, model.cluster, state, stream, tally);
-      return;
-    case FaultModel::Kind::kParametric:
-      inject_parametric_v2(model.param, state, stream, tally, pristine);
-      return;
-    case FaultModel::Kind::kMixture:
-      for (const FaultModel& component : model.components) {
-        inject_component_v2(component, state, stream, tally,
-                            /*pristine=*/false);
+        inject_model(component, stream, sink);
       }
       return;
   }
@@ -250,8 +155,9 @@ void validate(const FaultModel& model, const ChipDesign& design) {
                                       static_cast<std::int32_t>(model.param)));
       return;
     case FaultModel::Kind::kClustered:
-      DMFB_EXPECTS(model.param >= 0.0);
-      DMFB_EXPECTS(model.cluster.radius >= 0);
+      DMFB_EXPECTS(model.param >= 0.0 && model.param <= kMaxMeanSpots);
+      DMFB_EXPECTS(model.cluster.radius >= 0 &&
+                   model.cluster.radius <= kMaxClusterRadius);
       DMFB_EXPECTS(model.cluster.core_kill >= 0.0 &&
                    model.cluster.core_kill <= 1.0);
       DMFB_EXPECTS(model.cluster.edge_kill >= 0.0 &&
@@ -272,30 +178,20 @@ void validate(const FaultModel& model, const ChipDesign& design) {
 }
 
 void inject(const FaultModel& model, FaultState& state, Rng& rng) {
-  DMFB_EXPECTS(state.faulty_count() == 0);
-  InjectTally tally;
-  inject_component(model, state, rng, tally);
-  // One flush per call keeps the per-cell loops TLS-free; the guard makes
-  // the disabled default a single relaxed load.
-  if (obs::enabled()) {
-    obs::count(obs::Metric::kInjectRuns);
-    obs::count(obs::Metric::kInjectCellsFaulted, state.faulty_count());
-    obs::count(obs::Metric::kInjectCellTrials, tally.trials);
-    obs::count(obs::Metric::kInjectClassificationDraws, tally.classification);
-  }
+  BitmapSink<Rng> sink(state, /*ascending=*/false);
+  inject_model(model, rng, sink);
+  sink.flush();
 }
 
 void inject_v2(const FaultModel& model, FaultState& state,
                CounterStream& stream) {
-  DMFB_EXPECTS(state.faulty_count() == 0);
-  InjectTally tally;
-  inject_component_v2(model, state, stream, tally, /*pristine=*/true);
-  if (obs::enabled()) {
-    obs::count(obs::Metric::kInjectRuns);
-    obs::count(obs::Metric::kInjectCellsFaulted, state.faulty_count());
-    obs::count(obs::Metric::kInjectCellTrials, tally.trials);
-    obs::count(obs::Metric::kInjectClassificationDraws, tally.classification);
-  }
+  // Standalone skip-sampled kinds visit cells in ascending order on the
+  // empty bitmap; mixture components and fixed-count picks do not.
+  BitmapSink<CounterStream> sink(
+      state, model.kind == FaultModel::Kind::kBernoulli ||
+                 model.kind == FaultModel::Kind::kParametric);
+  inject_model(model, stream, sink);
+  sink.flush();
 }
 
 double expected_fault_fraction(const FaultModel& model,

@@ -1,30 +1,38 @@
 // sim::FaultModel — the structured defect models the session engine can
 // inject directly into a FaultState bitmap.
 //
-// Each model replicates the corresponding fault::*Injector *exactly*,
-// including its Rng draw sequence (one catastrophic-defect draw per injected
-// catastrophic fault; three Gaussian deviations per cell for the parametric
-// kind), so a session run consumes the same random stream as the legacy
-// HexArray path and produces bit-identical success counts. The equivalence
-// test suites (tests/test_sim_session.cpp, tests/test_sim_fault_models.cpp)
-// pin this contract; any change to an injector's draw order must land in
-// every replay site (fault/injector.cpp, fault/parametric.cpp,
-// fault/mixture.cpp and this file).
+// Each kind has one injection core per draw contract (fault/kinds.hpp),
+// shared with the fault::*Injector HexArray layer: inject() and inject_v2()
+// only dispatch a model onto its core with a FaultState sink. That sink
+// consumes exactly the one classification or attribution draw per fault
+// the record-keeping sink evaluates (a raw draw under v1, skip(1) under v2),
+// so a session run walks the same stream as the HexArray path and gives
+// bit-identical success counts. The draw-contract pin in
+// tests/test_sim_fault_models.cpp holds every sequence fixed.
 //
-// kMixture composes an ordered list of the concrete kinds into one defect
-// draw per run, replaying fault::MixtureInjector: every component consumes
-// the stream exactly as its standalone injector would (clustered kill draws
-// see the live fault state, as standalone), and a cell keeps the
-// attribution of the first component that faulted it.
+// kMixture runs an ordered list of the concrete kinds on one stream and one
+// sink, as fault::MixtureInjector does: every component consumes its
+// standalone draw sequence (clustered kill draws see the live fault state,
+// as standalone), and a cell keeps the first component that faulted it.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "fault/injector.hpp"
 #include "sim/fault_state.hpp"
 
 namespace dmfb::sim {
+
+/// Largest clustered mean spot count validate() accepts (campaign specs
+/// and serve queries share it): the Poisson sampler's own bound.
+inline constexpr double kMaxMeanSpots = fault::kMaxPoissonMean;
+
+/// Largest cluster radius validate() accepts (campaign specs and serve
+/// queries share it). A spot materialises the 3r(r + 1) + 1 cells of its
+/// disk, so a huge radius exhausts memory.
+inline constexpr std::int32_t kMaxClusterRadius = 64;
 
 /// Spatial cluster knobs (mirrors fault::ClusteredInjector's constructor).
 struct ClusterShape {
@@ -74,8 +82,8 @@ struct FaultModel {
   }
   /// Parametric (soft) faults under fault::ProcessSpec::typical() with all
   /// sigmas multiplied by `sigma_scale` — a one-knob process-maturity axis.
-  /// Replays fault::ParametricInjector(typical().scaled(sigma_scale))
-  /// draw-for-draw.
+  /// Runs the core of fault::ParametricInjector(typical().scaled(
+  /// sigma_scale)).
   static FaultModel parametric(double sigma_scale) {
     FaultModel model;
     model.kind = Kind::kParametric;
@@ -93,21 +101,22 @@ struct FaultModel {
 };
 
 /// Validates `model` against `design` (throws ContractViolation on bad
-/// parameters, mirroring the legacy injector constructors). For mixtures:
-/// non-empty, no nested mixtures, every component valid.
+/// parameters, mirroring the legacy injector constructors, plus the
+/// kMaxMeanSpots / kMaxClusterRadius caps). For mixtures: non-empty, no
+/// nested mixtures, every component valid.
 void validate(const FaultModel& model, const ChipDesign& design);
 
-/// Injects one run's faults into `state` (which must arrive reset).
-/// Draw-for-draw identical to the corresponding fault::*Injector (or
+/// Injects one run's faults into `state` (which must arrive reset) under
+/// the v1 contract: the same core as the corresponding fault::*Injector (or
 /// fault::MixtureInjector) on a HexArray.
 void inject(const FaultModel& model, FaultState& state, Rng& rng);
 
-/// v2 (rng_version = v2) injection: cursor-for-cursor identical to the
-/// corresponding fault::*Injector::inject_v2 on a HexArray — same stream
-/// draws, same fault cells — but marks the word-packed bitmap directly
-/// (bulk ascending writes for the skip-sampled kinds) and skip()s the
-/// classification/attribution draws it keeps no records for. O(faults)
-/// for bernoulli / fixed-count / parametric; O(spot area) for clustered.
+/// v2 (rng_version = v2) injection: the same core as the corresponding
+/// fault::*Injector::inject_v2 on a HexArray, marking the word-packed
+/// bitmap directly (bulk ascending writes for the standalone skip-sampled
+/// kinds) and skip()ping the classification/attribution draws it keeps no
+/// records for. O(faults) for bernoulli / fixed-count / parametric;
+/// O(spot area) for clustered.
 void inject_v2(const FaultModel& model, FaultState& state,
                CounterStream& stream);
 

@@ -6,10 +6,10 @@
 //     stream (serial draws) and across per-run streams (the axis v2's
 //     thread-invariance rests on). All statistics are deterministic (fixed
 //     keys), so the thresholds are exact regression pins, not flaky gates.
-//  2. Layer equivalence: fault::*Injector::inject_v2 (records, HexArray) and
-//     sim::inject_v2 (word-packed FaultState) replay identical cursor
-//     trajectories and mark identical cell sets, for every kind and for
-//     mixtures — the v2 counterpart of the v1↔legacy equivalence suite.
+//  2. Sink agreement: fault::*Injector::inject_v2 (records, HexArray) and
+//     sim::inject_v2 (word-packed FaultState) run the same cores with
+//     different sinks, and must leave identical cursors and cell sets, for
+//     every kind and for mixtures — the v2 counterpart of the v1 suite.
 //  3. Statistical equivalence: v1 and v2 yield estimates agree within
 //     combined 95% CI half-widths at matched run counts across
 //     DTMB(1,6)/DTMB(2,6) x defect-density grid, and v2 estimates are
@@ -25,7 +25,7 @@
 
 #include "biochip/dtmb.hpp"
 #include "common/rng.hpp"
-#include "fault/inject_v2.hpp"
+#include "fault/kinds.hpp"
 #include "fault/injector.hpp"
 #include "fault/mixture.hpp"
 #include "fault/parametric.hpp"
@@ -221,7 +221,7 @@ TEST(PoissonV2, MatchesMeanInBothRegimes) {
     constexpr int kStreams = 4000;
     for (int s = 0; s < kStreams; ++s) {
       CounterStream stream(static_cast<std::uint64_t>(s) + 17);
-      total += fault::sample_poisson_v2(mean, stream);
+      total += fault::sample_poisson(mean, stream);
     }
     const double sigma = std::sqrt(mean / kStreams);
     EXPECT_NEAR(total / kStreams, mean, 4.0 * sigma) << "mean " << mean;

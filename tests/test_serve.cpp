@@ -440,6 +440,41 @@ TEST(Server, OutOfRangeFixedCountParamsGetErrorLines) {
   EXPECT_EQ(server.session_stats().queries, 0u);
 }
 
+TEST(Server, OverRangeClusteredParamsGetErrorLines) {
+  // A mean spot count past sim::kMaxMeanSpots used to spin a worker forever
+  // (3e9 overflowed the Poisson count; at 1e308 the exponent folding made
+  // no progress), and a huge radius exhausted memory. Each now gets an
+  // in-stream error; the cap itself still answers.
+  const char* kLines[] = {
+      R"({"id": 1, "design": "dtmb2_6", "injector": "clustered", )"
+      R"("param": 3e9, "runs": 1})",
+      R"({"id": 2, "design": "dtmb2_6", "injector": "clustered", )"
+      R"("param": 1e308, "runs": 1})",
+      R"({"id": 3, "design": "dtmb2_6", "injector": "clustered", )"
+      R"("param": 2.0, "radius": 100000, "runs": 1})",
+      R"({"id": 4, "design": "dtmb2_6", "injector": "clustered", )"
+      R"("param": 1e6, "runs": 1})",
+  };
+  std::string batch;
+  for (const char* line : kLines) batch += std::string(line) + "\n";
+  ServerOptions options;
+  options.threads = 2;
+  Server server(options);
+  std::istringstream lines(serve_batch(server, batch));
+  std::vector<std::string> seen;
+  std::string line;
+  while (std::getline(lines, line)) seen.push_back(line);
+  ASSERT_EQ(seen.size(), 4u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(seen[i].rfind("{\"id\": " + std::to_string(i + 1) +
+                                ", \"error\"",
+                            0),
+              0u)
+        << seen[i];
+  }
+  EXPECT_EQ(seen[3].rfind("{\"id\": 4, \"yield\"", 0), 0u) << seen[3];
+}
+
 TEST(Server, DuplicateQueriesComputeOnceAcrossServeCalls) {
   ServerOptions options;
   options.threads = 2;
