@@ -1,13 +1,13 @@
 // google-benchmark micro-benchmarks for the performance-critical kernels:
-// maximum matching (all three engines), one Monte-Carlo yield run, droplet
-// routing, and the covering-walk test planner.
+// maximum matching (CSR matcher, one row per engine), one Monte-Carlo yield
+// run, droplet routing, and the covering-walk test planner.
 #include <benchmark/benchmark.h>
 
 #include "biochip/dtmb.hpp"
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
 #include "fluidics/router.hpp"
-#include "graph/matching.hpp"
+#include "graph/csr_matching.hpp"
 #include "reconfig/local_reconfig.hpp"
 #include "testplan/stimulus_test.hpp"
 #include "yield/monte_carlo.hpp"
@@ -16,13 +16,15 @@ namespace {
 
 using namespace dmfb;
 
-graph::BipartiteGraph random_bipartite(std::int32_t left, std::int32_t right,
-                                       double edge_prob, std::uint64_t seed) {
+graph::CsrBipartiteGraph random_bipartite(std::int32_t left,
+                                          std::int32_t right, double edge_prob,
+                                          std::uint64_t seed) {
   Rng rng(seed);
-  graph::BipartiteGraph g(left, right);
+  graph::CsrBipartiteGraph g;
   for (std::int32_t a = 0; a < left; ++a) {
+    g.open_row();
     for (std::int32_t b = 0; b < right; ++b) {
-      if (rng.bernoulli(edge_prob)) g.add_edge(a, b);
+      if (rng.bernoulli(edge_prob)) g.add_edge(b);
     }
   }
   return g;
@@ -31,8 +33,9 @@ graph::BipartiteGraph random_bipartite(std::int32_t left, std::int32_t right,
 void BM_Matching(benchmark::State& state, graph::MatchingEngine engine) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   const auto g = random_bipartite(n, n, 8.0 / n, 42);
+  graph::CsrMatcher matcher;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::maximum_matching(g, engine).size);
+    benchmark::DoNotOptimize(matcher.maximum_matching_size(g, engine));
   }
   state.SetComplexityN(n);
 }
@@ -101,6 +104,10 @@ BENCHMARK_CAPTURE(BM_Matching, kuhn, dmfb::graph::MatchingEngine::kKuhn)
     ->Range(64, 1024)
     ->Complexity();
 BENCHMARK_CAPTURE(BM_Matching, dinic, dmfb::graph::MatchingEngine::kDinic)
+    ->Range(64, 1024)
+    ->Complexity();
+BENCHMARK_CAPTURE(BM_Matching, push_relabel,
+                  dmfb::graph::MatchingEngine::kPushRelabel)
     ->Range(64, 1024)
     ->Complexity();
 BENCHMARK(BM_McYieldRun)->Arg(100)->Arg(250)->Arg(500);

@@ -8,7 +8,6 @@ namespace dmfb::graph {
 
 namespace {
 constexpr std::int32_t kInf = std::numeric_limits<std::int32_t>::max();
-constexpr std::int32_t kUnmatched = MatchingResult::kUnmatched;
 }  // namespace
 
 std::int32_t CsrMatcher::maximum_matching_size(const CsrBipartiteGraph& graph,

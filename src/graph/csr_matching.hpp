@@ -1,17 +1,19 @@
-// Allocation-free bipartite matching for hot Monte-Carlo loops.
+// The bipartite graph BG(A, B, E) of the paper's reconfiguration model
+// (Fig. 8) and the matching engines that run on it.
 //
-// The legacy BipartiteGraph stores one std::vector per vertex, so building a
-// fresh instance per simulation run costs thousands of small allocations.
-// CsrBipartiteGraph is the flat alternative: rows are appended in order into
-// two shared vectors (CSR layout) and clear() rewinds without releasing
-// capacity. CsrMatcher owns the per-engine work buffers (match arrays, BFS
-// layers, visit stamps) and likewise reuses them across calls, so one
-// (graph, matcher) pair serves an entire Monte-Carlo experiment with zero
-// steady-state allocation.
+// CsrBipartiteGraph is the repo's one bipartite-graph representation: left
+// rows are appended in order into two shared vectors (CSR layout) and
+// clear() rewinds without releasing capacity. CsrMatcher owns the
+// per-engine work buffers (match arrays, BFS layers, visit stamps) and
+// likewise reuses them across calls, so one (graph, matcher) pair serves an
+// entire Monte-Carlo experiment with zero steady-state allocation; the
+// reconfiguration planner (reconfig::LocalReconfigurer) uses the same pair
+// per plan.
 //
 // All engines compute a maximum matching, so matching *size* — and
-// therefore repairability — is identical across engines and identical to
-// the BipartiteGraph-based detail:: implementations (pinned by tests).
+// therefore repairability — is identical across engines (pinned by the
+// brute-force and Koenig checks of the matching fuzz suite). The matching
+// itself may differ between engines.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,10 @@
 #include "graph/matching.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <optional>
 
 #include "common/contracts.hpp"
+#include "graph/csr_matching.hpp"
 
 namespace dmfb::graph {
 
@@ -26,49 +27,49 @@ MatchingEngine resolve_engine(MatchingEngine engine,
              : MatchingEngine::kHopcroftKarp;
 }
 
-MatchingResult maximum_matching(const BipartiteGraph& graph,
-                                MatchingEngine engine) {
-  switch (resolve_engine(engine, graph.left_count())) {
-    case MatchingEngine::kHopcroftKarp: return detail::hopcroft_karp(graph);
-    case MatchingEngine::kKuhn: return detail::kuhn(graph);
-    case MatchingEngine::kDinic: return detail::dinic_matching(graph);
-    case MatchingEngine::kPushRelabel:
-      return detail::push_relabel_matching(graph);
-    case MatchingEngine::kAuto: break;  // resolved above
-  }
-  DMFB_ASSERT(!"unknown matching engine");
-  return {};
-}
+namespace {
 
-bool is_valid_matching(const BipartiteGraph& graph, const MatchingResult& m) {
-  if (m.match_of_left.size() != static_cast<std::size_t>(graph.left_count()) ||
-      m.match_of_right.size() !=
-          static_cast<std::size_t>(graph.right_count())) {
-    return false;
+/// The right side of `match_of_left`, or nullopt when it is not a valid
+/// matching of `graph`.
+std::optional<std::vector<std::int32_t>> match_of_right(
+    const CsrBipartiteGraph& graph,
+    std::span<const std::int32_t> match_of_left) {
+  if (match_of_left.size() != static_cast<std::size_t>(graph.left_count())) {
+    return std::nullopt;
   }
-  std::int32_t count = 0;
+  std::vector<std::int32_t> right(
+      static_cast<std::size_t>(graph.right_count()), kUnmatched);
   for (std::int32_t a = 0; a < graph.left_count(); ++a) {
-    const std::int32_t b = m.match_of_left[static_cast<std::size_t>(a)];
-    if (b == MatchingResult::kUnmatched) continue;
-    if (b < 0 || b >= graph.right_count()) return false;
-    if (m.match_of_right[static_cast<std::size_t>(b)] != a) return false;
+    const std::int32_t b = match_of_left[static_cast<std::size_t>(a)];
+    if (b == kUnmatched) continue;
+    if (b < 0 || b >= graph.right_count()) return std::nullopt;
     const auto nbrs = graph.neighbors_of_left(a);
-    if (std::find(nbrs.begin(), nbrs.end(), b) == nbrs.end()) return false;
-    ++count;
+    if (std::find(nbrs.begin(), nbrs.end(), b) == nbrs.end()) {
+      return std::nullopt;
+    }
+    auto& partner = right[static_cast<std::size_t>(b)];
+    if (partner != kUnmatched) return std::nullopt;
+    partner = a;
   }
-  for (std::int32_t b = 0; b < graph.right_count(); ++b) {
-    const std::int32_t a = m.match_of_right[static_cast<std::size_t>(b)];
-    if (a == MatchingResult::kUnmatched) continue;
-    if (a < 0 || a >= graph.left_count()) return false;
-    if (m.match_of_left[static_cast<std::size_t>(a)] != b) return false;
-  }
-  return count == m.size;
+  return right;
 }
 
-std::vector<std::int32_t> hall_violator(const BipartiteGraph& graph,
-                                        const MatchingResult& m) {
-  DMFB_EXPECTS(is_valid_matching(graph, m));
-  if (m.covers_all_left()) return {};
+}  // namespace
+
+bool is_valid_matching(const CsrBipartiteGraph& graph,
+                       std::span<const std::int32_t> match_of_left) {
+  return match_of_right(graph, match_of_left).has_value();
+}
+
+std::vector<std::int32_t> hall_violator(
+    const CsrBipartiteGraph& graph,
+    std::span<const std::int32_t> match_of_left) {
+  const auto right = match_of_right(graph, match_of_left);
+  DMFB_EXPECTS(right.has_value());
+  if (std::find(match_of_left.begin(), match_of_left.end(), kUnmatched) ==
+      match_of_left.end()) {
+    return {};
+  }
 
   // Alternating BFS from every unmatched left vertex: left->right along
   // non-matching edges, right->left along matching edges. The reachable left
@@ -76,27 +77,24 @@ std::vector<std::int32_t> hall_violator(const BipartiteGraph& graph,
   // i.e. Z_L is a Hall violator (Koenig's construction).
   std::vector<char> left_reached(static_cast<std::size_t>(graph.left_count()), 0);
   std::vector<char> right_reached(static_cast<std::size_t>(graph.right_count()), 0);
-  std::queue<std::int32_t> frontier;  // left vertices to expand
+  std::vector<std::int32_t> frontier;  // left vertices, in BFS order
   for (std::int32_t a = 0; a < graph.left_count(); ++a) {
-    if (m.match_of_left[static_cast<std::size_t>(a)] ==
-        MatchingResult::kUnmatched) {
+    if (match_of_left[static_cast<std::size_t>(a)] == kUnmatched) {
       left_reached[static_cast<std::size_t>(a)] = 1;
-      frontier.push(a);
+      frontier.push_back(a);
     }
   }
-  while (!frontier.empty()) {
-    const std::int32_t a = frontier.front();
-    frontier.pop();
-    for (const std::int32_t b : graph.neighbors_of_left(a)) {
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    for (const std::int32_t b : graph.neighbors_of_left(frontier[head])) {
       if (right_reached[static_cast<std::size_t>(b)]) continue;
       right_reached[static_cast<std::size_t>(b)] = 1;
-      const std::int32_t back = m.match_of_right[static_cast<std::size_t>(b)];
+      const std::int32_t back = (*right)[static_cast<std::size_t>(b)];
       // b must be matched: an unmatched reachable b would be the endpoint of
-      // an augmenting path, contradicting maximality of m.
-      DMFB_ASSERT(back != MatchingResult::kUnmatched);
+      // an augmenting path, contradicting maximality of the matching.
+      DMFB_ASSERT(back != kUnmatched);
       if (!left_reached[static_cast<std::size_t>(back)]) {
         left_reached[static_cast<std::size_t>(back)] = 1;
-        frontier.push(back);
+        frontier.push_back(back);
       }
     }
   }

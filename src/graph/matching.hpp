@@ -3,21 +3,29 @@
 //
 // The paper (Section 6, Fig. 8): faulty primary cells can all be repaired
 // iff a maximum matching of the faulty-primary x healthy-spare adjacency
-// graph saturates every faulty primary. We provide four independent
-// engines — Hopcroft-Karp (default), Kuhn's augmenting paths, Dinic
-// max-flow on the unit network, and the Cherkassky-Goldberg double-push
-// (push-relabel) matcher — which the test suite requires to agree on every
-// instance; the ablation bench compares their speed. kAuto defers the
-// choice to a size heuristic (resolve_engine), which higher layers may
-// refine with workload knowledge (sim::Session adds defect density).
+// graph saturates every faulty primary. Every engine runs over one graph
+// representation, graph::CsrBipartiteGraph, through graph::CsrMatcher
+// (csr_matching.hpp): Hopcroft-Karp (default), Kuhn's augmenting paths,
+// Dinic (Hopcroft-Karp phases with current-arc cursors — the unit-network
+// blocking flow with the flow bookkeeping specialised away), and the
+// Cherkassky-Goldberg double-push (push-relabel) matcher. All four compute
+// a maximum matching, so sizes and repair verdicts agree on every instance;
+// which maximum matching comes back is engine-specific. The ablation bench
+// compares their speed. kAuto defers the choice to a size heuristic
+// (resolve_engine), which higher layers may refine with workload knowledge
+// (sim::Session adds defect density).
+//
+// is_valid_matching and hall_violator check and certify a matching given
+// as its left-side array, whichever engine (or caller) produced it.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "graph/bipartite_graph.hpp"
-
 namespace dmfb::graph {
+
+class CsrBipartiteGraph;
 
 /// Which algorithm computes the matching.
 enum class MatchingEngine : std::uint8_t {
@@ -44,41 +52,23 @@ inline constexpr std::int32_t kAutoPushRelabelLeftCount = 64;
 MatchingEngine resolve_engine(MatchingEngine engine,
                               std::int32_t left_count) noexcept;
 
-/// A matching: match_of_left[a] is the right partner of a (or kUnmatched).
-struct MatchingResult {
-  static constexpr std::int32_t kUnmatched = -1;
+/// Marks an uncovered vertex in a match_of_left / match_of_right array.
+inline constexpr std::int32_t kUnmatched = -1;
 
-  std::vector<std::int32_t> match_of_left;
-  std::vector<std::int32_t> match_of_right;
-  std::int32_t size = 0;
+/// True iff `match_of_left` (one entry per left vertex: its right partner
+/// or kUnmatched) is a matching of `graph`: every partner is an edge of its
+/// row and no right vertex is used twice.
+bool is_valid_matching(const CsrBipartiteGraph& graph,
+                       std::span<const std::int32_t> match_of_left);
 
-  /// True iff every left vertex (faulty cell) is matched — i.e. the chip is
-  /// repairable by local reconfiguration.
-  bool covers_all_left() const noexcept {
-    return size == static_cast<std::int32_t>(match_of_left.size());
-  }
-};
-
-/// Computes a maximum matching of `graph` with the chosen engine.
-MatchingResult maximum_matching(const BipartiteGraph& graph,
-                                MatchingEngine engine = MatchingEngine::kHopcroftKarp);
-
-/// Verifies that `m` is a valid matching of `graph` (consistent pairing,
-/// edges exist). Used by tests and by debug assertions in the reconfigurer.
-bool is_valid_matching(const BipartiteGraph& graph, const MatchingResult& m);
-
-/// When the maximum matching fails to cover the left side, returns a Hall
-/// violator: a set S of left vertices with |N(S)| < |S| (the deficiency
-/// witness — the cluster of faulty cells that cannot all be repaired).
-/// Returns an empty vector when the matching covers all left vertices.
-std::vector<std::int32_t> hall_violator(const BipartiteGraph& graph,
-                                        const MatchingResult& m);
-
-namespace detail {
-MatchingResult hopcroft_karp(const BipartiteGraph& graph);
-MatchingResult kuhn(const BipartiteGraph& graph);
-MatchingResult dinic_matching(const BipartiteGraph& graph);
-MatchingResult push_relabel_matching(const BipartiteGraph& graph);
-}  // namespace detail
+/// When the matching fails to cover the left side, returns a Hall
+/// violator: a set S of left vertices (ascending) with |N(S)| < |S| — the
+/// deficiency witness, i.e. the cluster of faulty cells that cannot all be
+/// repaired. Returns an empty vector when the matching covers all left
+/// vertices. Throws ContractViolation unless the matching is valid and
+/// maximum (a non-maximum matching proves nothing).
+std::vector<std::int32_t> hall_violator(
+    const CsrBipartiteGraph& graph,
+    std::span<const std::int32_t> match_of_left);
 
 }  // namespace dmfb::graph

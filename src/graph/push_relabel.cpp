@@ -11,46 +11,34 @@
 // the work is a sequence of O(degree) scans, which is where the scaling
 // advantage over Kuhn/Hopcroft-Karp on large dense instances comes from.
 //
-// Shared core for both graph representations: detail::push_relabel_matching
-// (legacy BipartiteGraph) and CsrMatcher::run_push_relabel (the
-// allocation-free hot-loop path) must agree instance-for-instance with the
-// augmenting-path engines; the matching fuzz suite pins this.
+// The matching fuzz suite checks its size against brute force and its
+// unmatched side against a Koenig certificate on every instance.
 #include <cstdint>
-#include <vector>
 
 #include "graph/csr_matching.hpp"
-#include "graph/matching.hpp"
 
 namespace dmfb::graph {
 
-namespace {
-
-constexpr std::int32_t kUnmatched = MatchingResult::kUnmatched;
-
-/// The double-push loop. `neighbors(a)` yields a span of right indices.
-/// `match_left`/`match_right` must arrive sized and filled kUnmatched,
-/// `label_right` sized and zeroed, `active` empty (it doubles as the FIFO
-/// queue; total enqueues are bounded by left + right * (cutoff + 2) / 2).
-template <typename NeighborsFn>
-std::int32_t double_push_core(std::int32_t left_count,
-                              std::int32_t right_count,
-                              NeighborsFn&& neighbors,
-                              std::vector<std::int32_t>& match_left,
-                              std::vector<std::int32_t>& match_right,
-                              std::vector<std::int32_t>& label_right,
-                              std::vector<std::int32_t>& active) {
+std::int32_t CsrMatcher::run_push_relabel(const CsrBipartiteGraph& graph) {
+  // match_left_/match_right_ arrive filled with kUnmatched. label_right_ is
+  // re-zeroed per call, the same O(right) cost class as that reset; queue_
+  // is the FIFO of active left vertices (total enqueues are bounded by
+  // left + right * (cutoff + 2) / 2).
+  const std::int32_t left_count = graph.left_count();
+  label_right_.assign(static_cast<std::size_t>(graph.right_count()), 0);
+  queue_.clear();
   // A label >= cutoff certifies the sink is unreachable: any simple
   // residual path to the sink has at most left + right intermediate hops.
-  const std::int32_t cutoff = left_count + right_count + 1;
-  for (std::int32_t a = 0; a < left_count; ++a) active.push_back(a);
+  const std::int32_t cutoff = left_count + graph.right_count() + 1;
+  for (std::int32_t a = 0; a < left_count; ++a) queue_.push_back(a);
   std::int32_t size = 0;
-  for (std::size_t head = 0; head < active.size(); ++head) {
-    const std::int32_t a = active[head];
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const std::int32_t a = queue_[head];
     // Relabel a to (min neighbour label) + 1 and push there in one step.
     std::int32_t best = -1;
     std::int32_t best_label = cutoff;
-    for (const std::int32_t b : neighbors(a)) {
-      const std::int32_t label = label_right[static_cast<std::size_t>(b)];
+    for (const std::int32_t b : graph.neighbors_of_left(a)) {
+      const std::int32_t label = label_right_[static_cast<std::size_t>(b)];
       if (label < best_label) {
         best_label = label;
         best = b;
@@ -59,54 +47,20 @@ std::int32_t double_push_core(std::int32_t left_count,
     // Retires permanently: no neighbour, or none that can still reach the
     // sink — a is unmatched in every maximum flow.
     if (best < 0 || best_label >= cutoff) continue;
-    const std::int32_t prev = match_right[static_cast<std::size_t>(best)];
-    match_right[static_cast<std::size_t>(best)] = a;
-    match_left[static_cast<std::size_t>(a)] = best;
+    const std::int32_t prev = match_right_[static_cast<std::size_t>(best)];
+    match_right_[static_cast<std::size_t>(best)] = a;
+    match_left_[static_cast<std::size_t>(a)] = best;
     // +2 keeps label validity across the new back arc and prices the grab
     // so a kicked partner prefers fresh right vertices first.
-    label_right[static_cast<std::size_t>(best)] = best_label + 2;
+    label_right_[static_cast<std::size_t>(best)] = best_label + 2;
     if (prev == kUnmatched) {
       ++size;
     } else {
-      match_left[static_cast<std::size_t>(prev)] = kUnmatched;
-      active.push_back(prev);
+      match_left_[static_cast<std::size_t>(prev)] = kUnmatched;
+      queue_.push_back(prev);
     }
   }
   return size;
-}
-
-}  // namespace
-
-namespace detail {
-
-MatchingResult push_relabel_matching(const BipartiteGraph& graph) {
-  MatchingResult result;
-  result.match_of_left.assign(static_cast<std::size_t>(graph.left_count()),
-                              kUnmatched);
-  result.match_of_right.assign(static_cast<std::size_t>(graph.right_count()),
-                               kUnmatched);
-  std::vector<std::int32_t> label_right(
-      static_cast<std::size_t>(graph.right_count()), 0);
-  std::vector<std::int32_t> active;
-  result.size = double_push_core(
-      graph.left_count(), graph.right_count(),
-      [&](std::int32_t a) { return graph.neighbors_of_left(a); },
-      result.match_of_left, result.match_of_right, label_right, active);
-  return result;
-}
-
-}  // namespace detail
-
-std::int32_t CsrMatcher::run_push_relabel(const CsrBipartiteGraph& graph) {
-  // label_right reuses the visit-stamp buffer's sibling role: assign() is
-  // O(right) per call, the same cost class as the match-array reset the
-  // caller already pays.
-  label_right_.assign(static_cast<std::size_t>(graph.right_count()), 0);
-  queue_.clear();
-  return double_push_core(
-      graph.left_count(), graph.right_count(),
-      [&](std::int32_t a) { return graph.neighbors_of_left(a); },
-      match_left_, match_right_, label_right_, queue_);
 }
 
 }  // namespace dmfb::graph

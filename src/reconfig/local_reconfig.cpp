@@ -4,7 +4,7 @@
 #include <unordered_set>
 
 #include "common/contracts.hpp"
-#include "graph/bipartite_graph.hpp"
+#include "graph/csr_matching.hpp"
 
 namespace dmfb::reconfig {
 
@@ -83,37 +83,32 @@ void for_each_candidate(const HexArray& array, CellIndex faulty,
   }
 }
 
-/// Builds BG(A, B, E) with A = `cover`, B = the healthy replacement
-/// candidates adjacent to at least one covered cell.
+/// BG(A, B, E) with A = `cover`, B = the healthy replacement candidates
+/// adjacent to at least one covered cell, numbered in first-discovery
+/// order; edges follow for_each_candidate's order within each row.
 struct ReconfigGraph {
-  graph::BipartiteGraph graph{0, 0};
-  std::vector<CellIndex> left_cells;   // A-index -> array cell
-  std::vector<CellIndex> right_cells;  // B-index -> array cell
+  static constexpr std::int32_t kNotCandidate = -1;
+
+  graph::CsrBipartiteGraph graph;
+  std::vector<CellIndex> right_cells;       // B-index -> array cell
+  std::vector<std::int32_t> right_of_cell;  // array cell -> B-index
 };
 
 ReconfigGraph build_reconfig_graph(const HexArray& array,
-                                   const std::vector<CellIndex>& cover,
+                                   std::span<const CellIndex> cover,
                                    ReplacementPool pool) {
   ReconfigGraph rg;
-  rg.left_cells = cover;
-  std::unordered_map<CellIndex, std::int32_t> right_index;
+  rg.right_of_cell.assign(static_cast<std::size_t>(array.cell_count()),
+                          ReconfigGraph::kNotCandidate);
   for (const CellIndex faulty : cover) {
+    rg.graph.open_row();
     for_each_candidate(array, faulty, pool, [&](CellIndex candidate) {
-      if (right_index
-              .emplace(candidate,
-                       static_cast<std::int32_t>(rg.right_cells.size()))
-              .second) {
+      auto& b = rg.right_of_cell[static_cast<std::size_t>(candidate)];
+      if (b == ReconfigGraph::kNotCandidate) {
+        b = static_cast<std::int32_t>(rg.right_cells.size());
         rg.right_cells.push_back(candidate);
       }
-    });
-  }
-  rg.graph = graph::BipartiteGraph(static_cast<std::int32_t>(cover.size()),
-                                   static_cast<std::int32_t>(
-                                       rg.right_cells.size()));
-  for (std::size_t a = 0; a < cover.size(); ++a) {
-    for_each_candidate(array, cover[a], pool, [&](CellIndex candidate) {
-      rg.graph.add_edge(static_cast<std::int32_t>(a),
-                        right_index.at(candidate));
+      rg.graph.add_edge(b);
     });
   }
   return rg;
@@ -134,12 +129,12 @@ ReconfigPlan LocalReconfigurer::plan(const HexArray& array) const {
     return result;
   }
   const ReconfigGraph rg = build_reconfig_graph(array, cover, pool_);
-  const graph::MatchingResult matching =
-      graph::maximum_matching(rg.graph, engine_);
-  result.success = matching.covers_all_left();
+  graph::CsrMatcher matcher;
+  result.success = matcher.covers_all_left(rg.graph, engine_);
+  const auto match_of_left = matcher.match_of_left();
   for (std::size_t a = 0; a < cover.size(); ++a) {
-    const std::int32_t b = matching.match_of_left[a];
-    if (b == graph::MatchingResult::kUnmatched) {
+    const std::int32_t b = match_of_left[a];
+    if (b == graph::kUnmatched) {
       result.unrepairable.push_back(cover[a]);
     } else {
       result.replacements.push_back(
@@ -162,7 +157,7 @@ bool LocalReconfigurer::feasible(const HexArray& array) const {
     if (!has_candidate) return false;
   }
   const ReconfigGraph rg = build_reconfig_graph(array, cover, pool_);
-  return graph::maximum_matching(rg.graph, engine_).covers_all_left();
+  return graph::CsrMatcher().covers_all_left(rg.graph, engine_);
 }
 
 std::vector<CellIndex> replacement_neighborhood(
@@ -182,8 +177,8 @@ std::vector<CellIndex> hall_violator(const HexArray& array,
                                      const ReconfigPlan& plan,
                                      ReplacementPool pool) {
   if (plan.success) return {};
-  // Rebuild BG(A, B, E) for the plan's cover set and replay the plan as a
-  // MatchingResult, then delegate the Koenig closure to
+  // Rebuild BG(A, B, E) for the plan's cover set and replay the plan into
+  // its match_of_left, then delegate the Koenig closure to
   // graph::hall_violator — inheriting its checks that the plan is a valid
   // matching of this array state and, via its alternating BFS invariant,
   // that it is maximum (a greedy / non-maximum plan throws
@@ -198,30 +193,20 @@ std::vector<CellIndex> hall_violator(const HexArray& array,
   std::sort(cover.begin(), cover.end());  // cells_to_cover order
 
   const ReconfigGraph rg = build_reconfig_graph(array, cover, pool);
-  std::unordered_map<CellIndex, std::int32_t> right_index;
-  for (std::size_t b = 0; b < rg.right_cells.size(); ++b) {
-    right_index.emplace(rg.right_cells[b], static_cast<std::int32_t>(b));
-  }
-  graph::MatchingResult matching;
-  matching.match_of_left.assign(cover.size(),
-                                graph::MatchingResult::kUnmatched);
-  matching.match_of_right.assign(rg.right_cells.size(),
-                                 graph::MatchingResult::kUnmatched);
+  std::vector<std::int32_t> match_of_left(cover.size(), graph::kUnmatched);
   for (std::size_t a = 0; a < cover.size(); ++a) {
     const CellIndex spare = plan.replacement_for(cover[a]);
     if (spare == hex::kInvalidCell) continue;
-    const auto found = right_index.find(spare);
     // The plan must belong to this array state and pool, or its spare is
     // not a candidate of the rebuilt graph.
-    DMFB_EXPECTS(found != right_index.end());
-    matching.match_of_left[a] = found->second;
-    matching.match_of_right[static_cast<std::size_t>(found->second)] =
-        static_cast<std::int32_t>(a);
-    ++matching.size;
+    DMFB_EXPECTS(spare >= 0 && spare < array.cell_count() &&
+                 rg.right_of_cell[static_cast<std::size_t>(spare)] !=
+                     ReconfigGraph::kNotCandidate);
+    match_of_left[a] = rg.right_of_cell[static_cast<std::size_t>(spare)];
   }
 
   std::vector<CellIndex> violator;
-  for (const std::int32_t a : graph::hall_violator(rg.graph, matching)) {
+  for (const std::int32_t a : graph::hall_violator(rg.graph, match_of_left)) {
     violator.push_back(cover[static_cast<std::size_t>(a)]);
   }
   return violator;

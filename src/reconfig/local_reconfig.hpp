@@ -2,8 +2,10 @@
 //
 // Given a tested array (health state set), build the bipartite graph
 // BG(A, B, E): A = faulty primary cells that matter under the coverage
-// policy, B = healthy spare cells, edges = physical adjacency. The chip is
-// repairable iff a maximum matching saturates A; the matching itself is the
+// policy, B = healthy spare cells, edges = physical adjacency. The graph is
+// a graph::CsrBipartiteGraph and the matching comes from graph::CsrMatcher,
+// the same engines the sim hot path runs. The chip is repairable iff a
+// maximum matching saturates A; the matching itself is the
 // spare-assignment plan. Thanks to microfluidic locality the plan is purely
 // local: each faulty cell's duties move one hop to its matched spare, and no
 // fault-free module is disturbed (contrast with shifted replacement).

@@ -94,11 +94,13 @@ std::string query_key(const YieldQuery& query) {
 }
 
 std::string store_key(const YieldQuery& query, const ChipDesign& design) {
-  // "1|" is the store-schema version: bump it whenever query_key's field
-  // set, the fingerprint recipe, or the payload codecs change, so stale
-  // on-disk records become misses instead of silently-wrong answers.
+  // "2|" is the store-schema version: bump it whenever query_key's field
+  // set, the fingerprint recipe, the payload codecs, or the answer a query
+  // computes change, so stale on-disk records become misses instead of
+  // silently-wrong answers. Version 2: operational plans come from the CSR
+  // matcher, whose Dinic may pick a different maximum matching.
   std::ostringstream key;
-  key << "1|" << design.fingerprint() << '|' << query_key(query);
+  key << "2|" << design.fingerprint() << '|' << query_key(query);
   return key.str();
 }
 

@@ -1,10 +1,12 @@
-// Fuzz/equivalence suite for the matching engines: on seeded random
-// bipartite graphs (including empty and degenerate sides), Kuhn,
-// Hopcroft-Karp, Dinic and push-relabel must agree on the maximum-matching
-// size, and the allocation-free CSR matcher must agree with the legacy
-// BipartiteGraph engines instance-for-instance. This is the algebra local
-// reconfiguration stands on: engines is a campaign sweep axis, so a single
-// disagreeing instance would split yield curves by engine.
+// Fuzz suite for the matching engines: on seeded random bipartite graphs
+// (including empty and degenerate sides), every CSR engine — Kuhn,
+// Hopcroft-Karp, Dinic, push-relabel and kAuto — must return a valid
+// matching whose size equals the exhaustive maximum, and the Hall set
+// hall_violator extracts from it must carry exactly the König deficiency.
+// Neither oracle needs a second matching implementation. This is the
+// algebra local reconfiguration stands on: engines is a campaign sweep
+// axis, so a single disagreeing instance would split yield curves by
+// engine.
 //
 // The second half fuzzes sim::FaultState's incremental-repair path:
 // randomized insert/remove fault sequences replayed incrementally must give
@@ -21,9 +23,9 @@
 
 #include "biochip/dtmb.hpp"
 #include "common/rng.hpp"
-#include "graph/bipartite_graph.hpp"
 #include "graph/csr_matching.hpp"
 #include "graph/matching.hpp"
+#include "matching_oracle.hpp"
 #include "sim/chip_design.hpp"
 #include "sim/fault_state.hpp"
 
@@ -62,17 +64,6 @@ Instance random_instance(Rng& rng) {
   return instance;
 }
 
-BipartiteGraph legacy_graph(const Instance& instance) {
-  BipartiteGraph graph(instance.left, instance.right);
-  for (std::int32_t a = 0; a < instance.left; ++a) {
-    for (const std::int32_t b :
-         instance.edges[static_cast<std::size_t>(a)]) {
-      graph.add_edge(a, b);
-    }
-  }
-  return graph;
-}
-
 void build_csr(const Instance& instance, CsrBipartiteGraph& graph) {
   graph.clear();
   for (std::int32_t a = 0; a < instance.left; ++a) {
@@ -84,26 +75,46 @@ void build_csr(const Instance& instance, CsrBipartiteGraph& graph) {
   }
 }
 
+/// |S| - |N(S)| for a left set S, with N(S) read straight from the
+/// instance's edge lists rather than from the graph under test.
+std::int32_t deficiency(const Instance& instance,
+                        const std::vector<std::int32_t>& left_set) {
+  std::vector<char> in_neighborhood(static_cast<std::size_t>(instance.right),
+                                    0);
+  for (const std::int32_t a : left_set) {
+    for (const std::int32_t b : instance.edges[static_cast<std::size_t>(a)]) {
+      in_neighborhood[static_cast<std::size_t>(b)] = 1;
+    }
+  }
+  std::int32_t neighborhood = 0;
+  for (const char bit : in_neighborhood) neighborhood += bit;
+  return static_cast<std::int32_t>(left_set.size()) - neighborhood;
+}
+
 TEST(MatchingFuzz, EnginesAndCsrAgreeOnRandomInstances) {
+  // Two oracles per engine and instance: (a) the matching is valid and as
+  // large as the exhaustive maximum; (b) König's theorem — the Hall set S
+  // extracted from it has |S| - |N(S)| == left - |M|, which certifies that
+  // no larger matching exists independently of (a).
   Rng rng(0x5EED5EEDULL);
   CsrBipartiteGraph csr;     // reused across instances, as in the hot loop
   CsrMatcher matcher;
   for (std::int32_t trial = 0; trial < 3000; ++trial) {
     const Instance instance = random_instance(rng);
-    const BipartiteGraph legacy = legacy_graph(instance);
     build_csr(instance, csr);
-
-    const MatchingResult reference = maximum_matching(legacy, kEngines[0]);
-    EXPECT_TRUE(is_valid_matching(legacy, reference)) << "trial=" << trial;
+    const std::int32_t maximum = brute_force_matching_size(csr);
     for (const MatchingEngine engine : kEngines) {
-      const MatchingResult result = maximum_matching(legacy, engine);
-      EXPECT_TRUE(is_valid_matching(legacy, result)) << "trial=" << trial;
-      EXPECT_EQ(result.size, reference.size)
-          << "trial=" << trial << " engine=" << static_cast<int>(engine);
-      EXPECT_EQ(matcher.maximum_matching_size(csr, engine), reference.size)
-          << "trial=" << trial << " csr engine=" << static_cast<int>(engine);
-      EXPECT_EQ(matcher.covers_all_left(csr, engine),
-                reference.covers_all_left())
+      const std::int32_t size = matcher.maximum_matching_size(csr, engine);
+      const std::vector<std::int32_t> match(matcher.match_of_left().begin(),
+                                            matcher.match_of_left().end());
+      EXPECT_TRUE(is_valid_matching(csr, match))
+          << "trial=" << trial << " engine=" << to_string(engine);
+      EXPECT_EQ(size, maximum)
+          << "trial=" << trial << " engine=" << to_string(engine);
+      EXPECT_EQ(deficiency(instance, hall_violator(csr, match)),
+                instance.left - size)
+          << "trial=" << trial << " engine=" << to_string(engine);
+      EXPECT_EQ(matcher.covers_all_left(csr, engine), maximum == instance.left)
           << "trial=" << trial;
     }
   }
@@ -121,10 +132,8 @@ TEST(MatchingFuzz, DegenerateSidesMatchEverywhere) {
         left, right,
         std::vector<std::vector<std::int32_t>>(
             static_cast<std::size_t>(left))};
-    const BipartiteGraph legacy = legacy_graph(instance);
     build_csr(instance, csr);
     for (const MatchingEngine engine : kEngines) {
-      EXPECT_EQ(maximum_matching(legacy, engine).size, 0);
       EXPECT_EQ(matcher.maximum_matching_size(csr, engine), 0);
       EXPECT_EQ(matcher.covers_all_left(csr, engine), left == 0);
     }
@@ -135,29 +144,22 @@ TEST(MatchingFuzz, HallViolatorWitnessesEveryDeficientInstance) {
   // Piggyback on the fuzz stream: whenever the matching misses a left
   // vertex, the extracted Hall violator must certify it.
   Rng rng(0xB1A5ULL);
+  CsrBipartiteGraph csr;
+  CsrMatcher matcher;
   for (std::int32_t trial = 0; trial < 500; ++trial) {
     const Instance instance = random_instance(rng);
-    const BipartiteGraph legacy = legacy_graph(instance);
-    const MatchingResult result = maximum_matching(legacy);
-    const std::vector<std::int32_t> violator = hall_violator(legacy, result);
-    if (result.covers_all_left()) {
+    build_csr(instance, csr);
+    const bool covered =
+        matcher.covers_all_left(csr, MatchingEngine::kHopcroftKarp);
+    const std::vector<std::int32_t> violator =
+        hall_violator(csr, matcher.match_of_left());
+    if (covered) {
       EXPECT_TRUE(violator.empty()) << "trial=" << trial;
       continue;
     }
     ASSERT_FALSE(violator.empty()) << "trial=" << trial;
     // |N(S)| < |S|, computed straight from the edge lists.
-    std::vector<char> in_neighborhood(
-        static_cast<std::size_t>(instance.right), 0);
-    for (const std::int32_t a : violator) {
-      for (const std::int32_t b :
-           instance.edges[static_cast<std::size_t>(a)]) {
-        in_neighborhood[static_cast<std::size_t>(b)] = 1;
-      }
-    }
-    std::int64_t neighborhood = 0;
-    for (const char bit : in_neighborhood) neighborhood += bit;
-    EXPECT_LT(neighborhood, static_cast<std::int64_t>(violator.size()))
-        << "trial=" << trial;
+    EXPECT_GT(deficiency(instance, violator), 0) << "trial=" << trial;
   }
 }
 

@@ -1,7 +1,12 @@
 // Tests for local reconfiguration (matching-based + greedy) and the
 // shifted-replacement baseline (paper Fig. 2).
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -464,6 +469,159 @@ TEST(LocalReconfig, HallViolatorRejectsNonMaximumPlans) {
     return;
   }
   GTEST_SKIP() << "no greedy-vs-maximum gap found in the seeded stream";
+}
+
+// ----------------------------------------------------- plan draw contract
+
+// Pins the exact spare-assignment plans LocalReconfigurer::plan returns, so
+// a change of graph representation or engine internals cannot silently
+// move a replacement. Inputs: four DTMB designs x both coverage policies x
+// both replacement pools x 64 seeded Bernoulli fault sets, with survival
+// probabilities spread so that some cover sets exceed
+// kAutoPushRelabelLeftCount and kAuto really switches engines. Each
+// engine's plans fold into an FNV-1a digest of replacements + unrepairable
+// cells; Dinic is pinned on the verdict digest only (success, matching
+// size, feasible()), which every engine must reproduce.
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+void fnv_fold(std::uint64_t& digest, std::uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    digest ^= (value >> (8 * byte)) & 0xffU;
+    digest *= kFnvPrime;
+  }
+}
+
+constexpr int kPlanPinSeeds = 64;
+constexpr double kPlanPinSurvival[] = {0.97, 0.92, 0.85, 0.65};
+
+void fold_plan(std::uint64_t& digest, const ReconfigPlan& plan) {
+  fnv_fold(digest, plan.replacements.size());
+  for (const Replacement& replacement : plan.replacements) {
+    fnv_fold(digest, static_cast<std::uint64_t>(replacement.faulty));
+    fnv_fold(digest, static_cast<std::uint64_t>(replacement.spare));
+  }
+  fnv_fold(digest, plan.unrepairable.size());
+  for (const CellIndex cell : plan.unrepairable) {
+    fnv_fold(digest, static_cast<std::uint64_t>(cell));
+  }
+}
+
+struct PlanDigests {
+  std::uint64_t verdict = kFnvOffset;  ///< every engine, Dinic included
+  std::uint64_t hopcroft_karp = kFnvOffset;
+  std::uint64_t kuhn = kFnvOffset;
+  std::uint64_t push_relabel = kFnvOffset;
+  std::uint64_t automatic = kFnvOffset;
+};
+
+/// Every (policy, pool, seed) input of one design, folded.
+struct PlanPinRun {
+  PlanDigests digests;
+  /// The verdict digest once per engine; all five must be equal.
+  std::vector<std::uint64_t> verdicts;
+  /// Inputs whose cover set is large enough for kAuto to pick push-relabel.
+  std::int32_t large_covers = 0;
+};
+
+PlanPinRun plan_pin_run(DtmbKind kind) {
+  constexpr graph::MatchingEngine kPinEngines[] = {
+      graph::MatchingEngine::kHopcroftKarp, graph::MatchingEngine::kKuhn,
+      graph::MatchingEngine::kPushRelabel, graph::MatchingEngine::kAuto,
+      graph::MatchingEngine::kDinic};
+  PlanPinRun run;
+  std::uint64_t* plan_slots[] = {
+      &run.digests.hopcroft_karp, &run.digests.kuhn, &run.digests.push_relabel,
+      &run.digests.automatic, nullptr};
+  run.verdicts.assign(std::size(kPinEngines), kFnvOffset);
+  auto array = biochip::make_dtmb_array_with_primaries(kind, 200);
+  std::int32_t marked = 0;
+  for (const auto primary : array.primaries()) {
+    if (marked >= array.primary_count() / 3) break;
+    array.set_usage(primary, CellUsage::kAssayUsed);
+    ++marked;
+  }
+  for (int k = 0; k < kPlanPinSeeds; ++k) {
+    array.reset_health();
+    Rng rng(static_cast<std::uint64_t>(k) * 977 + 5);
+    fault::BernoulliInjector(
+        kPlanPinSurvival[static_cast<std::size_t>(k) %
+                         std::size(kPlanPinSurvival)])
+        .inject(array, rng);
+    for (const CoveragePolicy policy :
+         {CoveragePolicy::kAllFaultyPrimaries,
+          CoveragePolicy::kUsedFaultyPrimaries}) {
+      for (const ReplacementPool pool :
+           {ReplacementPool::kSparesOnly,
+            ReplacementPool::kSparesAndUnusedPrimaries}) {
+        if (cells_to_cover(array, policy).size() >=
+            static_cast<std::size_t>(graph::kAutoPushRelabelLeftCount)) {
+          ++run.large_covers;
+        }
+        for (std::size_t e = 0; e < std::size(kPinEngines); ++e) {
+          const LocalReconfigurer reconfigurer(policy, kPinEngines[e], pool);
+          const ReconfigPlan plan = reconfigurer.plan(array);
+          fnv_fold(run.verdicts[e], plan.success ? 1 : 0);
+          fnv_fold(run.verdicts[e], plan.replacements.size());
+          fnv_fold(run.verdicts[e], reconfigurer.feasible(array) ? 1 : 0);
+          if (plan_slots[e] != nullptr) fold_plan(*plan_slots[e], plan);
+        }
+      }
+    }
+  }
+  run.digests.verdict = run.verdicts.back();  // Dinic's
+  return run;
+}
+
+struct PinnedPlanDigests {
+  DtmbKind kind;
+  PlanDigests digests;
+};
+
+// Recorded from the planner before it moved onto the CSR matcher; not a
+// golden to regenerate — a mismatch means a plan changed.
+constexpr PinnedPlanDigests kPinnedPlanDigests[] = {
+    {DtmbKind::kDtmb1_6,
+     {0xdc01cf182a6f7cdcULL, 0x648c7e4cde4042d2ULL, 0x67adbb6454af9b1dULL,
+      0xceff9cc07ae3dff7ULL, 0x068446e67161def4ULL}},
+    {DtmbKind::kDtmb2_6,
+     {0xdd12ee5728e4c146ULL, 0xe6cf28cb8e70ec53ULL, 0xb5acc82ebba8f55fULL,
+      0xdf7a379ce0270cc7ULL, 0x1c86441977acbd53ULL}},
+    {DtmbKind::kDtmb3_6,
+     {0x71f2be3c2bf2fc5cULL, 0xa805fb76dca7a0a9ULL, 0xa5b76e2c5748895fULL,
+      0x922016866e685530ULL, 0x3e226945a6e43643ULL}},
+    {DtmbKind::kDtmb4_4,
+     {0x5c73411867c476ceULL, 0x32b8e7da7d1a62cdULL, 0xeb34e97d4ccd2cf1ULL,
+      0x31649b407d099829ULL, 0xa27f43bff728bca9ULL}},
+};
+
+TEST(LocalReconfigDrawContract, PlansMatchThePinnedDigests) {
+  const auto hex = [](std::uint64_t value) {
+    std::ostringstream out;
+    out << "0x" << std::hex << value;
+    return out.str();
+  };
+  for (const PinnedPlanDigests& pinned : kPinnedPlanDigests) {
+    const std::string name(biochip::dtmb_info(pinned.kind).name);
+    const PlanPinRun run = plan_pin_run(pinned.kind);
+    const PlanDigests& actual = run.digests;
+    EXPECT_GT(run.large_covers, 0) << name << ": kAuto never switches";
+    for (const std::uint64_t verdict : run.verdicts) {
+      EXPECT_EQ(hex(verdict), hex(actual.verdict))
+          << name << ": engines disagree on a verdict";
+    }
+    EXPECT_EQ(hex(actual.verdict), hex(pinned.digests.verdict))
+        << name << " verdict (dinic)";
+    EXPECT_EQ(hex(actual.hopcroft_karp), hex(pinned.digests.hopcroft_karp))
+        << name << " hopcroft-karp plans";
+    EXPECT_EQ(hex(actual.kuhn), hex(pinned.digests.kuhn))
+        << name << " kuhn plans";
+    EXPECT_EQ(hex(actual.push_relabel), hex(pinned.digests.push_relabel))
+        << name << " push-relabel plans";
+    EXPECT_EQ(hex(actual.automatic), hex(pinned.digests.automatic))
+        << name << " auto plans";
+  }
 }
 
 }  // namespace

@@ -30,6 +30,7 @@
 #include "serve/protocol.hpp"
 #include "serve/result_store.hpp"
 #include "serve/server.hpp"
+#include "sim/assay_workload.hpp"
 #include "sim/session.hpp"
 
 namespace dmfb::serve {
@@ -273,6 +274,45 @@ TEST(StoreKey, QueryFieldInjectionCannotForgeACollision) {
   m2.fault = sim::FaultModel::mixture({sim::FaultModel::bernoulli(0.25),
                                        sim::FaultModel::bernoulli(0.5)});
   EXPECT_NE(sim::store_key(m1, *design), sim::store_key(m2, *design));
+}
+
+TEST(StoreKey, PreviousSchemaRecordIsAMissAndRecomputes) {
+  // Schema "1|" records predate the CSR-only planner, whose Dinic plans
+  // may differ; an operational (assay, dinic) record stored under the old
+  // key must never answer a query, even when its payload decodes.
+  const auto workload = sim::AssayWorkload::multiplexed();
+  sim::YieldQuery query;
+  query.fault = sim::FaultModel::fixed_count(20);
+  query.workload = sim::Workload::kAssay;
+  query.engine = graph::MatchingEngine::kDinic;
+  query.policy = reconfig::CoveragePolicy::kUsedFaultyPrimaries;
+  query.runs = 16;
+  query.threads = 1;
+  const std::string key = sim::store_key(query, workload->design());
+  ASSERT_EQ(key.substr(0, 2), "2|");
+  const std::string old_key = "1" + key.substr(1);
+
+  TempDir dir("old_schema");
+  auto store = std::make_shared<ResultStore>(dir.path());
+  sim::OperationalEstimate forged;
+  forged.structural = sim::YieldEstimate::from_counts(0, query.runs);
+  forged.operational = sim::YieldEstimate::from_counts(0, query.runs);
+  forged.mean_slowdown = forged.worst_slowdown = 9.0;
+  store->store(old_key, sim::encode_operational(forged));
+  ASSERT_TRUE(store->load(old_key).has_value());
+
+  sim::Session session(workload);
+  session.attach_result_cache(store);
+  const sim::OperationalEstimate served = session.run_operational(query);
+  EXPECT_EQ(session.stats().store_hits, 0u);
+  EXPECT_EQ(session.stats().computed, 1u);
+
+  const sim::OperationalEstimate cold =
+      sim::Session(workload).run_operational(query);
+  EXPECT_EQ(sim::encode_operational(served), sim::encode_operational(cold));
+  EXPECT_NE(sim::encode_operational(served), sim::encode_operational(forged));
+  // The recomputed estimate is written back under the current key.
+  EXPECT_EQ(store->load(key), sim::encode_operational(cold));
 }
 
 // --------------------------------------------------------------- protocol
