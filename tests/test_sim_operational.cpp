@@ -9,9 +9,15 @@
 // structural leg of an operational query to the same query asked with
 // Workload::kStructural, so the two halves of the codebase agree on
 // repairability run-for-run. The fig13_operational campaign CSV is pinned
-// as a golden file, like fig9_smoke.
+// as a golden file, like fig9_smoke. The golden CSV rounds slowdowns to
+// four decimals, so the OperationalRunContract pin below digests every
+// run's verdicts and the exact bits of its completion time.
+#include <bit>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -294,6 +300,116 @@ TEST(SimOperational, CoreFacadeEntryPointAgreesWithTheSession) {
   EXPECT_EQ(via_facade.structural.successes,
             via_session.structural.successes);
   EXPECT_DOUBLE_EQ(via_facade.mean_slowdown, via_session.mean_slowdown);
+}
+
+// ---------------------------------------------------- per-run output pin
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+void fnv_fold(std::uint64_t& digest, std::uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    digest ^= (value >> (8 * byte)) & 0xff;
+    digest *= kFnvPrime;
+  }
+}
+
+/// FNV-1a over (structural, operational, completion_s bits) of `runs`
+/// consecutive v1 runs of `model` at seed 2005 — what the kernel hands the
+/// session, before any aggregation can hide a one-hop difference.
+std::uint64_t operational_run_digest(const FaultModel& model,
+                                     CoveragePolicy policy,
+                                     ReplacementPool pool, std::int32_t runs) {
+  OperationalState state(multiplexed_workload());
+  std::uint64_t digest = kFnvOffset;
+  for (std::int32_t run = 0; run < runs; ++run) {
+    Rng rng = run_stream(2005, run);
+    inject(model, state.faults(), rng);
+    const OperationalRun result =
+        state.evaluate(policy, MatchingEngine::kHopcroftKarp, pool);
+    state.reset();
+    fnv_fold(digest, result.structural ? 1 : 0);
+    fnv_fold(digest, result.operational ? 1 : 0);
+    fnv_fold(digest, std::bit_cast<std::uint64_t>(result.completion_s));
+  }
+  return digest;
+}
+
+struct PinnedRunDigest {
+  const char* model;
+  CoveragePolicy policy;
+  ReplacementPool pool;
+  std::uint64_t digest;
+};
+
+constexpr auto kAll = CoveragePolicy::kAllFaultyPrimaries;
+constexpr auto kUsed = CoveragePolicy::kUsedFaultyPrimaries;
+constexpr auto kSpares = ReplacementPool::kSparesOnly;
+constexpr auto kUnused = ReplacementPool::kSparesAndUnusedPrimaries;
+
+// Recorded from the Router-based kernel (BFS shortest_route per transport).
+constexpr PinnedRunDigest kPinnedRunDigests[] = {
+    {"fixed_count 0", kAll, kSpares, 0x7055c07c90c94325ULL},
+    {"fixed_count 0", kAll, kUnused, 0x7055c07c90c94325ULL},
+    {"fixed_count 0", kUsed, kSpares, 0x7055c07c90c94325ULL},
+    {"fixed_count 0", kUsed, kUnused, 0x7055c07c90c94325ULL},
+    {"fixed_count 20", kAll, kSpares, 0xdfe0e685623be839ULL},
+    {"fixed_count 20", kAll, kUnused, 0x68cb088f366a3883ULL},
+    {"fixed_count 20", kUsed, kSpares, 0x3a653da47e93314fULL},
+    {"fixed_count 20", kUsed, kUnused, 0x9788a14ece5d0716ULL},
+    {"fixed_count 60", kAll, kSpares, 0x12998a9333a11ef6ULL},
+    {"fixed_count 60", kAll, kUnused, 0x0854234c55f14092ULL},
+    {"fixed_count 60", kUsed, kSpares, 0x93df2ff9cbc9accfULL},
+    {"fixed_count 60", kUsed, kUnused, 0x3990180f7c45ebb9ULL},
+    {"fixed_count 120", kAll, kSpares, 0x4477ba5def46df44ULL},
+    {"fixed_count 120", kAll, kUnused, 0xa40b991853a5719cULL},
+    {"fixed_count 120", kUsed, kSpares, 0x75c516bcd2c7f117ULL},
+    {"fixed_count 120", kUsed, kUnused, 0x1f86582744f035e5ULL},
+    {"bernoulli 0.97", kAll, kSpares, 0x16450df1efd95680ULL},
+    {"bernoulli 0.97", kAll, kUnused, 0xfc55fe41c56b92efULL},
+    {"bernoulli 0.97", kUsed, kSpares, 0xe963f33beb2e25abULL},
+    {"bernoulli 0.97", kUsed, kUnused, 0x8d4263899efb8e93ULL},
+    {"bernoulli 0.90", kAll, kSpares, 0x5f78af3380e6b628ULL},
+    {"bernoulli 0.90", kAll, kUnused, 0x9067bd60dc94ac6cULL},
+    {"bernoulli 0.90", kUsed, kSpares, 0xe84166660a332a07ULL},
+    {"bernoulli 0.90", kUsed, kUnused, 0x8e25a6d486a307d8ULL},
+};
+
+TEST(OperationalRunContract, EveryRunMatchesThePinnedDigests) {
+  const std::pair<const char*, FaultModel> models[] = {
+      {"fixed_count 0", FaultModel::fixed_count(0)},
+      {"fixed_count 20", FaultModel::fixed_count(20)},
+      {"fixed_count 60", FaultModel::fixed_count(60)},
+      {"fixed_count 120", FaultModel::fixed_count(120)},
+      {"bernoulli 0.97", FaultModel::bernoulli(0.97)},
+      {"bernoulli 0.90", FaultModel::bernoulli(0.90)},
+  };
+  const auto hex = [](std::uint64_t value) {
+    std::ostringstream out;
+    out << "0x" << std::hex << std::setw(16) << std::setfill('0') << value;
+    return out.str();
+  };
+  std::size_t checked = 0;
+  for (const auto& [name, model] : models) {
+    for (const CoveragePolicy policy : {kAll, kUsed}) {
+      for (const ReplacementPool pool : {kSpares, kUnused}) {
+        const PinnedRunDigest* pinned = nullptr;
+        for (const PinnedRunDigest& entry : kPinnedRunDigests) {
+          if (std::string_view(entry.model) == name &&
+              entry.policy == policy && entry.pool == pool) {
+            pinned = &entry;
+          }
+        }
+        ASSERT_NE(pinned, nullptr) << name;
+        EXPECT_EQ(hex(operational_run_digest(model, policy, pool, 256)),
+                  hex(pinned->digest))
+            << name << " policy=" << static_cast<int>(policy)
+            << " pool=" << static_cast<int>(pool);
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size(kPinnedRunDigests));
 }
 
 // ------------------------------------------------------------ golden file
