@@ -85,6 +85,22 @@ void BM_SingleDropletRoute(benchmark::State& state) {
   }
 }
 
+// Same array and endpoints as BM_SingleDropletRoute, counted on the bitmap.
+void BM_HopCount(benchmark::State& state) {
+  const auto side = static_cast<std::int32_t>(state.range(0));
+  const biochip::HexArray array(
+      hex::Region::parallelogram(side, side),
+      [](hex::HexCoord) { return biochip::CellRole::kPrimary; });
+  const fluidics::HopGrid grid(array);
+  fluidics::HopGrid::Scratch scratch;
+  const auto from = array.region().index_of({0, 0});
+  const auto to = array.region().index_of({side - 1, side - 1});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        grid.hops(grid.primary_words(), from, to, scratch));
+  }
+}
+
 void BM_CoveringWalk(benchmark::State& state) {
   const auto side = static_cast<std::int32_t>(state.range(0));
   const auto array =
@@ -119,4 +135,5 @@ BENCHMARK(BM_McYieldThreads)
     ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SingleDropletRoute)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_HopCount)->Arg(16)->Arg(32)->Arg(64);
 BENCHMARK(BM_CoveringWalk)->Arg(16)->Arg(32);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "hexgrid/hex_coord.hpp"
@@ -70,6 +71,121 @@ std::vector<hex::CellIndex> Router::shortest_route(hex::CellIndex from,
 
 bool Router::reachable(hex::CellIndex from, hex::CellIndex to) const {
   return !shortest_route(from, to).empty();
+}
+
+namespace {
+
+// A bounding box this large would make every bitmap over 2 MiB; the arrays
+// modelled here are a few hundred cells.
+constexpr std::int64_t kMaxHopGridBits = std::int64_t{1} << 24;
+
+// Word i of a padded bitmap `f` shifted by `s` = 64q + r bits towards higher
+// (up) or lower (down) bit indices, ORed together. The carried-in halves
+// shift by 1 and then 63 - r, which is the 64 - r carry for r > 0 and
+// clears the carry for r = 0, where a single shift by 64 would be UB.
+inline std::uint64_t shifted_both_ways(const std::uint64_t* f,
+                                       std::ptrdiff_t i, std::ptrdiff_t q,
+                                       std::uint32_t r) noexcept {
+  const std::uint64_t up = (f[i - q] << r) | ((f[i - q - 1] >> 1) >> (63 - r));
+  const std::uint64_t down =
+      (f[i + q] >> r) | ((f[i + q + 1] << 1) << (63 - r));
+  return up | down;
+}
+
+}  // namespace
+
+HopGrid::HopGrid(const biochip::HexArray& array) {
+  const hex::Region& region = array.region();
+  DMFB_EXPECTS(!region.empty());
+  const hex::Region::Bounds box = region.bounds();
+  const std::int64_t width = std::int64_t{box.max_q} - box.min_q + 1;
+  const std::int64_t rows = std::int64_t{box.max_r} - box.min_r + 1;
+  DMFB_EXPECTS((width + 1) * rows <= kMaxHopGridBits);
+  stride_ = static_cast<std::int32_t>(width + 1);
+  primary_words_.assign(
+      static_cast<std::size_t>(((width + 1) * rows + 63) / 64), 0);
+  bit_of_cell_.resize(static_cast<std::size_t>(array.cell_count()));
+  for (hex::CellIndex cell = 0; cell < array.cell_count(); ++cell) {
+    const hex::HexCoord at = region.coord_at(cell);
+    bit_of_cell_[static_cast<std::size_t>(cell)] = static_cast<std::int32_t>(
+        (std::int64_t{at.r} - box.min_r) * stride_ +
+        (std::int64_t{at.q} - box.min_q));
+    if (array.role(cell) == biochip::CellRole::kPrimary) {
+      set(primary_words_, cell);
+    }
+  }
+}
+
+std::int32_t HopGrid::hops(std::span<const std::uint64_t> usable,
+                           hex::CellIndex from, hex::CellIndex to,
+                           Scratch& scratch) const {
+  const std::size_t words = word_count();
+  DMFB_EXPECTS(usable.size() == words);
+  const auto is_usable = [&](hex::CellIndex cell) {
+    if (cell < 0 || static_cast<std::size_t>(cell) >= bit_of_cell_.size()) {
+      return false;
+    }
+    const std::int32_t bit = bit_of_cell_[static_cast<std::size_t>(cell)];
+    return ((usable[static_cast<std::size_t>(bit) >> 6] >> (bit & 63)) & 1) !=
+           0;
+  };
+  if (!is_usable(from) || !is_usable(to)) return -1;
+  if (from == to) return 0;
+
+  // `open` holds the usable cells not yet reached. The frontier buffers
+  // carry `pad` zero words on each side, so the shifted reads at i ± (q + 1)
+  // never leave the buffer, and a level only sweeps the words within `pad`
+  // of the frontier's nonzero span [lo, hi].
+  const auto diagonal = static_cast<std::uint32_t>(stride_ - 1);
+  const auto vertical = static_cast<std::uint32_t>(stride_);
+  const auto pad = static_cast<std::ptrdiff_t>(vertical >> 6) + 1;
+  const auto n = static_cast<std::ptrdiff_t>(words);
+  scratch.frontier.assign(words + 2 * static_cast<std::size_t>(pad), 0);
+  scratch.next.assign(words + 2 * static_cast<std::size_t>(pad), 0);
+  scratch.open.assign(usable.begin(), usable.end());
+  std::uint64_t* frontier = scratch.frontier.data() + pad;
+  std::uint64_t* next = scratch.next.data() + pad;
+  std::uint64_t* open = scratch.open.data();
+
+  const std::int32_t from_bit = bit_of_cell_[static_cast<std::size_t>(from)];
+  const std::int32_t to_bit = bit_of_cell_[static_cast<std::size_t>(to)];
+  std::ptrdiff_t lo = from_bit >> 6;
+  std::ptrdiff_t hi = lo;
+  frontier[lo] = std::uint64_t{1} << (from_bit & 63);
+  open[lo] &= ~frontier[lo];
+  std::ptrdiff_t stale_lo = 0;  // next's nonzero span (empty at first)
+  std::ptrdiff_t stale_hi = -1;
+  const std::ptrdiff_t to_word = to_bit >> 6;
+  const std::uint64_t to_mask = std::uint64_t{1} << (to_bit & 63);
+  for (std::int32_t level = 1;; ++level) {
+    for (std::ptrdiff_t i = stale_lo; i <= stale_hi; ++i) next[i] = 0;
+    const std::ptrdiff_t first = std::max<std::ptrdiff_t>(0, lo - pad);
+    const std::ptrdiff_t last = std::min<std::ptrdiff_t>(n - 1, hi + pad);
+    std::ptrdiff_t next_lo = n;
+    std::ptrdiff_t next_hi = -1;
+    for (std::ptrdiff_t i = first; i <= last; ++i) {
+      // East/west (±1), south-east/north-west (±stride) and
+      // south-west/north-east (±(stride - 1)).
+      const std::uint64_t reach =
+          shifted_both_ways(frontier, i, 0, 1) |
+          shifted_both_ways(frontier, i, vertical >> 6, vertical & 63) |
+          shifted_both_ways(frontier, i, diagonal >> 6, diagonal & 63);
+      const std::uint64_t fresh = reach & open[i];
+      next[i] = fresh;
+      open[i] &= ~fresh;
+      if (fresh != 0) {
+        next_lo = std::min(next_lo, i);
+        next_hi = i;
+      }
+    }
+    if ((next[to_word] & to_mask) != 0) return level;
+    if (next_hi < 0) return -1;
+    std::swap(frontier, next);
+    stale_lo = lo;
+    stale_hi = hi;
+    lo = next_lo;
+    hi = next_hi;
+  }
 }
 
 hex::CellIndex TimedRoute::at(std::int64_t t) const {

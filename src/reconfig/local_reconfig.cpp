@@ -35,15 +35,6 @@ CellIndex ReconfigPlan::replacement_for(CellIndex faulty) const noexcept {
   return hex::kInvalidCell;
 }
 
-std::unordered_map<CellIndex, CellIndex> ReconfigPlan::as_map() const {
-  std::unordered_map<CellIndex, CellIndex> map;
-  map.reserve(replacements.size());
-  for (const Replacement& replacement : replacements) {
-    map.emplace(replacement.faulty, replacement.spare);
-  }
-  return map;
-}
-
 std::vector<CellIndex> cells_to_cover(const HexArray& array,
                                       CoveragePolicy policy) {
   std::vector<CellIndex> cover;

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "assay/multiplexed_chip.hpp"
 #include "common/contracts.hpp"
-#include "fluidics/router.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -42,108 +40,6 @@ std::size_t kind_slot(WorkloadModule::Kind kind) noexcept {
   return static_cast<std::size_t>(kind);
 }
 
-struct AssayOutcome {
-  bool ok = false;
-  double completion_s = 0.0;
-};
-
-/// The shared operational evaluation: surviving modules -> degraded
-/// schedule -> routed transports. `array` carries the run's fault state;
-/// `plan` is the reconfiguration plan computed for it (empty and successful
-/// on the healthy baseline). Deterministic in (array health, plan).
-AssayOutcome run_assay(const assay::SequencingGraph& graph,
-                       std::span<const WorkloadModule> modules,
-                       const biochip::HexArray& array,
-                       const reconfig::ReconfigPlan& plan) {
-  // One O(1) lookup table per run: ReconfigPlan::replacement_for is a
-  // linear scan, too slow for the per-cell probes of this hot loop.
-  const std::unordered_map<CellIndex, CellIndex> replacement = plan.as_map();
-  const auto replacement_of = [&](CellIndex cell) {
-    const auto found = replacement.find(cell);
-    return found == replacement.end() ? hex::kInvalidCell : found->second;
-  };
-  // A module survives iff every one of its cells still has an operator:
-  // the cell itself when healthy, or the adjacent replacement the plan
-  // assigned its duties to.
-  const auto cell_operational = [&](CellIndex cell) {
-    return array.health(cell) != biochip::CellHealth::kFaulty ||
-           replacement_of(cell) != hex::kInvalidCell;
-  };
-  std::vector<std::size_t> alive_by_kind[3];
-  for (std::size_t m = 0; m < modules.size(); ++m) {
-    const WorkloadModule& module = modules[m];
-    if (std::all_of(module.cells.begin(), module.cells.end(),
-                    cell_operational)) {
-      alive_by_kind[kind_slot(module.kind)].push_back(m);
-    }
-  }
-  assay::ResourcePool surviving;
-  surviving.dispense_ports = static_cast<std::int32_t>(
-      alive_by_kind[kind_slot(WorkloadModule::Kind::kPort)].size());
-  surviving.mixers = static_cast<std::int32_t>(
-      alive_by_kind[kind_slot(WorkloadModule::Kind::kMixer)].size());
-  surviving.detectors = static_cast<std::int32_t>(
-      alive_by_kind[kind_slot(WorkloadModule::Kind::kDetector)].size());
-
-  // Graceful degradation ends where a resource class the assay needs has no
-  // surviving instance at all.
-  for (const assay::AssayOp& op : graph.ops()) {
-    if (assay::capacity_of(surviving, assay::resource_class(op.kind)) < 1) {
-      return {};
-    }
-  }
-
-  const assay::Schedule schedule = [&] {
-    obs::ScopedSpan span("assay.schedule", "op");
-    const obs::ScopedDuration timer(obs::Metric::kAssayScheduleNs);
-    return assay::ListScheduler(surviving).schedule(graph);
-  }();
-
-  // Transport endpoints: the scheduler's instance index i binds an op to
-  // the i-th surviving module of its class (module order); a faulty anchor
-  // cell hands the endpoint to its replacement. Resource-free ops (store)
-  // park at their producer's endpoint.
-  obs::ScopedSpan route_span("fluidics.route", "op");
-  const obs::ScopedDuration route_timer(obs::Metric::kRouteNs);
-  fluidics::UsableCells usable(array);
-  usable.activate_plan(plan);
-  const fluidics::Router router(usable);
-  std::vector<CellIndex> anchor(static_cast<std::size_t>(graph.op_count()),
-                                hex::kInvalidCell);
-  std::int64_t transport_hops = 0;
-  for (const assay::AssayOp& op : graph.ops()) {
-    const auto id = static_cast<std::size_t>(op.id);
-    const auto kind = module_kind_of(assay::resource_class(op.kind));
-    if (kind) {
-      const auto& alive = alive_by_kind[kind_slot(*kind)];
-      const auto instance =
-          static_cast<std::size_t>(schedule.of(op.id).resource_index);
-      DMFB_ASSERT(instance < alive.size());
-      const CellIndex cell = modules[alive[instance]].cells.front();
-      anchor[id] = array.health(cell) == biochip::CellHealth::kFaulty
-                       ? replacement_of(cell)
-                       : cell;
-    } else {
-      DMFB_ASSERT(!op.inputs.empty());
-      anchor[id] = anchor[static_cast<std::size_t>(op.inputs.front())];
-    }
-    DMFB_ASSERT(anchor[id] != hex::kInvalidCell);
-    for (const std::int32_t input : op.inputs) {
-      const std::vector<CellIndex> route = router.shortest_route(
-          anchor[static_cast<std::size_t>(input)], anchor[id]);
-      if (route.empty()) return {};  // transport severed: assay fails
-      transport_hops += static_cast<std::int64_t>(route.size()) - 1;
-    }
-  }
-
-  AssayOutcome outcome;
-  outcome.ok = true;
-  outcome.completion_s =
-      schedule.makespan() +
-      kTransportSecondsPerHop * static_cast<double>(transport_hops);
-  return outcome;
-}
-
 }  // namespace
 
 AssayWorkload::AssayWorkload(std::shared_ptr<const ChipDesign> design,
@@ -151,7 +47,8 @@ AssayWorkload::AssayWorkload(std::shared_ptr<const ChipDesign> design,
                              std::vector<WorkloadModule> modules)
     : design_(std::move(design)),
       graph_(std::move(graph)),
-      modules_(std::move(modules)) {}
+      modules_(std::move(modules)),
+      grid_(design_->array()) {}
 
 std::shared_ptr<const AssayWorkload> AssayWorkload::make(
     std::shared_ptr<const ChipDesign> design, assay::SequencingGraph graph,
@@ -192,12 +89,11 @@ std::shared_ptr<const AssayWorkload> AssayWorkload::make(
   // the workload itself) are meaningless.
   reconfig::ReconfigPlan healthy_plan;
   healthy_plan.success = true;
-  const AssayOutcome baseline =
-      run_assay(workload->graph_, workload->modules_,
-                workload->design_->array(), healthy_plan);
-  DMFB_EXPECTS(baseline.ok);
-  DMFB_EXPECTS(baseline.completion_s > 0.0);
-  workload->baseline_completion_s_ = baseline.completion_s;
+  const std::optional<double> baseline =
+      OperationalState(workload).run_assay(healthy_plan);
+  DMFB_EXPECTS(baseline.has_value());
+  DMFB_EXPECTS(*baseline > 0.0);
+  workload->baseline_completion_s_ = *baseline;
   return workload;
 }
 
@@ -238,13 +134,15 @@ OperationalState::OperationalState(
     std::shared_ptr<const AssayWorkload> workload)
     : workload_(require_workload(std::move(workload))),
       faults_(workload_->design_ptr()),
-      array_(workload_->design().array()) {}
+      array_(workload_->design().array()),
+      replacement_of_(static_cast<std::size_t>(array_.cell_count()),
+                      hex::kInvalidCell) {}
 
 OperationalRun OperationalState::evaluate(reconfig::CoveragePolicy policy,
                                           graph::MatchingEngine engine,
                                           reconfig::ReplacementPool pool) {
-  // Mirror the fault bitmap onto the private array so the reconfig and
-  // fluidics layers see the drawn fault set.
+  // Mirror the fault bitmap onto the private array so the reconfig layer
+  // sees the drawn fault set.
   for (const CellIndex cell : faults_.faulty_cells()) {
     array_.set_health(cell, biochip::CellHealth::kFaulty);
   }
@@ -256,12 +154,11 @@ OperationalRun OperationalState::evaluate(reconfig::CoveragePolicy policy,
 
   OperationalRun run;
   run.structural = plan.success;
-  const AssayOutcome outcome =
-      run_assay(workload_->graph_, workload_->modules_, array_, plan);
-  run.operational = outcome.ok;
-  if (outcome.ok) {
-    run.completion_s = outcome.completion_s;
-    run.slowdown = outcome.completion_s / workload_->baseline_completion_s_;
+  const std::optional<double> completion = run_assay(plan);
+  run.operational = completion.has_value();
+  if (completion) {
+    run.completion_s = *completion;
+    run.slowdown = *completion / workload_->baseline_completion_s_;
   }
 
   // Restore the mirror in O(#faults) for the next draw.
@@ -269,6 +166,108 @@ OperationalRun OperationalState::evaluate(reconfig::CoveragePolicy policy,
     array_.set_health(cell, biochip::CellHealth::kHealthy);
   }
   return run;
+}
+
+std::optional<double> OperationalState::run_assay(
+    const reconfig::ReconfigPlan& plan) {
+  for (const reconfig::Replacement& replacement : plan.replacements) {
+    replacement_of_[static_cast<std::size_t>(replacement.faulty)] =
+        replacement.spare;
+  }
+  const std::optional<double> completion = degraded_completion(plan);
+  for (const reconfig::Replacement& replacement : plan.replacements) {
+    replacement_of_[static_cast<std::size_t>(replacement.faulty)] =
+        hex::kInvalidCell;
+  }
+  return completion;
+}
+
+std::optional<double> OperationalState::degraded_completion(
+    const reconfig::ReconfigPlan& plan) {
+  const assay::SequencingGraph& graph = workload_->graph_;
+  const std::span<const WorkloadModule> modules = workload_->modules_;
+  // The cell that carries out `cell`'s duty: itself when healthy, else the
+  // adjacent replacement the plan assigned (kInvalidCell when none).
+  const auto operator_of = [&](CellIndex cell) {
+    return faults_.is_faulty(cell)
+               ? replacement_of_[static_cast<std::size_t>(cell)]
+               : cell;
+  };
+  // A module survives iff every one of its cells still has an operator.
+  for (auto& alive : alive_by_kind_) alive.clear();
+  for (std::size_t m = 0; m < modules.size(); ++m) {
+    const WorkloadModule& module = modules[m];
+    if (std::all_of(module.cells.begin(), module.cells.end(),
+                    [&](CellIndex cell) {
+                      return operator_of(cell) != hex::kInvalidCell;
+                    })) {
+      alive_by_kind_[kind_slot(module.kind)].push_back(m);
+    }
+  }
+  assay::ResourcePool surviving;
+  surviving.dispense_ports = static_cast<std::int32_t>(
+      alive_by_kind_[kind_slot(WorkloadModule::Kind::kPort)].size());
+  surviving.mixers = static_cast<std::int32_t>(
+      alive_by_kind_[kind_slot(WorkloadModule::Kind::kMixer)].size());
+  surviving.detectors = static_cast<std::int32_t>(
+      alive_by_kind_[kind_slot(WorkloadModule::Kind::kDetector)].size());
+
+  // Graceful degradation ends where a resource class the assay needs has no
+  // surviving instance at all.
+  for (const assay::AssayOp& op : graph.ops()) {
+    if (assay::capacity_of(surviving, assay::resource_class(op.kind)) < 1) {
+      return std::nullopt;
+    }
+  }
+
+  const assay::Schedule schedule = [&] {
+    obs::ScopedSpan span("assay.schedule", "op");
+    const obs::ScopedDuration timer(obs::Metric::kAssayScheduleNs);
+    return assay::ListScheduler(surviving).schedule(graph);
+  }();
+
+  // Usable cells: healthy primaries plus the plan's replacements (spares,
+  // or unused primaries already in the mask), minus every faulty cell.
+  obs::ScopedSpan route_span("fluidics.route", "op");
+  const obs::ScopedDuration route_timer(obs::Metric::kRouteNs);
+  const fluidics::HopGrid& grid = workload_->grid_;
+  usable_.assign(grid.primary_words().begin(), grid.primary_words().end());
+  for (const reconfig::Replacement& replacement : plan.replacements) {
+    grid.set(usable_, replacement.spare);
+  }
+  for (const CellIndex cell : faults_.faulty_cells()) grid.clear(usable_, cell);
+
+  // Transport endpoints: the scheduler's instance index i binds an op to
+  // the i-th surviving module of its class (module order); a faulty anchor
+  // cell hands the endpoint to its replacement. Resource-free ops (store)
+  // park at their producer's endpoint.
+  anchor_.assign(static_cast<std::size_t>(graph.op_count()),
+                 hex::kInvalidCell);
+  std::int64_t transport_hops = 0;
+  for (const assay::AssayOp& op : graph.ops()) {
+    const auto id = static_cast<std::size_t>(op.id);
+    const auto kind = module_kind_of(assay::resource_class(op.kind));
+    if (kind) {
+      const auto& alive = alive_by_kind_[kind_slot(*kind)];
+      const auto instance =
+          static_cast<std::size_t>(schedule.of(op.id).resource_index);
+      DMFB_ASSERT(instance < alive.size());
+      anchor_[id] = operator_of(modules[alive[instance]].cells.front());
+    } else {
+      DMFB_ASSERT(!op.inputs.empty());
+      anchor_[id] = anchor_[static_cast<std::size_t>(op.inputs.front())];
+    }
+    DMFB_ASSERT(anchor_[id] != hex::kInvalidCell);
+    for (const std::int32_t input : op.inputs) {
+      const std::int32_t hops =
+          grid.hops(usable_, anchor_[static_cast<std::size_t>(input)],
+                    anchor_[id], hop_scratch_);
+      if (hops < 0) return std::nullopt;  // transport severed: assay fails
+      transport_hops += hops;
+    }
+  }
+  return schedule.makespan() +
+         kTransportSecondsPerHop * static_cast<double>(transport_hops);
 }
 
 }  // namespace dmfb::sim

@@ -16,13 +16,16 @@
 // loop: it materialises the reconfig::ReconfigPlan for the drawn fault set,
 // applies it to the module placement (a faulty module cell survives iff the
 // plan hands its duty to an adjacent replacement), re-schedules the assay
-// with assay::ListScheduler on the surviving resource pool, and re-routes
-// the droplet transports with fluidics::Router over the repaired array
-// (activated replacement spares included). A run is operationally
-// successful iff every resource class the graph needs keeps >= 1 instance,
-// the degraded schedule exists, and every droplet transport still routes;
-// its completion time is the degraded makespan plus the routed transport
-// overhead, so "slowdown" = completion / healthy-baseline-completion.
+// with assay::ListScheduler on the surviving resource pool, and counts each
+// droplet transport's shortest-path hops over the repaired array (activated
+// replacement spares included). Only hop counts are computed, never paths:
+// fluidics::HopGrid runs a word-parallel BFS on a usable-cell bitmap built
+// per run from the primary mask, the fault bits and the plan's spares. A
+// run is operationally successful iff every resource class the graph needs
+// keeps >= 1 instance, the degraded schedule exists, and every droplet
+// transport still has a path; its completion time is the degraded makespan
+// plus the transport overhead, so "slowdown" = completion /
+// healthy-baseline-completion.
 //
 // Everything in the kernel is a deterministic function of the drawn fault
 // set, so operational estimates inherit the session's thread-count
@@ -31,11 +34,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "assay/list_scheduler.hpp"
 #include "assay/sequencing_graph.hpp"
+#include "fluidics/router.hpp"
 #include "reconfig/local_reconfig.hpp"
 #include "sim/chip_design.hpp"
 #include "sim/fault_state.hpp"
@@ -43,13 +48,13 @@
 namespace dmfb::sim {
 
 /// Droplet transport speed: one electrode hop per actuation period (10 Hz
-/// electrowetting switching, the standard DMFB figure). Converts routed hop
-/// counts into the seconds added on top of the schedule makespan.
+/// electrowetting switching, the standard DMFB figure). Converts transport
+/// hop counts into the seconds added on top of the schedule makespan.
 inline constexpr double kTransportSecondsPerHop = 0.1;
 
 /// One placed fluidic module of the workload. `cells` are primary cells of
-/// the design (offset order); cells[0] is the droplet anchor the router
-/// uses as the module's transport endpoint.
+/// the design (offset order); cells[0] is the droplet anchor, the module's
+/// transport endpoint.
 struct WorkloadModule {
   enum class Kind : std::uint8_t { kPort, kMixer, kDetector };
 
@@ -64,8 +69,9 @@ class AssayWorkload {
   /// Compiles a workload: validates that every module cell is a primary
   /// cell of `design`, that every resource class `graph` uses has >= 1
   /// module, and that the healthy-array baseline (full-pool schedule +
-  /// all transports routed) is feasible; the baseline completion time is
-  /// frozen into the workload. Throws ContractViolation otherwise.
+  /// every transport connected) is feasible; the baseline completion time
+  /// is frozen into the workload, next to the design's HopGrid. Throws
+  /// ContractViolation otherwise.
   static std::shared_ptr<const AssayWorkload> make(
       std::shared_ptr<const ChipDesign> design, assay::SequencingGraph graph,
       std::vector<WorkloadModule> modules);
@@ -86,7 +92,7 @@ class AssayWorkload {
   /// Full (healthy-array) resource pool: one instance per placed module.
   const assay::ResourcePool& full_pool() const noexcept { return full_pool_; }
 
-  /// Healthy-array completion time (full-pool makespan + routed transport
+  /// Healthy-array completion time (full-pool makespan + transport
   /// overhead) — the denominator of every per-run slowdown ratio.
   double baseline_completion_s() const noexcept {
     return baseline_completion_s_;
@@ -100,6 +106,7 @@ class AssayWorkload {
   std::shared_ptr<const ChipDesign> design_;
   assay::SequencingGraph graph_;
   std::vector<WorkloadModule> modules_;
+  fluidics::HopGrid grid_;  ///< the design's bitmap, for transport hops
   assay::ResourcePool full_pool_;
   double baseline_completion_s_ = 0.0;
 
@@ -116,9 +123,11 @@ struct OperationalRun {
   double slowdown = 0.0;
 };
 
-/// Per-thread operational scratch: a FaultState for the injectors plus a
-/// private HexArray mirror the reconfig/fluidics layers run against. Not
-/// thread-safe; use one per worker (mirrors FaultState's contract).
+/// Per-thread operational scratch: a FaultState for the injectors, a private
+/// HexArray mirror the reconfig layer plans against, and the assay
+/// evaluation's buffers (cell -> replacement table, usable-cell bitmap, BFS
+/// scratch). Not thread-safe; use one per worker (mirrors FaultState's
+/// contract).
 class OperationalState {
  public:
   explicit OperationalState(std::shared_ptr<const AssayWorkload> workload);
@@ -129,8 +138,8 @@ class OperationalState {
   FaultState& faults() noexcept { return faults_; }
 
   /// Evaluates the current fault set: plan -> surviving modules ->
-  /// re-schedule -> re-route. Leaves the fault set untouched (call reset()
-  /// between runs, as with FaultState).
+  /// re-schedule -> transport hops. Leaves the fault set untouched (call
+  /// reset() between runs, as with FaultState).
   OperationalRun evaluate(reconfig::CoveragePolicy policy,
                           graph::MatchingEngine engine,
                           reconfig::ReplacementPool pool);
@@ -139,9 +148,27 @@ class OperationalState {
   void reset() noexcept { faults_.reset(); }
 
  private:
+  friend class AssayWorkload;  // evaluates the healthy baseline
+
+  /// Completion time of the assay on the current fault set repaired by
+  /// `plan`, or nullopt when the assay cannot finish. Deterministic in
+  /// (fault set, plan); leaves the scratch ready for the next run.
+  std::optional<double> run_assay(const reconfig::ReconfigPlan& plan);
+  /// run_assay's body, called with replacement_of_ filled from `plan`.
+  std::optional<double> degraded_completion(
+      const reconfig::ReconfigPlan& plan);
+
   std::shared_ptr<const AssayWorkload> workload_;
   FaultState faults_;
-  biochip::HexArray array_;  ///< private faulted mirror for reconfig/fluidics
+  biochip::HexArray array_;  ///< private faulted mirror for reconfig
+
+  // run_assay scratch. replacement_of_ maps a cell to the plan's spare for
+  // it (kInvalidCell otherwise) and is restored in O(|plan|) after a run.
+  std::vector<CellIndex> replacement_of_;
+  std::vector<std::uint64_t> usable_;  ///< HopGrid bitmap of usable cells
+  fluidics::HopGrid::Scratch hop_scratch_;
+  std::vector<std::size_t> alive_by_kind_[3];  ///< surviving modules by kind
+  std::vector<CellIndex> anchor_;              ///< per-op transport endpoint
 };
 
 }  // namespace dmfb::sim

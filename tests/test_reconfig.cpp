@@ -150,15 +150,20 @@ TEST(LocalReconfig, UsedPolicyIgnoresUnusedFaults) {
   EXPECT_EQ(plan.replacements.front().faulty, used);
 }
 
-TEST(LocalReconfig, AsMapRoundTrip) {
+TEST(LocalReconfig, ReplacementForRoundTrip) {
   auto array = array_2_6();
   Rng rng(57);
   fault::FixedCountInjector(8).inject(array, rng);
   const ReconfigPlan plan = LocalReconfigurer().plan(array);
-  const auto map = plan.as_map();
-  EXPECT_EQ(map.size(), plan.replacements.size());
+  ASSERT_FALSE(plan.replacements.empty());
   for (const Replacement& replacement : plan.replacements) {
-    EXPECT_EQ(map.at(replacement.faulty), replacement.spare);
+    EXPECT_EQ(plan.replacement_for(replacement.faulty), replacement.spare);
+  }
+  // Cells the plan does not replace map to nothing.
+  for (const CellIndex cell : array.primaries()) {
+    if (array.health(cell) != CellHealth::kFaulty) {
+      EXPECT_EQ(plan.replacement_for(cell), hex::kInvalidCell);
+    }
   }
   EXPECT_EQ(plan.replacement_for(hex::kInvalidCell), hex::kInvalidCell);
 }
