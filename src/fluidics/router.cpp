@@ -135,7 +135,9 @@ std::int32_t HopGrid::hops(std::span<const std::uint64_t> usable,
   // `open` holds the usable cells not yet reached. The frontier buffers
   // carry `pad` zero words on each side, so the shifted reads at i ± (q + 1)
   // never leave the buffer, and a level only sweeps the words within `pad`
-  // of the frontier's nonzero span [lo, hi].
+  // of the frontier's nonzero span [lo, hi]. Words outside that sweep keep
+  // bits of older frontiers; those cells and all their neighbours are
+  // already reached, so they add no fresh bits and need no clearing.
   const auto diagonal = static_cast<std::uint32_t>(stride_ - 1);
   const auto vertical = static_cast<std::uint32_t>(stride_);
   const auto pad = static_cast<std::ptrdiff_t>(vertical >> 6) + 1;
@@ -153,12 +155,9 @@ std::int32_t HopGrid::hops(std::span<const std::uint64_t> usable,
   std::ptrdiff_t hi = lo;
   frontier[lo] = std::uint64_t{1} << (from_bit & 63);
   open[lo] &= ~frontier[lo];
-  std::ptrdiff_t stale_lo = 0;  // next's nonzero span (empty at first)
-  std::ptrdiff_t stale_hi = -1;
   const std::ptrdiff_t to_word = to_bit >> 6;
   const std::uint64_t to_mask = std::uint64_t{1} << (to_bit & 63);
   for (std::int32_t level = 1;; ++level) {
-    for (std::ptrdiff_t i = stale_lo; i <= stale_hi; ++i) next[i] = 0;
     const std::ptrdiff_t first = std::max<std::ptrdiff_t>(0, lo - pad);
     const std::ptrdiff_t last = std::min<std::ptrdiff_t>(n - 1, hi + pad);
     std::ptrdiff_t next_lo = n;
@@ -181,8 +180,6 @@ std::int32_t HopGrid::hops(std::span<const std::uint64_t> usable,
     if ((next[to_word] & to_mask) != 0) return level;
     if (next_hi < 0) return -1;
     std::swap(frontier, next);
-    stale_lo = lo;
-    stale_hi = hi;
     lo = next_lo;
     hi = next_hi;
   }

@@ -79,7 +79,7 @@ enum class Metric : std::uint16_t {
   kCampaignWorkerIdleNs,   ///< per campaign worker: wall time minus busy
   kReconfigPlanNs,         ///< operational run: reconfiguration planning
   kAssayScheduleNs,        ///< operational run: assay re-scheduling
-  kRouteNs,                ///< operational run: droplet transport re-routing
+  kRouteNs,                ///< operational run: transport hop counting
   kMetricCount_,
 };
 
