@@ -76,7 +76,7 @@ class Router {
 /// row. Bitmaps are std::uint64_t words (bit b in word b/64, bit b%64).
 class HopGrid {
  public:
-  /// Reusable BFS buffers; one per thread. Sized on first use.
+  /// Reusable BFS buffers, one per thread; hops() sizes them for its grid.
   struct Scratch {
     std::vector<std::uint64_t> frontier;
     std::vector<std::uint64_t> next;
@@ -95,6 +95,7 @@ class HopGrid {
     return primary_words_;
   }
 
+  /// Sets / clears a valid `cell`'s bit in a word_count()-word bitmap.
   void set(std::span<std::uint64_t> words, hex::CellIndex cell) const {
     const std::int32_t bit = bit_of_cell_[static_cast<std::size_t>(cell)];
     words[static_cast<std::size_t>(bit) >> 6] |= std::uint64_t{1}

@@ -42,6 +42,108 @@ std::size_t kind_slot(WorkloadModule::Kind kind) noexcept {
 
 }  // namespace
 
+std::optional<double> OperationalState::run_assay(
+    const reconfig::ReconfigPlan& plan) {
+  for (const reconfig::Replacement& replacement : plan.replacements) {
+    replacement_of_[static_cast<std::size_t>(replacement.faulty)] =
+        replacement.spare;
+  }
+  const std::optional<double> completion = degraded_completion(plan);
+  for (const reconfig::Replacement& replacement : plan.replacements) {
+    replacement_of_[static_cast<std::size_t>(replacement.faulty)] =
+        hex::kInvalidCell;
+  }
+  return completion;
+}
+
+std::optional<double> OperationalState::degraded_completion(
+    const reconfig::ReconfigPlan& plan) {
+  const assay::SequencingGraph& graph = workload_->graph_;
+  const std::span<const WorkloadModule> modules = workload_->modules_;
+  // The cell that carries out `cell`'s duty: itself when healthy, else the
+  // adjacent replacement the plan assigned (kInvalidCell when none).
+  const auto operator_of = [&](CellIndex cell) {
+    return faults_.is_faulty(cell)
+               ? replacement_of_[static_cast<std::size_t>(cell)]
+               : cell;
+  };
+  // A module survives iff every one of its cells still has an operator.
+  for (auto& alive : alive_by_kind_) alive.clear();
+  for (std::size_t m = 0; m < modules.size(); ++m) {
+    const WorkloadModule& module = modules[m];
+    if (std::all_of(module.cells.begin(), module.cells.end(),
+                    [&](CellIndex cell) {
+                      return operator_of(cell) != hex::kInvalidCell;
+                    })) {
+      alive_by_kind_[kind_slot(module.kind)].push_back(m);
+    }
+  }
+  assay::ResourcePool surviving;
+  surviving.dispense_ports = static_cast<std::int32_t>(
+      alive_by_kind_[kind_slot(WorkloadModule::Kind::kPort)].size());
+  surviving.mixers = static_cast<std::int32_t>(
+      alive_by_kind_[kind_slot(WorkloadModule::Kind::kMixer)].size());
+  surviving.detectors = static_cast<std::int32_t>(
+      alive_by_kind_[kind_slot(WorkloadModule::Kind::kDetector)].size());
+
+  // Graceful degradation ends where a resource class the assay needs has no
+  // surviving instance at all.
+  for (const assay::AssayOp& op : graph.ops()) {
+    if (assay::capacity_of(surviving, assay::resource_class(op.kind)) < 1) {
+      return std::nullopt;
+    }
+  }
+
+  const assay::Schedule schedule = [&] {
+    obs::ScopedSpan span("assay.schedule", "op");
+    const obs::ScopedDuration timer(obs::Metric::kAssayScheduleNs);
+    return assay::ListScheduler(surviving).schedule(graph);
+  }();
+
+  // Usable cells: healthy primaries plus the plan's replacements (spares,
+  // or unused primaries already in the mask), minus every faulty cell.
+  obs::ScopedSpan route_span("fluidics.route", "op");
+  const obs::ScopedDuration route_timer(obs::Metric::kRouteNs);
+  const fluidics::HopGrid& grid = workload_->grid_;
+  usable_.assign(grid.primary_words().begin(), grid.primary_words().end());
+  for (const reconfig::Replacement& replacement : plan.replacements) {
+    grid.set(usable_, replacement.spare);
+  }
+  for (const CellIndex cell : faults_.faulty_cells()) grid.clear(usable_, cell);
+
+  // Transport endpoints: the scheduler's instance index i binds an op to
+  // the i-th surviving module of its class (module order); a faulty anchor
+  // cell hands the endpoint to its replacement. Resource-free ops (store)
+  // park at their producer's endpoint.
+  anchor_.assign(static_cast<std::size_t>(graph.op_count()),
+                 hex::kInvalidCell);
+  std::int64_t transport_hops = 0;
+  for (const assay::AssayOp& op : graph.ops()) {
+    const auto id = static_cast<std::size_t>(op.id);
+    const auto kind = module_kind_of(assay::resource_class(op.kind));
+    if (kind) {
+      const auto& alive = alive_by_kind_[kind_slot(*kind)];
+      const auto instance =
+          static_cast<std::size_t>(schedule.of(op.id).resource_index);
+      DMFB_ASSERT(instance < alive.size());
+      anchor_[id] = operator_of(modules[alive[instance]].cells.front());
+    } else {
+      DMFB_ASSERT(!op.inputs.empty());
+      anchor_[id] = anchor_[static_cast<std::size_t>(op.inputs.front())];
+    }
+    DMFB_ASSERT(anchor_[id] != hex::kInvalidCell);
+    for (const std::int32_t input : op.inputs) {
+      const std::int32_t hops =
+          grid.hops(usable_, anchor_[static_cast<std::size_t>(input)],
+                    anchor_[id], hop_scratch_);
+      if (hops < 0) return std::nullopt;  // transport severed: assay fails
+      transport_hops += hops;
+    }
+  }
+  return schedule.makespan() +
+         kTransportSecondsPerHop * static_cast<double>(transport_hops);
+}
+
 AssayWorkload::AssayWorkload(std::shared_ptr<const ChipDesign> design,
                              assay::SequencingGraph graph,
                              std::vector<WorkloadModule> modules)
@@ -166,108 +268,6 @@ OperationalRun OperationalState::evaluate(reconfig::CoveragePolicy policy,
     array_.set_health(cell, biochip::CellHealth::kHealthy);
   }
   return run;
-}
-
-std::optional<double> OperationalState::run_assay(
-    const reconfig::ReconfigPlan& plan) {
-  for (const reconfig::Replacement& replacement : plan.replacements) {
-    replacement_of_[static_cast<std::size_t>(replacement.faulty)] =
-        replacement.spare;
-  }
-  const std::optional<double> completion = degraded_completion(plan);
-  for (const reconfig::Replacement& replacement : plan.replacements) {
-    replacement_of_[static_cast<std::size_t>(replacement.faulty)] =
-        hex::kInvalidCell;
-  }
-  return completion;
-}
-
-std::optional<double> OperationalState::degraded_completion(
-    const reconfig::ReconfigPlan& plan) {
-  const assay::SequencingGraph& graph = workload_->graph_;
-  const std::span<const WorkloadModule> modules = workload_->modules_;
-  // The cell that carries out `cell`'s duty: itself when healthy, else the
-  // adjacent replacement the plan assigned (kInvalidCell when none).
-  const auto operator_of = [&](CellIndex cell) {
-    return faults_.is_faulty(cell)
-               ? replacement_of_[static_cast<std::size_t>(cell)]
-               : cell;
-  };
-  // A module survives iff every one of its cells still has an operator.
-  for (auto& alive : alive_by_kind_) alive.clear();
-  for (std::size_t m = 0; m < modules.size(); ++m) {
-    const WorkloadModule& module = modules[m];
-    if (std::all_of(module.cells.begin(), module.cells.end(),
-                    [&](CellIndex cell) {
-                      return operator_of(cell) != hex::kInvalidCell;
-                    })) {
-      alive_by_kind_[kind_slot(module.kind)].push_back(m);
-    }
-  }
-  assay::ResourcePool surviving;
-  surviving.dispense_ports = static_cast<std::int32_t>(
-      alive_by_kind_[kind_slot(WorkloadModule::Kind::kPort)].size());
-  surviving.mixers = static_cast<std::int32_t>(
-      alive_by_kind_[kind_slot(WorkloadModule::Kind::kMixer)].size());
-  surviving.detectors = static_cast<std::int32_t>(
-      alive_by_kind_[kind_slot(WorkloadModule::Kind::kDetector)].size());
-
-  // Graceful degradation ends where a resource class the assay needs has no
-  // surviving instance at all.
-  for (const assay::AssayOp& op : graph.ops()) {
-    if (assay::capacity_of(surviving, assay::resource_class(op.kind)) < 1) {
-      return std::nullopt;
-    }
-  }
-
-  const assay::Schedule schedule = [&] {
-    obs::ScopedSpan span("assay.schedule", "op");
-    const obs::ScopedDuration timer(obs::Metric::kAssayScheduleNs);
-    return assay::ListScheduler(surviving).schedule(graph);
-  }();
-
-  // Usable cells: healthy primaries plus the plan's replacements (spares,
-  // or unused primaries already in the mask), minus every faulty cell.
-  obs::ScopedSpan route_span("fluidics.route", "op");
-  const obs::ScopedDuration route_timer(obs::Metric::kRouteNs);
-  const fluidics::HopGrid& grid = workload_->grid_;
-  usable_.assign(grid.primary_words().begin(), grid.primary_words().end());
-  for (const reconfig::Replacement& replacement : plan.replacements) {
-    grid.set(usable_, replacement.spare);
-  }
-  for (const CellIndex cell : faults_.faulty_cells()) grid.clear(usable_, cell);
-
-  // Transport endpoints: the scheduler's instance index i binds an op to
-  // the i-th surviving module of its class (module order); a faulty anchor
-  // cell hands the endpoint to its replacement. Resource-free ops (store)
-  // park at their producer's endpoint.
-  anchor_.assign(static_cast<std::size_t>(graph.op_count()),
-                 hex::kInvalidCell);
-  std::int64_t transport_hops = 0;
-  for (const assay::AssayOp& op : graph.ops()) {
-    const auto id = static_cast<std::size_t>(op.id);
-    const auto kind = module_kind_of(assay::resource_class(op.kind));
-    if (kind) {
-      const auto& alive = alive_by_kind_[kind_slot(*kind)];
-      const auto instance =
-          static_cast<std::size_t>(schedule.of(op.id).resource_index);
-      DMFB_ASSERT(instance < alive.size());
-      anchor_[id] = operator_of(modules[alive[instance]].cells.front());
-    } else {
-      DMFB_ASSERT(!op.inputs.empty());
-      anchor_[id] = anchor_[static_cast<std::size_t>(op.inputs.front())];
-    }
-    DMFB_ASSERT(anchor_[id] != hex::kInvalidCell);
-    for (const std::int32_t input : op.inputs) {
-      const std::int32_t hops =
-          grid.hops(usable_, anchor_[static_cast<std::size_t>(input)],
-                    anchor_[id], hop_scratch_);
-      if (hops < 0) return std::nullopt;  // transport severed: assay fails
-      transport_hops += hops;
-    }
-  }
-  return schedule.makespan() +
-         kTransportSecondsPerHop * static_cast<double>(transport_hops);
 }
 
 }  // namespace dmfb::sim
