@@ -26,7 +26,6 @@ void UsableCells::activate_plan(const reconfig::ReconfigPlan& plan) {
 }
 
 void UsableCells::block(hex::CellIndex cell) { blocked_.insert(cell); }
-void UsableCells::unblock(hex::CellIndex cell) { blocked_.erase(cell); }
 
 bool UsableCells::usable(hex::CellIndex cell) const {
   if (cell < 0 || cell >= array_.cell_count()) return false;
@@ -67,10 +66,6 @@ std::vector<hex::CellIndex> Router::shortest_route(hex::CellIndex from,
   }
   std::reverse(route.begin(), route.end());
   return route;
-}
-
-bool Router::reachable(hex::CellIndex from, hex::CellIndex to) const {
-  return !shortest_route(from, to).empty();
 }
 
 namespace {
@@ -183,136 +178,6 @@ std::int32_t HopGrid::hops(std::span<const std::uint64_t> usable,
     lo = next_lo;
     hi = next_hi;
   }
-}
-
-hex::CellIndex TimedRoute::at(std::int64_t t) const {
-  DMFB_EXPECTS(!cells.empty());
-  if (t < 0) t = 0;
-  const auto last = static_cast<std::int64_t>(cells.size()) - 1;
-  return cells[static_cast<std::size_t>(std::min(t, last))];
-}
-
-MultiDropletRouter::MultiDropletRouter(const UsableCells& usable,
-                                       std::int32_t horizon)
-    : usable_(usable), horizon_(horizon) {
-  DMFB_EXPECTS(horizon > 0);
-}
-
-std::optional<std::vector<TimedRoute>> MultiDropletRouter::route(
-    const std::vector<RouteRequest>& requests) const {
-  const auto& array = usable_.array();
-  const auto coord = [&](hex::CellIndex c) { return array.region().coord_at(c); };
-
-  std::vector<TimedRoute> routed;
-  for (const RouteRequest& request : requests) {
-    DMFB_EXPECTS(request.from != hex::kInvalidCell);
-    DMFB_EXPECTS(request.to != hex::kInvalidCell);
-    const auto exempt = [&](DropletId other) {
-      return std::find(request.exempt.begin(), request.exempt.end(), other) !=
-             request.exempt.end();
-    };
-
-    // A transition prev -> cell arriving at time `t` is legal iff, against
-    // every earlier routed droplet r:
-    //   static          : dist(cell, r.at(t))   >= 2
-    //   dynamic (ours)  : dist(cell, r.at(t-1)) >= 2   (we sweep past r)
-    //   dynamic (theirs): dist(prev, r.at(t))   >= 2   (r sweeps past us)
-    // Exempt (merge-destined) pairs may come adjacent, but must never
-    // occupy the same cell at the same time — the actual merge is an
-    // explicit scheduler step, not a routing accident.
-    const auto legal = [&](hex::CellIndex prev, hex::CellIndex cell,
-                           std::int64_t t) {
-      for (const TimedRoute& r : routed) {
-        if (exempt(r.droplet)) {
-          if (cell == r.at(t)) return false;
-          continue;
-        }
-        if (hex::distance(coord(cell), coord(r.at(t))) <= 1) return false;
-        if (t > 0 && hex::distance(coord(cell), coord(r.at(t - 1))) <= 1) {
-          return false;
-        }
-        if (prev != hex::kInvalidCell &&
-            hex::distance(coord(prev), coord(r.at(t))) <= 1) {
-          return false;
-        }
-      }
-      return true;
-    };
-
-    // BFS over (cell, time) states; waiting in place is a legal move.
-    const auto n = static_cast<std::size_t>(array.cell_count());
-    // parent[(t * n) + cell] = previous cell (or -1 at the start state).
-    std::vector<std::int32_t> parent(
-        n * static_cast<std::size_t>(horizon_ + 1), -2);
-    const auto state = [&](std::int64_t t, hex::CellIndex c) {
-      return static_cast<std::size_t>(t) * n + static_cast<std::size_t>(c);
-    };
-    if (!usable_.usable(request.from) || !usable_.usable(request.to)) {
-      return std::nullopt;
-    }
-    if (!legal(hex::kInvalidCell, request.from, 0)) return std::nullopt;
-    std::queue<std::pair<std::int64_t, hex::CellIndex>> frontier;
-    parent[state(0, request.from)] = -1;
-    frontier.push({0, request.from});
-    std::int64_t arrival = -1;
-    while (!frontier.empty()) {
-      const auto [t, cell] = frontier.front();
-      frontier.pop();
-      // Arrival requires the droplet to be able to PARK: once arrived it
-      // stays, so the goal must stay legal forever. We accept on reaching
-      // the goal and rely on later requests checking against the parked
-      // position; earlier droplets are already fixed, so verify the park
-      // against them for a grace window.
-      if (cell == request.to) {
-        bool can_park = true;
-        for (std::int64_t tp = t; tp <= t + 2 && can_park; ++tp) {
-          can_park = legal(cell, cell, tp);
-        }
-        // Also ensure no earlier droplet later drives adjacent to the
-        // parked cell.
-        for (const TimedRoute& r : routed) {
-          if (exempt(r.droplet)) continue;
-          for (std::int64_t tp = t; tp <= r.arrival_time() + 1; ++tp) {
-            if (hex::distance(coord(cell), coord(r.at(tp))) <= 1) {
-              can_park = false;
-              break;
-            }
-          }
-          if (!can_park) break;
-        }
-        if (can_park) {
-          arrival = t;
-          break;
-        }
-      }
-      if (t >= horizon_) continue;
-      // Wait or move to a usable neighbour.
-      const auto try_step = [&](hex::CellIndex next) {
-        if (parent[state(t + 1, next)] != -2) return;
-        if (!usable_.usable(next)) return;
-        if (!legal(cell, next, t + 1)) return;
-        parent[state(t + 1, next)] = cell;
-        frontier.push({t + 1, next});
-      };
-      try_step(cell);  // wait
-      for (const hex::CellIndex next : array.neighbors_of(cell)) {
-        try_step(next);
-      }
-    }
-    if (arrival < 0) return std::nullopt;
-
-    TimedRoute timed;
-    timed.droplet = request.droplet;
-    timed.cells.resize(static_cast<std::size_t>(arrival) + 1);
-    hex::CellIndex cursor = request.to;
-    for (std::int64_t t = arrival; t >= 0; --t) {
-      timed.cells[static_cast<std::size_t>(t)] = cursor;
-      cursor = parent[state(t, cursor)];
-    }
-    DMFB_ASSERT(cursor == -1);
-    routed.push_back(std::move(timed));
-  }
-  return routed;
 }
 
 }  // namespace dmfb::fluidics

@@ -1,6 +1,6 @@
 // Droplet routing on a (possibly faulty, possibly reconfigured) array.
 //
-// Three entry points:
+// Two entry points:
 //  * Router — single-droplet BFS shortest path over *usable* cells (healthy
 //    primaries plus explicitly activated spares, minus explicit obstacles).
 //    After local reconfiguration the matched spares are activated, so routes
@@ -9,20 +9,14 @@
 //  * HopGrid — the same BFS distance without the path: a word-parallel
 //    frontier expansion over a usable-cell bitmap, for callers that only
 //    need hop counts (the operational Monte-Carlo kernel).
-//  * MultiDropletRouter — prioritised space-time routing for concurrent
-//    droplets: each droplet gets a timed route (cell per time step, waits
-//    allowed) that respects the static and dynamic fluidic constraints
-//    against all previously routed droplets.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <unordered_set>
 #include <vector>
 
 #include "biochip/hex_array.hpp"
-#include "fluidics/constraints.hpp"
 #include "reconfig/local_reconfig.hpp"
 
 namespace dmfb::fluidics {
@@ -38,9 +32,8 @@ class UsableCells {
   /// Activates all replacement spares of `plan`.
   void activate_plan(const reconfig::ReconfigPlan& plan);
 
-  /// Adds a temporary obstacle (e.g. a parked droplet's exclusion zone).
+  /// Adds an obstacle (e.g. a parked droplet's exclusion zone).
   void block(hex::CellIndex cell);
-  void unblock(hex::CellIndex cell);
 
   bool usable(hex::CellIndex cell) const;
 
@@ -60,9 +53,6 @@ class Router {
   /// Shortest route from `from` to `to`, inclusive; empty when unreachable.
   std::vector<hex::CellIndex> shortest_route(hex::CellIndex from,
                                              hex::CellIndex to) const;
-
-  /// True iff `to` is reachable from `from` over usable cells.
-  bool reachable(hex::CellIndex from, hex::CellIndex to) const;
 
  private:
   const UsableCells& usable_;
@@ -119,44 +109,6 @@ class HopGrid {
   std::int32_t stride_ = 0;
   std::vector<std::int32_t> bit_of_cell_;
   std::vector<std::uint64_t> primary_words_;
-};
-
-/// One droplet's routing request, in priority order.
-struct RouteRequest {
-  DropletId droplet = 0;
-  hex::CellIndex from = hex::kInvalidCell;
-  hex::CellIndex to = hex::kInvalidCell;
-  /// Droplets this one may touch (merge targets) — constraints are waived
-  /// against them.
-  std::vector<DropletId> exempt;
-};
-
-/// A routed droplet trajectory: cells[t] is the position at time t.
-/// Once arrived the droplet parks at its destination.
-struct TimedRoute {
-  DropletId droplet = 0;
-  std::vector<hex::CellIndex> cells;
-
-  hex::CellIndex at(std::int64_t t) const;
-  std::int64_t arrival_time() const noexcept {
-    return static_cast<std::int64_t>(cells.size()) - 1;
-  }
-};
-
-/// Prioritised space-time router.
-class MultiDropletRouter {
- public:
-  MultiDropletRouter(const UsableCells& usable, std::int32_t horizon = 512);
-
-  /// Routes the requests in order; each respects constraints against all
-  /// earlier (already routed) droplets. Returns nullopt when any droplet
-  /// cannot reach its goal within the horizon.
-  std::optional<std::vector<TimedRoute>> route(
-      const std::vector<RouteRequest>& requests) const;
-
- private:
-  const UsableCells& usable_;
-  std::int32_t horizon_;
 };
 
 }  // namespace dmfb::fluidics
