@@ -1,6 +1,7 @@
 // google-benchmark micro-benchmarks for the performance-critical kernels:
 // maximum matching (CSR matcher, one row per engine), one Monte-Carlo yield
-// run, droplet routing, and the covering-walk test planner.
+// run, v1 Bernoulli injection (scalar and lock-step), droplet routing, and
+// the covering-walk test planner.
 #include <benchmark/benchmark.h>
 
 #include "biochip/dtmb.hpp"
@@ -9,6 +10,10 @@
 #include "fluidics/router.hpp"
 #include "graph/csr_matching.hpp"
 #include "reconfig/local_reconfig.hpp"
+#include "sim/fault_model.hpp"
+#include "sim/fault_state.hpp"
+#include "sim/lockstep_bernoulli.hpp"
+#include "sim/session.hpp"
 #include "testplan/stimulus_test.hpp"
 #include "yield/monte_carlo.hpp"
 
@@ -69,6 +74,61 @@ void BM_McYieldThreads(benchmark::State& state) {
         yield::mc_yield_bernoulli(array, 0.93, options).successes);
   }
   state.SetItemsProcessed(state.iterations() * options.runs);
+}
+
+// v1 Bernoulli injection plus reset per run, no repair, on one fig9 point:
+// DTMB(3,6), 120 primaries, p = 0.90. The scalar row is sim::inject per
+// run; the lock-step row injects lane batches as Session's v1 loop does,
+// labelled with the ISA build this CPU picked ("scalar" when it has none).
+// items/s is runs per second; the fault sets are identical.
+constexpr double kInjectSurvival = 0.90;
+constexpr std::uint64_t kInjectSeed = 3;
+
+std::shared_ptr<const sim::ChipDesign> inject_bench_design() {
+  return sim::ChipDesign::make(biochip::make_dtmb_array_with_primaries(
+      biochip::DtmbKind::kDtmb3_6, 120));
+}
+
+void BM_InjectV1_Scalar(benchmark::State& state) {
+  sim::FaultState faults(inject_bench_design());
+  const sim::FaultModel model = sim::FaultModel::bernoulli(kInjectSurvival);
+  std::int32_t run = 0;
+  for (auto _ : state) {
+    Rng rng = sim::run_stream(kInjectSeed, run++);
+    sim::inject(model, faults, rng);
+    benchmark::DoNotOptimize(faults.faulty_count());
+    faults.reset();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel("scalar");
+}
+
+void BM_InjectV1_Lockstep(benchmark::State& state) {
+  const auto design = inject_bench_design();
+  sim::FaultState faults(design);
+  const sim::FaultModel model = sim::FaultModel::bernoulli(kInjectSurvival);
+  const sim::LockstepKernel* kernel = sim::lockstep_kernel_for(model);
+  if (kernel == nullptr) {  // Session keeps the scalar loop; so does the row
+    BM_InjectV1_Scalar(state);
+    return;
+  }
+  sim::LockstepBernoulli batch(*kernel, design->cell_count(),
+                               1.0 - model.param);
+  std::int32_t run = 0;
+  for (auto _ : state) {
+    for (std::int32_t lane = 0; lane < batch.lanes(); ++lane) {
+      batch.load(lane, sim::run_stream(kInjectSeed, run + lane));
+    }
+    batch.draw();
+    for (std::int32_t lane = 0; lane < batch.lanes(); ++lane) {
+      (void)batch.inject(lane, faults);
+      benchmark::DoNotOptimize(faults.faulty_count());
+      faults.reset();
+    }
+    run += batch.lanes();
+  }
+  state.SetItemsProcessed(state.iterations() * batch.lanes());
+  state.SetLabel(kernel->isa);
 }
 
 void BM_SingleDropletRoute(benchmark::State& state) {
@@ -134,6 +194,8 @@ BENCHMARK(BM_McYieldThreads)
     ->UseRealTime()
     ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_InjectV1_Scalar);
+BENCHMARK(BM_InjectV1_Lockstep);
 BENCHMARK(BM_SingleDropletRoute)->Arg(16)->Arg(32)->Arg(64);
 BENCHMARK(BM_HopCount)->Arg(16)->Arg(32)->Arg(64);
 BENCHMARK(BM_CoveringWalk)->Arg(16)->Arg(32);

@@ -36,7 +36,11 @@ std::optional<std::int64_t> parse_int_in(std::string_view token,
 }
 
 std::optional<std::uint64_t> parse_uint64(std::string_view token) {
-  if (token.empty() || token.front() == '-') return std::nullopt;
+  // strtoull skips leading whitespace and then negates a '-', so " -1"
+  // would parse as 2^64 - 1: accept only tokens that start with a digit.
+  if (token.empty() || token.front() < '0' || token.front() > '9') {
+    return std::nullopt;
+  }
   const std::string buffer(token);
   errno = 0;
   char* end = nullptr;

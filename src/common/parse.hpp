@@ -22,7 +22,8 @@ std::optional<std::int64_t> parse_int(std::string_view token, int base = 0);
 std::optional<std::int64_t> parse_int_in(std::string_view token,
                                          std::int64_t lo, std::int64_t hi);
 
-/// Parses an unsigned 64-bit integer (decimal or 0x-prefixed hex).
+/// Parses an unsigned 64-bit integer (decimal or 0x-prefixed hex). The
+/// token must start with a digit: no sign, no leading whitespace.
 std::optional<std::uint64_t> parse_uint64(std::string_view token);
 
 /// Parses a finite double; rejects empty tokens, trailing junk, inf/nan.

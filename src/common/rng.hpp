@@ -9,6 +9,7 @@
 // worker / experiment arm) from a single experiment seed.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -86,6 +87,18 @@ class Rng {
   /// Derives an independent child stream (distinct seed trajectory).
   Rng split() noexcept;
 
+  /// The raw 256-bit engine state, and an engine resumed from one: for
+  /// kernels that advance several streams side by side in SIMD lanes
+  /// (sim/lockstep_bernoulli.hpp) and hand each back as an Rng.
+  std::array<std::uint64_t, 4> state() const noexcept {
+    return {state_[0], state_[1], state_[2], state_[3]};
+  }
+  static Rng from_state(const std::array<std::uint64_t, 4>& state) noexcept {
+    Rng rng(Raw{});
+    for (std::size_t i = 0; i < 4; ++i) rng.state_[i] = state[i];
+    return rng;
+  }
+
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& values) noexcept {
@@ -102,6 +115,9 @@ class Rng {
                                                        std::int32_t k);
 
  private:
+  struct Raw {};
+  explicit Rng(Raw) noexcept : state_{} {}
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }

@@ -13,6 +13,7 @@
 #include "common/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/lockstep_bernoulli.hpp"
 
 namespace dmfb::sim {
 
@@ -524,21 +525,44 @@ std::int64_t Session::successes_in_range(
   // fault set), so partitioning runs over workers — each with its own
   // incremental history — never changes the estimate.
   const EnginePlan plan = plan_engine(query, *design_);
-  // One lambda per draw contract (not a per-run branch): the v1 kernel
-  // stays untouched, and injector-path functions never mix the two APIs
-  // (tools/lint_determinism.py's mixed-rng-version rule).
+  // Repairs and resets the run just injected into `state`.
+  const auto settle = [&](FaultState& state) {
+    const bool ok =
+        plan.incremental
+            ? state.repairable_incremental(query.policy, query.pool)
+            : state.repairable(query.policy, plan.engine, query.pool);
+    state.reset();
+    return ok;
+  };
+  // One lambda per draw contract (not a per-run branch): injector-path
+  // functions never mix the two APIs (tools/lint_determinism.py's
+  // mixed-rng-version rule). Under v1 a standalone Bernoulli model injects
+  // whole lane batches in lock-step (sim/lockstep_bernoulli.hpp) when the
+  // CPU has a kernel; the runs of a batch are still repaired in run order,
+  // and the range's tail takes the scalar loop.
+  const LockstepKernel* lockstep = lockstep_kernel_for(query.fault);
   const auto count_range_v1 = [&](FaultState& state, std::int32_t lo,
                                   std::int32_t hi) {
     std::int64_t successes = 0;
-    for (std::int32_t run = lo; run < hi; ++run) {
+    std::int32_t run = lo;
+    if (lockstep != nullptr && hi - lo >= lockstep->lanes) {
+      LockstepBernoulli batch(*lockstep, design_->cell_count(),
+                              1.0 - query.fault.param);
+      for (; hi - run >= batch.lanes(); run += batch.lanes()) {
+        for (std::int32_t lane = 0; lane < batch.lanes(); ++lane) {
+          batch.load(lane, run_stream(query.seed, run + lane));
+        }
+        batch.draw();
+        for (std::int32_t lane = 0; lane < batch.lanes(); ++lane) {
+          (void)batch.inject(lane, state);
+          if (settle(state)) ++successes;
+        }
+      }
+    }
+    for (; run < hi; ++run) {
       Rng rng = run_stream(query.seed, run);
       inject(query.fault, state, rng);
-      const bool ok =
-          plan.incremental
-              ? state.repairable_incremental(query.policy, query.pool)
-              : state.repairable(query.policy, plan.engine, query.pool);
-      if (ok) ++successes;
-      state.reset();
+      if (settle(state)) ++successes;
     }
     return successes;
   };
@@ -548,12 +572,7 @@ std::int64_t Session::successes_in_range(
     for (std::int32_t run = lo; run < hi; ++run) {
       CounterStream stream = run_stream_v2(query.seed, run);
       inject_v2(query.fault, state, stream);
-      const bool ok =
-          plan.incremental
-              ? state.repairable_incremental(query.policy, query.pool)
-              : state.repairable(query.policy, plan.engine, query.pool);
-      if (ok) ++successes;
-      state.reset();
+      if (settle(state)) ++successes;
     }
     return successes;
   };

@@ -471,6 +471,10 @@ TEST(Parse, IntRejectsGarbageThatAtoiAccepts) {
   EXPECT_FALSE(common::parse_int(" 12 ").has_value());
   EXPECT_FALSE(common::parse_int("999999999999999999999").has_value());
   EXPECT_FALSE(common::parse_uint64("-1").has_value());
+  // strtoull skips whitespace before negating, so these would wrap.
+  EXPECT_FALSE(common::parse_uint64(" -1").has_value());
+  EXPECT_FALSE(common::parse_uint64("\t-2").has_value());
+  EXPECT_FALSE(common::parse_uint64(" 7").has_value());
 }
 
 TEST(Parse, IntInEnforcesBounds) {

@@ -101,8 +101,9 @@ TEST(ObsRegistryTest, HistogramStatisticsAreExactForCountSumMinMax) {
     record_duration(Metric::kReconfigPlanNs, ns);
   }
   registry.uninstall();
+  const Snapshot snapshot = registry.snapshot();  // outlives the reference
   const HistogramSnapshot& histogram =
-      registry.snapshot().histogram(Metric::kReconfigPlanNs);
+      snapshot.histogram(Metric::kReconfigPlanNs);
   EXPECT_EQ(histogram.count, 5);
   EXPECT_EQ(histogram.sum_ns, 68900);
   EXPECT_EQ(histogram.min_ns, 100);
@@ -132,7 +133,14 @@ TEST(ObsRegistryTest, StableCountersIdenticalAtOneAndFourThreads) {
   EXPECT_EQ(t1.counter(Metric::kSimRuns), 512);
   EXPECT_EQ(t1.counter(Metric::kInjectRuns), 512);
   EXPECT_EQ(t1.counter(Metric::kEngineHopcroftKarp), 1);
-  EXPECT_GT(t1.counter(Metric::kInjectCellTrials), 0);
+  // The v1 Bernoulli query runs its lanes in lock-step where the CPU has a
+  // kernel; the injection counters stay those of one scalar run each.
+  const std::int64_t cells =
+      biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 9, 9).cell_count();
+  EXPECT_EQ(t1.counter(Metric::kInjectCellTrials), 512 * cells);
+  EXPECT_EQ(t1.counter(Metric::kInjectClassificationDraws),
+            t1.counter(Metric::kInjectCellsFaulted));
+  EXPECT_GT(t1.counter(Metric::kInjectCellsFaulted), 0);
 }
 
 TEST(ObsRegistryTest, SessionCacheHitCountsSecondIdenticalQuery) {

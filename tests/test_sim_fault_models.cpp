@@ -30,6 +30,7 @@
 #include "fault/mixture.hpp"
 #include "fault/parametric.hpp"
 #include "sim/fault_model.hpp"
+#include "sim/lockstep_bernoulli.hpp"
 #include "sim/session.hpp"
 #include "yield/monte_carlo.hpp"
 
@@ -362,6 +363,31 @@ std::uint64_t sim_digest(RngVersion version, const FaultModel& model) {
   return digest;
 }
 
+/// sim_digest's v1 digest through the lock-step Bernoulli path: the pinned
+/// seeds go `kernel.lanes` at a time into the lanes, and each lane's fault
+/// cells and final stream position fold in seed order.
+std::uint64_t lockstep_digest(const LockstepKernel& kernel,
+                              const FaultModel& model) {
+  const auto design = ChipDesign::make(
+      biochip::make_dtmb_array_with_primaries(DtmbKind::kDtmb2_6, 60));
+  FaultState state(design);
+  LockstepBernoulli batch(kernel, design->cell_count(), 1.0 - model.param);
+  std::uint64_t digest = kFnvOffset;
+  for (int first = 0; first < kPinSeeds; first += kernel.lanes) {
+    for (std::int32_t lane = 0; lane < kernel.lanes; ++lane) {
+      batch.load(lane, Rng(pin_seed(first + lane)));
+    }
+    batch.draw();
+    for (std::int32_t lane = 0; lane < kernel.lanes; ++lane) {
+      state.reset();
+      Rng rng = batch.inject(lane, state);
+      fold_state(digest, state);
+      fnv_fold(digest, rng());
+    }
+  }
+  return digest;
+}
+
 struct PinnedDigests {
   const char* model;
   RngVersion version;
@@ -457,6 +483,22 @@ TEST(SimFaultModelDrawContract, EveryPathMatchesThePinnedDigests) {
       EXPECT_EQ(hex(sim_digest(version, pinned_model.model)),
                 hex(expected.sim_layer))
           << label("sim::inject");
+
+      // The lock-step v1 Bernoulli path: the generic template at 4 and 8
+      // lanes, and every ISA build this CPU runs.
+      if (pinned_model.name == "bernoulli" && version == RngVersion::kV1) {
+        std::vector<LockstepKernel> kernels = {generic_lockstep_kernel<4>(),
+                                               generic_lockstep_kernel<8>()};
+        for (const LockstepKernel& kernel : supported_lockstep_kernels()) {
+          kernels.push_back(kernel);
+        }
+        for (const LockstepKernel& kernel : kernels) {
+          EXPECT_EQ(hex(lockstep_digest(kernel, pinned_model.model)),
+                    hex(expected.sim_layer))
+              << label("sim lock-step ") << kernel.isa << " x"
+              << kernel.lanes;
+        }
+      }
     }
   }
 }
