@@ -8,7 +8,7 @@
 #include "biochip/dtmb.hpp"
 #include "fault/injector.hpp"
 #include "io/table.hpp"
-#include "yield/monte_carlo.hpp"
+#include "sim/session.hpp"
 
 int main() {
   using namespace dmfb;
@@ -18,27 +18,21 @@ int main() {
   for (const auto kind :
        {biochip::DtmbKind::kDtmb2_6, biochip::DtmbKind::kDtmb3_6,
         biochip::DtmbKind::kDtmb4_4}) {
-    auto array = biochip::make_dtmb_array_with_primaries(kind, 150);
-    const double cells = array.cell_count();
+    sim::Session session(biochip::make_dtmb_array_with_primaries(kind, 150));
+    const double cells = session.design().cell_count();
     for (const double expected_failures : {4.0, 8.0, 12.0}) {
-      yield::McOptions options;
-      options.runs = 10000;
+      sim::YieldQuery query;
+      query.runs = 10000;
 
-      const double p = 1.0 - expected_failures / cells;
-      const auto iid = yield::mc_yield_bernoulli(array, p, options);
+      query.fault = sim::FaultModel::bernoulli(1.0 - expected_failures / cells);
+      const auto iid = session.run(query);
 
       const auto clustered_yield = [&](std::int32_t radius) {
         const fault::ClusteredInjector prototype(1.0, radius, 0.9, 0.4);
         const double per_spot = prototype.expected_failures_per_spot();
-        const fault::ClusteredInjector injector(
-            expected_failures / per_spot, radius, 0.9, 0.4);
-        return yield::mc_yield(
-                   array,
-                   [&injector](biochip::HexArray& a, Rng& rng) {
-                     injector.inject(a, rng);
-                   },
-                   options)
-            .value;
+        query.fault = sim::FaultModel::clustered(
+            expected_failures / per_spot, {radius, 0.9, 0.4});
+        return session.run(query).value;
       };
 
       table.row(4)

@@ -9,30 +9,28 @@
 
 #include "assay/multiplexed_chip.hpp"
 #include "io/table.hpp"
-#include "yield/monte_carlo.hpp"
+#include "sim/session.hpp"
 
 int main() {
   using namespace dmfb;
 
-  auto chip = assay::make_multiplexed_chip();
+  sim::Session session(assay::make_multiplexed_chip().array);
   io::Table table({"m (faults)", "cover-all", "cover-used (spares)",
                    "cover-used (spares+unused)"});
   for (const std::int32_t m : {5, 10, 15, 20, 25, 30, 35, 45}) {
-    yield::McOptions options;
-    options.runs = 10000;
+    sim::YieldQuery query;
+    query.fault = sim::FaultModel::fixed_count(m);
+    query.runs = 10000;
 
-    options.policy = reconfig::CoveragePolicy::kAllFaultyPrimaries;
-    options.pool = reconfig::ReplacementPool::kSparesOnly;
-    const double cover_all =
-        yield::mc_yield_fixed_faults(chip.array, m, options).value;
+    query.policy = reconfig::CoveragePolicy::kAllFaultyPrimaries;
+    query.pool = reconfig::ReplacementPool::kSparesOnly;
+    const double cover_all = session.run(query).value;
 
-    options.policy = reconfig::CoveragePolicy::kUsedFaultyPrimaries;
-    const double cover_used =
-        yield::mc_yield_fixed_faults(chip.array, m, options).value;
+    query.policy = reconfig::CoveragePolicy::kUsedFaultyPrimaries;
+    const double cover_used = session.run(query).value;
 
-    options.pool = reconfig::ReplacementPool::kSparesAndUnusedPrimaries;
-    const double cover_used_plus =
-        yield::mc_yield_fixed_faults(chip.array, m, options).value;
+    query.pool = reconfig::ReplacementPool::kSparesAndUnusedPrimaries;
+    const double cover_used_plus = session.run(query).value;
 
     table.row(4).cell(m).cell(cover_all).cell(cover_used).cell(
         cover_used_plus);

@@ -5,10 +5,10 @@
 #include <iostream>
 
 #include "biochip/dtmb.hpp"
+#include "common/rng.hpp"
 #include "fault/injector.hpp"
 #include "io/table.hpp"
 #include "reconfig/local_reconfig.hpp"
-#include "yield/monte_carlo.hpp"
 
 int main() {
   using namespace dmfb;

@@ -18,8 +18,7 @@
 #include "fault/injector.hpp"
 #include "fluidics/placement.hpp"
 #include "io/table.hpp"
-#include "reconfig/local_reconfig.hpp"
-#include "yield/monte_carlo.hpp"
+#include "sim/session.hpp"
 
 int main() {
   using namespace dmfb;
@@ -57,32 +56,35 @@ int main() {
     }
   }
 
+  sim::Session spares(redundant);
   io::Table table({"p", "re-placement (plain chip)",
                    "spares, fixed placement (DTMB(2,6))",
                    "spares + re-placement pool"});
   for (const double p : {0.90, 0.93, 0.96, 0.98, 0.99}) {
-    yield::McOptions options;
-    options.runs = 4000;
+    sim::YieldQuery query;
+    query.fault = sim::FaultModel::bernoulli(p);
+    query.runs = 4000;
 
-    // (1) Re-placement oracle on the plain chip.
-    const auto replacement = yield::mc_yield_with_oracle(
-        plain,
-        [p](biochip::HexArray& a, Rng& rng) {
-          fault::BernoulliInjector(p).inject(a, rng);
-        },
-        [&workload](const biochip::HexArray& a) {
-          return ModulePlacer(a).place(workload).has_value();
-        },
-        options);
+    // (1) Re-placement on the plain chip: a custom oracle, so a serial
+    //     loop over the session's per-run streams.
+    const fault::BernoulliInjector injector(p);
+    std::int64_t placed = 0;
+    for (std::int32_t run = 0; run < query.runs; ++run) {
+      Rng rng = sim::run_stream(query.seed, run);
+      injector.inject(plain, rng);
+      placed += ModulePlacer(plain).place(workload).has_value();
+      plain.reset_health();
+    }
+    const auto replacement =
+        sim::YieldEstimate::from_counts(placed, query.runs);
 
     // (2) Spare-based repair of the fixed placement.
-    options.policy = reconfig::CoveragePolicy::kUsedFaultyPrimaries;
-    const auto spare_based =
-        yield::mc_yield_bernoulli(redundant, p, options);
+    query.policy = reconfig::CoveragePolicy::kUsedFaultyPrimaries;
+    const auto spare_based = spares.run(query);
 
     // (3) Both categories together (spares + unused primaries).
-    options.pool = reconfig::ReplacementPool::kSparesAndUnusedPrimaries;
-    const auto combined = yield::mc_yield_bernoulli(redundant, p, options);
+    query.pool = reconfig::ReplacementPool::kSparesAndUnusedPrimaries;
+    const auto combined = spares.run(query);
 
     table.row(4)
         .cell(p)

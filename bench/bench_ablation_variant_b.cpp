@@ -8,26 +8,29 @@
 #include "biochip/dtmb.hpp"
 #include "biochip/redundancy.hpp"
 #include "io/table.hpp"
-#include "yield/monte_carlo.hpp"
+#include "sim/session.hpp"
 
 int main() {
   using namespace dmfb;
 
   io::Table table({"p", "DTMB(2,6) variant A", "variant A CI",
                    "DTMB(2,6) variant B", "variant B CI"});
-  auto variant_a =
+  const auto variant_a =
       biochip::make_dtmb_array_with_primaries(biochip::DtmbKind::kDtmb2_6, 120);
-  auto variant_b = biochip::make_dtmb_array_with_primaries(
+  const auto variant_b = biochip::make_dtmb_array_with_primaries(
       biochip::DtmbKind::kDtmb2_6B, 120);
   std::cout << "variant A: " << variant_a.primary_count() << " primaries, RR "
             << biochip::measured_redundancy_ratio(variant_a)
             << "; variant B: " << variant_b.primary_count() << " primaries, RR "
             << biochip::measured_redundancy_ratio(variant_b) << "\n\n";
+  sim::Session session_a(variant_a);
+  sim::Session session_b(variant_b);
   for (const double p : {0.86, 0.90, 0.94, 0.98}) {
-    yield::McOptions options;
-    options.runs = 10000;
-    const auto a = yield::mc_yield_bernoulli(variant_a, p, options);
-    const auto b = yield::mc_yield_bernoulli(variant_b, p, options);
+    sim::YieldQuery query;
+    query.fault = sim::FaultModel::bernoulli(p);
+    query.runs = 10000;
+    const auto a = session_a.run(query);
+    const auto b = session_b.run(query);
     table.row(4)
         .cell(p)
         .cell(a.value)

@@ -7,8 +7,8 @@
 
 #include "biochip/dtmb.hpp"
 #include "io/table.hpp"
+#include "sim/session.hpp"
 #include "yield/analytic.hpp"
-#include "yield/monte_carlo.hpp"
 
 int main() {
   using namespace dmfb;
@@ -18,14 +18,15 @@ int main() {
             << kRuns << " Monte-Carlo runs per point)\n\n";
 
   for (const std::int32_t n : {60, 120, 240}) {
-    auto array = biochip::make_dtmb16_cluster_array(n / 6);
+    sim::Session session(biochip::make_dtmb16_cluster_array(n / 6));
     io::Table table({"p", "no-redundancy p^n", "DTMB(1,6) analytic",
                      "DTMB(1,6) Monte-Carlo", "MC 95% CI"});
     for (const double p :
          {0.90, 0.92, 0.94, 0.95, 0.96, 0.97, 0.98, 0.99, 1.00}) {
-      yield::McOptions options;
-      options.runs = kRuns;
-      const auto mc = yield::mc_yield_bernoulli(array, p, options);
+      sim::YieldQuery query;
+      query.fault = sim::FaultModel::bernoulli(p);
+      query.runs = kRuns;
+      const auto mc = session.run(query);
       table.row(4)
           .cell(p)
           .cell(yield::no_redundancy_yield(n, p))

@@ -15,7 +15,6 @@
 #include "sim/lockstep_bernoulli.hpp"
 #include "sim/session.hpp"
 #include "testplan/stimulus_test.hpp"
-#include "yield/monte_carlo.hpp"
 
 namespace {
 
@@ -60,20 +59,22 @@ void BM_McYieldRun(benchmark::State& state) {
 }
 
 void BM_McYieldThreads(benchmark::State& state) {
-  // Full mc_yield_bernoulli experiment (2000 runs on a ~250-primary
-  // DTMB(2,6) array) under the threaded engine. Successes are identical for
-  // every thread count; items/s is the MC-run throughput, so the 4-thread
-  // row should show >= 2x the 1-thread rate on a multi-core host.
-  auto array = biochip::make_dtmb_array_with_primaries(
+  // Full Session experiment (2000 runs on a ~250-primary DTMB(2,6) array)
+  // on a fresh Session per iteration, so every iteration simulates instead
+  // of hitting the query cache. Successes are identical for every thread
+  // count; items/s is the MC-run throughput, so the 4-thread row should
+  // show >= 2x the 1-thread rate on a multi-core host.
+  const auto array = biochip::make_dtmb_array_with_primaries(
       biochip::DtmbKind::kDtmb2_6, 250);
-  yield::McOptions options;
-  options.runs = 2000;
-  options.threads = static_cast<std::int32_t>(state.range(0));
+  sim::YieldQuery query;
+  query.fault = sim::FaultModel::bernoulli(0.93);
+  query.runs = 2000;
+  query.threads = static_cast<std::int32_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        yield::mc_yield_bernoulli(array, 0.93, options).successes);
+    sim::Session session(array);
+    benchmark::DoNotOptimize(session.run(query).successes);
   }
-  state.SetItemsProcessed(state.iterations() * options.runs);
+  state.SetItemsProcessed(state.iterations() * query.runs);
 }
 
 // v1 Bernoulli injection plus reset per run, no repair, on one fig9 point:

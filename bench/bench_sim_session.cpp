@@ -12,8 +12,8 @@
 // Both kernels replay the identical (seed, run)-derived fault streams, so
 // they do the same matching work and differ only in engine overhead.
 //
-// The sweep pair scales the comparison to a fig9-sized grid (the paper's
-// design x size x p cross product) at reduced runs.
+// BM_Fig9Sweep_Session times a fig9-sized grid (the paper's design x
+// size x p cross product) through the campaign runner at reduced runs.
 //
 // Emit machine-readable results with tools/bench_mc_yield.sh, which wraps
 //   bench_sim_session --benchmark_out=BENCH_mc_yield.json
@@ -29,7 +29,6 @@
 #include "reconfig/local_reconfig.hpp"
 #include "sim/assay_workload.hpp"
 #include "sim/session.hpp"
-#include "yield/monte_carlo.hpp"
 
 namespace {
 
@@ -381,38 +380,9 @@ BENCHMARK(BM_McYieldRun_Operational);
 
 constexpr std::int32_t kSweepRuns = 200;
 
-void BM_Fig9Sweep_Legacy(benchmark::State& state) {
-  // The pre-campaign shape: a fresh array walk over the grid, each point
-  // through the generic HexArray engine.
-  for (auto _ : state) {
-    std::int64_t successes = 0;
-    for (const biochip::DtmbKind kind :
-         {biochip::DtmbKind::kDtmb2_6, biochip::DtmbKind::kDtmb3_6,
-          biochip::DtmbKind::kDtmb4_4}) {
-      for (const std::int32_t primaries : {60, 120, 240}) {
-        auto array = biochip::make_dtmb_array_with_primaries(kind, primaries);
-        for (const double p :
-             {0.80, 0.85, 0.88, 0.90, 0.92, 0.94, 0.96, 0.98, 0.99}) {
-          const fault::BernoulliInjector injector(p);
-          yield::McOptions options;
-          options.runs = kSweepRuns;
-          successes += yield::mc_yield(
-                           array,
-                           [&](biochip::HexArray& a, Rng& rng) {
-                             injector.inject(a, rng);
-                           },
-                           options)
-                           .successes;
-        }
-      }
-    }
-    benchmark::DoNotOptimize(successes);
-  }
-}
-BENCHMARK(BM_Fig9Sweep_Legacy)->Unit(benchmark::kMillisecond);
-
 void BM_Fig9Sweep_Session(benchmark::State& state) {
-  // The same grid through the campaign runner's shared sessions.
+  // The builtin fig9_smoke grid through the campaign runner's shared
+  // sessions.
   auto parsed =
       campaign::parse_campaign_spec(campaign::builtin_campaign("fig9_smoke"));
   if (!parsed.ok()) {

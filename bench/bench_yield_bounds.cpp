@@ -8,8 +8,8 @@
 
 #include "biochip/dtmb.hpp"
 #include "io/table.hpp"
+#include "sim/session.hpp"
 #include "yield/bounds.hpp"
-#include "yield/monte_carlo.hpp"
 
 int main() {
   using namespace dmfb;
@@ -20,12 +20,14 @@ int main() {
   for (const DtmbKind kind :
        {DtmbKind::kDtmb1_6, DtmbKind::kDtmb2_6, DtmbKind::kDtmb3_6,
         DtmbKind::kDtmb4_4}) {
-    auto array = biochip::make_dtmb_array(kind, 14, 14);
+    const auto array = biochip::make_dtmb_array(kind, 14, 14);
+    sim::Session session(array);
     for (const double p : {0.90, 0.94, 0.98}) {
       const auto bounds = yield::analytic_yield_bounds(array, p);
-      yield::McOptions options;
-      options.runs = 10000;
-      const auto mc = yield::mc_yield_bernoulli(array, p, options);
+      sim::YieldQuery query;
+      query.fault = sim::FaultModel::bernoulli(p);
+      query.runs = 10000;
+      const auto mc = session.run(query);
       table.row(4)
           .cell(std::string(biochip::dtmb_info(kind).name))
           .cell(p)

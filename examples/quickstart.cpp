@@ -48,17 +48,15 @@ int main() {
   std::cout << '\n' << io::render_hex(chip.array(), &plan, {.legend = true});
 
   // 5. What fraction of manufactured chips is repairable at this p?
-  yield::McOptions options;
-  options.runs = 10000;
-  const auto estimate = chip.estimate_yield(0.97, options);
+  const auto estimate =
+      chip.estimate_yield({.fault = sim::FaultModel::bernoulli(0.97)});
   std::cout << "\nMonte-Carlo yield at p = 0.97: " << estimate.value
             << "  (95% CI [" << estimate.ci95.lo << ", " << estimate.ci95.hi
             << "])\n";
 
-  // 6. The session API (docs/API.md) is the preferred interface: queries
-  //    against an immutable design snapshot, cached results, and adaptive
-  //    stopping that runs only as many deterministic chunks as the target
-  //    confidence interval needs.
+  // 6. The same query with adaptive stopping: the session (docs/API.md)
+  //    runs only as many deterministic chunks as the target confidence
+  //    interval needs.
   sim::YieldQuery query;
   query.fault = sim::FaultModel::bernoulli(0.97);
   query.runs = 50000;  // cap; adaptive stopping usually quits much earlier

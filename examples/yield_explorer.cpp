@@ -36,9 +36,7 @@ int main(int argc, char** argv) {
   const double p = *p_arg;
   const double target = *target_arg;
 
-  yield::McOptions options;
-  options.runs = 10000;
-  const core::DesignAdvisor advisor(primaries, options);
+  const core::DesignAdvisor advisor(primaries);
   const auto advice = advisor.assess(p);
 
   io::Table table({"design", "RR", "primaries", "total cells", "yield",

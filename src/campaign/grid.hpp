@@ -25,7 +25,7 @@ struct MixtureComponent {
                          const MixtureComponent&) = default;
 };
 
-/// One fully-instantiated scenario: everything needed to run mc_yield.
+/// One fully-instantiated scenario: everything needed for one Session query.
 struct CampaignPoint {
   Design design = Design::kDtmb2_6;
   /// Requested minimum primary count; 0 for the fixed-size multiplexed chip.

@@ -255,7 +255,7 @@ std::vector<PointResult> CampaignRunner::run() {
       std::max(1, std::min(budget, std::max(unique_jobs, 1)));
   const std::int32_t inner_threads = std::max(1, budget / workers);
 
-  std::vector<yield::YieldEstimate> estimates(points.size());
+  std::vector<sim::YieldEstimate> estimates(points.size());
   std::vector<sim::OperationalEstimate> operationals(points.size());
   std::atomic<std::size_t> next_slot{0};
   std::exception_ptr first_error;

@@ -24,7 +24,6 @@
 #include "campaign/sink.hpp"
 #include "campaign/spec.hpp"
 #include "sim/session.hpp"
-#include "yield/monte_carlo.hpp"
 
 namespace dmfb::campaign {
 
@@ -44,7 +43,7 @@ struct PointResult {
   /// Structural (repairability) estimate — for workload = assay campaigns
   /// this is the structural leg of the operational query, so the "yield"
   /// column keeps its meaning across workloads.
-  yield::YieldEstimate estimate;
+  sim::YieldEstimate estimate;
   double effective_yield = 0.0;  ///< EY = Y / (1 + RR)
   /// Both legs + slowdown stats; populated when point.workload == kAssay.
   sim::OperationalEstimate operational;

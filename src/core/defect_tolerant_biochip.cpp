@@ -1,7 +1,6 @@
 #include "core/defect_tolerant_biochip.hpp"
 
 #include "biochip/redundancy.hpp"
-#include "common/contracts.hpp"
 
 namespace dmfb::core {
 
@@ -66,41 +65,10 @@ sim::Session& DefectTolerantBiochip::session() {
   return *session_;
 }
 
-yield::YieldEstimate DefectTolerantBiochip::estimate_yield(
-    double p, const yield::McOptions& options) {
-  DMFB_EXPECTS(p >= 0.0 && p <= 1.0);
+sim::YieldEstimate DefectTolerantBiochip::estimate_yield(
+    const sim::YieldQuery& query) {
   heal();
-  return session().run(
-      yield::to_query(options, sim::FaultModel::bernoulli(p)));
-}
-
-yield::YieldEstimate DefectTolerantBiochip::estimate_yield_fixed_faults(
-    std::int32_t m, const yield::McOptions& options) {
-  DMFB_EXPECTS(m >= 0 && m <= array_.cell_count());
-  heal();
-  return session().run(
-      yield::to_query(options, sim::FaultModel::fixed_count(m)));
-}
-
-yield::YieldEstimate DefectTolerantBiochip::estimate_yield_model(
-    const sim::FaultModel& model, const yield::McOptions& options) {
-  heal();
-  return session().run(yield::to_query(options, model));
-}
-
-sim::OperationalEstimate estimate_operational_yield(
-    std::shared_ptr<const sim::AssayWorkload> workload,
-    const sim::FaultModel& model, const yield::McOptions& options) {
-  sim::Session session(std::move(workload));
-  sim::YieldQuery query = yield::to_query(options, model);
-  query.workload = sim::Workload::kAssay;
-  return session.run_operational(query);
-}
-
-sim::OperationalEstimate estimate_operational_yield(
-    const sim::FaultModel& model, const yield::McOptions& options) {
-  return estimate_operational_yield(sim::AssayWorkload::multiplexed(), model,
-                                    options);
+  return session().run(query);
 }
 
 }  // namespace dmfb::core

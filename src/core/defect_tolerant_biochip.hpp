@@ -21,7 +21,6 @@
 #include "reconfig/local_reconfig.hpp"
 #include "sim/session.hpp"
 #include "testplan/stimulus_test.hpp"
-#include "yield/monte_carlo.hpp"
 
 namespace dmfb::core {
 
@@ -83,25 +82,13 @@ class DefectTolerantBiochip {
   // -- yield ----------------------------------------------------------------
   /// The facade's reusable simulation session: a healthy snapshot of the
   /// current array (rebuilt only when cell usage changed since the last
-  /// call), with query caching across estimate_yield* calls.
+  /// call), with query caching across estimate_yield calls.
   sim::Session& session();
 
-  /// Monte-Carlo yield at survival probability p (chip is healed first and
-  /// left healed). Served by session(), so repeating a (p, options) pair
-  /// costs a cache lookup.
-  yield::YieldEstimate estimate_yield(double p,
-                                      const yield::McOptions& options = {});
-
-  /// Monte-Carlo yield under exactly m random faults per chip.
-  yield::YieldEstimate estimate_yield_fixed_faults(
-      std::int32_t m, const yield::McOptions& options = {});
-
-  /// Monte-Carlo yield under any structured sim::FaultModel — including
-  /// the parametric and mixture kinds the specialised entry points above
-  /// cannot express. Served by session(), like the other estimators.
-  yield::YieldEstimate estimate_yield_model(
-      const sim::FaultModel& model, const yield::McOptions& options = {});
-
+  /// Monte-Carlo yield under any sim::YieldQuery (chip is healed first and
+  /// left healed). Served by session(), so repeating a query costs a cache
+  /// lookup.
+  sim::YieldEstimate estimate_yield(const sim::YieldQuery& query);
 
  private:
   biochip::HexArray array_;
@@ -112,21 +99,5 @@ class DefectTolerantBiochip {
   std::unique_ptr<sim::Session> session_;
   std::vector<hex::CellIndex> session_usage_;
 };
-
-/// Monte-Carlo *operational* yield of `workload` under `model`: each run
-/// injects faults, materialises the reconfiguration plan, re-schedules the
-/// assay on the surviving module pool and re-routes its droplets on the
-/// repaired array (sim::Session with Workload::kAssay). Returns both legs
-/// (structural + operational) plus completion-time slowdown statistics.
-/// For the paper's Fig. 13 reading set options.policy =
-/// kUsedFaultyPrimaries. Builds a one-shot session; hold a sim::Session
-/// over the workload yourself to amortise repeated queries.
-sim::OperationalEstimate estimate_operational_yield(
-    std::shared_ptr<const sim::AssayWorkload> workload,
-    const sim::FaultModel& model, const yield::McOptions& options = {});
-
-/// Convenience overload on the Section-7 multiplexed diagnostics workload.
-sim::OperationalEstimate estimate_operational_yield(
-    const sim::FaultModel& model, const yield::McOptions& options = {});
 
 }  // namespace dmfb::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <utility>
 
 #include "biochip/redundancy.hpp"
 #include "common/contracts.hpp"
@@ -38,9 +39,15 @@ const DesignAssessment* Advice::cheapest_meeting(double target_yield) const {
 }
 
 DesignAdvisor::DesignAdvisor(std::int32_t min_primaries,
-                             yield::McOptions options)
-    : min_primaries_(min_primaries), options_(options) {
+                             sim::YieldQuery base)
+    : min_primaries_(min_primaries), base_(std::move(base)) {
   DMFB_EXPECTS(min_primaries > 0);
+}
+
+sim::YieldQuery DesignAdvisor::query_for(const sim::FaultModel& model) const {
+  sim::YieldQuery query = base_;
+  query.fault = model;
+  return query;
 }
 
 sim::Session& DesignAdvisor::session_for(biochip::DtmbKind kind) const {
@@ -78,7 +85,7 @@ std::vector<DesignAssessment> DesignAdvisor::assess_designs(
     assessment.redundancy_ratio = biochip::measured_redundancy_ratio(array);
     assessment.primaries = array.primary_count();
     assessment.total_cells = array.cell_count();
-    assessment.yield = session.run(yield::to_query(options_, model)).value;
+    assessment.yield = session.run(query_for(model)).value;
     assessment.effective_yield =
         yield::effective_yield(assessment.yield, assessment.redundancy_ratio);
     assessments.push_back(std::move(assessment));
@@ -125,7 +132,7 @@ Advice DesignAdvisor::assess_model(const sim::FaultModel& model) const {
     none.redundancy_ratio = 0.0;
     none.primaries = array.primary_count();
     none.total_cells = array.cell_count();
-    none.yield = session.run(yield::to_query(options_, model)).value;
+    none.yield = session.run(query_for(model)).value;
     none.effective_yield = none.yield;
     advice.assessments.push_back(std::move(none));
   }

@@ -16,7 +16,6 @@
 
 #include "biochip/dtmb.hpp"
 #include "sim/session.hpp"
-#include "yield/monte_carlo.hpp"
 
 namespace dmfb::core {
 
@@ -49,10 +48,11 @@ struct Advice {
 class DesignAdvisor {
  public:
   /// Evaluates designs sized to hold at least `min_primaries` primaries.
-  /// Uses Monte-Carlo (options.runs) on the actual finite arrays, so
-  /// boundary effects are included.
+  /// Uses Monte-Carlo on the actual finite arrays, so boundary effects are
+  /// included. `base.fault` is ignored; the remaining query knobs (runs,
+  /// seed, threads, policy, engine, pool) apply to every design.
   explicit DesignAdvisor(std::int32_t min_primaries,
-                         yield::McOptions options = {});
+                         sim::YieldQuery base = {});
 
   Advice assess(double p) const;
 
@@ -70,8 +70,11 @@ class DesignAdvisor {
   std::vector<DesignAssessment> assess_designs(
       const sim::FaultModel& model) const;
 
+  /// `base_` with its fault model replaced by `model`.
+  sim::YieldQuery query_for(const sim::FaultModel& model) const;
+
   std::int32_t min_primaries_;
-  yield::McOptions options_;
+  sim::YieldQuery base_;
   /// One reusable session per DTMB kind: assess() calls at different p share
   /// the design snapshots, matching skeletons and query caches. Guarded by
   /// sessions_mutex_ so concurrent assess() calls stay safe (assess() was

@@ -38,7 +38,6 @@
 namespace dmfb::sim {
 
 /// Yield estimate with a Wilson 95% confidence interval.
-/// (Aliased as yield::YieldEstimate for the legacy entry points.)
 struct YieldEstimate {
   double value = 0.0;
   Interval ci95;
@@ -72,8 +71,7 @@ enum class Workload : std::uint8_t {
 };
 
 /// One self-contained yield question: defect model, run budget, engine
-/// configuration. Subsumes the legacy yield::McOptions knob-bag plus the
-/// injector choice that used to travel separately.
+/// configuration.
 struct YieldQuery {
   FaultModel fault;  ///< what breaks per run
 
@@ -152,8 +150,10 @@ class ResultCache {
 std::string encode_estimate(const YieldEstimate& estimate);
 std::optional<YieldEstimate> decode_estimate(std::string_view payload);
 
-/// The Rng stream run `run` of an experiment draws from; identical to the
-/// legacy yield::mc_run_stream derivation.
+/// The Rng stream run `run` of an experiment draws from. A custom oracle
+/// outside the session's fault models (bench_ablation_replacement's module
+/// re-placement, say) is a serial loop over it: for run i, inject into a
+/// HexArray from run_stream(seed, i), ask the oracle, reset_health().
 Rng run_stream(std::uint64_t seed, std::int32_t run) noexcept;
 
 /// The v2 counter stream run `run` draws from. Same (seed, run) -> key

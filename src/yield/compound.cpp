@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/contracts.hpp"
@@ -98,9 +99,27 @@ DefectCountPmf negative_binomial_defect_pmf(std::int32_t cell_count,
   // (m/(m+alpha))^k * (alpha/(m+alpha))^alpha. Computed by recurrence:
   // P(0) = (alpha/(m+alpha))^alpha; P(k) = P(k-1) * (alpha+k-1)/k * r,
   // r = m/(m+alpha).
-  DefectCountPmf pmf(static_cast<std::size_t>(cell_count) + 1);
   const double r = mean / (mean + alpha);
   double term = std::pow(alpha / (mean + alpha), alpha);
+  // At large means P(0) underflows (to 0, or to a subnormal that carries
+  // too few bits to scale the rest of the pmf), as exp(-mean) does for
+  // poisson_defect_pmf: run the same recurrence in log space there, and
+  // keep the linear one (bit-identical to earlier releases) everywhere
+  // else.
+  if (term < std::numeric_limits<double>::min()) {
+    std::vector<double> log_terms(static_cast<std::size_t>(cell_count) + 1);
+    log_terms[0] = -alpha * std::log1p(mean / alpha);
+    const double log_r = std::log(r);
+    for (std::int32_t k = 1; k <= cell_count; ++k) {
+      log_terms[static_cast<std::size_t>(k)] =
+          log_terms[static_cast<std::size_t>(k) - 1] +
+          std::log((alpha + static_cast<double>(k - 1)) /
+                   static_cast<double>(k)) +
+          log_r;
+    }
+    return from_log_terms(log_terms);
+  }
+  DefectCountPmf pmf(static_cast<std::size_t>(cell_count) + 1);
   for (std::int32_t k = 0; k <= cell_count; ++k) {
     pmf[static_cast<std::size_t>(k)] = term;
     term *= (alpha + static_cast<double>(k)) /
@@ -146,16 +165,6 @@ CompoundYield compound_yield(sim::Session& session, const DefectCountPmf& pmf,
     result.value += mass * repairable;
   }
   return result;
-}
-
-CompoundYield compound_yield(biochip::HexArray& array,
-                             const DefectCountPmf& pmf,
-                             const McOptions& options, double pmf_cutoff) {
-  array.reset_health();
-  sim::Session session(array);
-  return compound_yield(session, pmf,
-                        to_query(options, sim::FaultModel::fixed_count(0)),
-                        pmf_cutoff);
 }
 
 }  // namespace dmfb::yield

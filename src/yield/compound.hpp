@@ -10,7 +10,7 @@
 //
 //   Y(design) = sum_m P(m defects) * P(repairable | m defects)
 //
-// where P(repairable | m) comes from the fixed-m Monte-Carlo engine, so any
+// where P(repairable | m) comes from fixed-m sim::Session queries, so any
 // DTMB design can be evaluated under any defect statistics. (Spatial
 // clustering *within* a chip is modelled separately by
 // fault::ClusteredInjector.)
@@ -19,9 +19,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "biochip/hex_array.hpp"
 #include "sim/session.hpp"
-#include "yield/monte_carlo.hpp"
 
 namespace dmfb::yield {
 
@@ -45,8 +43,8 @@ double poisson_zero_defect_yield(double mean);
 double stapper_zero_defect_yield(double mean, double alpha);
 
 /// Composes a defect-count distribution with per-m Monte-Carlo
-/// repairability of `array`. Terms with pmf < `pmf_cutoff` are skipped
-/// (their total mass is added to the reported truncation error).
+/// repairability of a session's design. Terms with pmf < `pmf_cutoff` are
+/// skipped (their total mass is added to the reported truncation error).
 struct CompoundYield {
   double value = 0.0;
   double truncated_mass = 0.0;  ///< pmf mass skipped by the cutoff
@@ -60,13 +58,6 @@ struct CompoundYield {
 /// to every term.
 CompoundYield compound_yield(sim::Session& session, const DefectCountPmf& pmf,
                              const sim::YieldQuery& base,
-                             double pmf_cutoff = 1e-6);
-
-/// \deprecated Shim over the session overload (one-shot snapshot of
-/// `array`); results are bit-identical to the pre-session implementation.
-CompoundYield compound_yield(biochip::HexArray& array,
-                             const DefectCountPmf& pmf,
-                             const McOptions& options,
                              double pmf_cutoff = 1e-6);
 
 }  // namespace dmfb::yield

@@ -17,7 +17,7 @@
 #include "campaign/runner.hpp"
 #include "campaign/sink.hpp"
 #include "campaign/spec.hpp"
-#include "yield/monte_carlo.hpp"
+#include "sim/session.hpp"
 
 namespace dmfb::campaign {
 namespace {
@@ -489,14 +489,14 @@ TEST(CampaignRunner, MatchesDirectMonteCarloCall) {
   const auto results = runner.run();
   ASSERT_EQ(results.size(), 2u);
 
-  auto array = biochip::make_dtmb_array_with_primaries(
+  const auto array = biochip::make_dtmb_array_with_primaries(
       biochip::DtmbKind::kDtmb2_6, 30);
-  yield::McOptions options;
-  options.runs = 64;
-  options.seed = 42;
+  sim::YieldQuery query;
+  query.runs = 64;
+  query.seed = 42;
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto direct =
-        yield::mc_yield_bernoulli(array, results[i].point.param, options);
+    query.fault = sim::FaultModel::bernoulli(results[i].point.param);
+    const auto direct = sim::Session(array).run(query);
     EXPECT_EQ(results[i].estimate.successes, direct.successes)
         << "p = " << results[i].point.param;
     EXPECT_EQ(results[i].primaries, array.primary_count());

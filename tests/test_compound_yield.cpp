@@ -2,14 +2,15 @@
 // with Monte-Carlo repairability).
 #include <cmath>
 #include <numeric>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "biochip/dtmb.hpp"
 #include "common/contracts.hpp"
 #include "yield/analytic.hpp"
+#include "sim/session.hpp"
 #include "yield/compound.hpp"
-#include "yield/monte_carlo.hpp"
 
 namespace dmfb::yield {
 namespace {
@@ -138,6 +139,27 @@ TEST(DefectPmf, PoissonSurvivesLargeMeans) {
   EXPECT_NEAR(truncated.back(), 0.875, 0.01);
 }
 
+TEST(DefectPmf, NegativeBinomialSurvivesLargeMeans) {
+  // (alpha / (mean + alpha))^alpha underflows to 0 at these means, which
+  // zeroed the linear recurrence's P(0) and the whole pmf with it.
+  for (const auto& [n, mean, alpha] :
+       {std::tuple{2000, 800.0, 1e6}, std::tuple{2000, 760.0, 1e9},
+        std::tuple{4000, 3000.0, 1000.0}}) {
+    const auto pmf = negative_binomial_defect_pmf(n, mean, alpha);
+    ASSERT_TRUE(pmf_is_finite(pmf))
+        << "n=" << n << " mean=" << mean << " alpha=" << alpha;
+    EXPECT_NEAR(pmf_sum(pmf), 1.0, 1e-9)
+        << "n=" << n << " mean=" << mean << " alpha=" << alpha;
+  }
+  // alpha -> infinity recovers Poisson, term by term.
+  const auto nb = negative_binomial_defect_pmf(2000, 800.0, 1e6);
+  const auto poisson = poisson_defect_pmf(2000, 800.0);
+  ASSERT_EQ(nb.size(), poisson.size());
+  for (std::size_t m = 0; m < nb.size(); ++m) {
+    EXPECT_NEAR(nb[m], poisson[m], 1e-3) << "m = " << m;
+  }
+}
+
 TEST(DefectPmf, PoissonLargeMeanAgreesWithSmallMeanRecurrence) {
   // Both branches live just either side of the 700 threshold; the ratio
   // structure p(m+1)/p(m) = mean/(m+1) must agree.
@@ -189,39 +211,44 @@ TEST(ZeroDefectYields, ClosedForms) {
               poisson_zero_defect_yield(2.0), 1e-6);
 }
 
+sim::YieldQuery runs_query(std::int32_t runs) {
+  sim::YieldQuery query;
+  query.runs = runs;
+  return query;
+}
+
 TEST(CompoundYield, BinomialPmfReproducesBernoulliMc) {
-  auto array = biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 10, 10);
+  sim::Session session(
+      biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 10, 10));
   const double p = 0.95;
-  McOptions options;
-  options.runs = 4000;
-  const auto direct = mc_yield_bernoulli(array, p, options);
+  sim::YieldQuery query = runs_query(4000);
+  query.fault = sim::FaultModel::bernoulli(p);
+  const auto direct = session.run(query);
   const auto composed = compound_yield(
-      array, binomial_defect_pmf(array.cell_count(), 1.0 - p), options);
+      session, binomial_defect_pmf(session.design().cell_count(), 1.0 - p),
+      query);
   EXPECT_NEAR(composed.value, direct.value, 0.02);
   EXPECT_LT(composed.truncated_mass, 1e-3);
 }
 
 TEST(CompoundYield, ZeroMeanIsPerfect) {
-  auto array = biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 8, 8);
-  McOptions options;
-  options.runs = 200;
-  const auto composed =
-      compound_yield(array, poisson_defect_pmf(array.cell_count(), 0.0),
-                     options);
+  sim::Session session(
+      biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 8, 8));
+  const auto composed = compound_yield(
+      session, poisson_defect_pmf(session.design().cell_count(), 0.0),
+      runs_query(200));
   EXPECT_NEAR(composed.value, 1.0, 1e-9);
 }
 
 TEST(CompoundYield, RedundancyBeatsBareChipUnderAnyCountModel) {
-  auto redundant =
-      biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 12, 12);
-  McOptions options;
-  options.runs = 3000;
+  sim::Session redundant(
+      biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 12, 12));
+  const std::int32_t cells = redundant.design().cell_count();
   const double mean_defects = 4.0;
   for (const auto& pmf :
-       {poisson_defect_pmf(redundant.cell_count(), mean_defects),
-        negative_binomial_defect_pmf(redundant.cell_count(), mean_defects,
-                                     2.0)}) {
-    const auto composed = compound_yield(redundant, pmf, options);
+       {poisson_defect_pmf(cells, mean_defects),
+        negative_binomial_defect_pmf(cells, mean_defects, 2.0)}) {
+    const auto composed = compound_yield(redundant, pmf, runs_query(3000));
     // A redundancy-free chip succeeds only with zero defects: pmf[0].
     EXPECT_GT(composed.value, pmf[0] + 0.1);
   }
@@ -233,28 +260,26 @@ TEST(CompoundYield, ClusteringSignFlipsWithRedundancy) {
   // repairability curve f(m) is concave over the operating range, so by
   // Jensen the extra count variance *lowers* its expected yield — the
   // benefit of clustering is absorbed by the redundancy itself.
-  auto array = biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 12, 12);
-  McOptions options;
-  options.runs = 3000;
+  sim::Session session(
+      biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 12, 12));
+  const std::int32_t cells = session.design().cell_count();
   const double mean_defects = 8.0;
-  const auto poisson_pmf_v =
-      poisson_defect_pmf(array.cell_count(), mean_defects);
-  const auto nb_pmf =
-      negative_binomial_defect_pmf(array.cell_count(), mean_defects, 1.0);
+  const auto poisson_pmf_v = poisson_defect_pmf(cells, mean_defects);
+  const auto nb_pmf = negative_binomial_defect_pmf(cells, mean_defects, 1.0);
   // Redundancy-free view: yield = P(zero defects). Clustering helps.
   EXPECT_GT(nb_pmf[0], poisson_pmf_v[0]);
   // Redundant chip: clustering hurts at this operating point.
-  const auto poisson = compound_yield(array, poisson_pmf_v, options);
-  const auto clustered = compound_yield(array, nb_pmf, options);
+  const auto poisson = compound_yield(session, poisson_pmf_v, runs_query(3000));
+  const auto clustered = compound_yield(session, nb_pmf, runs_query(3000));
   EXPECT_LT(clustered.value, poisson.value);
 }
 
 TEST(CompoundYield, ValidatesInput) {
-  auto array = biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 6, 6);
-  McOptions options;
-  options.runs = 10;
-  EXPECT_THROW(compound_yield(array, DefectCountPmf{0.5, 0.5}, options),
-               ContractViolation);
+  sim::Session session(
+      biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 6, 6));
+  EXPECT_THROW(
+      compound_yield(session, DefectCountPmf{0.5, 0.5}, runs_query(10)),
+      ContractViolation);
   EXPECT_THROW(negative_binomial_defect_pmf(10, 1.0, 0.0), ContractViolation);
   EXPECT_THROW(poisson_defect_pmf(-1, 1.0), ContractViolation);
 }

@@ -72,19 +72,20 @@ TEST(Facade, EstimateYieldHealsFirst) {
   DefectTolerantBiochip chip(DtmbKind::kDtmb2_6, 8, 8);
   Rng rng(8);
   chip.inject_fixed(10, rng);
-  yield::McOptions options;
-  options.runs = 500;
-  const auto estimate = chip.estimate_yield(0.99, options);
+  const auto estimate = chip.estimate_yield(
+      {.fault = sim::FaultModel::bernoulli(0.99), .runs = 500});
   EXPECT_GT(estimate.value, 0.5);
   EXPECT_EQ(chip.array().faulty_count(), 0);
 }
 
 TEST(Facade, FixedFaultYieldDecreasesInM) {
   DefectTolerantBiochip chip(DtmbKind::kDtmb2_6, 10, 10);
-  yield::McOptions options;
-  options.runs = 1500;
-  const double y5 = chip.estimate_yield_fixed_faults(5, options).value;
-  const double y25 = chip.estimate_yield_fixed_faults(25, options).value;
+  sim::YieldQuery query;
+  query.runs = 1500;
+  query.fault = sim::FaultModel::fixed_count(5);
+  const double y5 = chip.estimate_yield(query).value;
+  query.fault = sim::FaultModel::fixed_count(25);
+  const double y25 = chip.estimate_yield(query).value;
   EXPECT_GT(y5, y25);
 }
 
@@ -108,38 +109,42 @@ TEST(Facade, InjectParametricAndMixture) {
             static_cast<std::int32_t>(mixture.size()));
 }
 
-TEST(Facade, EstimateYieldModelMatchesSpecialisedEntryPointsAndHeals) {
+TEST(Facade, EstimateYieldMatchesAFreshSessionAndHeals) {
   DefectTolerantBiochip chip(DtmbKind::kDtmb2_6, 8, 8);
   Rng rng(10);
-  yield::McOptions options;
-  options.runs = 400;
-  // The generic entry point serves the same session cache as the
-  // specialised ones — identical queries, identical estimates.
-  const auto via_bernoulli = chip.estimate_yield(0.95, options);
-  const auto via_model =
-      chip.estimate_yield_model(sim::FaultModel::bernoulli(0.95), options);
-  EXPECT_EQ(via_model.successes, via_bernoulli.successes);
-  // And it heals a faulty chip before snapshotting, like the others.
+  sim::YieldQuery query;
+  query.fault = sim::FaultModel::bernoulli(0.95);
+  query.runs = 400;
+  // The facade answers exactly what a session over the same array does.
+  const auto via_facade = chip.estimate_yield(query);
+  const auto via_session = sim::Session(chip.array()).run(query);
+  EXPECT_EQ(via_facade.successes, via_session.successes);
+  // It heals a faulty chip before snapshotting, for any fault model.
   chip.inject_fixed(10, rng);
-  const auto mixture_estimate = chip.estimate_yield_model(
-      sim::FaultModel::mixture({sim::FaultModel::bernoulli(0.97),
-                                sim::FaultModel::parametric(1.2)}),
-      options);
+  query.fault = sim::FaultModel::mixture(
+      {sim::FaultModel::bernoulli(0.97), sim::FaultModel::parametric(1.2)});
+  const auto mixture_estimate = chip.estimate_yield(query);
   EXPECT_EQ(chip.array().faulty_count(), 0);
   EXPECT_EQ(mixture_estimate.runs, 400);
   // The composite model can only hurt relative to its bernoulli component
   // alone (the extra mechanisms add faults, never remove them).
-  const auto component_only =
-      chip.estimate_yield_model(sim::FaultModel::bernoulli(0.97), options);
+  query.fault = sim::FaultModel::bernoulli(0.97);
+  const auto component_only = chip.estimate_yield(query);
   EXPECT_LE(mixture_estimate.value, component_only.value);
 }
 
 // -------------------------------------------------------------- advisor
 
+/// An advisor's base query: it ignores the fault model, so only the run
+/// budget is set.
+sim::YieldQuery runs_only(std::int32_t runs) {
+  sim::YieldQuery query;
+  query.runs = runs;
+  return query;
+}
+
 TEST(Advisor, AssessesFiveDesigns) {
-  yield::McOptions options;
-  options.runs = 800;
-  const DesignAdvisor advisor(100, options);
+  const DesignAdvisor advisor(100, runs_only(800));
   const Advice advice = advisor.assess(0.95);
   ASSERT_EQ(advice.assessments.size(), 5u);  // none + 4 DTMB levels
   EXPECT_EQ(advice.assessments.front().name, "no-redundancy");
@@ -155,9 +160,7 @@ TEST(Advisor, AssessesFiveDesigns) {
 }
 
 TEST(Advisor, AssessModelCoversParametricAndMixtureKinds) {
-  yield::McOptions options;
-  options.runs = 400;
-  const DesignAdvisor advisor(100, options);
+  const DesignAdvisor advisor(100, runs_only(400));
   const Advice advice =
       advisor.assess_model(sim::FaultModel::parametric(1.2));
   ASSERT_EQ(advice.assessments.size(), 5u);  // MC baseline + 4 DTMB levels
@@ -193,9 +196,7 @@ TEST(Advisor, AssessModelCoversParametricAndMixtureKinds) {
 }
 
 TEST(Advisor, RedundancyWinsAtLowSurvival) {
-  yield::McOptions options;
-  options.runs = 800;
-  const DesignAdvisor advisor(100, options);
+  const DesignAdvisor advisor(100, runs_only(800));
   const Advice advice = advisor.assess(0.90);
   // At p = 0.90 the bare 100-cell array yields ~2.7e-5; any redundancy wins.
   EXPECT_NE(advice.best_yield().name, "no-redundancy");
@@ -203,18 +204,14 @@ TEST(Advisor, RedundancyWinsAtLowSurvival) {
 }
 
 TEST(Advisor, HighRedundancyBestAtVeryLowSurvival) {
-  yield::McOptions options;
-  options.runs = 800;
-  const DesignAdvisor advisor(100, options);
+  const DesignAdvisor advisor(100, runs_only(800));
   const Advice advice = advisor.assess(0.85);
   ASSERT_TRUE(advice.best_yield().kind.has_value());
   EXPECT_EQ(*advice.best_yield().kind, DtmbKind::kDtmb4_4);
 }
 
 TEST(Advisor, CheapestMeetingTarget) {
-  yield::McOptions options;
-  options.runs = 800;
-  const DesignAdvisor advisor(100, options);
+  const DesignAdvisor advisor(100, runs_only(800));
   const Advice advice = advisor.assess(0.99);
   const DesignAssessment* pick = advice.cheapest_meeting(0.9);
   ASSERT_NE(pick, nullptr);
@@ -228,9 +225,7 @@ TEST(Advisor, CheapestMeetingTarget) {
 }
 
 TEST(Advisor, ImpossibleTargetGivesNull) {
-  yield::McOptions options;
-  options.runs = 300;
-  const DesignAdvisor advisor(200, options);
+  const DesignAdvisor advisor(200, runs_only(300));
   const Advice advice = advisor.assess(0.5);
   EXPECT_EQ(advice.cheapest_meeting(0.99), nullptr);
 }

@@ -15,9 +15,9 @@
 #include "reconfig/local_reconfig.hpp"
 #include "sim/assay_workload.hpp"
 #include "sim/fault_model.hpp"
+#include "sim/session.hpp"
 #include "testplan/stimulus_test.hpp"
 #include "yield/analytic.hpp"
-#include "yield/monte_carlo.hpp"
 
 namespace dmfb {
 namespace {
@@ -91,18 +91,19 @@ TEST(Pipeline, PaperFig13Headline35FaultsYieldAtLeast90Percent) {
   // reconfiguration crosses 0.90 around m = 31; adding the unused-primary
   // pool (the paper's category-1 reconfiguration, visible in Fig. 12's
   // legend) holds >= 0.90 well past m = 35.
-  assay::MultiplexedChip chip = assay::make_multiplexed_chip();
-  yield::McOptions options;
-  options.runs = 4000;
-  options.policy = reconfig::CoveragePolicy::kUsedFaultyPrimaries;
-  const auto spares_m30 = yield::mc_yield_fixed_faults(chip.array, 30, options);
+  sim::Session session(assay::make_multiplexed_chip().array);
+  sim::YieldQuery query;
+  query.runs = 4000;
+  query.policy = reconfig::CoveragePolicy::kUsedFaultyPrimaries;
+  query.fault = sim::FaultModel::fixed_count(30);
+  const auto spares_m30 = session.run(query);
   EXPECT_GE(spares_m30.value, 0.90);
-  const auto spares_m35 = yield::mc_yield_fixed_faults(chip.array, 35, options);
+  query.fault = sim::FaultModel::fixed_count(35);
+  const auto spares_m35 = session.run(query);
   EXPECT_GE(spares_m35.value, 0.85);
 
-  options.pool = reconfig::ReplacementPool::kSparesAndUnusedPrimaries;
-  const auto combined_m35 =
-      yield::mc_yield_fixed_faults(chip.array, 35, options);
+  query.pool = reconfig::ReplacementPool::kSparesAndUnusedPrimaries;
+  const auto combined_m35 = session.run(query);
   EXPECT_GE(combined_m35.value, 0.90)
       << "CI [" << combined_m35.ci95.lo << ", " << combined_m35.ci95.hi << "]";
   EXPECT_GE(combined_m35.value, spares_m35.value);
@@ -116,13 +117,13 @@ TEST(Pipeline, PaperSection7NoRedundancyYield) {
 }
 
 TEST(Pipeline, RedundantChipBeatsBareChipAtEveryP) {
-  assay::MultiplexedChip chip = assay::make_multiplexed_chip();
-  yield::McOptions options;
-  options.runs = 2000;
-  options.policy = reconfig::CoveragePolicy::kUsedFaultyPrimaries;
+  sim::Session session(assay::make_multiplexed_chip().array);
+  sim::YieldQuery query;
+  query.runs = 2000;
+  query.policy = reconfig::CoveragePolicy::kUsedFaultyPrimaries;
   for (const double p : {0.97, 0.98, 0.99}) {
-    const double redundant =
-        yield::mc_yield_bernoulli(chip.array, p, options).value;
+    query.fault = sim::FaultModel::bernoulli(p);
+    const double redundant = session.run(query).value;
     const double bare = yield::used_cells_yield(108, p);
     EXPECT_GT(redundant, bare) << "p = " << p;
   }
@@ -170,11 +171,9 @@ TEST(Pipeline, EffectiveYieldCrossoverExists) {
   // Fig. 10's qualitative shape: the best-effective-yield design at low p
   // carries strictly more redundancy than the best at high p (high
   // redundancy pays at low p, cheap designs win at high p).
-  core::DesignAdvisor advisor(100, [] {
-    yield::McOptions options;
-    options.runs = 1500;
-    return options;
-  }());
+  sim::YieldQuery base;
+  base.runs = 1500;
+  const core::DesignAdvisor advisor(100, base);
   const auto low = advisor.assess(0.85);
   const auto high = advisor.assess(0.995);
   EXPECT_GT(low.best_effective_yield().redundancy_ratio,

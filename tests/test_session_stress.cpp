@@ -194,9 +194,12 @@ TEST(SessionStress, RegistryInstallSnapshotUninstallUnderLoad) {
   const std::int64_t counted = a.counter(obs::Metric::kSessionQueries) +
                                b.counter(obs::Metric::kSessionQueries);
   EXPECT_LE(counted, issued.load());
+  // Not computed <= counted: a query is counted at cache lookup but marked
+  // computed at completion, so one that straddles an install is computed
+  // in a registry that never counted it. Every computed query was issued.
   const std::int64_t computed = a.counter(obs::Metric::kSessionComputed) +
                                 b.counter(obs::Metric::kSessionComputed);
-  EXPECT_LE(computed, counted);
+  EXPECT_LE(computed, issued.load());
 
   // After the churn, a cleanly-bracketed run still attributes exactly.
   obs::Registry exact;

@@ -1,8 +1,8 @@
 // Equivalence suite for the composable fault models (parametric + mixture).
 //
 // The load-bearing pin: sim::FaultModel::{kParametric, kMixture} must
-// reproduce the legacy HexArray engine (yield::mc_yield with
-// fault::ParametricInjector / fault::MixtureInjector callbacks)
+// reproduce the serial HexArray reference loop (tests/hexarray_reference.hpp
+// with fault::ParametricInjector / fault::MixtureInjector)
 // success-for-success, for every (policy x engine x pool) combination, at
 // threads 1 and 4 — the same contract the original suite pins for the
 // bernoulli / fixed-count / clustered kinds. Plus the mixture semantics:
@@ -29,10 +29,10 @@
 #include "fault/injector.hpp"
 #include "fault/mixture.hpp"
 #include "fault/parametric.hpp"
+#include "hexarray_reference.hpp"
 #include "sim/fault_model.hpp"
 #include "sim/lockstep_bernoulli.hpp"
 #include "sim/session.hpp"
-#include "yield/monte_carlo.hpp"
 
 namespace dmfb::sim {
 namespace {
@@ -75,25 +75,17 @@ fault::MixtureInjector legacy_test_mixture() {
        fault::ClusteredInjector(1.0, 1, 0.9, 0.3)});
 }
 
-yield::YieldEstimate legacy_reference(biochip::HexArray& array,
-                                      const FaultModel& model,
-                                      const yield::McOptions& options) {
-  switch (model.kind) {
-    case FaultModel::Kind::kParametric: {
-      const fault::ParametricInjector injector(
-          fault::ProcessSpec::typical().scaled(model.param));
-      return yield::mc_yield(
+/// The serial HexArray reference with the real injector for `query.fault`.
+YieldEstimate reference(biochip::HexArray& array, const YieldQuery& query) {
+  switch (query.fault.kind) {
+    case FaultModel::Kind::kParametric:
+      return hexarray_reference(
           array,
-          [&](biochip::HexArray& a, Rng& rng) { injector.inject(a, rng); },
-          options);
-    }
-    case FaultModel::Kind::kMixture: {
-      const fault::MixtureInjector injector = legacy_test_mixture();
-      return yield::mc_yield(
-          array,
-          [&](biochip::HexArray& a, Rng& rng) { injector.inject(a, rng); },
-          options);
-    }
+          fault::ParametricInjector(
+              fault::ProcessSpec::typical().scaled(query.fault.param)),
+          query);
+    case FaultModel::Kind::kMixture:
+      return hexarray_reference(array, legacy_test_mixture(), query);
     default:
       throw ContractViolation("not a composable-model kind");
   }
@@ -121,17 +113,18 @@ TEST(SimFaultModelEquivalence, ParametricAndMixtureMatchLegacyEverywhere) {
              {ReplacementPool::kSparesOnly,
               ReplacementPool::kSparesAndUnusedPrimaries}) {
           for (const std::int32_t threads : {1, 4}) {
-            yield::McOptions options;
-            options.runs = 300;
-            options.seed = 0xFACADE;
-            options.threads = threads;
-            options.policy = policy;
-            options.engine = engine;
-            options.pool = pool;
-            const auto legacy = legacy_reference(array, model, options);
+            YieldQuery query;
+            query.fault = model;
+            query.runs = 300;
+            query.seed = 0xFACADE;
+            query.threads = threads;
+            query.policy = policy;
+            query.engine = engine;
+            query.pool = pool;
+            const auto legacy = reference(array, query);
             Session& session =
                 threads == 1 ? serial_session : parallel_session;
-            const auto ported = session.run(yield::to_query(options, model));
+            const auto ported = session.run(query);
             EXPECT_EQ(ported.successes, legacy.successes)
                 << "model=" << static_cast<int>(model.kind)
                 << " policy=" << static_cast<int>(policy)

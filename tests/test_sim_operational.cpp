@@ -26,7 +26,6 @@
 #include "campaign/sink.hpp"
 #include "campaign/spec.hpp"
 #include "common/contracts.hpp"
-#include "core/defect_tolerant_biochip.hpp"
 #include "sim/assay_workload.hpp"
 #include "sim/session.hpp"
 
@@ -281,25 +280,6 @@ TEST(SimOperational, RunOperationalRequiresTheAssayWorkloadKind) {
   YieldQuery query = operational_query(FaultModel::fixed_count(5), 32, 1);
   query.workload = Workload::kStructural;
   EXPECT_THROW(session.run_operational(query), ContractViolation);
-}
-
-// ----------------------------------------------------------- core facade
-
-TEST(SimOperational, CoreFacadeEntryPointAgreesWithTheSession) {
-  yield::McOptions options;
-  options.runs = 96;
-  options.policy = reconfig::CoveragePolicy::kUsedFaultyPrimaries;
-  const OperationalEstimate via_facade = core::estimate_operational_yield(
-      multiplexed_workload(), FaultModel::fixed_count(15), options);
-
-  Session session(multiplexed_workload());
-  const OperationalEstimate via_session = session.run_operational(
-      operational_query(FaultModel::fixed_count(15), 96, 1));
-  EXPECT_EQ(via_facade.operational.successes,
-            via_session.operational.successes);
-  EXPECT_EQ(via_facade.structural.successes,
-            via_session.structural.successes);
-  EXPECT_DOUBLE_EQ(via_facade.mean_slowdown, via_session.mean_slowdown);
 }
 
 // ---------------------------------------------------- per-run output pin

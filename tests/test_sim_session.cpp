@@ -2,11 +2,11 @@
 // FaultState repairability, and the Session query API.
 //
 // The load-bearing suite is the bit-identity pin: sim::Session must
-// reproduce the legacy generic HexArray engine (yield::mc_yield with a
-// fault::*Injector callback) success-for-success, for every
-// (policy x engine x pool) combination, at threads 1 and 4. That is what
-// lets mc_yield_bernoulli / mc_yield_fixed_faults / compound_yield /
-// CampaignRunner ride on the session without moving a single golden number.
+// reproduce the serial HexArray reference loop (tests/hexarray_reference.hpp:
+// a fault::*Injector on a HexArray, LocalReconfigurer::feasible per run)
+// success-for-success, for every (policy x engine x pool) combination, at
+// threads 1 and 4. That is what lets compound_yield, CampaignRunner and the
+// core facade ride on the session without moving a single golden number.
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -18,9 +18,8 @@
 #include "common/contracts.hpp"
 #include "fault/injector.hpp"
 #include "fault/mixture.hpp"
+#include "hexarray_reference.hpp"
 #include "sim/session.hpp"
-#include "yield/compound.hpp"
-#include "yield/monte_carlo.hpp"
 
 namespace dmfb::sim {
 namespace {
@@ -43,35 +42,25 @@ biochip::HexArray make_test_array() {
   return array;
 }
 
-/// Legacy reference: the generic HexArray engine with the real injectors.
-yield::YieldEstimate legacy_reference(biochip::HexArray& array,
-                                      const FaultModel& model,
-                                      const yield::McOptions& options) {
+/// The serial HexArray reference with the real injector for `query.fault`.
+YieldEstimate reference(biochip::HexArray& array, const YieldQuery& query) {
+  const FaultModel& model = query.fault;
   switch (model.kind) {
-    case FaultModel::Kind::kBernoulli: {
-      const fault::BernoulliInjector injector(model.param);
-      return yield::mc_yield(
+    case FaultModel::Kind::kBernoulli:
+      return hexarray_reference(
+          array, fault::BernoulliInjector(model.param), query);
+    case FaultModel::Kind::kFixedCount:
+      return hexarray_reference(
           array,
-          [&](biochip::HexArray& a, Rng& rng) { injector.inject(a, rng); },
-          options);
-    }
-    case FaultModel::Kind::kFixedCount: {
-      const fault::FixedCountInjector injector(
-          static_cast<std::int32_t>(model.param));
-      return yield::mc_yield(
+          fault::FixedCountInjector(static_cast<std::int32_t>(model.param)),
+          query);
+    case FaultModel::Kind::kClustered:
+      return hexarray_reference(
           array,
-          [&](biochip::HexArray& a, Rng& rng) { injector.inject(a, rng); },
-          options);
-    }
-    case FaultModel::Kind::kClustered: {
-      const fault::ClusteredInjector injector(
-          model.param, model.cluster.radius, model.cluster.core_kill,
-          model.cluster.edge_kill);
-      return yield::mc_yield(
-          array,
-          [&](biochip::HexArray& a, Rng& rng) { injector.inject(a, rng); },
-          options);
-    }
+          fault::ClusteredInjector(model.param, model.cluster.radius,
+                                   model.cluster.core_kill,
+                                   model.cluster.edge_kill),
+          query);
     case FaultModel::Kind::kParametric:
     case FaultModel::Kind::kMixture:
       // Covered by the dedicated equivalence suite
@@ -104,18 +93,18 @@ TEST(SimEquivalence, BitIdenticalToLegacyForEveryEngineCombination) {
              {ReplacementPool::kSparesOnly,
               ReplacementPool::kSparesAndUnusedPrimaries}) {
           for (const std::int32_t threads : {1, 4}) {
-            yield::McOptions options;
-            options.runs = 300;
-            options.seed = 0xFACADE;
-            options.threads = threads;
-            options.policy = policy;
-            options.engine = engine;
-            options.pool = pool;
-            const auto legacy = legacy_reference(array, model, options);
+            YieldQuery query;
+            query.fault = model;
+            query.runs = 300;
+            query.seed = 0xFACADE;
+            query.threads = threads;
+            query.policy = policy;
+            query.engine = engine;
+            query.pool = pool;
+            const auto legacy = reference(array, query);
             Session& session =
                 threads == 1 ? serial_session : parallel_session;
-            const auto ported =
-                session.run(yield::to_query(options, model));
+            const auto ported = session.run(query);
             EXPECT_EQ(ported.successes, legacy.successes)
                 << "model=" << static_cast<int>(model.kind)
                 << " policy=" << static_cast<int>(policy)
@@ -132,40 +121,24 @@ TEST(SimEquivalence, BitIdenticalToLegacyForEveryEngineCombination) {
   }
 }
 
-TEST(SimEquivalence, ShimsMatchSessionOnMultiplexedChip) {
+TEST(SimEquivalence, MatchesReferenceOnMultiplexedChip) {
   // The Section-7 multiplexed chip exercises realistic usage marking.
   auto chip = assay::make_multiplexed_chip();
-  yield::McOptions options;
-  options.runs = 400;
-  options.policy = CoveragePolicy::kUsedFaultyPrimaries;
-  auto legacy_array = chip.array;
-  const auto shim = yield::mc_yield_bernoulli(legacy_array, 0.95, options);
-
+  YieldQuery query;
+  query.fault = FaultModel::bernoulli(0.95);
+  query.runs = 400;
+  query.policy = CoveragePolicy::kUsedFaultyPrimaries;
   Session session(chip.array);
-  const auto direct = session.run(
-      yield::to_query(options, FaultModel::bernoulli(0.95)));
-  EXPECT_EQ(shim.successes, direct.successes);
-}
-
-TEST(SimEquivalence, CompoundYieldMatchesSessionComposition) {
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 8, 8);
-  yield::McOptions options;
-  options.runs = 200;
-  const auto pmf = yield::poisson_defect_pmf(array.cell_count(), 2.0);
-  const auto via_array = yield::compound_yield(array, pmf, options, 1e-4);
-
-  Session session(array);
-  const auto via_session = yield::compound_yield(
-      session, pmf, yield::to_query(options, FaultModel::fixed_count(0)),
-      1e-4);
-  EXPECT_DOUBLE_EQ(via_array.value, via_session.value);
-  EXPECT_DOUBLE_EQ(via_array.truncated_mass, via_session.truncated_mass);
+  const auto direct = session.run(query);
+  EXPECT_EQ(reference(chip.array, query).successes, direct.successes);
 }
 
 // ------------------------------------------------------------- determinism
 
 TEST(SimSession, ThreadCountNeverChangesTheEstimate) {
-  Session session(biochip::make_dtmb_array(DtmbKind::kDtmb3_6, 8, 8));
+  const auto design =
+      ChipDesign::make(biochip::make_dtmb_array(DtmbKind::kDtmb3_6, 8, 8));
+  Session session(design);
   YieldQuery query;
   query.fault = FaultModel::bernoulli(0.93);
   query.runs = 1500;
@@ -180,6 +153,28 @@ TEST(SimSession, ThreadCountNeverChangesTheEstimate) {
   // All five calls hit the same cache entry: threads is not identity.
   EXPECT_EQ(session.stats().queries, 5u);
   EXPECT_EQ(session.stats().computed, 1u);
+
+  // A fresh session per thread count really runs the parallel path, at
+  // partitions that do not divide the run count evenly.
+  for (const std::int32_t threads : {0, 2, 3, 4, 7}) {
+    Session fresh(design);
+    query.threads = threads;
+    const auto parallel = fresh.run(query);
+    EXPECT_EQ(fresh.stats().computed, 1u);
+    EXPECT_EQ(parallel.successes, serial.successes) << "threads=" << threads;
+    EXPECT_DOUBLE_EQ(parallel.value, serial.value) << "threads=" << threads;
+    EXPECT_DOUBLE_EQ(parallel.ci95.lo, serial.ci95.lo);
+    EXPECT_DOUBLE_EQ(parallel.ci95.hi, serial.ci95.hi);
+  }
+
+  // More threads than runs.
+  YieldQuery tiny;
+  tiny.fault = FaultModel::bernoulli(1.0);
+  tiny.runs = 10;
+  tiny.threads = 16;
+  const auto estimate = Session(design).run(tiny);
+  EXPECT_EQ(estimate.successes, 10);
+  EXPECT_EQ(estimate.runs, 10);
 }
 
 TEST(SimSession, AdaptiveStoppingIsThreadInvariant) {
@@ -259,7 +254,7 @@ TEST(SimSession, ConcurrentDuplicateQueriesComputeOnce) {
   query.fault = FaultModel::bernoulli(0.93);
   query.runs = 2000;
   std::vector<std::thread> callers;
-  std::vector<yield::YieldEstimate> results(4);
+  std::vector<YieldEstimate> results(4);
   for (std::size_t i = 0; i < results.size(); ++i) {
     callers.emplace_back(
         [&, i] { results[i] = session.run(query); });

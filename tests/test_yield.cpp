@@ -1,6 +1,6 @@
-// Tests for the yield engines: closed forms (paper Section 6 formulas, the
-// 0.99^108 = 0.3378 headline), Monte-Carlo machinery, and agreement between
-// the two on the cluster-exact DTMB(1,6) arrays.
+// Tests for the yield models: closed forms (paper Section 6 formulas, the
+// 0.99^108 = 0.3378 headline), Monte-Carlo estimates from sim::Session, and
+// agreement between the two on the cluster-exact DTMB(1,6) arrays.
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -8,13 +8,16 @@
 #include "biochip/dtmb.hpp"
 #include "biochip/redundancy.hpp"
 #include "common/contracts.hpp"
+#include "fault/injector.hpp"
+#include "hexarray_reference.hpp"
+#include "sim/session.hpp"
 #include "yield/analytic.hpp"
-#include "yield/monte_carlo.hpp"
 
 namespace dmfb::yield {
 namespace {
 
 using biochip::DtmbKind;
+using sim::YieldEstimate;
 
 // ---------------------------------------------------------------- analytic
 
@@ -98,46 +101,59 @@ TEST(Analytic, InputValidation) {
 }
 
 // ------------------------------------------------------------- Monte-Carlo
+//
+// Statistical checks of the Monte-Carlo engine (sim::Session) against the
+// closed forms and the paper's qualitative claims.
+
+sim::YieldQuery bernoulli_query(double p, std::int32_t runs) {
+  sim::YieldQuery query;
+  query.fault = sim::FaultModel::bernoulli(p);
+  query.runs = runs;
+  return query;
+}
+
+sim::YieldQuery fixed_count_query(std::int32_t m, std::int32_t runs) {
+  sim::YieldQuery query;
+  query.fault = sim::FaultModel::fixed_count(m);
+  query.runs = runs;
+  return query;
+}
 
 TEST(MonteCarlo, PerfectSurvivalYieldsOne) {
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 8, 8);
-  McOptions options;
-  options.runs = 200;
-  const YieldEstimate estimate = mc_yield_bernoulli(array, 1.0, options);
+  sim::Session session(biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 8, 8));
+  const YieldEstimate estimate = session.run(bernoulli_query(1.0, 200));
   EXPECT_DOUBLE_EQ(estimate.value, 1.0);
   EXPECT_EQ(estimate.successes, estimate.runs);
 }
 
 TEST(MonteCarlo, ZeroSurvivalYieldsZero) {
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 8, 8);
-  McOptions options;
-  options.runs = 50;
-  const YieldEstimate estimate = mc_yield_bernoulli(array, 0.0, options);
+  sim::Session session(biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 8, 8));
+  const YieldEstimate estimate = session.run(bernoulli_query(0.0, 50));
   EXPECT_DOUBLE_EQ(estimate.value, 0.0);
 }
 
 TEST(MonteCarlo, DeterministicForSameSeed) {
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 8, 8);
-  McOptions options;
-  options.runs = 500;
-  options.seed = 777;
-  const double first = mc_yield_bernoulli(array, 0.95, options).value;
-  const double second = mc_yield_bernoulli(array, 0.95, options).value;
+  // Two independent sessions: the second answer is simulated, not cached.
+  const auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 8, 8);
+  sim::YieldQuery query = bernoulli_query(0.95, 500);
+  query.seed = 777;
+  const double first = sim::Session(array).run(query).value;
+  const double second = sim::Session(array).run(query).value;
   EXPECT_DOUBLE_EQ(first, second);
 }
 
 TEST(MonteCarlo, ThreadsProduceBitIdenticalResults) {
-  // The acceptance bar for the parallel engine: any thread count (including
-  // 0 = auto) reproduces the serial successes count exactly.
+  // The acceptance bar for the parallel engine: a fresh session at any
+  // thread count (including 0 = auto, and partitions that do not divide
+  // the run count) reproduces the serial HexArray loop exactly.
   auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 10, 10);
-  McOptions options;
-  options.runs = 2000;
-  options.seed = 20260730;
-  options.threads = 1;
-  const YieldEstimate serial = mc_yield_bernoulli(array, 0.93, options);
-  for (const std::int32_t threads : {0, 2, 3, 4, 7}) {
-    options.threads = threads;
-    const YieldEstimate parallel = mc_yield_bernoulli(array, 0.93, options);
+  sim::YieldQuery query = bernoulli_query(0.93, 2000);
+  query.seed = 20260730;
+  const YieldEstimate serial =
+      sim::hexarray_reference(array, fault::BernoulliInjector(0.93), query);
+  for (const std::int32_t threads : {0, 1, 2, 3, 4, 7}) {
+    query.threads = threads;
+    const YieldEstimate parallel = sim::Session(array).run(query);
     EXPECT_EQ(parallel.successes, serial.successes) << "threads = " << threads;
     EXPECT_DOUBLE_EQ(parallel.value, serial.value) << "threads = " << threads;
     EXPECT_DOUBLE_EQ(parallel.ci95.lo, serial.ci95.lo);
@@ -146,74 +162,42 @@ TEST(MonteCarlo, ThreadsProduceBitIdenticalResults) {
 }
 
 TEST(MonteCarlo, ThreadsIdenticalForFixedFaultModel) {
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb3_6, 8, 8);
-  McOptions options;
-  options.runs = 1500;
-  options.threads = 1;
-  const YieldEstimate serial = mc_yield_fixed_faults(array, 5, options);
-  options.threads = 4;
-  const YieldEstimate parallel = mc_yield_fixed_faults(array, 5, options);
+  const auto array = biochip::make_dtmb_array(DtmbKind::kDtmb3_6, 8, 8);
+  sim::YieldQuery query = fixed_count_query(5, 1500);
+  query.threads = 1;
+  const YieldEstimate serial = sim::Session(array).run(query);
+  query.threads = 4;
+  const YieldEstimate parallel = sim::Session(array).run(query);
   EXPECT_EQ(parallel.successes, serial.successes);
 }
 
 TEST(MonteCarlo, ThreadsExceedingRunsStillCorrect) {
+  // Fewer runs than one batch per thread: every run is still simulated
+  // once, with the same outcome as the serial HexArray loop.
   auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 6, 6);
-  McOptions options;
-  options.runs = 10;  // fewer runs than one batch: collapses to serial
-  options.threads = 16;
-  const YieldEstimate estimate = mc_yield_bernoulli(array, 1.0, options);
-  EXPECT_EQ(estimate.successes, 10);
+  sim::YieldQuery query = bernoulli_query(0.9, 10);
+  query.threads = 16;
+  const YieldEstimate estimate = sim::Session(array).run(query);
+  const YieldEstimate serial =
+      sim::hexarray_reference(array, fault::BernoulliInjector(0.9), query);
   EXPECT_EQ(estimate.runs, 10);
+  EXPECT_EQ(estimate.successes, serial.successes);
 }
 
 TEST(MonteCarlo, RunStreamDependsOnlyOnSeedAndRunIndex) {
-  Rng a = mc_run_stream(42, 7);
-  Rng b = mc_run_stream(42, 7);
+  Rng a = sim::run_stream(42, 7);
+  Rng b = sim::run_stream(42, 7);
   EXPECT_EQ(a(), b());
-  Rng c = mc_run_stream(42, 8);
-  Rng d = mc_run_stream(43, 7);
-  const auto first = mc_run_stream(42, 7)();
+  Rng c = sim::run_stream(42, 8);
+  Rng d = sim::run_stream(43, 7);
+  const auto first = sim::run_stream(42, 7)();
   EXPECT_NE(c(), first);
   EXPECT_NE(d(), first);
 }
 
-TEST(MonteCarlo, ThreadedOracleErrorPropagates) {
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 6, 6);
-  McOptions options;
-  options.runs = 1000;
-  options.threads = 4;
-  EXPECT_THROW(mc_yield_with_oracle(
-                   array,
-                   [](biochip::HexArray& a, Rng& rng) {
-                     fault::BernoulliInjector(0.9).inject(a, rng);
-                   },
-                   [](const biochip::HexArray&) -> bool {
-                     throw ContractViolation("oracle failure");
-                   },
-                   options),
-               ContractViolation);
-}
-
-TEST(MonteCarlo, RejectsNegativeThreads) {
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 6, 6);
-  McOptions options;
-  options.threads = -1;
-  EXPECT_THROW(mc_yield_bernoulli(array, 0.9, options), ContractViolation);
-}
-
-TEST(MonteCarlo, LeavesArrayHealthy) {
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 8, 8);
-  McOptions options;
-  options.runs = 100;
-  mc_yield_bernoulli(array, 0.9, options);
-  EXPECT_EQ(array.faulty_count(), 0);
-}
-
 TEST(MonteCarlo, WilsonIntervalContainsEstimate) {
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 8, 8);
-  McOptions options;
-  options.runs = 2000;
-  const YieldEstimate estimate = mc_yield_bernoulli(array, 0.97, options);
+  sim::Session session(biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 8, 8));
+  const YieldEstimate estimate = session.run(bernoulli_query(0.97, 2000));
   EXPECT_TRUE(estimate.ci95.contains(estimate.value));
   EXPECT_GT(estimate.ci95.width(), 0.0);
 }
@@ -221,44 +205,35 @@ TEST(MonteCarlo, WilsonIntervalContainsEstimate) {
 TEST(MonteCarlo, MatchesAnalyticOnClusterArray) {
   // On cluster-complete DTMB(1,6) arrays the closed form is exact; MC must
   // agree within its confidence interval (plus numeric slack).
-  auto array = biochip::make_dtmb16_cluster_array(20);  // n = 120 primaries
-  McOptions options;
-  options.runs = 20000;
+  sim::Session session(biochip::make_dtmb16_cluster_array(20));  // n = 120
   for (const double p : {0.95, 0.98, 0.99}) {
-    const double analytic = dtmb16_yield(array.primary_count(), p);
-    const YieldEstimate mc = mc_yield_bernoulli(array, p, options);
+    const double analytic =
+        dtmb16_yield(session.design().array().primary_count(), p);
+    const YieldEstimate mc = session.run(bernoulli_query(p, 20000));
     EXPECT_NEAR(mc.value, analytic, 3.0 * mc.ci95.width() / 2.0 + 0.005)
         << "p = " << p;
   }
 }
 
 TEST(MonteCarlo, MatchesAnalyticForNoRedundancyOracle) {
-  // With an oracle requiring zero faults, MC must reproduce p^N exactly
-  // (within sampling error) — a direct check of the Bernoulli injector.
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb4_4, 10, 10);
-  McOptions options;
-  options.runs = 20000;
+  // On a plain all-primary array a run is repairable iff it drew no fault,
+  // so MC must reproduce p^N (within sampling error) — a direct check of
+  // the Bernoulli injector.
+  sim::Session session(biochip::make_plain_primary_array(100));
   const double p = 0.995;
-  const YieldEstimate estimate = mc_yield_with_oracle(
-      array,
-      [p](biochip::HexArray& a, Rng& rng) {
-        fault::BernoulliInjector(p).inject(a, rng);
-      },
-      [](const biochip::HexArray& a) { return a.faulty_count() == 0; },
-      options);
-  EXPECT_NEAR(estimate.value, std::pow(p, array.cell_count()), 0.01);
+  const YieldEstimate estimate = session.run(bernoulli_query(p, 20000));
+  EXPECT_NEAR(estimate.value,
+              std::pow(p, session.design().array().cell_count()), 0.01);
 }
 
 TEST(MonteCarlo, HigherRedundancyHigherYield) {
-  McOptions options;
-  options.runs = 4000;
   const double p = 0.93;
   double previous = -1.0;
   for (const DtmbKind kind :
        {DtmbKind::kDtmb1_6, DtmbKind::kDtmb2_6, DtmbKind::kDtmb3_6,
         DtmbKind::kDtmb4_4}) {
-    auto array = biochip::make_dtmb_array_with_primaries(kind, 100);
-    const double yield = mc_yield_bernoulli(array, p, options).value;
+    sim::Session session(biochip::make_dtmb_array_with_primaries(kind, 100));
+    const double yield = session.run(bernoulli_query(p, 4000)).value;
     EXPECT_GT(yield, previous - 0.03)
         << biochip::dtmb_info(kind).name << " should not lose to the "
         << "previous (lower-redundancy) design";
@@ -267,31 +242,25 @@ TEST(MonteCarlo, HigherRedundancyHigherYield) {
 }
 
 TEST(MonteCarlo, YieldMonotoneInPStatistically) {
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 10, 10);
-  McOptions options;
-  options.runs = 4000;
+  sim::Session session(biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 10, 10));
   double previous = -1.0;
   for (const double p : {0.85, 0.90, 0.95, 0.99}) {
-    const double yield = mc_yield_bernoulli(array, p, options).value;
+    const double yield = session.run(bernoulli_query(p, 4000)).value;
     EXPECT_GT(yield, previous - 0.02);
     previous = yield;
   }
 }
 
 TEST(MonteCarlo, FixedFaultsZeroIsCertain) {
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 8, 8);
-  McOptions options;
-  options.runs = 100;
-  EXPECT_DOUBLE_EQ(mc_yield_fixed_faults(array, 0, options).value, 1.0);
+  sim::Session session(biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 8, 8));
+  EXPECT_DOUBLE_EQ(session.run(fixed_count_query(0, 100)).value, 1.0);
 }
 
 TEST(MonteCarlo, FixedFaultsMonotoneDecreasing) {
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 10, 10);
-  McOptions options;
-  options.runs = 3000;
+  sim::Session session(biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 10, 10));
   double previous = 2.0;
   for (const std::int32_t m : {1, 5, 10, 20}) {
-    const double yield = mc_yield_fixed_faults(array, m, options).value;
+    const double yield = session.run(fixed_count_query(m, 3000)).value;
     EXPECT_LT(yield, previous + 0.02);
     previous = yield;
   }
@@ -302,25 +271,21 @@ TEST(MonteCarlo, SingleFixedFaultAnalytic) {
   // healthy, so the chip is repairable iff every primary has at least one
   // spare neighbour. On an 11x11 DTMB(2,6) array (odd side, so the pattern
   // covers every boundary primary) the single-fault yield is exactly 1.
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 11, 11);
+  const auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 11, 11);
   bool all_covered = true;
   for (const auto primary : array.primaries()) {
     if (array.spare_neighbors_of(primary).empty()) all_covered = false;
   }
   ASSERT_TRUE(all_covered);
-  McOptions options;
-  options.runs = 2000;
-  EXPECT_DOUBLE_EQ(mc_yield_fixed_faults(array, 1, options).value, 1.0);
+  sim::Session session(array);
+  EXPECT_DOUBLE_EQ(session.run(fixed_count_query(1, 2000)).value, 1.0);
 }
 
 TEST(MonteCarlo, OptionsValidation) {
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 6, 6);
-  McOptions options;
-  options.runs = 0;
-  EXPECT_THROW(mc_yield_bernoulli(array, 0.9, options), ContractViolation);
-  options.runs = 10;
-  EXPECT_THROW(mc_yield_bernoulli(array, 1.5, options), ContractViolation);
-  EXPECT_THROW(mc_yield_fixed_faults(array, -1, options), ContractViolation);
+  sim::Session session(biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 6, 6));
+  EXPECT_THROW(session.run(bernoulli_query(0.9, 0)), ContractViolation);
+  EXPECT_THROW(session.run(bernoulli_query(1.5, 10)), ContractViolation);
+  EXPECT_THROW(session.run(fixed_count_query(-1, 10)), ContractViolation);
 }
 
 TEST(MonteCarlo, UsedPolicyYieldAtLeastAllPolicy) {
@@ -332,13 +297,13 @@ TEST(MonteCarlo, UsedPolicyYieldAtLeastAllPolicy) {
     array.set_usage(primary, biochip::CellUsage::kAssayUsed);
     ++marked;
   }
-  McOptions all;
-  all.runs = 3000;
-  McOptions used = all;
-  used.policy = reconfig::CoveragePolicy::kUsedFaultyPrimaries;
+  sim::Session session(array);
   const double p = 0.93;
-  const double yield_all = mc_yield_bernoulli(array, p, all).value;
-  const double yield_used = mc_yield_bernoulli(array, p, used).value;
+  sim::YieldQuery all = bernoulli_query(p, 3000);
+  sim::YieldQuery used = all;
+  used.policy = reconfig::CoveragePolicy::kUsedFaultyPrimaries;
+  const double yield_all = session.run(all).value;
+  const double yield_used = session.run(used).value;
   EXPECT_GE(yield_used, yield_all - 0.01);
 }
 

@@ -4,9 +4,9 @@
 
 #include "biochip/dtmb.hpp"
 #include "common/contracts.hpp"
+#include "sim/session.hpp"
 #include "yield/analytic.hpp"
 #include "yield/bounds.hpp"
-#include "yield/monte_carlo.hpp"
 
 namespace dmfb::yield {
 namespace {
@@ -49,15 +49,17 @@ TEST(YieldBounds, ExactOnDtmb16Clusters) {
 }
 
 TEST(YieldBounds, BracketMonteCarlo) {
-  McOptions options;
-  options.runs = 10000;
+  sim::YieldQuery query;
+  query.runs = 10000;
   for (const DtmbKind kind :
        {DtmbKind::kDtmb1_6, DtmbKind::kDtmb2_6, DtmbKind::kDtmb3_6,
         DtmbKind::kDtmb4_4}) {
-    auto array = biochip::make_dtmb_array(kind, 12, 12);
+    const auto array = biochip::make_dtmb_array(kind, 12, 12);
+    sim::Session session(array);
     for (const double p : {0.92, 0.96, 0.99}) {
       const auto bounds = analytic_yield_bounds(array, p);
-      const auto mc = mc_yield_bernoulli(array, p, options);
+      query.fault = sim::FaultModel::bernoulli(p);
+      const auto mc = session.run(query);
       EXPECT_GE(mc.value, bounds.lower - 3.0 * mc.ci95.width())
           << biochip::dtmb_info(kind).name << " p=" << p;
       EXPECT_LE(mc.value, bounds.upper + 3.0 * mc.ci95.width())

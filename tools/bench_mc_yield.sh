@@ -7,9 +7,9 @@
 #
 # The artifact is Google Benchmark's JSON output for bench_sim_session:
 # the legacy-vs-session one-run kernels (BM_McYieldRun_*) and the
-# fig9-sized sweep pair (BM_Fig9Sweep_*). CI checks the kernel against the
-# checked-in baseline with tools/check_bench_regression.py; refresh the
-# baseline by copying a fresh artifact over
+# fig9-sized campaign sweep (BM_Fig9Sweep_Session). CI checks the kernel
+# against the checked-in baseline with tools/check_bench_regression.py;
+# refresh the baseline by copying a fresh artifact over
 # bench/baselines/BENCH_mc_yield.json.
 set -eu
 
