@@ -1,13 +1,9 @@
 #include "campaign/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
 #include <map>
-#include <mutex>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 #include "assay/multiplexed_chip.hpp"
@@ -257,23 +253,19 @@ std::vector<PointResult> CampaignRunner::run() {
 
   std::vector<sim::YieldEstimate> estimates(points.size());
   std::vector<sim::OperationalEstimate> operationals(points.size());
-  std::atomic<std::size_t> next_slot{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  auto worker = [&] {
-    // Busy time is summed over this worker's points; idle is its wall time
-    // minus busy — both recorded once per worker, only when enabled, so
-    // the disabled default never reads the clock in this loop.
-    const bool measuring = obs::enabled();
-    const std::int64_t worker_start = measuring ? obs::monotonic_ns() : 0;
-    std::int64_t busy_ns = 0;
-    try {
-      for (;;) {
-        const std::size_t slot =
-            next_slot.fetch_add(1, std::memory_order_relaxed);
-        if (slot >= order.size()) break;
-        const std::size_t i = order[slot];
+  // Per-worker busy time (summed over its points) and span from its first
+  // point's start to its last point's end; idle is span minus busy. Read
+  // only when enabled, so the disabled default never reads the clock here.
+  const bool measuring = obs::enabled();
+  std::vector<std::int64_t> busy_ns(static_cast<std::size_t>(workers), 0);
+  std::vector<std::int64_t> first_ns(static_cast<std::size_t>(workers), -1);
+  std::vector<std::int64_t> last_ns(static_cast<std::size_t>(workers), 0);
+  common::deal_items(
+      workers, static_cast<std::int64_t>(order.size()),
+      [&](std::int32_t worker, std::int64_t slot) {
+        const auto w = static_cast<std::size_t>(worker);
+        if (measuring && first_ns[w] < 0) first_ns[w] = obs::monotonic_ns();
+        const std::size_t i = order[static_cast<std::size_t>(slot)];
         const CampaignPoint& point = points[i];
         sim::Session& session =
             *sessions.at({point.design, point.min_primaries});
@@ -294,33 +286,21 @@ std::vector<PointResult> CampaignRunner::run() {
           estimates[i] = session.run(query);
         }
         if (measuring) {
-          const std::int64_t elapsed = obs::monotonic_ns() - point_start;
-          busy_ns += elapsed;
-          obs::record_duration(obs::Metric::kCampaignPointNs, elapsed);
+          last_ns[w] = obs::monotonic_ns();
+          busy_ns[w] += last_ns[w] - point_start;
+          obs::record_duration(obs::Metric::kCampaignPointNs,
+                               last_ns[w] - point_start);
         }
-      }
-    } catch (...) {
-      const std::scoped_lock lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-      next_slot.store(order.size(), std::memory_order_relaxed);
-    }
-    if (measuring) {
-      const std::int64_t wall = obs::monotonic_ns() - worker_start;
-      obs::record_duration(obs::Metric::kCampaignWorkerBusyNs, busy_ns);
+      });
+  if (measuring) {
+    for (std::size_t w = 0; w < busy_ns.size(); ++w) {
+      const std::int64_t span_ns =
+          first_ns[w] < 0 ? 0 : last_ns[w] - first_ns[w];
+      obs::record_duration(obs::Metric::kCampaignWorkerBusyNs, busy_ns[w]);
       obs::record_duration(obs::Metric::kCampaignWorkerIdleNs,
-                           std::max<std::int64_t>(0, wall - busy_ns));
+                           std::max<std::int64_t>(0, span_ns - busy_ns[w]));
     }
-  };
-
-  if (workers == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (std::int32_t t = 0; t < workers; ++t) pool.emplace_back(worker);
-    for (auto& thread : pool) thread.join();
   }
-  if (first_error) std::rethrow_exception(first_error);
 
   stats_.unique_points = 0;
   stats_.store_hits = 0;

@@ -1,6 +1,7 @@
 #include "sim/assay_workload.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 #include <unordered_set>
 
@@ -196,6 +197,31 @@ std::shared_ptr<const AssayWorkload> AssayWorkload::make(
   DMFB_EXPECTS(baseline.has_value());
   DMFB_EXPECTS(*baseline > 0.0);
   workload->baseline_completion_s_ = *baseline;
+
+  // FNV-1a, 64-bit, like ChipDesign's: stable across runs and platforms.
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (byte * 8)) & 0xff;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  const auto mix_list = [&mix](const auto& values) {
+    mix(values.size());
+    for (const auto value : values) mix(static_cast<std::uint64_t>(value));
+  };
+  mix(static_cast<std::uint64_t>(workload->graph_.op_count()));
+  for (const assay::AssayOp& op : workload->graph_.ops()) {
+    mix(static_cast<std::uint64_t>(op.kind));
+    mix(std::bit_cast<std::uint64_t>(op.duration_s));
+    mix_list(op.inputs);
+  }
+  mix(workload->modules_.size());
+  for (const WorkloadModule& module : workload->modules_) {
+    mix(static_cast<std::uint64_t>(module.kind));
+    mix_list(module.cells);
+  }
+  workload->fingerprint_ = hash;
   return workload;
 }
 

@@ -98,6 +98,13 @@ class AssayWorkload {
     return baseline_completion_s_;
   }
 
+  /// Content fingerprint (FNV-1a over every op's kind, duration and
+  /// inputs, then every module's kind and cells; op labels are names the
+  /// scheduler never reads). Next to the design's fingerprint it keys
+  /// operational answers in result stores (sim::store_key), so two
+  /// workloads on one design never share a record.
+  std::uint64_t fingerprint() const noexcept { return fingerprint_; }
+
  private:
   AssayWorkload(std::shared_ptr<const ChipDesign> design,
                 assay::SequencingGraph graph,
@@ -109,6 +116,7 @@ class AssayWorkload {
   fluidics::HopGrid grid_;  ///< the design's bitmap, for transport hops
   assay::ResourcePool full_pool_;
   double baseline_completion_s_ = 0.0;
+  std::uint64_t fingerprint_ = 0;
 
   friend class OperationalState;
 };

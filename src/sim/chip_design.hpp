@@ -1,15 +1,15 @@
 // sim::ChipDesign — immutable, shareable snapshot of a chip topology.
 //
-// The legacy yield entry points take a mutable HexArray& that conflates the
-// chip's *design* (region, roles, usage — fixed for a whole experiment) with
-// per-run *fault state* (health bits — scribbled and reset every run). That
-// forces a full HexArray clone per worker thread and a bipartite-graph
-// rebuild per run. ChipDesign splits the two: it freezes the design half
-// behind a shared_ptr that any number of sessions/threads can read
-// concurrently, and pre-builds the bipartite matching *skeleton* for every
-// (coverage policy x replacement pool) combination — per run the matcher
-// only filters skeleton edges by fault bits (see sim::FaultState) instead of
-// re-discovering them through hash maps.
+// A HexArray conflates the chip's *design* (region, roles, usage — fixed for
+// a whole experiment) with per-run *fault state* (health bits — scribbled
+// and reset every run); simulating on it would need a full clone per worker
+// thread and a bipartite-graph rebuild per run. ChipDesign splits the two:
+// it freezes the design half behind a shared_ptr that any number of
+// sessions/threads can read concurrently, and pre-builds the bipartite
+// matching *skeleton* for every (coverage policy x replacement pool)
+// combination — per run the matcher only filters skeleton edges by fault
+// bits (see sim::FaultState) instead of re-discovering them through hash
+// maps.
 #pragma once
 
 #include <cstdint>

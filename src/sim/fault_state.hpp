@@ -1,10 +1,10 @@
 // sim::FaultState — cheap per-thread fault scratch for one ChipDesign.
 //
-// Replaces the per-thread HexArray clones of the legacy Monte-Carlo engine:
-// a word-packed fault bitmap plus the reusable matching buffers (compacted
-// bipartite CSR graph, right-index stamp map, engine workspaces). One
-// FaultState serves an entire worker's run loop with zero steady-state
-// allocation; reset() costs O(#faults), not O(#cells).
+// Everything a worker needs to evaluate runs on a shared design, instead of
+// a HexArray clone: a word-packed fault bitmap plus the reusable matching
+// buffers (compacted bipartite CSR graph, right-index stamp map, engine
+// workspaces). One FaultState serves an entire worker's run loop with zero
+// steady-state allocation; reset() costs O(#faults), not O(#cells).
 //
 // Fault bits are packed 64 per std::uint64_t word (cell i -> word i/64,
 // bit i%64), so the repairability scan is word-parallel: one AND against

@@ -7,7 +7,8 @@
 #include <exception>
 #include <optional>
 #include <sstream>
-#include <thread>
+#include <type_traits>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
@@ -19,10 +20,10 @@ namespace dmfb::sim {
 
 namespace {
 
-// Runs handed to a worker per queue pop: the same batch size as the legacy
-// engine — large enough to amortise the atomic fetch_add, small enough that
-// 10000-run experiments spread over a handful of threads. Partitioning never
-// affects results: every run draws from its own (seed, run)-derived stream.
+// Runs handed to a worker per queue pop: large enough to amortise the
+// atomic fetch_add, small enough that 10000-run experiments spread over a
+// handful of threads. Partitioning never affects results: every run draws
+// from its own (seed, run)-derived stream.
 constexpr std::int32_t kBatchRuns = 64;
 
 }  // namespace
@@ -102,6 +103,16 @@ std::string store_key(const YieldQuery& query, const ChipDesign& design) {
   // matcher, whose Dinic may pick a different maximum matching.
   std::ostringstream key;
   key << "2|" << design.fingerprint() << '|' << query_key(query);
+  return key.str();
+}
+
+std::string store_key(const YieldQuery& query, const AssayWorkload& workload) {
+  if (query.workload != Workload::kAssay) {
+    return store_key(query, workload.design());
+  }
+  std::ostringstream key;
+  key << "2|" << workload.design().fingerprint() << "|w"
+      << workload.fingerprint() << '|' << query_key(query);
   return key.str();
 }
 
@@ -238,23 +249,6 @@ std::shared_ptr<const ChipDesign> design_of(
   return workload->design_ptr();
 }
 
-// Metrics for one cache lookup (both the structural and the operational
-// cache). A hit whose future is not yet ready is an in-flight join: this
-// query blocked on an identical computation started by another thread —
-// inherently schedule-dependent, hence an unstable counter. A miss is NOT
-// counted here: whether it resolves as computed or store-served is only
-// known after the promise-owner path runs (see run()).
-template <typename SharedFuture>
-void note_cache_outcome(bool hit, const SharedFuture& future) {
-  obs::count(obs::Metric::kSessionQueries);
-  if (!hit) return;
-  obs::count(obs::Metric::kSessionCacheHits);
-  if (obs::enabled() &&
-      future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-    obs::count(obs::Metric::kSessionInflightJoins);
-  }
-}
-
 }  // namespace
 
 Session::Session(std::shared_ptr<const AssayWorkload> workload)
@@ -276,57 +270,40 @@ void Session::set_cache_capacity(std::size_t max_entries) {
   DMFB_EXPECTS(max_entries > 0);
   const std::scoped_lock lock(mutex_);
   capacity_ = max_entries;
-  // Shrinking below the current population evicts immediately, oldest
-  // completion first — same order note_completed_locked would have used.
-  const auto trim = [this](auto& cache, std::deque<std::string>& order) {
-    while (order.size() > capacity_) {
-      if (cache.erase(order.front()) > 0) {
-        ++stats_.evictions;
-        obs::count(obs::Metric::kSessionEvictions);
-      }
-      order.pop_front();
-    }
-  };
-  trim(cache_, completed_order_);
-  trim(operational_cache_, operational_completed_order_);
+  evict_locked();
 }
 
-template <typename Map>
-void Session::note_completed_locked(Map& cache, std::deque<std::string>& order,
-                                    const std::string& key) {
+void Session::evict_locked() {
   // Only *completed* entries enter the eviction order: an in-flight future is
-  // never in `order`, so eviction can never strand a thread that is about to
-  // publish into an erased slot. Failed computations never get here (the
+  // never in it, so eviction can never strand a thread that is about to
+  // publish into an erased slot. Failed computations never get there (the
   // catch path erases them outright).
-  order.push_back(key);
-  while (order.size() > capacity_) {
-    if (cache.erase(order.front()) > 0) {
+  while (completed_order_.size() > capacity_) {
+    if (cache_.erase(completed_order_.front()) > 0) {
       ++stats_.evictions;
       obs::count(obs::Metric::kSessionEvictions);
     }
-    order.pop_front();
+    completed_order_.pop_front();
   }
 }
 
-YieldEstimate Session::run(const YieldQuery& query) {
-  if (query.workload == Workload::kAssay) {
-    return run_operational(query).operational;
-  }
+template <typename Result, typename Compute>
+Result Session::memoized(const YieldQuery& query, const Compute& compute) {
   DMFB_EXPECTS(query.runs > 0);
   DMFB_EXPECTS(query.threads >= 0);
   DMFB_EXPECTS(query.target_ci_half_width >= 0.0);
   validate(query.fault, *design_);
 
   const std::string key = query_key(query);
-  std::optional<std::promise<YieldEstimate>> promise;  // set on cache miss
-  std::shared_future<YieldEstimate> future;
+  std::optional<std::promise<Result>> promise;  // set on cache miss
+  std::shared_future<Result> future;
   std::shared_ptr<ResultCache> store;
   {
     const std::scoped_lock lock(mutex_);
     ++stats_.queries;
     const auto found = cache_.find(key);
     if (found != cache_.end()) {
-      future = found->second;
+      future = std::get<std::shared_future<Result>>(found->second);
     } else {
       promise.emplace();
       future = promise->get_future().share();
@@ -334,134 +311,90 @@ YieldEstimate Session::run(const YieldQuery& query) {
       store = result_cache_;
     }
   }
-  note_cache_outcome(!promise.has_value(), future);
-  if (promise) {
-    YieldEstimate result;
-    bool from_store = false;
-    std::string persistent_key;
-    try {
-      if (store) {
-        persistent_key = store_key(query, *design_);
-        if (const std::optional<std::string> payload =
-                store->load(persistent_key)) {
-          if (const std::optional<YieldEstimate> decoded =
-                  decode_estimate(*payload)) {
-            result = *decoded;
-            from_store = true;
-          }
+  obs::count(obs::Metric::kSessionQueries);
+  if (!promise) {
+    // A hit whose future is not yet ready is an in-flight join: this query
+    // blocked on an identical computation started by another thread —
+    // inherently schedule-dependent, hence an unstable counter. A miss is
+    // counted below, once it resolves as computed or store-served.
+    obs::count(obs::Metric::kSessionCacheHits);
+    if (obs::enabled() && future.wait_for(std::chrono::seconds(0)) !=
+                              std::future_status::ready) {
+      obs::count(obs::Metric::kSessionInflightJoins);
+    }
+    return future.get();
+  }
+
+  constexpr bool kOperational = std::is_same_v<Result, OperationalEstimate>;
+  Result result;
+  bool from_store = false;
+  std::string persistent_key;
+  try {
+    if (store) {
+      persistent_key = workload_ ? store_key(query, *workload_)
+                                 : store_key(query, *design_);
+      if (const std::optional<std::string> payload =
+              store->load(persistent_key)) {
+        std::optional<Result> decoded;
+        if constexpr (kOperational) {
+          decoded = decode_operational(*payload);
+        } else {
+          decoded = decode_estimate(*payload);
+        }
+        if (decoded) {
+          result = *decoded;
+          from_store = true;
         }
       }
-      if (!from_store) result = execute(query);
-    } catch (...) {
-      // Fail every waiter with the original error, then drop the entry so a
-      // later identical query may retry.
-      promise->set_exception(std::current_exception());
-      const std::scoped_lock lock(mutex_);
-      cache_.erase(key);
-      return future.get();  // rethrows for this caller too
     }
-    promise->set_value(result);
-    if (store && !from_store) {
-      try {
-        store->store(persistent_key, encode_estimate(result));
-      } catch (...) {
-        // Persistence is best-effort; the published in-memory answer stands.
-      }
-    }
-    {
-      const std::scoped_lock lock(mutex_);
-      if (from_store) {
-        ++stats_.store_hits;
-      } else {
-        ++stats_.computed;
-      }
-      note_completed_locked(cache_, completed_order_, key);
-    }
-    obs::count(from_store ? obs::Metric::kSessionStoreHits
-                          : obs::Metric::kSessionComputed);
+    if (!from_store) result = compute();
+  } catch (...) {
+    // Fail every waiter with the original error, then drop the entry so a
+    // later identical query may retry.
+    promise->set_exception(std::current_exception());
+    const std::scoped_lock lock(mutex_);
+    cache_.erase(key);
+    return future.get();  // rethrows for this caller too
   }
-  return future.get();
+  promise->set_value(result);
+  if (store && !from_store) {
+    try {
+      if constexpr (kOperational) {
+        store->store(persistent_key, encode_operational(result));
+      } else {
+        store->store(persistent_key, encode_estimate(result));
+      }
+    } catch (...) {
+      // Persistence is best-effort; the published in-memory answer stands.
+    }
+  }
+  {
+    const std::scoped_lock lock(mutex_);
+    if (from_store) {
+      ++stats_.store_hits;
+    } else {
+      ++stats_.computed;
+    }
+    completed_order_.push_back(key);
+    evict_locked();
+  }
+  obs::count(from_store ? obs::Metric::kSessionStoreHits
+                        : obs::Metric::kSessionComputed);
+  return result;
+}
+
+YieldEstimate Session::run(const YieldQuery& query) {
+  if (query.workload == Workload::kAssay) {
+    return run_operational(query).operational;
+  }
+  return memoized<YieldEstimate>(query, [&] { return execute(query); });
 }
 
 OperationalEstimate Session::run_operational(const YieldQuery& query) {
   DMFB_EXPECTS(query.workload == Workload::kAssay);
   DMFB_EXPECTS(workload_ != nullptr);
-  DMFB_EXPECTS(query.runs > 0);
-  DMFB_EXPECTS(query.threads >= 0);
-  DMFB_EXPECTS(query.target_ci_half_width >= 0.0);
-  validate(query.fault, *design_);
-
-  const std::string key = query_key(query);
-  std::optional<std::promise<OperationalEstimate>> promise;
-  std::shared_future<OperationalEstimate> future;
-  std::shared_ptr<ResultCache> store;
-  {
-    const std::scoped_lock lock(mutex_);
-    ++stats_.queries;
-    const auto found = operational_cache_.find(key);
-    if (found != operational_cache_.end()) {
-      future = found->second;
-    } else {
-      promise.emplace();
-      future = promise->get_future().share();
-      operational_cache_.emplace(key, future);
-      store = result_cache_;
-    }
-  }
-  note_cache_outcome(!promise.has_value(), future);
-  if (promise) {
-    OperationalEstimate result;
-    bool from_store = false;
-    std::string persistent_key;
-    try {
-      if (store) {
-        persistent_key = store_key(query, *design_);
-        if (const std::optional<std::string> payload =
-                store->load(persistent_key)) {
-          if (const std::optional<OperationalEstimate> decoded =
-                  decode_operational(*payload)) {
-            result = *decoded;
-            from_store = true;
-          }
-        }
-      }
-      if (!from_store) result = execute_operational(query);
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-      const std::scoped_lock lock(mutex_);
-      operational_cache_.erase(key);
-      return future.get();
-    }
-    promise->set_value(result);
-    if (store && !from_store) {
-      try {
-        store->store(persistent_key, encode_operational(result));
-      } catch (...) {
-        // Persistence is best-effort; the published in-memory answer stands.
-      }
-    }
-    {
-      const std::scoped_lock lock(mutex_);
-      if (from_store) {
-        ++stats_.store_hits;
-      } else {
-        ++stats_.computed;
-      }
-      note_completed_locked(operational_cache_, operational_completed_order_,
-                            key);
-    }
-    obs::count(from_store ? obs::Metric::kSessionStoreHits
-                          : obs::Metric::kSessionComputed);
-  }
-  return future.get();
-}
-
-std::vector<YieldEstimate> Session::run_all(
-    std::span<const YieldQuery> queries) {
-  std::vector<YieldEstimate> results;
-  results.reserve(queries.size());
-  for (const YieldQuery& query : queries) results.push_back(run(query));
-  return results;
+  return memoized<OperationalEstimate>(
+      query, [&] { return execute_operational(query); });
 }
 
 namespace {
@@ -510,21 +443,77 @@ EnginePlan plan_engine(const YieldQuery& query, const ChipDesign& design) {
               static_cast<std::int32_t>(skeleton.cover.size()))};
 }
 
-std::int64_t Session::successes_in_range(
-    const YieldQuery& query, std::int32_t begin, std::int32_t end,
-    std::int32_t threads,
-    std::vector<std::unique_ptr<FaultState>>& scratch) const {
-  // Worker-slot scratch is created on first use (serially, before any
-  // thread spawn) and reused across adaptive chunks.
-  const auto state_at = [&](std::size_t slot) -> FaultState& {
-    if (scratch.size() <= slot) scratch.resize(slot + 1);
-    if (!scratch[slot]) scratch[slot] = std::make_unique<FaultState>(design_);
-    return *scratch[slot];
-  };
+namespace {
+
+/// Deals runs [begin, end) over up to `threads` workers in kBatchRuns
+/// batches, calling run_batch(state, lo, hi) with the worker's own scratch
+/// state. `scratch` holds one state per worker slot, made serially before
+/// any thread starts and reused across adaptive chunks.
+template <typename State, typename MakeState, typename RunBatch>
+void deal_runs(std::int32_t begin, std::int32_t end, std::int32_t threads,
+               std::vector<std::unique_ptr<State>>& scratch,
+               const MakeState& make_state, const RunBatch& run_batch) {
+  const std::int32_t batches = (end - begin + kBatchRuns - 1) / kBatchRuns;
+  const std::int32_t workers = std::min(threads, batches);
+  while (std::cmp_less(scratch.size(), std::max(workers, 1))) {
+    scratch.push_back(make_state());
+  }
+  common::deal_items(workers, batches, [&](std::int32_t worker,
+                                           std::int64_t batch) {
+    const auto lo = begin + static_cast<std::int32_t>(batch) * kBatchRuns;
+    run_batch(*scratch[static_cast<std::size_t>(worker)], lo,
+              std::min(end, lo + kBatchRuns));
+  });
+}
+
+/// The query loop both workloads share. Runs [0, query.runs) in chunks of
+/// kAdaptiveChunkRuns when adaptive (else one chunk), calling
+/// run_chunk(begin, end, threads), which returns the success count so far
+/// that the stop rule reads. Chunk boundaries are fixed, so the realised
+/// run count is a pure function of the query. Returns that count.
+template <typename RunChunk>
+std::int32_t run_chunks(const YieldQuery& query, const RunChunk& run_chunk) {
+  obs::ScopedSpan span("session.query", "sim");
+  if (span.active()) {
+    span.set_args("{\"runs\":" + std::to_string(query.runs) +
+                  (query.workload == Workload::kAssay
+                       ? ",\"workload\":\"assay\"}"
+                       : "}"));
+  }
+  const obs::ScopedDuration timer(obs::Metric::kSessionQueryNs);
+
+  const std::int32_t threads = common::resolve_worker_threads(query.threads);
+  const bool adaptive = query.target_ci_half_width > 0.0;
+  const std::int32_t chunk = adaptive ? kAdaptiveChunkRuns : query.runs;
+  std::int64_t chunks = 0;
+  std::int32_t done = 0;
+  while (done < query.runs) {
+    const std::int32_t end = std::min(query.runs, done + chunk);
+    const std::int64_t successes = run_chunk(done, end, threads);
+    done = end;
+    ++chunks;
+    if (adaptive) {
+      const Interval ci = wilson_interval(successes, done);
+      if (ci.width() / 2.0 <= query.target_ci_half_width) break;
+    }
+  }
+  // Flushed once per computed query (never per run): the chunk sequence is
+  // a pure function of the query, so the totals are stable.
+  if (obs::enabled()) {
+    obs::count(obs::Metric::kSimRuns, done);
+    obs::count(obs::Metric::kSimAdaptiveChunks, chunks);
+  }
+  return done;
+}
+
+}  // namespace
+
+YieldEstimate Session::execute(const YieldQuery& query) const {
   // Either path returns the same verdict per run (a pure function of the
   // fault set), so partitioning runs over workers — each with its own
   // incremental history — never changes the estimate.
   const EnginePlan plan = plan_engine(query, *design_);
+  if (obs::enabled()) note_engine_plan(plan);
   // Repairs and resets the run just injected into `state`.
   const auto settle = [&](FaultState& state) {
     const bool ok =
@@ -576,70 +565,39 @@ std::int64_t Session::successes_in_range(
     }
     return successes;
   };
-  const auto count_range = [&](FaultState& state, std::int32_t lo,
-                               std::int32_t hi) {
-    return query.rng_version == RngVersion::kV2 ? count_range_v2(state, lo, hi)
-                                                : count_range_v1(state, lo, hi);
-  };
 
-  const std::int32_t batch_count = (end - begin + kBatchRuns - 1) / kBatchRuns;
-  const std::int32_t workers = std::min(threads, batch_count);
-  if (workers <= 1) {
-    return count_range(state_at(0), begin, end);
-  }
-
-  for (std::int32_t t = 0; t < workers; ++t) state_at(static_cast<std::size_t>(t));
-  std::atomic<std::int32_t> next_batch{0};
-  std::atomic<std::int64_t> total{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  auto worker = [&](std::size_t slot) {
-    try {
-      FaultState& state = *scratch[slot];
-      std::int64_t successes = 0;
-      for (;;) {
-        const std::int32_t batch =
-            next_batch.fetch_add(1, std::memory_order_relaxed);
-        if (batch >= batch_count) break;
-        const std::int32_t lo = begin + batch * kBatchRuns;
-        successes += count_range(state, lo, std::min(end, lo + kBatchRuns));
-      }
-      total.fetch_add(successes, std::memory_order_relaxed);
-    } catch (...) {
-      const std::scoped_lock lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-      // Park the queue so the other workers drain quickly.
-      next_batch.store(batch_count, std::memory_order_relaxed);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (std::int32_t t = 0; t < workers; ++t) {
-    pool.emplace_back(worker, static_cast<std::size_t>(t));
-  }
-  for (auto& thread : pool) thread.join();
-  if (first_error) std::rethrow_exception(first_error);
-  return total.load();
+  std::vector<std::unique_ptr<FaultState>> scratch;
+  std::atomic<std::int64_t> successes{0};
+  const std::int32_t done = run_chunks(
+      query, [&](std::int32_t begin, std::int32_t end, std::int32_t threads) {
+        deal_runs(
+            begin, end, threads, scratch,
+            [&] { return std::make_unique<FaultState>(design_); },
+            [&](FaultState& state, std::int32_t lo, std::int32_t hi) {
+              successes.fetch_add(query.rng_version == RngVersion::kV2
+                                      ? count_range_v2(state, lo, hi)
+                                      : count_range_v1(state, lo, hi),
+                                  std::memory_order_relaxed);
+            });
+        return successes.load(std::memory_order_relaxed);
+      });
+  if (obs::enabled()) obs::count(obs::Metric::kSimSuccesses, successes);
+  return YieldEstimate::from_counts(successes, done);
 }
 
-void Session::operational_runs_in_range(
-    const YieldQuery& query, std::int32_t begin, std::int32_t end,
-    std::int32_t threads,
-    std::vector<std::unique_ptr<OperationalState>>& scratch,
-    std::span<OperationalRun> out) const {
-  const auto state_at = [&](std::size_t slot) -> OperationalState& {
-    if (scratch.size() <= slot) scratch.resize(slot + 1);
-    if (!scratch[slot]) {
-      scratch[slot] = std::make_unique<OperationalState>(workload_);
-    }
-    return *scratch[slot];
-  };
+OperationalEstimate Session::execute_operational(
+    const YieldQuery& query) const {
+  // Workers write disjoint slots of the chunk's `chunk_runs` (slot run -
+  // chunk_begin), so the fold below reads them in run order regardless of
+  // scheduling.
+  std::vector<OperationalRun> chunk_runs;
+  std::int32_t chunk_begin = 0;
   const auto eval_range_v1 = [&](OperationalState& state, std::int32_t lo,
                                  std::int32_t hi) {
     for (std::int32_t run = lo; run < hi; ++run) {
       Rng rng = run_stream(query.seed, run);
       inject(query.fault, state.faults(), rng);
-      out[static_cast<std::size_t>(run - begin)] =
+      chunk_runs[static_cast<std::size_t>(run - chunk_begin)] =
           state.evaluate(query.policy, query.engine, query.pool);
       state.reset();
     }
@@ -649,106 +607,47 @@ void Session::operational_runs_in_range(
     for (std::int32_t run = lo; run < hi; ++run) {
       CounterStream stream = run_stream_v2(query.seed, run);
       inject_v2(query.fault, state.faults(), stream);
-      out[static_cast<std::size_t>(run - begin)] =
+      chunk_runs[static_cast<std::size_t>(run - chunk_begin)] =
           state.evaluate(query.policy, query.engine, query.pool);
       state.reset();
     }
   };
-  const auto eval_range = [&](OperationalState& state, std::int32_t lo,
-                              std::int32_t hi) {
-    if (query.rng_version == RngVersion::kV2) {
-      eval_range_v2(state, lo, hi);
-    } else {
-      eval_range_v1(state, lo, hi);
-    }
-  };
-
-  const std::int32_t batch_count = (end - begin + kBatchRuns - 1) / kBatchRuns;
-  const std::int32_t workers = std::min(threads, batch_count);
-  if (workers <= 1) {
-    eval_range(state_at(0), begin, end);
-    return;
-  }
-
-  for (std::int32_t t = 0; t < workers; ++t) {
-    state_at(static_cast<std::size_t>(t));
-  }
-  std::atomic<std::int32_t> next_batch{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  auto worker = [&](std::size_t slot) {
-    try {
-      OperationalState& state = *scratch[slot];
-      for (;;) {
-        const std::int32_t batch =
-            next_batch.fetch_add(1, std::memory_order_relaxed);
-        if (batch >= batch_count) break;
-        const std::int32_t lo = begin + batch * kBatchRuns;
-        eval_range(state, lo, std::min(end, lo + kBatchRuns));
-      }
-    } catch (...) {
-      const std::scoped_lock lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-      next_batch.store(batch_count, std::memory_order_relaxed);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (std::int32_t t = 0; t < workers; ++t) {
-    pool.emplace_back(worker, static_cast<std::size_t>(t));
-  }
-  for (auto& thread : pool) thread.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-OperationalEstimate Session::execute_operational(
-    const YieldQuery& query) const {
-  obs::ScopedSpan span("session.query", "sim");
-  if (span.active()) {
-    span.set_args("{\"runs\":" + std::to_string(query.runs) +
-                  ",\"workload\":\"assay\"}");
-  }
-  const obs::ScopedDuration timer(obs::Metric::kSessionQueryNs);
-
-  const std::int32_t threads = common::resolve_worker_threads(query.threads);
-  const bool adaptive = query.target_ci_half_width > 0.0;
-  const std::int32_t chunk = adaptive ? kAdaptiveChunkRuns : query.runs;
 
   std::vector<std::unique_ptr<OperationalState>> scratch;
-  std::vector<OperationalRun> chunk_runs;
   std::int64_t structural = 0;
   std::int64_t operational = 0;
-  std::int64_t chunks = 0;
   double slowdown_sum = 0.0;
   double worst_slowdown = 0.0;
-  std::int32_t done = 0;
-  while (done < query.runs) {
-    const std::int32_t end = std::min(query.runs, done + chunk);
-    chunk_runs.resize(static_cast<std::size_t>(end - done));
-    operational_runs_in_range(query, done, end, threads, scratch, chunk_runs);
-    // Serial fold in run order: chunk boundaries are fixed, so the floating
-    // accumulation order — and with it the estimate — never depends on the
-    // thread count.
-    for (const OperationalRun& run : chunk_runs) {
-      if (run.structural) ++structural;
-      if (run.operational) {
-        ++operational;
-        slowdown_sum += run.slowdown;
-        worst_slowdown = std::max(worst_slowdown, run.slowdown);
-      }
-    }
-    done = end;
-    ++chunks;
-    if (adaptive) {
-      const Interval ci = wilson_interval(operational, done);
-      if (ci.width() / 2.0 <= query.target_ci_half_width) break;
-    }
-  }
+  const std::int32_t done = run_chunks(
+      query, [&](std::int32_t begin, std::int32_t end, std::int32_t threads) {
+        chunk_begin = begin;
+        chunk_runs.resize(static_cast<std::size_t>(end - begin));
+        deal_runs(
+            begin, end, threads, scratch,
+            [&] { return std::make_unique<OperationalState>(workload_); },
+            [&](OperationalState& state, std::int32_t lo, std::int32_t hi) {
+              if (query.rng_version == RngVersion::kV2) {
+                eval_range_v2(state, lo, hi);
+              } else {
+                eval_range_v1(state, lo, hi);
+              }
+            });
+        // Serial fold in run order: chunk boundaries are fixed, so the
+        // floating accumulation order — and with it the estimate — never
+        // depends on the thread count.
+        for (const OperationalRun& run : chunk_runs) {
+          if (run.structural) ++structural;
+          if (run.operational) {
+            ++operational;
+            slowdown_sum += run.slowdown;
+            worst_slowdown = std::max(worst_slowdown, run.slowdown);
+          }
+        }
+        return operational;
+      });
   if (obs::enabled()) {
-    obs::count(obs::Metric::kSimRuns, done);
     obs::count(obs::Metric::kSimSuccesses, structural);
     obs::count(obs::Metric::kSimOpSuccesses, operational);
-    obs::count(obs::Metric::kSimAdaptiveChunks, chunks);
   }
   OperationalEstimate estimate;
   estimate.structural = YieldEstimate::from_counts(structural, done);
@@ -758,42 +657,6 @@ OperationalEstimate Session::execute_operational(
                        : slowdown_sum / static_cast<double>(operational);
   estimate.worst_slowdown = worst_slowdown;
   return estimate;
-}
-
-YieldEstimate Session::execute(const YieldQuery& query) const {
-  obs::ScopedSpan span("session.query", "sim");
-  if (span.active()) {
-    span.set_args("{\"runs\":" + std::to_string(query.runs) + "}");
-  }
-  const obs::ScopedDuration timer(obs::Metric::kSessionQueryNs);
-  if (obs::enabled()) note_engine_plan(plan_engine(query, *design_));
-
-  const std::int32_t threads = common::resolve_worker_threads(query.threads);
-  const bool adaptive = query.target_ci_half_width > 0.0;
-  const std::int32_t chunk = adaptive ? kAdaptiveChunkRuns : query.runs;
-
-  std::vector<std::unique_ptr<FaultState>> scratch;  // reused across chunks
-  std::int64_t successes = 0;
-  std::int64_t chunks = 0;
-  std::int32_t done = 0;
-  while (done < query.runs) {
-    const std::int32_t end = std::min(query.runs, done + chunk);
-    successes += successes_in_range(query, done, end, threads, scratch);
-    done = end;
-    ++chunks;
-    if (adaptive) {
-      const Interval ci = wilson_interval(successes, done);
-      if (ci.width() / 2.0 <= query.target_ci_half_width) break;
-    }
-  }
-  // Flushed once per computed query (never per run): the chunk sequence is
-  // a pure function of the query, so all three totals are stable.
-  if (obs::enabled()) {
-    obs::count(obs::Metric::kSimRuns, done);
-    obs::count(obs::Metric::kSimSuccesses, successes);
-    obs::count(obs::Metric::kSimAdaptiveChunks, chunks);
-  }
-  return YieldEstimate::from_counts(successes, done);
 }
 
 }  // namespace dmfb::sim

@@ -23,10 +23,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
-#include <vector>
+#include <variant>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -129,6 +128,12 @@ std::string query_key(const YieldQuery& query);
 /// so one on-disk store can safely serve every design.
 std::string store_key(const YieldQuery& query, const ChipDesign& design);
 
+/// Durable key for a query asked of a workload-backed session. A structural
+/// query keys exactly as store_key(query, workload.design()); an assay
+/// query's answer also depends on the graph and the placed modules, so its
+/// key adds the workload's fingerprint ("|w" + decimal) after the design's.
+std::string store_key(const YieldQuery& query, const AssayWorkload& workload);
+
 /// Abstract external (typically on-disk, cross-process) result cache a
 /// Session consults on in-memory misses; see serve::ResultStore for the
 /// durable implementation. Implementations must be thread-safe. load()
@@ -175,11 +180,11 @@ struct EnginePlan {
 inline constexpr double kAutoIncrementalDensityMax = 0.125;
 
 /// Resolves the query's engine choice against `design`. Explicit engines
-/// pass through as batch plans (bit-compatible with the legacy behaviour);
-/// kAuto picks incremental repair when expected_fault_fraction(fault) <=
-/// kAutoIncrementalDensityMax, else a batch engine by skeleton size via
-/// graph::resolve_engine. Deterministic: the plan depends only on
-/// (query, design), never on sampled state or threads.
+/// pass through as batch plans; kAuto picks incremental repair when
+/// expected_fault_fraction(fault) <= kAutoIncrementalDensityMax, else a
+/// batch engine by skeleton size via graph::resolve_engine. Deterministic:
+/// the plan depends only on (query, design), never on sampled state or
+/// threads.
 EnginePlan plan_engine(const YieldQuery& query, const ChipDesign& design);
 
 /// Both metrics of one operational (workload = kAssay) experiment, plus the
@@ -205,8 +210,8 @@ std::string encode_operational(const OperationalEstimate& estimate);
 std::optional<OperationalEstimate> decode_operational(
     std::string_view payload);
 
-/// Default bound on completed entries kept per session cache (structural and
-/// operational each): generous for any campaign grid, small enough that a
+/// Default bound on completed entries kept in a session's cache (both
+/// workloads together): generous for any campaign grid, small enough that a
 /// long-lived daemon never grows without bound.
 inline constexpr std::size_t kDefaultCacheCapacity = 1 << 16;
 
@@ -242,20 +247,16 @@ class Session {
   /// determinism contract as run().
   OperationalEstimate run_operational(const YieldQuery& query);
 
-  /// Answers a batch; duplicate queries within (and across) batches are
-  /// computed once. Results are positionally parallel to `queries`.
-  std::vector<YieldEstimate> run_all(std::span<const YieldQuery> queries);
-
   /// Attaches an external result cache consulted (under store_key) on
   /// in-memory misses before simulating; freshly computed estimates are
   /// stored back. Pass nullptr to detach. Not thread-safe against
   /// concurrent run() calls — attach before serving.
   void attach_result_cache(std::shared_ptr<ResultCache> cache);
 
-  /// Bounds the completed entries kept per cache (structural and
-  /// operational each); the oldest completed entries are evicted first,
-  /// in-flight computations are never evicted. Lowering the capacity takes
-  /// effect at the next completion. Default kDefaultCacheCapacity.
+  /// Bounds the completed entries kept in the cache (both workloads
+  /// together); the oldest completed entries are evicted first, in-flight
+  /// computations are never evicted. Lowering the capacity below the
+  /// current population evicts at once. Default kDefaultCacheCapacity.
   void set_cache_capacity(std::size_t max_entries);
 
   /// Cache accounting across the session's lifetime.
@@ -271,39 +272,27 @@ class Session {
   Stats stats() const;
 
  private:
-  /// Completion bookkeeping shared by both caches: records `key` as the
-  /// newest completed entry and evicts the oldest beyond capacity_.
-  /// Call with mutex_ held.
-  template <typename Map>
-  void note_completed_locked(Map& cache, std::deque<std::string>& order,
-                             const std::string& key);
+  /// The memo both workloads share: lookup, in-flight join, store
+  /// load/decode, compute(), store write-back, stats and eviction.
+  template <typename Result, typename Compute>
+  Result memoized(const YieldQuery& query, const Compute& compute);
+  /// Evicts the oldest completed entries beyond capacity_. Call with
+  /// mutex_ held.
+  void evict_locked();
   YieldEstimate execute(const YieldQuery& query) const;
   OperationalEstimate execute_operational(const YieldQuery& query) const;
-  /// Counts successes over runs [begin, end); `scratch` holds one FaultState
-  /// per worker slot, created on demand and reused across adaptive chunks.
-  std::int64_t successes_in_range(
-      const YieldQuery& query, std::int32_t begin, std::int32_t end,
-      std::int32_t threads,
-      std::vector<std::unique_ptr<FaultState>>& scratch) const;
-  /// Evaluates runs [begin, end) operationally into `out` (slot run-begin);
-  /// workers write disjoint slots, so the later fold is in run order
-  /// regardless of scheduling.
-  void operational_runs_in_range(
-      const YieldQuery& query, std::int32_t begin, std::int32_t end,
-      std::int32_t threads,
-      std::vector<std::unique_ptr<OperationalState>>& scratch,
-      std::span<OperationalRun> out) const;
 
   std::shared_ptr<const ChipDesign> design_;
   std::shared_ptr<const AssayWorkload> workload_;
   std::shared_ptr<ResultCache> result_cache_;
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::shared_future<YieldEstimate>> cache_;
-  std::unordered_map<std::string, std::shared_future<OperationalEstimate>>
-      operational_cache_;
-  /// Completed keys in completion order (eviction order), one per cache.
+  /// One cache for both workloads: query_key includes the workload, so a
+  /// key always maps to the same result type.
+  using Entry = std::variant<std::shared_future<YieldEstimate>,
+                             std::shared_future<OperationalEstimate>>;
+  std::unordered_map<std::string, Entry> cache_;
+  /// Completed keys in completion order (eviction order).
   std::deque<std::string> completed_order_;
-  std::deque<std::string> operational_completed_order_;
   std::size_t capacity_ = kDefaultCacheCapacity;
   Stats stats_;
 };

@@ -288,9 +288,11 @@ TEST(StoreKey, PreviousSchemaRecordIsAMissAndRecomputes) {
   query.policy = reconfig::CoveragePolicy::kUsedFaultyPrimaries;
   query.runs = 16;
   query.threads = 1;
-  const std::string key = sim::store_key(query, workload->design());
+  const std::string key = sim::store_key(query, *workload);
   ASSERT_EQ(key.substr(0, 2), "2|");
-  const std::string old_key = "1" + key.substr(1);
+  // Schema 1 keyed assay queries by the design alone.
+  const std::string old_key =
+      "1" + sim::store_key(query, workload->design()).substr(1);
 
   TempDir dir("old_schema");
   auto store = std::make_shared<ResultStore>(dir.path());
@@ -313,6 +315,50 @@ TEST(StoreKey, PreviousSchemaRecordIsAMissAndRecomputes) {
   EXPECT_NE(sim::encode_operational(served), sim::encode_operational(forged));
   // The recomputed estimate is written back under the current key.
   EXPECT_EQ(store->load(key), sim::encode_operational(cold));
+}
+
+TEST(StoreKey, AssayRecordsDoNotAliasAcrossWorkloadsOnOneDesign) {
+  // Two workloads on one design: an assay answer depends on the graph, so
+  // the second workload must not be served the first one's record.
+  const auto multiplexed = sim::AssayWorkload::multiplexed();
+  const auto glucose = sim::AssayWorkload::make(
+      multiplexed->design_ptr(),
+      assay::SequencingGraph::single_assay("glucose", 5, 30),
+      {multiplexed->modules().begin(), multiplexed->modules().end()});
+  sim::YieldQuery query;
+  query.fault = sim::FaultModel::fixed_count(25);
+  query.workload = sim::Workload::kAssay;
+  query.policy = reconfig::CoveragePolicy::kUsedFaultyPrimaries;
+  query.runs = 500;
+  query.threads = 1;
+
+  TempDir dir("workload_alias");
+  auto cache = std::make_shared<ResultStore>(dir.path());
+  sim::Session first(multiplexed);
+  first.attach_result_cache(cache);
+  (void)first.run_operational(query);
+  sim::Session second(glucose);
+  second.attach_result_cache(cache);
+  const sim::OperationalEstimate served = second.run_operational(query);
+  EXPECT_EQ(second.stats().store_hits, 0u);
+
+  const sim::OperationalEstimate fresh =
+      sim::Session(glucose).run_operational(query);
+  EXPECT_EQ(sim::encode_operational(served), sim::encode_operational(fresh));
+  EXPECT_NE(sim::store_key(query, *multiplexed),
+            sim::store_key(query, *glucose));
+
+  // Structural keys ignore the workload, and their bytes are pinned: warm
+  // structural records stay valid.
+  query.workload = sim::Workload::kStructural;
+  EXPECT_EQ(sim::store_key(query, *glucose),
+            sim::store_key(query, multiplexed->design()));
+  sim::YieldQuery structural;
+  structural.fault = sim::FaultModel::bernoulli(0.9);
+  EXPECT_EQ(sim::store_key(structural, *glucose),
+            "2|10980325471451240772|0|4606281698874543309|1|"
+            "4606281698874543309|4599075939470750515|10000|219044369|0|0|0|0|"
+            "0|1");
 }
 
 // --------------------------------------------------------------- protocol
@@ -673,28 +719,57 @@ TEST(OwningFileSink, OpenFailureNamesThePath) {
       << error;
 }
 
-TEST(SessionCache, EvictionBoundHoldsAndCounts) {
-  sim::Session session(
-      biochip::make_dtmb_array(biochip::DtmbKind::kDtmb1_6, 6, 6));
-  session.set_cache_capacity(4);
-  sim::YieldQuery query;
-  query.runs = 30;
-  for (int i = 0; i < 10; ++i) {
-    query.fault = sim::FaultModel::bernoulli(0.80 + 0.01 * i);
-    session.run(query);
+/// The session each memo test runs on, per workload kind: structural on a
+/// small DTMB(1,6) array, operational on the multiplexed assay workload.
+std::unique_ptr<sim::Session> memo_session(sim::Workload workload) {
+  if (workload == sim::Workload::kAssay) {
+    return std::make_unique<sim::Session>(sim::AssayWorkload::multiplexed());
   }
-  const sim::Session::Stats stats = session.stats();
-  EXPECT_EQ(stats.computed, 10u);
-  EXPECT_EQ(stats.evictions, 6u);  // 10 completed - 4 retained
+  return std::make_unique<sim::Session>(
+      biochip::make_dtmb_array(biochip::DtmbKind::kDtmb1_6, 6, 6));
+}
 
-  // Evicted queries recompute (correctly), retained ones hit.
-  query.fault = sim::FaultModel::bernoulli(0.80);  // evicted long ago
-  session.run(query);
-  EXPECT_EQ(session.stats().computed, 11u);
-  query.fault = sim::FaultModel::bernoulli(0.89);  // newest, retained
-  session.run(query);
-  EXPECT_EQ(session.stats().computed, 11u);
-  EXPECT_EQ(session.stats().cache_hits(), 1u);
+constexpr sim::Workload kMemoWorkloads[] = {sim::Workload::kStructural,
+                                            sim::Workload::kAssay};
+
+TEST(SessionCache, EvictionBoundHoldsAndCounts) {
+  for (const sim::Workload workload : kMemoWorkloads) {
+    SCOPED_TRACE(static_cast<int>(workload));
+    const std::unique_ptr<sim::Session> session = memo_session(workload);
+    session->set_cache_capacity(4);
+    sim::YieldQuery query;
+    query.workload = workload;
+    query.runs = 30;
+    for (int i = 0; i < 10; ++i) {
+      query.fault = sim::FaultModel::bernoulli(0.80 + 0.01 * i);
+      session->run(query);
+    }
+    const sim::Session::Stats stats = session->stats();
+    EXPECT_EQ(stats.computed, 10u);
+    EXPECT_EQ(stats.evictions, 6u);  // 10 completed - 4 retained
+
+    // Evicted queries recompute (correctly), retained ones hit.
+    query.fault = sim::FaultModel::bernoulli(0.80);  // evicted long ago
+    session->run(query);
+    EXPECT_EQ(session->stats().computed, 11u);
+    query.fault = sim::FaultModel::bernoulli(0.89);  // newest, retained
+    session->run(query);
+    EXPECT_EQ(session->stats().computed, 11u);
+    EXPECT_EQ(session->stats().cache_hits(), 1u);
+    EXPECT_EQ(session->stats().evictions, 7u);
+
+    // Shrinking below the population evicts at once, oldest first, before
+    // any new query completes.
+    session->set_cache_capacity(2);
+    EXPECT_EQ(session->stats().evictions, 9u);
+    EXPECT_EQ(session->stats().queries, 12u);
+    query.fault = sim::FaultModel::bernoulli(0.80);  // newest: retained
+    session->run(query);
+    EXPECT_EQ(session->stats().computed, 11u);
+    query.fault = sim::FaultModel::bernoulli(0.88);  // evicted by the shrink
+    session->run(query);
+    EXPECT_EQ(session->stats().computed, 12u);
+  }
 }
 
 /// ResultCache stub whose load() throws until disarmed — the
@@ -710,19 +785,22 @@ class ThrowingCache final : public sim::ResultCache {
 };
 
 TEST(SessionCache, FailedQueryIsErasedSoARetryRecomputes) {
-  sim::Session session(
-      biochip::make_dtmb_array(biochip::DtmbKind::kDtmb1_6, 6, 6));
-  auto cache = std::make_shared<ThrowingCache>();
-  session.attach_result_cache(cache);
-  sim::YieldQuery query;
-  query.fault = sim::FaultModel::bernoulli(0.9);
-  query.runs = 40;
-  EXPECT_THROW(session.run(query), std::runtime_error);
-  // The poisoned entry must not be cached as a permanent failure.
-  cache->armed = false;
-  const sim::YieldEstimate estimate = session.run(query);
-  EXPECT_EQ(estimate.runs, 40);
-  EXPECT_EQ(session.stats().computed, 1u);
+  for (const sim::Workload workload : kMemoWorkloads) {
+    SCOPED_TRACE(static_cast<int>(workload));
+    const std::unique_ptr<sim::Session> session = memo_session(workload);
+    auto cache = std::make_shared<ThrowingCache>();
+    session->attach_result_cache(cache);
+    sim::YieldQuery query;
+    query.workload = workload;
+    query.fault = sim::FaultModel::bernoulli(0.9);
+    query.runs = 40;
+    EXPECT_THROW(session->run(query), std::runtime_error);
+    // The poisoned entry must not be cached as a permanent failure.
+    cache->armed = false;
+    const sim::YieldEstimate estimate = session->run(query);
+    EXPECT_EQ(estimate.runs, 40);
+    EXPECT_EQ(session->stats().computed, 1u);
+  }
 }
 
 }  // namespace
