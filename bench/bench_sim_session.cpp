@@ -6,11 +6,11 @@
 //                            into a HexArray, LocalReconfigurer::feasible
 //                            (fresh bipartite graph + hash map per run).
 //   BM_McYieldRun_Session  — the same run on the sim path: inject into a
-//                            FaultState bitmap, filter the pre-built
-//                            ChipDesign skeleton, matched with reused
-//                            buffers.
-// Both kernels replay the identical (seed, run)-derived fault streams, so
-// they do the same matching work and differ only in engine overhead.
+//                            FaultState bitmap, then first-fit claims and
+//                            augmenting paths over the pre-built ChipDesign
+//                            skeleton, in cell space.
+// Both kernels replay the identical (seed, run)-derived fault streams and
+// give the same verdicts; they differ in how they reach them.
 //
 // BM_Fig9Sweep_Session times a fig9-sized grid (the paper's design x
 // size x p cross product) through the campaign runner at reduced runs.
@@ -115,28 +115,12 @@ void BM_McYieldRun_SessionMetrics(benchmark::State& state) {
 }
 BENCHMARK(BM_McYieldRun_SessionMetrics);
 
-// Engine variants of the session kernel (not part of the CI ratio gate):
-// the same fault stream checked by the push-relabel batch engine, by the
-// diff-based incremental repair path, and at the low-density operating
-// point where the incremental diff actually pays (p = 0.99 leaves ~2 faults
-// per run, so consecutive runs differ in a handful of cells).
-
-void BM_McYieldRun_PushRelabel(benchmark::State& state) {
-  const auto design = sim::ChipDesign::make(bench_array());
-  sim::FaultState fault_state(design);
-  const sim::FaultModel model = sim::FaultModel::bernoulli(kSurvivalP);
-  std::int32_t run = 0;
-  for (auto _ : state) {
-    Rng rng = sim::run_stream(kSeed, run++);
-    sim::inject(model, fault_state, rng);
-    benchmark::DoNotOptimize(fault_state.repairable(
-        reconfig::CoveragePolicy::kAllFaultyPrimaries,
-        graph::MatchingEngine::kPushRelabel,
-        reconfig::ReplacementPool::kSparesOnly));
-    fault_state.reset();
-  }
-}
-BENCHMARK(BM_McYieldRun_PushRelabel);
+// Repair-path variants of the session kernel (not part of the CI ratio
+// gate): the same fault stream checked by the diff-based incremental repair
+// path, and at the low-density operating point where the incremental diff
+// actually pays (p = 0.99 leaves ~2 faults per run, so consecutive runs
+// differ in a handful of cells). The batch path runs no engine, so an
+// engine variant of BM_McYieldRun_Session would time the same code.
 
 void BM_McYieldRun_Incremental(benchmark::State& state) {
   const auto design = sim::ChipDesign::make(bench_array());
@@ -195,18 +179,18 @@ void BM_McYieldRun_Dtmb16_Auto(benchmark::State& state) {
   sim::YieldQuery query;
   query.fault = model;
   query.engine = graph::MatchingEngine::kAuto;
-  const sim::EnginePlan plan = sim::plan_engine(query, *design);
+  const bool incremental = sim::plans_incremental(query, *design);
   std::int32_t run = 0;
   for (auto _ : state) {
     Rng rng = sim::run_stream(kSeed, run++);
     sim::inject(model, fault_state, rng);
     const bool ok =
-        plan.incremental
+        incremental
             ? fault_state.repairable_incremental(
                   reconfig::CoveragePolicy::kAllFaultyPrimaries,
                   reconfig::ReplacementPool::kSparesOnly)
             : fault_state.repairable(
-                  reconfig::CoveragePolicy::kAllFaultyPrimaries, plan.engine,
+                  reconfig::CoveragePolicy::kAllFaultyPrimaries, query.engine,
                   reconfig::ReplacementPool::kSparesOnly);
     benchmark::DoNotOptimize(ok);
     fault_state.reset();

@@ -26,14 +26,9 @@ constexpr MetricInfo kMetricInfo[kMetricCount] = {
      "operationally successful runs (assay executes after repair)"},
     {"sim.adaptive_chunks", MetricKind::kCounter, true,
      "adaptive-stopping chunk evaluations (1 for fixed-run queries)"},
-    {"sim.engine.hopcroft_karp", MetricKind::kCounter, true,
-     "structural queries planned onto Hopcroft-Karp"},
-    {"sim.engine.kuhn", MetricKind::kCounter, true,
-     "structural queries planned onto Kuhn"},
-    {"sim.engine.dinic", MetricKind::kCounter, true,
-     "structural queries planned onto Dinic"},
-    {"sim.engine.push_relabel", MetricKind::kCounter, true,
-     "structural queries planned onto push-relabel"},
+    {"sim.engine.batch", MetricKind::kCounter, true,
+     "structural queries planned onto batch repair (first fit + augmenting "
+     "paths)"},
     {"sim.engine.incremental", MetricKind::kCounter, true,
      "structural queries planned onto incremental matching repair"},
     {"sim.incremental.diff_repairs", MetricKind::kCounter, false,

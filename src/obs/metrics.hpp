@@ -49,10 +49,7 @@ enum class Metric : std::uint16_t {
   kSimSuccesses,           ///< structurally repairable runs
   kSimOpSuccesses,         ///< operationally successful runs (assay leg)
   kSimAdaptiveChunks,      ///< stop-rule chunk evaluations (1 if fixed-run)
-  kEngineHopcroftKarp,     ///< structural queries planned onto each engine
-  kEngineKuhn,
-  kEngineDinic,
-  kEnginePushRelabel,
+  kEngineBatch,            ///< queries planned onto batch repair
   kEngineIncremental,      ///< queries planned onto incremental repair
   kIncDiffRepairs,         ///< incremental runs repaired via the word diff
   kIncFullRebuilds,        ///< incremental runs rebuilt (first/config/infeasible)

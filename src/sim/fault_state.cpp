@@ -9,13 +9,65 @@
 
 namespace dmfb::sim {
 
+namespace {
+
+// Advances an epoch counter. At overflow it clears `stamps` and restarts at
+// 1, so a stale stamp never equals a live epoch.
+std::int32_t advance_epoch(std::int32_t& epoch,
+                           std::vector<std::int32_t>& stamps) noexcept {
+  if (++epoch == std::numeric_limits<std::int32_t>::max()) {
+    std::fill(stamps.begin(), stamps.end(), 0);
+    epoch = 1;
+  }
+  return epoch;
+}
+
+// repairable()'s matching: candidate -> claiming primary, live only in the
+// call's claim epoch. The primary side is never read, so it is not kept.
+struct BatchClaims {
+  std::vector<std::int32_t>& stamp;
+  std::vector<CellIndex>& owner_of;
+  std::int32_t epoch;
+
+  bool taken(CellIndex candidate) const noexcept {
+    return stamp[static_cast<std::size_t>(candidate)] == epoch;
+  }
+  std::int32_t owner(CellIndex candidate) const noexcept {
+    return taken(candidate) ? owner_of[static_cast<std::size_t>(candidate)]
+                            : -1;
+  }
+  void assign(CellIndex primary, CellIndex candidate) noexcept {
+    const auto c = static_cast<std::size_t>(candidate);
+    stamp[c] = epoch;
+    owner_of[c] = primary;
+  }
+};
+
+// repairable_incremental()'s matching, kept in both directions across calls
+// so the next call can diff against it.
+struct IncrementalMatching {
+  std::vector<std::int32_t>& of_primary;
+  std::vector<std::int32_t>& of_candidate;
+
+  std::int32_t owner(CellIndex candidate) const noexcept {
+    return of_candidate[static_cast<std::size_t>(candidate)];
+  }
+  void assign(CellIndex primary, CellIndex candidate) noexcept {
+    of_primary[static_cast<std::size_t>(primary)] = candidate;
+    of_candidate[static_cast<std::size_t>(candidate)] = primary;
+  }
+};
+
+}  // namespace
+
 FaultState::FaultState(std::shared_ptr<const ChipDesign> design)
     : design_(std::move(design)) {
   DMFB_EXPECTS(design_ != nullptr);
   const auto n = static_cast<std::size_t>(design_->cell_count());
   words_.assign(fault_word_count(design_->cell_count()), 0);
-  right_index_.assign(n, 0);
   right_stamp_.assign(n, 0);
+  claim_stamp_.assign(n, 0);
+  claim_owner_.assign(n, -1);
   prev_words_.assign(words_.size(), 0);
   inc_match_primary_.assign(n, -1);
   inc_match_candidate_.assign(n, -1);
@@ -29,84 +81,12 @@ void FaultState::reset() noexcept {
 }
 
 std::int32_t FaultState::next_epoch() noexcept {
-  if (++epoch_ == std::numeric_limits<std::int32_t>::max()) {
-    std::fill(right_stamp_.begin(), right_stamp_.end(), 0);
-    epoch_ = 1;
-  }
-  return epoch_;
+  return advance_epoch(epoch_, right_stamp_);
 }
 
-bool FaultState::repairable(reconfig::CoveragePolicy policy,
-                            graph::MatchingEngine engine,
-                            reconfig::ReplacementPool pool) {
-  const ChipDesign::Skeleton& skeleton = design_->skeleton(policy, pool);
-  // First-fit certificate: each faulty covered primary claims its first
-  // healthy candidate nobody claimed before it. A claim for every primary
-  // is a saturating matching, which every engine would confirm, so the CSR
-  // build and the engine run only once first-fit gets stuck. Claims live in
-  // their own epoch of right_stamp_, which the CSR build retires.
-  const std::int32_t claim = next_epoch();
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    std::uint64_t bits = words_[w] & skeleton.cover_words[w];
-    while (bits != 0) {
-      const auto cell =
-          (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      const auto row =
-          static_cast<std::size_t>(skeleton.cover_row_of_cell[cell]);
-      bool claimed = false;
-      for (const CellIndex candidate : skeleton.candidates_of(row)) {
-        auto& stamp = right_stamp_[static_cast<std::size_t>(candidate)];
-        if (stamp != claim && !is_faulty(candidate)) {
-          stamp = claim;
-          claimed = true;
-          break;
-        }
-      }
-      if (!claimed) return repairable_by_engine(skeleton, engine);
-    }
-  }
-  return true;
-}
-
-bool FaultState::repairable_by_engine(const ChipDesign::Skeleton& skeleton,
-                                      graph::MatchingEngine engine) {
-  next_epoch();
-  graph_.clear();
-  // Word-parallel scan: one AND per 64 cells selects the faulty primaries
-  // the policy must cover; bit extraction then visits only the set bits.
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    std::uint64_t bits = words_[w] & skeleton.cover_words[w];
-    while (bits != 0) {
-      const auto cell = static_cast<CellIndex>(
-          (w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
-      bits &= bits - 1;
-      const std::int32_t row =
-          skeleton.cover_row_of_cell[static_cast<std::size_t>(cell)];
-      graph_.open_row();
-      for (const CellIndex candidate :
-           skeleton.candidates_of(static_cast<std::size_t>(row))) {
-        if (is_faulty(candidate)) continue;
-        auto& stamp = right_stamp_[static_cast<std::size_t>(candidate)];
-        if (stamp != epoch_) {
-          stamp = epoch_;
-          right_index_[static_cast<std::size_t>(candidate)] =
-              graph_.right_count();
-        }
-        graph_.add_edge(right_index_[static_cast<std::size_t>(candidate)]);
-      }
-      // Hall's condition fails outright for an isolated faulty primary; the
-      // legacy feasibility path short-circuits identically.
-      if (graph_.open_row_degree() == 0) return false;
-    }
-  }
-  return matcher_.covers_all_left(graph_, engine);
-}
-
-// ------------------------------------------------------ incremental repair
-
-bool FaultState::inc_augment(const ChipDesign::Skeleton& skeleton,
-                             CellIndex primary) {
+template <typename Matching>
+bool FaultState::augment(const ChipDesign::Skeleton& skeleton,
+                         CellIndex primary, Matching& matching) {
   const std::int32_t row =
       skeleton.cover_row_of_cell[static_cast<std::size_t>(primary)];
   for (const CellIndex candidate :
@@ -115,16 +95,53 @@ bool FaultState::inc_augment(const ChipDesign::Skeleton& skeleton,
     auto& stamp = right_stamp_[static_cast<std::size_t>(candidate)];
     if (stamp == epoch_) continue;
     stamp = epoch_;
-    const std::int32_t back =
-        inc_match_candidate_[static_cast<std::size_t>(candidate)];
-    if (back < 0 || inc_augment(skeleton, back)) {
-      inc_match_primary_[static_cast<std::size_t>(primary)] = candidate;
-      inc_match_candidate_[static_cast<std::size_t>(candidate)] = primary;
+    const std::int32_t back = matching.owner(candidate);
+    if (back < 0 || augment(skeleton, back, matching)) {
+      matching.assign(primary, candidate);
       return true;
     }
   }
   return false;
 }
+
+bool FaultState::repairable(reconfig::CoveragePolicy policy,
+                            graph::MatchingEngine /*engine*/,
+                            reconfig::ReplacementPool pool) {
+  const ChipDesign::Skeleton& skeleton = design_->skeleton(policy, pool);
+  BatchClaims claims{claim_stamp_, claim_owner_,
+                     advance_epoch(claim_epoch_, claim_stamp_)};
+  // Word-parallel scan: one AND per 64 cells selects the faulty primaries
+  // the policy must cover; bit extraction then visits only the set bits.
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    std::uint64_t bits = words_[w] & skeleton.cover_words[w];
+    while (bits != 0) {
+      const auto cell = static_cast<CellIndex>(
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
+      bits &= bits - 1;
+      // First fit: the primary's first healthy candidate nobody claimed.
+      const auto row = static_cast<std::size_t>(
+          skeleton.cover_row_of_cell[static_cast<std::size_t>(cell)]);
+      bool claimed = false;
+      for (const CellIndex candidate : skeleton.candidates_of(row)) {
+        if (!claims.taken(candidate) && !is_faulty(candidate)) {
+          claims.assign(cell, candidate);
+          claimed = true;
+          break;
+        }
+      }
+      // Stuck: every healthy candidate is claimed (or there is none), so
+      // only an augmenting path through the claims can place this primary.
+      // Without one no maximum matching saturates it.
+      if (!claimed) {
+        next_epoch();
+        if (!augment(skeleton, cell, claims)) return false;
+      }
+    }
+  }
+  return true;
+}
+
+// ------------------------------------------------------ incremental repair
 
 bool FaultState::repairable_incremental(reconfig::CoveragePolicy policy,
                                         reconfig::ReplacementPool pool) {
@@ -214,6 +231,7 @@ bool FaultState::repairable_incremental(reconfig::CoveragePolicy policy,
   // augmenting path leaves `primary` under the current matching, no maximum
   // matching saturates it, so the run is unrepairable regardless of the
   // remaining pending vertices.
+  IncrementalMatching matching{inc_match_primary_, inc_match_candidate_};
   bool feasible = true;
   for (const CellIndex primary : inc_pending_) {
     const auto i = static_cast<std::size_t>(primary);
@@ -222,7 +240,7 @@ bool FaultState::repairable_incremental(reconfig::CoveragePolicy policy,
     // may enqueue a primary twice; both are benign skips here.
     if (!is_faulty(primary) || inc_match_primary_[i] >= 0) continue;
     next_epoch();
-    if (!inc_augment(skeleton, primary)) {
+    if (!augment(skeleton, primary, matching)) {
       feasible = false;
       break;
     }

@@ -2,9 +2,9 @@
 //
 // Everything a worker needs to evaluate runs on a shared design, instead of
 // a HexArray clone: a word-packed fault bitmap plus the reusable matching
-// buffers (compacted bipartite CSR graph, right-index stamp map, engine
-// workspaces). One FaultState serves an entire worker's run loop with zero
-// steady-state allocation; reset() costs O(#faults), not O(#cells).
+// buffers, all indexed by cell (claim and match arrays, visit stamps). One
+// FaultState serves an entire worker's run loop with zero steady-state
+// allocation; reset() costs O(#faults), not O(#cells).
 //
 // Fault bits are packed 64 per std::uint64_t word (cell i -> word i/64,
 // bit i%64), so the repairability scan is word-parallel: one AND against
@@ -12,16 +12,17 @@
 // policy must cover, and bit extraction walks only the set bits instead of
 // every coverable primary.
 //
-// Two repairability paths, equal verdicts (pinned by the fuzz suite):
-//   repairable()             — batch: first a first-fit pass, in which each
-//                              faulty covered primary claims its first
-//                              unclaimed healthy candidate; if every one
-//                              gets a claim, that saturating assignment
-//                              proves the chip repairable. Only when
-//                              first-fit gets stuck is the skeleton filtered
-//                              into a compacted CSR graph for the chosen
-//                              matching engine, which decides every
-//                              contested or unrepairable fault set.
+// Both repairability paths are Kuhn's augmenting-path algorithm in cell
+// space over the design's skeleton; no run builds a bipartite graph or
+// calls a matching engine. Equal verdicts (pinned by the fuzz suite):
+//   repairable()             — batch: each faulty covered primary, in cell
+//                              order, claims its first unclaimed healthy
+//                              candidate. A primary that finds none starts
+//                              one augmenting-path DFS whose first hops are
+//                              its (claimed) healthy candidates. If that DFS
+//                              fails, no maximum matching saturates the
+//                              primary (Kuhn's lemma), so the run is
+//                              unrepairable; isolated primaries fail at once.
 //   repairable_incremental() — diff this run's fault words against the
 //                              previous accepted run's, drop matches that
 //                              involve departed/newly-faulty cells, and
@@ -40,7 +41,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
-#include "graph/csr_matching.hpp"
+#include "graph/matching.hpp"
 #include "sim/chip_design.hpp"
 
 namespace dmfb::sim {
@@ -97,22 +98,22 @@ class FaultState {
   void reset() noexcept;
 
   // -- repairability --------------------------------------------------------
-  /// True iff local reconfiguration can repair the current fault state.
-  /// A first-fit pass over the design's pre-built (policy, pool) skeleton
-  /// answers true when it saturates every covered faulty primary; otherwise
-  /// the skeleton is filtered by fault bits into a compacted CSR bipartite
-  /// graph and `engine` checks whether a maximum matching saturates every
-  /// covered faulty primary. Equivalent to
-  /// reconfig::LocalReconfigurer::feasible on an equally-faulted HexArray.
+  /// True iff local reconfiguration can repair the current fault state:
+  /// first-fit claims over the design's pre-built (policy, pool) skeleton,
+  /// extended by an augmenting-path DFS wherever first-fit gets stuck (see
+  /// the header comment). Equivalent to reconfig::LocalReconfigurer::feasible
+  /// on an equally-faulted HexArray, for every engine. `engine` is not read:
+  /// every engine gives the same verdict, and the parameter stays only until
+  /// the callers that still pass it drop it together with the campaign
+  /// `engine` key.
   bool repairable(reconfig::CoveragePolicy policy,
                   graph::MatchingEngine engine,
                   reconfig::ReplacementPool pool);
 
   /// Same verdict as repairable(), computed incrementally against the fault
   /// words this state saw on its previous repairable_incremental() call
-  /// (see the header comment). The engine is implicit: augmentation is
-  /// Kuhn-style DFS over the skeleton, which any explicit engine provably
-  /// agrees with. Call between inject() and reset(), one (policy, pool)
+  /// (see the header comment); the same augmenting DFS as repairable().
+  /// Call between inject() and reset(), one (policy, pool)
   /// configuration per run sequence for the diff to pay off.
   bool repairable_incremental(reconfig::CoveragePolicy policy,
                               reconfig::ReplacementPool pool);
@@ -135,23 +136,31 @@ class FaultState {
   static constexpr std::int32_t kIncrementalChurnSlack = 8;
 
  private:
-  bool repairable_by_engine(const ChipDesign::Skeleton& skeleton,
-                            graph::MatchingEngine engine);
-  bool inc_augment(const ChipDesign::Skeleton& skeleton, CellIndex primary);
+  // Kuhn's augmenting-path DFS from the faulty covered `primary` over the
+  // healthy candidates of its skeleton row. `Matching` maps a candidate to
+  // the primary holding it (owner, -1 when free) and records a new pair
+  // (assign); the batch claims and the incremental matching each supply
+  // one. Visit marks are this call's next_epoch() in right_stamp_.
+  template <typename Matching>
+  bool augment(const ChipDesign::Skeleton& skeleton, CellIndex primary,
+               Matching& matching);
   std::int32_t next_epoch() noexcept;
 
   std::shared_ptr<const ChipDesign> design_;
   std::vector<std::uint64_t> words_;
   std::vector<CellIndex> faulty_cells_;
 
-  // Matching scratch: candidate-cell -> compacted right index, valid when
-  // right_stamp_ matches the current epoch. First-fit claims and the
-  // incremental DFS's visit marks use right_stamp_ in epochs of their own.
-  std::vector<std::int32_t> right_index_;
+  // Augmenting-DFS visit marks: candidate cell visited iff its stamp equals
+  // epoch_ (one epoch per DFS).
   std::vector<std::int32_t> right_stamp_;
   std::int32_t epoch_ = 0;
-  graph::CsrBipartiteGraph graph_;
-  graph::CsrMatcher matcher_;
+
+  // Batch claims of the current repairable() call: candidate cell -> the
+  // primary holding it, valid iff claim_stamp_ equals claim_epoch_ (one
+  // epoch per call, so no run ever clears them).
+  std::vector<std::int32_t> claim_stamp_;
+  std::vector<CellIndex> claim_owner_;
+  std::int32_t claim_epoch_ = 0;
 
   // Incremental-repair state: the committed fault words of the previous
   // call and the live matching in cell space (primary cell <-> candidate

@@ -397,50 +397,10 @@ OperationalEstimate Session::run_operational(const YieldQuery& query) {
       query, [&] { return execute_operational(query); });
 }
 
-namespace {
-
-// One count per computed structural query, keyed by the engine the planner
-// actually chose. Pure function of the query + design, so the totals are
-// thread-invariant.
-void note_engine_plan(const EnginePlan& plan) {
-  if (plan.incremental) {
-    obs::count(obs::Metric::kEngineIncremental);
-    return;
-  }
-  switch (plan.engine) {
-    case graph::MatchingEngine::kHopcroftKarp:
-      obs::count(obs::Metric::kEngineHopcroftKarp);
-      break;
-    case graph::MatchingEngine::kKuhn:
-      obs::count(obs::Metric::kEngineKuhn);
-      break;
-    case graph::MatchingEngine::kDinic:
-      obs::count(obs::Metric::kEngineDinic);
-      break;
-    case graph::MatchingEngine::kPushRelabel:
-      obs::count(obs::Metric::kEnginePushRelabel);
-      break;
-    case graph::MatchingEngine::kAuto:
-      break;  // resolve_engine never returns kAuto
-  }
-}
-
-}  // namespace
-
-EnginePlan plan_engine(const YieldQuery& query, const ChipDesign& design) {
-  if (query.engine != graph::MatchingEngine::kAuto) {
-    return {false, query.engine};
-  }
-  if (expected_fault_fraction(query.fault, design) <=
-      kAutoIncrementalDensityMax) {
-    return {true, graph::MatchingEngine::kHopcroftKarp};
-  }
-  const ChipDesign::Skeleton& skeleton =
-      design.skeleton(query.policy, query.pool);
-  return {false,
-          graph::resolve_engine(
-              graph::MatchingEngine::kAuto,
-              static_cast<std::int32_t>(skeleton.cover.size()))};
+bool plans_incremental(const YieldQuery& query, const ChipDesign& design) {
+  return query.engine == graph::MatchingEngine::kAuto &&
+         expected_fault_fraction(query.fault, design) <=
+             kAutoIncrementalDensityMax;
 }
 
 namespace {
@@ -512,14 +472,19 @@ YieldEstimate Session::execute(const YieldQuery& query) const {
   // Either path returns the same verdict per run (a pure function of the
   // fault set), so partitioning runs over workers — each with its own
   // incremental history — never changes the estimate.
-  const EnginePlan plan = plan_engine(query, *design_);
-  if (obs::enabled()) note_engine_plan(plan);
+  const bool incremental = plans_incremental(query, *design_);
+  // One count per computed structural query, keyed by the repair path: a
+  // pure function of the query + design, so the totals are thread-invariant.
+  if (obs::enabled()) {
+    obs::count(incremental ? obs::Metric::kEngineIncremental
+                           : obs::Metric::kEngineBatch);
+  }
   // Repairs and resets the run just injected into `state`.
   const auto settle = [&](FaultState& state) {
     const bool ok =
-        plan.incremental
+        incremental
             ? state.repairable_incremental(query.policy, query.pool)
-            : state.repairable(query.policy, plan.engine, query.pool);
+            : state.repairable(query.policy, query.engine, query.pool);
     state.reset();
     return ok;
   };

@@ -86,12 +86,12 @@ struct YieldQuery {
 
   reconfig::CoveragePolicy policy =
       reconfig::CoveragePolicy::kAllFaultyPrimaries;
-  /// Matching engine for the per-run repairability check. kAuto lets the
-  /// session pick per (array size, expected defect density) — see
-  /// plan_engine; estimates never depend on the choice (every engine
-  /// computes a maximum matching), only run time does. For operational
-  /// (kAssay) queries kAuto resolves per instance inside the reconfigurer,
-  /// deterministically.
+  /// Matching engine. Structural runs run no engine (FaultState::repairable
+  /// settles them in cell space); there kAuto only picks incremental repair
+  /// at low expected defect density — see plans_incremental. For
+  /// operational (kAssay) queries it picks the reconfigurer's plan engine,
+  /// kAuto resolving per instance, deterministically. Estimates never
+  /// depend on the choice (every engine computes a maximum matching).
   graph::MatchingEngine engine = graph::MatchingEngine::kHopcroftKarp;
   reconfig::ReplacementPool pool = reconfig::ReplacementPool::kSparesOnly;
 
@@ -166,26 +166,19 @@ Rng run_stream(std::uint64_t seed, std::int32_t run) noexcept;
 /// output so v2 uniforms never coincide with the v1 xoshiro seed state.
 CounterStream run_stream_v2(std::uint64_t seed, std::int32_t run) noexcept;
 
-/// How a structural query's per-run repairability check executes.
-struct EnginePlan {
-  /// True: the diff-based FaultState::repairable_incremental path.
-  bool incremental = false;
-  /// Batch engine otherwise (never kAuto after planning).
-  graph::MatchingEngine engine = graph::MatchingEngine::kHopcroftKarp;
-};
-
 /// Expected per-cell fault probability at or below which an auto-engine
 /// query takes the incremental repair path: consecutive runs then differ in
-/// few cells, so diff + re-augment beats any from-scratch engine.
+/// few cells, so diff + re-augment beats a from-scratch check.
 inline constexpr double kAutoIncrementalDensityMax = 0.125;
 
-/// Resolves the query's engine choice against `design`. Explicit engines
-/// pass through as batch plans; kAuto picks incremental repair when
-/// expected_fault_fraction(fault) <= kAutoIncrementalDensityMax, else a
-/// batch engine by skeleton size via graph::resolve_engine. Deterministic:
-/// the plan depends only on (query, design), never on sampled state or
-/// threads.
-EnginePlan plan_engine(const YieldQuery& query, const ChipDesign& design);
+/// True when a structural query's per-run check takes the diff-based
+/// FaultState::repairable_incremental path, false for the batch
+/// FaultState::repairable. Only kAuto queries with
+/// expected_fault_fraction(fault) <= kAutoIncrementalDensityMax plan
+/// incremental repair; neither path runs a matching engine, so this is the
+/// only structural decision the engine still makes. Deterministic: the plan
+/// depends only on (query, design), never on sampled state or threads.
+bool plans_incremental(const YieldQuery& query, const ChipDesign& design);
 
 /// Both metrics of one operational (workload = kAssay) experiment, plus the
 /// completion-time degradation of the surviving runs. Structural and

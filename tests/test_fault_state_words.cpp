@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -193,9 +194,140 @@ TEST(FaultStateWords, PackedVerdictMatchesLegacyPerCellOnBoundarySizes) {
   }
 }
 
+// Hand-built fault sets on a 6x6 DTMB(2,6) array (36 cells, 27 primaries)
+// for the branches of FaultState::repairable beyond plain first fit. Each
+// set's shape is asserted under (all faulty primaries, spares only), where
+// reconfig::GreedyReconfigurer replays the same first fit; the verdict is
+// then checked against LocalReconfigurer::feasible under every policy x
+// pool, and against the incremental path.
+std::int32_t healthy_spares(const biochip::HexArray& array, CellIndex cell) {
+  std::int32_t count = 0;
+  for (const CellIndex spare : array.spare_neighbors_of(cell)) {
+    count += array.health(spare) == biochip::CellHealth::kHealthy;
+  }
+  return count;
+}
+
+/// Loads `faults` into `array` and returns FaultState::repairable's verdict
+/// under (all faulty, spares only), after checking it against the
+/// reconfigurer and the incremental path under every policy x pool.
+bool repair_verdict(biochip::HexArray& array,
+                    std::initializer_list<CellIndex> faults) {
+  array.reset_health();
+  const auto design = ChipDesign::make(array);
+  FaultState state(design);
+  for (const CellIndex cell : faults) {
+    array.set_health(cell, biochip::CellHealth::kFaulty);
+    state.set_faulty(cell);
+  }
+  for (const auto policy : kPolicies) {
+    for (const auto pool : kPools) {
+      const bool expected =
+          reconfig::LocalReconfigurer(
+              policy, graph::MatchingEngine::kHopcroftKarp, pool)
+              .feasible(array);
+      EXPECT_EQ(state.repairable(policy, graph::MatchingEngine::kAuto, pool),
+                expected)
+          << "policy=" << static_cast<int>(policy)
+          << " pool=" << static_cast<int>(pool);
+      FaultState incremental(design);
+      for (const CellIndex cell : faults) incremental.set_faulty(cell);
+      EXPECT_EQ(incremental.repairable_incremental(policy, pool), expected)
+          << "policy=" << static_cast<int>(policy)
+          << " pool=" << static_cast<int>(pool);
+    }
+  }
+  return state.repairable(CoveragePolicy::kAllFaultyPrimaries,
+                          graph::MatchingEngine::kAuto,
+                          ReplacementPool::kSparesOnly);
+}
+
+TEST(FaultStateRepair, StuckFirstFitIsRepairedByAugmentingPaths) {
+  auto array = make_array(DtmbKind::kDtmb2_6, 6, 6);
+  const reconfig::GreedyReconfigurer first_fit;
+  // {3, 5}: 3 takes 5's only healthy spare, so the path is 5 -> spare ->
+  // 3 -> 3's other spare (length 3). {13, 19, 30}: no owner of 30's
+  // healthy spares has a free spare of its own, so the path needs one more
+  // reassignment (length 5).
+  for (const auto faults : {std::initializer_list<CellIndex>{3, 5},
+                            std::initializer_list<CellIndex>{13, 19, 30}}) {
+    array.reset_health();
+    for (const CellIndex cell : faults) {
+      array.set_health(cell, biochip::CellHealth::kFaulty);
+    }
+    const auto greedy = first_fit.plan(array);
+    ASSERT_EQ(greedy.unrepairable.size(), 1u);
+    const CellIndex stuck = greedy.unrepairable.front();
+    ASSERT_GT(healthy_spares(array, stuck), 0);
+    EXPECT_TRUE(repair_verdict(array, faults));
+  }
+  // The length-5 set: every healthy spare of the stuck primary 30 is held
+  // by a primary whose other healthy spares are all held too.
+  array.reset_health();
+  for (const CellIndex cell : {13, 19, 30}) {
+    array.set_health(cell, biochip::CellHealth::kFaulty);
+  }
+  const auto greedy = first_fit.plan(array);
+  const auto holder = [&](CellIndex spare) {
+    for (const auto& replacement : greedy.replacements) {
+      if (replacement.spare == spare) return replacement.faulty;
+    }
+    return hex::kInvalidCell;
+  };
+  const auto healthy = [&](CellIndex cell) {
+    return array.health(cell) == biochip::CellHealth::kHealthy;
+  };
+  for (const CellIndex spare : array.spare_neighbors_of(30)) {
+    if (!healthy(spare)) continue;
+    const CellIndex owner = holder(spare);
+    ASSERT_NE(owner, hex::kInvalidCell);
+    for (const CellIndex other : array.spare_neighbors_of(owner)) {
+      if (other != spare && healthy(other)) {
+        EXPECT_NE(holder(other), hex::kInvalidCell) << "owner=" << owner;
+      }
+    }
+  }
+}
+
+TEST(FaultStateRepair, LaterIsolatedPrimaryFailsAfterRepairableStuckOne) {
+  auto array = make_array(DtmbKind::kDtmb2_6, 6, 6);
+  for (const CellIndex cell : {25, 32, 35}) {
+    array.set_health(cell, biochip::CellHealth::kFaulty);
+  }
+  // First fit gets stuck first at 32, which has a healthy spare; 35, later
+  // in cell order, has none.
+  const auto greedy = reconfig::GreedyReconfigurer().plan(array);
+  ASSERT_FALSE(greedy.unrepairable.empty());
+  EXPECT_EQ(greedy.unrepairable.front(), 32);
+  EXPECT_GT(healthy_spares(array, 32), 0);
+  EXPECT_EQ(healthy_spares(array, 35), 0);
+  EXPECT_FALSE(repair_verdict(array, {25, 32, 35}));
+  // Without the isolated primary the stuck one is repaired by augmentation.
+  EXPECT_TRUE(repair_verdict(array, {25, 32}));
+}
+
+TEST(FaultStateRepair, HallViolatorOfSizeTwoIsUnrepairable) {
+  auto array = make_array(DtmbKind::kDtmb2_6, 6, 6);
+  for (const CellIndex cell : {29, 34}) {
+    array.set_health(cell, biochip::CellHealth::kFaulty);
+  }
+  // Neither primary is isolated, but together they see one healthy spare.
+  EXPECT_GT(healthy_spares(array, 29), 0);
+  EXPECT_GT(healthy_spares(array, 34), 0);
+  const reconfig::LocalReconfigurer matcher;
+  const auto violator = reconfig::hall_violator(
+      array, matcher.plan(array), ReplacementPool::kSparesOnly);
+  EXPECT_EQ(violator, (std::vector<CellIndex>{29, 34}));
+  EXPECT_EQ(reconfig::replacement_neighborhood(array, violator,
+                                               ReplacementPool::kSparesOnly)
+                .size(),
+            1u);
+  EXPECT_FALSE(repair_verdict(array, {29, 34}));
+}
+
 // Every fault set of a 16-cell array against the legacy HexArray
-// reconfigurer, an independent implementation: the packed path (first-fit
-// certificate, then the engine) must agree under each explicit engine. All
+// reconfigurer, an independent implementation: the packed path (first fit,
+// then augmenting paths) must agree with it under each explicit engine. All
 // 2^16 sets run for the spares-only pool under both policies; the
 // spares-and-unused pool takes every 7th set, which keeps the suite to a few
 // seconds per array in Debug sanitizer builds. One test per array, so ctest

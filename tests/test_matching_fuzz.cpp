@@ -8,12 +8,15 @@
 // axis, so a single disagreeing instance would split yield curves by
 // engine.
 //
-// The second half fuzzes sim::FaultState's incremental-repair path:
-// randomized insert/remove fault sequences replayed incrementally must give
-// the same verdict as a from-scratch check by every batch engine, with the
-// incremental matching passing its full invariant check after every step.
-// Steps are also classified by a replay of the batch path's first-fit
-// certificate, so the suite proves the engines behind it still run.
+// The second half fuzzes sim::FaultState's two repair paths, both Kuhn's
+// augmenting paths in cell space. Randomized insert/remove fault sequences
+// replayed incrementally must give the same verdict as the batch path, with
+// the incremental matching passing its full invariant check after every
+// step; steps are classified by a replay of the batch path's first fit, so
+// the suite proves its augmenting paths run. On the contested fault sets
+// (those first fit cannot saturate) the batch verdict is also checked
+// against CsrMatcher's Hopcroft-Karp on an independently built graph.
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <utility>
@@ -26,6 +29,7 @@
 #include "graph/csr_matching.hpp"
 #include "graph/matching.hpp"
 #include "matching_oracle.hpp"
+#include "reconfig/local_reconfig.hpp"
 #include "sim/chip_design.hpp"
 #include "sim/fault_state.hpp"
 
@@ -238,10 +242,10 @@ TEST(IncrementalRepairFuzz, AgreesWithEveryScratchEngineOnRandomSequences) {
       reconfig::ReplacementPool::kSparesOnly,
       reconfig::ReplacementPool::kSparesAndUnusedPrimaries};
   Rng rng(0x19C4E5ULL);
-  // Steps by how the batch path decides them: the first-fit certificate
-  // alone, the engine after first-fit got stuck on a repairable set, or the
-  // engine on an unrepairable set. Each must occur, so the engine fallback
-  // is exercised and not only the certificate.
+  // Steps by how the batch path decides them: first fit alone, augmenting
+  // paths after first fit got stuck on a repairable set, or an unrepairable
+  // set. Each must occur, so the augmenting paths are exercised and not
+  // only first fit.
   std::int32_t saturated = 0;
   std::int32_t stuck_repairable = 0;
   std::int32_t unrepairable = 0;
@@ -326,6 +330,72 @@ TEST(IncrementalRepairFuzz, SurvivesConfigSwitchesMidSequence) {
               verdict)
         << "step=" << step;
   }
+}
+
+TEST(BatchRepairFuzz, ContestedSetsAgreeWithCsrHopcroftKarp) {
+  // Only the sets first fit cannot saturate (GreedyReconfigurer::feasible
+  // false, spares-only pool), where FaultState::repairable must augment.
+  // The reference graph is built here from the HexArray's spare adjacency,
+  // not from the design skeleton, and matched by Hopcroft-Karp.
+  constexpr reconfig::CoveragePolicy kPolicies[] = {
+      reconfig::CoveragePolicy::kAllFaultyPrimaries,
+      reconfig::CoveragePolicy::kUsedFaultyPrimaries};
+  Rng rng(0xC0A7E57ULL);
+  CsrBipartiteGraph csr;
+  CsrMatcher matcher;
+  std::int32_t repairable = 0;
+  std::int32_t unrepairable = 0;
+  for (const auto& [width, height] :
+       {std::pair{9, 9}, std::pair{12, 10}, std::pair{16, 16}}) {
+    auto array =
+        biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, width, height);
+    std::int32_t marked = 0;
+    for (const auto primary : array.primaries()) {
+      if (marked++ % 2 == 0) {
+        array.set_usage(primary, biochip::CellUsage::kAssayUsed);
+      }
+    }
+    const auto design = sim::ChipDesign::make(array);
+    sim::FaultState state(design);
+    std::vector<std::int32_t> right_of(
+        static_cast<std::size_t>(array.cell_count()), -1);
+    for (std::int32_t trial = 0; trial < 1500; ++trial) {
+      const double density = 0.02 + rng.uniform01() * 0.12;
+      array.reset_health();
+      state.reset();
+      for (std::int32_t cell = 0; cell < array.cell_count(); ++cell) {
+        if (rng.bernoulli(density)) {
+          array.set_health(cell, biochip::CellHealth::kFaulty);
+          state.set_faulty(cell);
+        }
+      }
+      for (const auto policy : kPolicies) {
+        if (reconfig::GreedyReconfigurer(policy).feasible(array)) continue;
+        csr.clear();
+        std::fill(right_of.begin(), right_of.end(), -1);
+        for (const auto primary : reconfig::cells_to_cover(array, policy)) {
+          csr.open_row();
+          for (const auto spare : array.spare_neighbors_of(primary)) {
+            if (array.health(spare) == biochip::CellHealth::kFaulty) continue;
+            auto& right = right_of[static_cast<std::size_t>(spare)];
+            if (right < 0) right = csr.right_count();
+            csr.add_edge(right);
+          }
+        }
+        const bool expected =
+            matcher.covers_all_left(csr, MatchingEngine::kHopcroftKarp);
+        EXPECT_EQ(state.repairable(policy, MatchingEngine::kAuto,
+                                   reconfig::ReplacementPool::kSparesOnly),
+                  expected)
+            << width << "x" << height << " trial=" << trial
+            << " policy=" << static_cast<int>(policy);
+        ++(expected ? repairable : unrepairable);
+      }
+    }
+  }
+  // Both verdicts must be common among the contested sets.
+  EXPECT_GE(repairable, 200);
+  EXPECT_GE(unrepairable, 200);
 }
 
 }  // namespace

@@ -132,7 +132,7 @@ TEST(ObsRegistryTest, StableCountersIdenticalAtOneAndFourThreads) {
   EXPECT_EQ(t1.counter(Metric::kSessionComputed), 1);
   EXPECT_EQ(t1.counter(Metric::kSimRuns), 512);
   EXPECT_EQ(t1.counter(Metric::kInjectRuns), 512);
-  EXPECT_EQ(t1.counter(Metric::kEngineHopcroftKarp), 1);
+  EXPECT_EQ(t1.counter(Metric::kEngineBatch), 1);
   // The v1 Bernoulli query runs its lanes in lock-step where the CPU has a
   // kernel; the injection counters stay those of one scalar run each.
   const std::int64_t cells =
