@@ -6,8 +6,8 @@
 #include <iostream>
 
 #include "biochip/dtmb.hpp"
-#include "fault/injector.hpp"
 #include "io/table.hpp"
+#include "sim/fault_model.hpp"
 #include "sim/session.hpp"
 
 int main() {
@@ -28,10 +28,9 @@ int main() {
       const auto iid = session.run(query);
 
       const auto clustered_yield = [&](std::int32_t radius) {
-        const fault::ClusteredInjector prototype(1.0, radius, 0.9, 0.4);
-        const double per_spot = prototype.expected_failures_per_spot();
+        const sim::ClusterShape shape{radius, 0.9, 0.4};
         query.fault = sim::FaultModel::clustered(
-            expected_failures / per_spot, {radius, 0.9, 0.4});
+            expected_failures / sim::expected_failures_per_spot(shape), shape);
         return session.run(query).value;
       };
 

@@ -6,9 +6,9 @@
 
 #include "biochip/dtmb.hpp"
 #include "common/rng.hpp"
-#include "fault/injector.hpp"
 #include "io/table.hpp"
 #include "reconfig/local_reconfig.hpp"
+#include "sim/fault_model.hpp"
 
 int main() {
   using namespace dmfb;
@@ -19,7 +19,7 @@ int main() {
        {biochip::DtmbKind::kDtmb2_6, biochip::DtmbKind::kDtmb3_6}) {
     auto array = biochip::make_dtmb_array_with_primaries(kind, 120);
     for (const double p : {0.88, 0.92, 0.96}) {
-      const fault::BernoulliInjector injector(p);
+      const auto model = sim::FaultModel::bernoulli(p);
       const reconfig::LocalReconfigurer matching;
       const reconfig::GreedyReconfigurer greedy;
       Rng rng(0x6EEE);
@@ -28,7 +28,7 @@ int main() {
       std::int32_t greedy_losses = 0;  // matching repairs, greedy fails
       const std::int32_t kRuns = 10000;
       for (std::int32_t run = 0; run < kRuns; ++run) {
-        injector.inject(array, rng);
+        sim::inject(model, array, rng);
         const bool m = matching.feasible(array);
         const bool g = greedy.feasible(array);
         matching_ok += m;

@@ -15,9 +15,9 @@
 #include <iostream>
 
 #include "biochip/dtmb.hpp"
-#include "fault/injector.hpp"
 #include "fluidics/placement.hpp"
 #include "io/table.hpp"
+#include "sim/fault_model.hpp"
 #include "sim/session.hpp"
 
 int main() {
@@ -67,11 +67,10 @@ int main() {
 
     // (1) Re-placement on the plain chip: a custom oracle, so a serial
     //     loop over the session's per-run streams.
-    const fault::BernoulliInjector injector(p);
     std::int64_t placed = 0;
     for (std::int32_t run = 0; run < query.runs; ++run) {
       Rng rng = sim::run_stream(query.seed, run);
-      injector.inject(plain, rng);
+      sim::inject(query.fault, plain, rng);
       placed += ModulePlacer(plain).place(workload).has_value();
       plain.reset_health();
     }

@@ -6,9 +6,9 @@
 
 #include "assay/multiplexed_chip.hpp"
 #include "common/rng.hpp"
-#include "fault/injector.hpp"
 #include "io/ascii_render.hpp"
 #include "reconfig/local_reconfig.hpp"
+#include "sim/fault_model.hpp"
 #include "yield/analytic.hpp"
 
 int main() {
@@ -31,7 +31,8 @@ int main() {
   // Fig. 12(b): 10 random faults, then local reconfiguration. The seed is
   // chosen so several faults land on assay cells, as in the paper's figure.
   Rng rng(0xF004);
-  const auto faults = fault::FixedCountInjector(10).inject(chip.array, rng);
+  const auto faults = sim::inject(
+      sim::FaultModel::fixed_count(10), chip.array, rng);
   std::cout << "Injected 10 random faults:\n";
   for (const auto& record : faults.records) {
     std::cout << "  " << chip.array.region().coord_at(record.cell) << " ("

@@ -7,17 +7,17 @@
 
 #include "biochip/dtmb.hpp"
 #include "common/rng.hpp"
-#include "fault/injector.hpp"
 #include "graph/matching.hpp"
 #include "io/ascii_render.hpp"
 #include "reconfig/local_reconfig.hpp"
+#include "sim/fault_model.hpp"
 
 int main() {
   using namespace dmfb;
 
   auto array = biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 9, 9);
   Rng rng(0xF18);
-  fault::FixedCountInjector(7).inject(array, rng);
+  sim::inject(sim::FaultModel::fixed_count(7), array, rng);
 
   std::cout << "Figure 8 - bipartite matching model of local "
                "reconfiguration\n\n";

@@ -6,7 +6,6 @@
 
 #include "biochip/dtmb.hpp"
 #include "common/rng.hpp"
-#include "fault/injector.hpp"
 #include "fluidics/router.hpp"
 #include "graph/csr_matching.hpp"
 #include "reconfig/local_reconfig.hpp"
@@ -48,11 +47,11 @@ void BM_McYieldRun(benchmark::State& state) {
   auto array = biochip::make_dtmb_array_with_primaries(
       biochip::DtmbKind::kDtmb2_6,
       static_cast<std::int32_t>(state.range(0)));
-  const fault::BernoulliInjector injector(0.93);
+  const auto model = sim::FaultModel::bernoulli(0.93);
   const reconfig::LocalReconfigurer reconfigurer;
   Rng rng(7);
   for (auto _ : state) {
-    injector.inject(array, rng);
+    sim::inject(model, array, rng);
     benchmark::DoNotOptimize(reconfigurer.feasible(array));
     array.reset_health();
   }

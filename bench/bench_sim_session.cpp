@@ -24,10 +24,10 @@
 #include "campaign/builtin.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
-#include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "reconfig/local_reconfig.hpp"
 #include "sim/assay_workload.hpp"
+#include "sim/fault_model.hpp"
 #include "sim/session.hpp"
 
 namespace {
@@ -60,12 +60,12 @@ biochip::HexArray dtmb16_large_array() {
 
 void BM_McYieldRun_Legacy(benchmark::State& state) {
   auto array = bench_array();
-  const fault::BernoulliInjector injector(kSurvivalP);
+  const sim::FaultModel model = sim::FaultModel::bernoulli(kSurvivalP);
   const reconfig::LocalReconfigurer reconfigurer;
   std::int32_t run = 0;
   for (auto _ : state) {
     Rng rng = sim::run_stream(kSeed, run++);
-    injector.inject(array, rng);
+    sim::inject(model, array, rng);
     benchmark::DoNotOptimize(reconfigurer.feasible(array));
     array.reset_health();
   }
@@ -160,12 +160,12 @@ BENCHMARK(BM_McYieldRun_IncrementalSparse);
 
 void BM_McYieldRun_Dtmb16_Legacy(benchmark::State& state) {
   auto array = dtmb16_array();
-  const fault::BernoulliInjector injector(kSurvivalP);
+  const sim::FaultModel model = sim::FaultModel::bernoulli(kSurvivalP);
   const reconfig::LocalReconfigurer reconfigurer;
   std::int32_t run = 0;
   for (auto _ : state) {
     Rng rng = sim::run_stream(kSeed, run++);
-    injector.inject(array, rng);
+    sim::inject(model, array, rng);
     benchmark::DoNotOptimize(reconfigurer.feasible(array));
     array.reset_health();
   }

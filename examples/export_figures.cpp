@@ -10,9 +10,9 @@
 #include "assay/multiplexed_chip.hpp"
 #include "biochip/dtmb.hpp"
 #include "common/rng.hpp"
-#include "fault/injector.hpp"
 #include "io/svg_render.hpp"
 #include "reconfig/local_reconfig.hpp"
+#include "sim/fault_model.hpp"
 
 int main(int argc, char** argv) {
   using namespace dmfb;
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   save("fig11_multiplexed_chip.svg", io::render_svg(chip.array));
 
   Rng rng(0xF12B);
-  fault::FixedCountInjector(10).inject(chip.array, rng);
+  sim::inject(sim::FaultModel::fixed_count(10), chip.array, rng);
   const auto plan =
       reconfig::LocalReconfigurer(
           reconfig::CoveragePolicy::kUsedFaultyPrimaries)

@@ -28,7 +28,7 @@ int main() {
 
   // 2. Imperfect manufacturing.
   Rng rng(2025);
-  const auto faults = chip.inject_bernoulli(0.97, rng);
+  const auto faults = chip.inject(sim::FaultModel::bernoulli(0.97), rng);
   std::cout << "Manufacturing left " << faults.size() << " faulty cells.\n";
 
   // 3. Stimulus-droplet testing finds them.

@@ -12,9 +12,9 @@
 
 #include "biochip/dtmb.hpp"
 #include "common/rng.hpp"
-#include "fault/injector.hpp"
 #include "io/ascii_render.hpp"
 #include "reconfig/local_reconfig.hpp"
+#include "sim/fault_model.hpp"
 #include "testplan/stimulus_test.hpp"
 
 int main() {
@@ -22,7 +22,8 @@ int main() {
 
   auto array = biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 10, 8);
   Rng rng(0x7E57);
-  const auto injected = fault::FixedCountInjector(4).inject(array, rng);
+  const auto injected = sim::inject(
+      sim::FaultModel::fixed_count(4), array, rng);
 
   std::cout << "Hidden manufacturing defects (unknown to the tester):\n";
   for (const auto& record : injected.records) {

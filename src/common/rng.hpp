@@ -140,7 +140,7 @@ inline std::uint64_t bernoulli_threshold(double prob) noexcept {
 /// v1 trial loop: for each index in [0, count), makes exactly the draws
 /// `rng.bernoulli(prob)` makes, in order, and calls on_hit(index, rng) on a
 /// success so the hit's own draws (classification) continue the same
-/// stream. The v1 Bernoulli injection core (fault/kinds.hpp) runs on it.
+/// stream. The v1 Bernoulli injection core (sim/fault_model.cpp) runs on it.
 /// Each trial is one raw draw against bernoulli_threshold(prob), with no
 /// u64->double conversion. Degenerate probabilities keep bernoulli()'s
 /// draw semantics: prob <= 0 draws nothing, prob >= 1 hits every index

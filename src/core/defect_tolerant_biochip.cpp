@@ -18,23 +18,9 @@ double DefectTolerantBiochip::redundancy_ratio() const {
 
 void DefectTolerantBiochip::heal() { array_.reset_health(); }
 
-fault::FaultMap DefectTolerantBiochip::inject_bernoulli(double p, Rng& rng) {
-  return fault::BernoulliInjector(p).inject(array_, rng);
-}
-
-fault::FaultMap DefectTolerantBiochip::inject_fixed(std::int32_t m, Rng& rng) {
-  return fault::FixedCountInjector(m).inject(array_, rng);
-}
-
-fault::FaultMap DefectTolerantBiochip::inject_parametric(
-    Rng& rng, const fault::ProcessSpec& spec) {
-  return fault::ParametricInjector(spec).inject(array_, rng);
-}
-
-fault::FaultMap DefectTolerantBiochip::inject_mixture(
-    const std::vector<fault::MixtureInjector::Component>& components,
-    Rng& rng) {
-  return fault::MixtureInjector(components).inject(array_, rng);
+fault::FaultMap DefectTolerantBiochip::inject(const sim::FaultModel& model,
+                                              Rng& rng) {
+  return sim::inject(model, array_, rng);
 }
 
 testplan::TestSessionResult DefectTolerantBiochip::test_chip(

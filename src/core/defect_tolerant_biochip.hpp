@@ -15,10 +15,8 @@
 #include "biochip/hex_array.hpp"
 #include "common/rng.hpp"
 #include "fault/fault_model.hpp"
-#include "fault/injector.hpp"
-#include "fault/mixture.hpp"
-#include "fault/parametric.hpp"
 #include "reconfig/local_reconfig.hpp"
+#include "sim/fault_model.hpp"
 #include "sim/session.hpp"
 #include "testplan/stimulus_test.hpp"
 
@@ -46,24 +44,10 @@ class DefectTolerantBiochip {
   /// Clears all faults.
   void heal();
 
-  /// Injects iid faults (survival probability p per cell).
-  fault::FaultMap inject_bernoulli(double p, Rng& rng);
-
-  /// Injects exactly m random faults.
-  fault::FaultMap inject_fixed(std::int32_t m, Rng& rng);
-
-  /// Injects parametric (soft) faults: Gaussian geometry deviations under
-  /// `spec` (fault::ProcessSpec::typical() by default), cells beyond
-  /// tolerance marked faulty.
-  fault::FaultMap inject_parametric(
-      Rng& rng,
-      const fault::ProcessSpec& spec = fault::ProcessSpec::typical());
-
-  /// Injects a composite defect draw: the mixture components applied in
-  /// order, first faulter wins (see fault::MixtureInjector).
-  fault::FaultMap inject_mixture(
-      const std::vector<fault::MixtureInjector::Component>& components,
-      Rng& rng);
+  /// Injects one v1 draw of `model` into the chip, which must be healthy
+  /// (heal() first), and returns the faults with their classifications and
+  /// attributions (sim::inject on a HexArray).
+  fault::FaultMap inject(const sim::FaultModel& model, Rng& rng);
 
   /// Runs the stimulus-droplet test session from cell 0 (or a chosen
   /// source) and returns the faults it localises.

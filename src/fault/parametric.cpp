@@ -5,7 +5,6 @@
 #include <numbers>
 
 #include "common/contracts.hpp"
-#include "fault/kinds.hpp"
 
 namespace dmfb::fault {
 
@@ -49,26 +48,15 @@ double sample_standard_normal(Rng& rng) {
          std::cos(2.0 * std::numbers::pi * u2);
 }
 
-ParametricInjector::ParametricInjector(ProcessSpec spec) : spec_(spec) {
-  for (const ParameterSpec& param : spec_.parameters) {
-    DMFB_EXPECTS(param.sigma > 0.0);
-    DMFB_EXPECTS(param.tolerance > 0.0);
-  }
-}
-
-std::array<Deviation, 3> ParametricInjector::sample_cell(Rng& rng) const {
+std::array<Deviation, 3> sample_cell(const ProcessSpec& spec, Rng& rng) {
   std::array<Deviation, 3> deviations;
   for (std::size_t i = 0; i < deviations.size(); ++i) {
-    const ParameterSpec& param = spec_.parameters[i];
+    const ParameterSpec& param = spec.parameters[i];
     const double value = sample_standard_normal(rng) * param.sigma;
     deviations[i] = {param.parameter, value,
                      std::abs(value) > param.tolerance};
   }
   return deviations;
-}
-
-FaultMap ParametricInjector::inject(biochip::HexArray& array, Rng& rng) const {
-  return record_faults(*this, array, rng);
 }
 
 std::array<double, 3> parametric_attribution_weights_v2(
@@ -96,11 +84,6 @@ std::size_t pick_parametric_attribution_v2(const std::array<double, 3>& weights,
     }
   }
   return pick;
-}
-
-FaultMap ParametricInjector::inject_v2(biochip::HexArray& array,
-                                       CounterStream& stream) const {
-  return record_faults(*this, array, stream);
 }
 
 }  // namespace dmfb::fault

@@ -10,7 +10,6 @@
 
 #include <array>
 
-#include "biochip/hex_array.hpp"
 #include "common/rng.hpp"
 #include "fault/fault_model.hpp"
 
@@ -52,32 +51,11 @@ struct Deviation {
   bool out_of_tolerance = false;
 };
 
-/// Samples Gaussian deviations for every cell of `array`; cells with at
-/// least one out-of-tolerance parameter are marked faulty and recorded as
-/// parametric faults (worst parameter attributed).
-class ParametricInjector {
- public:
-  explicit ParametricInjector(ProcessSpec spec);
-
-  const ProcessSpec& spec() const noexcept { return spec_; }
-
-  FaultMap inject(biochip::HexArray& array, Rng& rng) const;
-
-  /// v2 contract: skip-samples faulty cells directly at the closed-form
-  /// cell_fault_probability() — no Gaussian deviates, O(faults) draws. Each
-  /// fault consumes one attribution draw that picks the recorded parameter
-  /// in proportion to its marginal out-of-tolerance weight 2Q(tol/sigma);
-  /// the recorded deviation is the signed tolerance boundary (the exact
-  /// magnitude is not sampled under v2 — yield only depends on the fault
-  /// bit, which the statistical-equivalence suite pins against v1).
-  FaultMap inject_v2(biochip::HexArray& array, CounterStream& stream) const;
-
-  /// Samples the three deviations of one cell (exposed for tests).
-  std::array<Deviation, 3> sample_cell(Rng& rng) const;
-
- private:
-  ProcessSpec spec_;
-};
+/// Samples the three Gaussian deviations of one cell under `spec`: one
+/// standard normal (two uniform draws) per parameter, in parameter order.
+/// The v1 parametric injection core attributes a faulty cell to its worst
+/// out-of-tolerance deviation.
+std::array<Deviation, 3> sample_cell(const ProcessSpec& spec, Rng& rng);
 
 /// v2 attribution weights: the marginal out-of-tolerance probability
 /// 2Q(tolerance/sigma) of each parameter — the distribution the per-fault

@@ -1,7 +1,11 @@
 #include "serve/result_store.hpp"
 
+#include <signal.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <charconv>
+#include <climits>
 #include <fstream>
 #include <sstream>
 #include <string_view>
@@ -39,11 +43,55 @@ std::string crc_line(const std::string& key, const std::string& payload) {
   return "crc " + hex64(fnv1a64(payload, fnv1a64("\n", fnv1a64(key))));
 }
 
+/// The writer pid of a store() temp name "<record>.rec.tmp.<pid>.<n>", or
+/// 0 when `name` is not such a temp.
+pid_t temp_writer(const std::string& name) {
+  constexpr std::string_view kTempTag = ".rec.tmp.";
+  const std::size_t tag = name.find(kTempTag);
+  if (tag == std::string::npos) return 0;
+  const char* first = name.data() + tag + kTempTag.size();
+  const char* last = name.data() + name.size();
+  long long pid = 0;
+  const auto [end, error] = std::from_chars(first, last, pid);
+  if (error != std::errc() || end == first || end == last || *end != '.' ||
+      pid <= 0 || pid > INT_MAX) {
+    return 0;
+  }
+  return static_cast<pid_t>(pid);
+}
+
+/// Removes the temps that store() calls of dead processes left behind (a
+/// kill -9 between create and rename). A temp whose writer is alive, or is
+/// this process, may still be renamed into place and stays, as does every
+/// record. Best-effort: an unreadable directory or a failed removal is
+/// skipped.
+void sweep_orphaned_temps(const std::filesystem::path& root) {
+  using std::filesystem::directory_iterator;
+  const pid_t self = ::getpid();
+  std::error_code error;
+  // increment(error), not ++: a directory that vanishes mid-walk ends the
+  // sweep instead of throwing out of the constructor.
+  for (directory_iterator shard(root, error), end; !error && shard != end;
+       shard.increment(error)) {
+    std::error_code entry_error;
+    for (directory_iterator entry(shard->path(), entry_error);
+         !entry_error && entry != end; entry.increment(entry_error)) {
+      const pid_t writer = temp_writer(entry->path().filename().string());
+      if (writer == 0 || writer == self) continue;
+      if (::kill(writer, 0) == -1 && errno == ESRCH) {
+        std::error_code ignored;
+        std::filesystem::remove(entry->path(), ignored);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 ResultStore::ResultStore(std::filesystem::path root)
     : root_(std::move(root)) {
   std::filesystem::create_directories(root_);
+  sweep_orphaned_temps(root_);
 }
 
 std::filesystem::path ResultStore::path_of(const std::string& key) const {

@@ -24,7 +24,9 @@
 // parse strictly: a missing line, wrong magic, key mismatch, or checksum
 // mismatch makes the record a miss (counted corrupt where the bytes are
 // bad), never a crash. store() is best-effort and never throws: a full
-// disk loses the cache entry, not the computation.
+// disk loses the cache entry, not the computation. A temp file outlives
+// its store() call only when the writer dies before the rename; opening a
+// store removes the temps of writers that are no longer running.
 #pragma once
 
 #include <atomic>
@@ -39,7 +41,8 @@ namespace dmfb::serve {
 
 class ResultStore final : public sim::ResultCache {
  public:
-  /// Opens (creating directories as needed) a store rooted at `root`.
+  /// Opens (creating directories as needed) a store rooted at `root`, and
+  /// removes the temp files of dead writers (see the header comment).
   /// Throws std::filesystem::filesystem_error when the root cannot be
   /// created — a store you cannot write to at all is a configuration
   /// error, unlike a record that fails later.

@@ -91,6 +91,37 @@ void pin_worker(std::thread& thread, unsigned index) {
 #endif
 }
 
+enum class LineRead : std::uint8_t { kLine, kTooLong, kEof };
+
+/// Reads one '\n'-terminated line into `line`, storing at most
+/// kMaxRequestBytes bytes: a longer line is consumed up to its newline (or
+/// EOF) without being stored, and reported as kTooLong. kEof means nothing
+/// was left to read; a final line without a newline still counts.
+LineRead read_request_line(std::istream& in, std::string& line) {
+  line.clear();
+  const std::istream::sentry ready(in, /*noskipws=*/true);
+  if (!ready) return LineRead::kEof;
+  std::streambuf& buffer = *in.rdbuf();
+  bool extracted = false;
+  bool too_long = false;
+  for (;;) {
+    const int ch = buffer.sbumpc();
+    if (ch == std::char_traits<char>::eof()) {
+      in.setstate(std::ios::eofbit);
+      if (!extracted) return LineRead::kEof;
+      break;
+    }
+    extracted = true;
+    if (ch == '\n') break;
+    if (line.size() < kMaxRequestBytes) {
+      line.push_back(static_cast<char>(ch));
+    } else {
+      too_long = true;
+    }
+  }
+  return too_long ? LineRead::kTooLong : LineRead::kLine;
+}
+
 bool blank(const std::string& line) {
   for (const char ch : line) {
     if (ch != ' ' && ch != '\t' && ch != '\r') return false;
@@ -147,7 +178,17 @@ std::uint64_t Server::serve(std::istream& in, std::ostream& out) {
 
   std::uint64_t seq = 0;
   std::string line;
-  while (!drain_requested() && std::getline(in, line)) {
+  LineRead read = LineRead::kEof;
+  while (!drain_requested() &&
+         (read = read_request_line(in, line)) != LineRead::kEof) {
+    if (read == LineRead::kTooLong) {
+      ++seq;
+      emitter.emit(seq, format_error(std::to_string(seq),
+                                     "request line exceeds " +
+                                         std::to_string(kMaxRequestBytes) +
+                                         " bytes"));
+      continue;
+    }
     if (blank(line)) continue;
     ++seq;
     ParsedRequest parsed = parse_request(line, seq);

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -32,6 +33,12 @@
 #include "sim/session.hpp"
 
 namespace dmfb::serve {
+
+/// Longest request line serve() buffers, newline excluded. A wire request
+/// names one fault model with scalar fields and stays under 1 KiB; a longer
+/// line is discarded up to its newline, never buffered past this cap, and
+/// answered with an in-stream error.
+inline constexpr std::size_t kMaxRequestBytes = 64 * 1024;
 
 struct ServerOptions {
   /// Worker threads: 0 = one per hardware thread.
@@ -50,10 +57,11 @@ class Server {
  public:
   explicit Server(ServerOptions options);
 
-  /// Serves requests from `in` (one JSON object per line; blank lines are
-  /// skipped) until EOF or request_drain(), writing one response line per
-  /// request to `out` in submission order. Returns the number of response
-  /// lines written (answers + per-line errors). Not reentrant.
+  /// Serves requests from `in` (one JSON object per line of at most
+  /// kMaxRequestBytes; blank lines are skipped) until EOF or
+  /// request_drain(), writing one response line per request to `out` in
+  /// submission order. Returns the number of response lines written
+  /// (answers + per-line errors). Not reentrant.
   std::uint64_t serve(std::istream& in, std::ostream& out);
 
   /// Requests a graceful drain: the reader stops at the next line

@@ -1,26 +1,33 @@
-// sim::FaultModel — the structured defect models the session engine can
-// inject directly into a FaultState bitmap.
+// sim::FaultModel — the one description of the Monte-Carlo defect models,
+// and their injection.
 //
-// Each kind has one injection core per draw contract (fault/kinds.hpp),
-// shared with the fault::*Injector HexArray layer: inject() and inject_v2()
-// only dispatch a model onto its core with a FaultState sink. That sink
-// consumes exactly the one classification or attribution draw per fault
-// the record-keeping sink evaluates (a raw draw under v1, skip(1) under v2),
-// so a session run walks the same stream as the HexArray path and gives
+// Each kind has one injection core per draw contract (sim/fault_model.cpp),
+// run with one of two sinks:
+//  * a FaultState bitmap (inject / inject_v2 on a FaultState): what Session
+//    runs. It keeps no records, so it consumes each fault's classification
+//    or attribution draw without evaluating it (a raw draw under v1,
+//    skip(1) under v2);
+//  * a HexArray plus a fault::FaultMap (inject / inject_v2 on a HexArray):
+//    marks the array and records each fault with its sampled
+//    classification or attribution, for programs that show a chip.
+// Both sinks walk the same stream, so a HexArray loop and a session give
 // bit-identical success counts. The draw-contract pin in
 // tests/test_sim_fault_models.cpp holds every sequence fixed.
 //
 // kMixture runs an ordered list of the concrete kinds on one stream and one
-// sink, as fault::MixtureInjector does: every component consumes its
-// standalone draw sequence (clustered kill draws see the live fault state,
-// as standalone), and a cell keeps the first component that faulted it.
+// sink: every component consumes its standalone draw sequence (clustered
+// kill draws see the live fault state, as standalone), and a cell keeps the
+// first component that faulted it; an absorbed kill still consumes its
+// classification or attribution draw.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "biochip/hex_array.hpp"
 #include "common/rng.hpp"
-#include "fault/injector.hpp"
+#include "fault/fault_model.hpp"
+#include "fault/samplers.hpp"
 #include "sim/fault_state.hpp"
 
 namespace dmfb::sim {
@@ -34,7 +41,9 @@ inline constexpr double kMaxMeanSpots = fault::kMaxPoissonMean;
 /// disk, so a huge radius exhausts memory.
 inline constexpr std::int32_t kMaxClusterRadius = 64;
 
-/// Spatial cluster knobs (mirrors fault::ClusteredInjector's constructor).
+/// Spatial cluster knobs: each spot kills the cells within `radius` hex
+/// steps of its centre with probability decaying linearly from `core_kill`
+/// at the centre to `edge_kill` at the rim.
 struct ClusterShape {
   std::int32_t radius = 1;
   double core_kill = 0.9;
@@ -82,8 +91,6 @@ struct FaultModel {
   }
   /// Parametric (soft) faults under fault::ProcessSpec::typical() with all
   /// sigmas multiplied by `sigma_scale` — a one-knob process-maturity axis.
-  /// Runs the core of fault::ParametricInjector(typical().scaled(
-  /// sigma_scale)).
   static FaultModel parametric(double sigma_scale) {
     FaultModel model;
     model.kind = Kind::kParametric;
@@ -100,25 +107,42 @@ struct FaultModel {
   }
 };
 
-/// Validates `model` against `design` (throws ContractViolation on bad
-/// parameters, mirroring the legacy injector constructors, plus the
-/// kMaxMeanSpots / kMaxClusterRadius caps). For mixtures: non-empty, no
-/// nested mixtures, every component valid.
-void validate(const FaultModel& model, const ChipDesign& design);
+/// Validates `model` for a chip of `cell_count` cells (throws
+/// ContractViolation on bad parameters, including the kMaxMeanSpots /
+/// kMaxClusterRadius caps). For mixtures: non-empty, no nested mixtures,
+/// every component valid.
+void validate(const FaultModel& model, std::int32_t cell_count);
 
 /// Injects one run's faults into `state` (which must arrive reset) under
-/// the v1 contract: the same core as the corresponding fault::*Injector (or
-/// fault::MixtureInjector) on a HexArray.
+/// the v1 contract. Does not validate `model`: Session validates a query
+/// once, not per run.
 void inject(const FaultModel& model, FaultState& state, Rng& rng);
 
-/// v2 (rng_version = v2) injection: the same core as the corresponding
-/// fault::*Injector::inject_v2 on a HexArray, marking the word-packed
+/// v2 (rng_version = v2) injection into `state`: marks the word-packed
 /// bitmap directly (bulk ascending writes for the standalone skip-sampled
-/// kinds) and skip()ping the classification/attribution draws it keeps no
+/// kinds) and skip()s the classification/attribution draws it keeps no
 /// records for. O(faults) for bernoulli / fixed-count / parametric;
 /// O(spot area) for clustered.
 void inject_v2(const FaultModel& model, FaultState& state,
                CounterStream& stream);
+
+/// Validates `model` against `array`, marks one v1 run's faults on it
+/// (`array` must arrive healthy) and returns them with their sampled
+/// classifications and attributions, in injection order. The same draws,
+/// and the same faulty cells, as inject() into a FaultState.
+fault::FaultMap inject(const FaultModel& model, biochip::HexArray& array,
+                       Rng& rng);
+
+/// The v2 twin of the HexArray inject(). Under v2 a parametric record's
+/// deviation is the tolerance boundary of the attributed parameter (v2
+/// samples no deviates, only the fault bit and the attribution).
+fault::FaultMap inject_v2(const FaultModel& model, biochip::HexArray& array,
+                          CounterStream& stream);
+
+/// Expected number of cell failures of one clustered spot in the interior
+/// (ignoring boundary clipping): the kill probability summed over the
+/// rings of its disk. Calibrates clustered-vs-Bernoulli comparisons.
+double expected_failures_per_spot(const ClusterShape& shape) noexcept;
 
 /// Expected fraction of `design`'s cells a single run of `model` faults,
 /// in [0, 1]. Exact for bernoulli / fixed-count / parametric, a documented

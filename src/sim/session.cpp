@@ -292,7 +292,7 @@ Result Session::memoized(const YieldQuery& query, const Compute& compute) {
   DMFB_EXPECTS(query.runs > 0);
   DMFB_EXPECTS(query.threads >= 0);
   DMFB_EXPECTS(query.target_ci_half_width >= 0.0);
-  validate(query.fault, *design_);
+  validate(query.fault, design_->cell_count());
 
   const std::string key = query_key(query);
   std::optional<std::promise<Result>> promise;  // set on cache miss

@@ -13,7 +13,7 @@
 // where P(repairable | m) comes from fixed-m sim::Session queries, so any
 // DTMB design can be evaluated under any defect statistics. (Spatial
 // clustering *within* a chip is modelled separately by
-// fault::ClusteredInjector.)
+// the clustered sim::FaultModel.)
 #pragma once
 
 #include <cstdint>

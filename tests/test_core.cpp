@@ -36,12 +36,12 @@ TEST(Facade, BuildFromArray) {
 TEST(Facade, InjectAndHeal) {
   DefectTolerantBiochip chip(DtmbKind::kDtmb2_6, 10, 10);
   Rng rng(5);
-  const auto map = chip.inject_fixed(7, rng);
+  const auto map = chip.inject(sim::FaultModel::fixed_count(7), rng);
   EXPECT_EQ(map.size(), 7u);
   EXPECT_EQ(chip.array().faulty_count(), 7);
   chip.heal();
   EXPECT_EQ(chip.array().faulty_count(), 0);
-  const auto bernoulli = chip.inject_bernoulli(0.5, rng);
+  const auto bernoulli = chip.inject(sim::FaultModel::bernoulli(0.5), rng);
   EXPECT_GT(bernoulli.size(), 0u);
 }
 
@@ -50,7 +50,7 @@ TEST(Facade, ReconfigureMatchesRepairable) {
   Rng rng(6);
   for (int trial = 0; trial < 30; ++trial) {
     chip.heal();
-    chip.inject_bernoulli(0.92, rng);
+    chip.inject(sim::FaultModel::bernoulli(0.92), rng);
     EXPECT_EQ(chip.reconfigure().success, chip.repairable());
   }
 }
@@ -58,7 +58,7 @@ TEST(Facade, ReconfigureMatchesRepairable) {
 TEST(Facade, TestChipLocalisesInjectedFaults) {
   DefectTolerantBiochip chip(DtmbKind::kDtmb2_6, 8, 8);
   Rng rng(7);
-  chip.inject_fixed(3, rng);
+  chip.inject(sim::FaultModel::fixed_count(3), rng);
   if (chip.array().health(0) == biochip::CellHealth::kFaulty) {
     GTEST_SKIP() << "source faulty in this draw";
   }
@@ -71,7 +71,7 @@ TEST(Facade, TestChipLocalisesInjectedFaults) {
 TEST(Facade, EstimateYieldHealsFirst) {
   DefectTolerantBiochip chip(DtmbKind::kDtmb2_6, 8, 8);
   Rng rng(8);
-  chip.inject_fixed(10, rng);
+  chip.inject(sim::FaultModel::fixed_count(10), rng);
   const auto estimate = chip.estimate_yield(
       {.fault = sim::FaultModel::bernoulli(0.99), .runs = 500});
   EXPECT_GT(estimate.value, 0.5);
@@ -92,18 +92,18 @@ TEST(Facade, FixedFaultYieldDecreasesInM) {
 TEST(Facade, InjectParametricAndMixture) {
   DefectTolerantBiochip chip(DtmbKind::kDtmb2_6, 10, 10);
   Rng rng(9);
-  // Tight tolerances so a single draw produces faults deterministically.
-  fault::ProcessSpec spec = fault::ProcessSpec::typical();
-  for (auto& param : spec.parameters) param.tolerance = 0.5 * param.sigma;
-  const auto parametric = chip.inject_parametric(rng, spec);
+  // Sigmas widened 8x put every tolerance at <= 0.5 sigma, so a single
+  // draw produces faults deterministically.
+  const auto wide = sim::FaultModel::parametric(8.0);
+  const auto parametric = chip.inject(wide, rng);
   EXPECT_GT(parametric.size(), 0u);
   EXPECT_EQ(parametric.count_of(fault::FaultClass::kParametric),
             static_cast<std::int32_t>(parametric.size()));
   EXPECT_EQ(chip.array().faulty_count(),
             static_cast<std::int32_t>(parametric.size()));
   chip.heal();
-  const auto mixture = chip.inject_mixture(
-      {fault::BernoulliInjector(0.8), fault::ParametricInjector(spec)}, rng);
+  const auto mixture = chip.inject(
+      sim::FaultModel::mixture({sim::FaultModel::bernoulli(0.8), wide}), rng);
   EXPECT_GT(mixture.count_of(fault::FaultClass::kCatastrophic), 0);
   EXPECT_EQ(chip.array().faulty_count(),
             static_cast<std::int32_t>(mixture.size()));
@@ -120,7 +120,7 @@ TEST(Facade, EstimateYieldMatchesAFreshSessionAndHeals) {
   const auto via_session = sim::Session(chip.array()).run(query);
   EXPECT_EQ(via_facade.successes, via_session.successes);
   // It heals a faulty chip before snapshotting, for any fault model.
-  chip.inject_fixed(10, rng);
+  chip.inject(sim::FaultModel::fixed_count(10), rng);
   query.fault = sim::FaultModel::mixture(
       {sim::FaultModel::bernoulli(0.97), sim::FaultModel::parametric(1.2)});
   const auto mixture_estimate = chip.estimate_yield(query);

@@ -1,4 +1,6 @@
-// Tests for the fault taxonomy and the three defect injectors.
+// Tests for the fault taxonomy, the draw samplers, and each defect model's
+// record path: sim::inject on a HexArray, checked against the bitmap path
+// (sim::inject into a FaultState) where both apply.
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -9,12 +11,15 @@
 #include "common/contracts.hpp"
 #include "common/stats.hpp"
 #include "fault/fault_model.hpp"
-#include "fault/injector.hpp"
-#include "fault/mixture.hpp"
 #include "fault/parametric.hpp"
+#include "fault/samplers.hpp"
+#include "sim/fault_model.hpp"
 
 namespace dmfb::fault {
 namespace {
+
+using sim::FaultModel;
+using sim::inject;
 
 biochip::HexArray test_array() {
   return biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 10, 10);
@@ -67,17 +72,23 @@ TEST(FaultModel, DefectSamplerCoversAllKinds) {
   EXPECT_EQ(seen.size(), 3u);
 }
 
-// ------------------------------------------------------ BernoulliInjector
+// --------------------------------------------------------------- bernoulli
 
 TEST(BernoulliInjector, RejectsBadProbability) {
-  EXPECT_THROW(BernoulliInjector(-0.1), ContractViolation);
-  EXPECT_THROW(BernoulliInjector(1.1), ContractViolation);
+  auto array = test_array();
+  Rng rng(1);
+  for (const double p : {-0.1, 1.1}) {
+    EXPECT_THROW(inject(FaultModel::bernoulli(p), array, rng),
+                 ContractViolation)
+        << p;
+  }
+  EXPECT_EQ(array.faulty_count(), 0);
 }
 
 TEST(BernoulliInjector, PerfectSurvivalInjectsNothing) {
   auto array = test_array();
   Rng rng(1);
-  const FaultMap map = BernoulliInjector(1.0).inject(array, rng);
+  const FaultMap map = inject(FaultModel::bernoulli(1.0), array, rng);
   EXPECT_TRUE(map.empty());
   EXPECT_EQ(array.faulty_count(), 0);
 }
@@ -85,18 +96,17 @@ TEST(BernoulliInjector, PerfectSurvivalInjectsNothing) {
 TEST(BernoulliInjector, ZeroSurvivalKillsEverything) {
   auto array = test_array();
   Rng rng(1);
-  const FaultMap map = BernoulliInjector(0.0).inject(array, rng);
+  const FaultMap map = inject(FaultModel::bernoulli(0.0), array, rng);
   EXPECT_EQ(static_cast<std::int32_t>(map.size()), array.cell_count());
   EXPECT_EQ(array.faulty_count(), array.cell_count());
 }
 
 TEST(BernoulliInjector, RateMatchesProbability) {
   auto array = test_array();
-  const BernoulliInjector injector(0.9);
   Rng rng(7);
   RunningStats stats;
   for (int trial = 0; trial < 400; ++trial) {
-    const FaultMap map = injector.inject(array, rng);
+    const FaultMap map = inject(FaultModel::bernoulli(0.9), array, rng);
     stats.add(static_cast<double>(map.size()) / array.cell_count());
     array.reset_health();
   }
@@ -104,14 +114,20 @@ TEST(BernoulliInjector, RateMatchesProbability) {
 }
 
 TEST(BernoulliInjector, MarksExactlyTheReportedCells) {
+  // The records, the array's health and the bitmap path on the same stream
+  // name the same cells.
   auto array = test_array();
+  sim::FaultState state(sim::ChipDesign::make(array));
   Rng rng(3);
-  const FaultMap map = BernoulliInjector(0.8).inject(array, rng);
+  Rng bitmap_rng = rng;
+  const FaultMap map = inject(FaultModel::bernoulli(0.8), array, rng);
+  inject(FaultModel::bernoulli(0.8), state, bitmap_rng);
   const auto cells = map.cells();
   const std::set<hex::CellIndex> reported(cells.begin(), cells.end());
   for (hex::CellIndex cell = 0; cell < array.cell_count(); ++cell) {
     EXPECT_EQ(array.health(cell) == biochip::CellHealth::kFaulty,
               reported.contains(cell));
+    EXPECT_EQ(state.is_faulty(cell), reported.contains(cell));
   }
 }
 
@@ -119,16 +135,17 @@ TEST(BernoulliInjector, RequiresHealthyArray) {
   auto array = test_array();
   array.set_health(0, biochip::CellHealth::kFaulty);
   Rng rng(1);
-  EXPECT_THROW(BernoulliInjector(0.5).inject(array, rng), ContractViolation);
+  EXPECT_THROW(inject(FaultModel::bernoulli(0.5), array, rng),
+               ContractViolation);
 }
 
-// ----------------------------------------------------- FixedCountInjector
+// ------------------------------------------------------------- fixed count
 
 TEST(FixedCountInjector, ExactCount) {
   auto array = test_array();
   Rng rng(11);
   for (const std::int32_t m : {0, 1, 10, 35}) {
-    const FaultMap map = FixedCountInjector(m).inject(array, rng);
+    const FaultMap map = inject(FaultModel::fixed_count(m), array, rng);
     EXPECT_EQ(static_cast<std::int32_t>(map.size()), m);
     EXPECT_EQ(array.faulty_count(), m);
     array.reset_health();
@@ -138,7 +155,7 @@ TEST(FixedCountInjector, ExactCount) {
 TEST(FixedCountInjector, CellsAreDistinct) {
   auto array = test_array();
   Rng rng(13);
-  const FaultMap map = FixedCountInjector(30).inject(array, rng);
+  const FaultMap map = inject(FaultModel::fixed_count(30), array, rng);
   const auto cells = map.cells();
   const std::set<hex::CellIndex> unique(cells.begin(), cells.end());
   EXPECT_EQ(unique.size(), cells.size());
@@ -146,12 +163,12 @@ TEST(FixedCountInjector, CellsAreDistinct) {
 
 TEST(FixedCountInjector, UniformOverCells) {
   auto array = test_array();
-  const FixedCountInjector injector(5);
+  const FaultModel model = FaultModel::fixed_count(5);
   Rng rng(17);
   std::vector<int> hits(static_cast<std::size_t>(array.cell_count()), 0);
   const int trials = 20000;
   for (int trial = 0; trial < trials; ++trial) {
-    for (const auto cell : injector.inject(array, rng).cells()) {
+    for (const auto cell : inject(model, array, rng).cells()) {
       ++hits[static_cast<std::size_t>(cell)];
     }
     array.reset_health();
@@ -166,7 +183,10 @@ TEST(FixedCountInjector, UniformOverCells) {
 TEST(FixedCountInjector, CountBeyondCellsRejected) {
   auto array = test_array();
   Rng rng(1);
-  EXPECT_THROW(FixedCountInjector(array.cell_count() + 1).inject(array, rng),
+  EXPECT_THROW(
+      inject(FaultModel::fixed_count(array.cell_count() + 1), array, rng),
+      ContractViolation);
+  EXPECT_THROW(inject(FaultModel::fixed_count(-1), array, rng),
                ContractViolation);
 }
 
@@ -252,31 +272,36 @@ TEST(Poisson, MomentsSaneAcrossTheMeanRegimes) {
   }
 }
 
-// -------------------------------------------------------- ClusteredInjector
+// --------------------------------------------------------------- clustered
 
 TEST(ClusteredInjector, ValidatesArguments) {
-  EXPECT_THROW(ClusteredInjector(-1.0, 1, 0.5, 0.1), ContractViolation);
-  EXPECT_THROW(ClusteredInjector(1.0, -1, 0.5, 0.1), ContractViolation);
-  EXPECT_THROW(ClusteredInjector(1.0, 1, 0.5, 0.9), ContractViolation);
+  auto array = test_array();
+  Rng rng(1);
+  EXPECT_THROW(inject(FaultModel::clustered(-1.0, {1, 0.5, 0.1}), array, rng),
+               ContractViolation);
+  EXPECT_THROW(inject(FaultModel::clustered(1.0, {-1, 0.5, 0.1}), array, rng),
+               ContractViolation);
+  EXPECT_THROW(inject(FaultModel::clustered(1.0, {1, 0.5, 0.9}), array, rng),
+               ContractViolation);
 }
 
 TEST(ClusteredInjector, NoSpotsNoFaults) {
   auto array = test_array();
   Rng rng(23);
-  const FaultMap map = ClusteredInjector(0.0, 2, 0.9, 0.2).inject(array, rng);
+  const FaultMap map = inject(FaultModel::clustered(0.0, {2, 0.9, 0.2}), array, rng);
   EXPECT_TRUE(map.empty());
 }
 
 TEST(ClusteredInjector, FaultsAreSpatiallyClustered) {
   auto array = biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 30, 30);
-  const ClusteredInjector injector(1.0, 2, 1.0, 0.8);
+  const FaultModel model = FaultModel::clustered(1.0, {2, 1.0, 0.8});
   Rng rng(29);
   // Mean pairwise distance of clustered faults must be well below that of
   // the same number of uniformly placed faults.
   RunningStats clustered;
   RunningStats uniform;
   for (int trial = 0; trial < 200; ++trial) {
-    const FaultMap map = injector.inject(array, rng);
+    const FaultMap map = inject(model, array, rng);
     const auto cells = map.cells();
     for (std::size_t i = 0; i < cells.size(); ++i) {
       for (std::size_t j = i + 1; j < cells.size(); ++j) {
@@ -300,24 +325,24 @@ TEST(ClusteredInjector, FaultsAreSpatiallyClustered) {
 }
 
 TEST(ClusteredInjector, ExpectedFailuresPerSpotFormula) {
-  const ClusteredInjector injector(1.0, 2, 1.0, 1.0);
   // All cells of a radius-2 disk fail with probability 1: 1 + 6 + 12 = 19.
-  EXPECT_NEAR(injector.expected_failures_per_spot(), 19.0, 1e-12);
+  EXPECT_NEAR(sim::expected_failures_per_spot({2, 1.0, 1.0}), 19.0, 1e-12);
 }
 
 TEST(ClusteredInjector, MeanFailuresTracksFormulaInInterior) {
   auto array = biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 40, 40);
-  const ClusteredInjector injector(3.0, 1, 0.8, 0.4);
+  const sim::ClusterShape shape{1, 0.8, 0.4};
   Rng rng(31);
   RunningStats stats;
   for (int trial = 0; trial < 2000; ++trial) {
-    stats.add(static_cast<double>(injector.inject(array, rng).size()));
+    stats.add(static_cast<double>(
+        inject(FaultModel::clustered(3.0, shape), array, rng).size()));
     array.reset_health();
   }
   // Boundary clipping loses a little; allow 10% slack below the interior
   // expectation 3 * (0.8 + 6*0.4).
   const double interior_expectation =
-      3.0 * injector.expected_failures_per_spot();
+      3.0 * sim::expected_failures_per_spot(shape);
   EXPECT_LT(stats.mean(), interior_expectation * 1.02);
   EXPECT_GT(stats.mean(), interior_expectation * 0.85);
 }
@@ -346,18 +371,19 @@ TEST(Parametric, CellFaultProbabilityClosedForm) {
 }
 
 TEST(Parametric, InjectionRateMatchesClosedForm) {
-  // Tighten tolerances so the rate is large enough to measure quickly.
-  ProcessSpec spec = ProcessSpec::typical();
-  for (auto& param : spec.parameters) param.tolerance = 2.0 * param.sigma;
-  const double expected = spec.cell_fault_probability();
+  // Widen the sigmas 1.8x (tolerances at 1.85-2.2 sigma) so the rate is
+  // large enough to measure quickly.
+  const FaultModel model = FaultModel::parametric(1.8);
+  const double expected =
+      ProcessSpec::typical().scaled(1.8).cell_fault_probability();
+  ASSERT_GT(expected, 0.1);
 
   auto array = biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 20, 20);
-  const ParametricInjector injector(spec);
   Rng rng(41);
   std::int64_t faults = 0;
   std::int64_t cells = 0;
   for (int trial = 0; trial < 100; ++trial) {
-    faults += static_cast<std::int64_t>(injector.inject(array, rng).size());
+    faults += static_cast<std::int64_t>(inject(model, array, rng).size());
     cells += array.cell_count();
     array.reset_health();
   }
@@ -367,12 +393,10 @@ TEST(Parametric, InjectionRateMatchesClosedForm) {
 }
 
 TEST(Parametric, RecordsCarryDeviationAndParameter) {
-  ProcessSpec spec = ProcessSpec::typical();
-  for (auto& param : spec.parameters) param.tolerance = 0.5 * param.sigma;
+  // Sigmas widened 8x: every tolerance at <= 0.5 sigma.
   auto array = biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 6, 6);
-  const ParametricInjector injector(spec);
   Rng rng(43);
-  const FaultMap map = injector.inject(array, rng);
+  const FaultMap map = inject(FaultModel::parametric(8.0), array, rng);
   ASSERT_FALSE(map.empty());
   for (const FaultRecord& record : map.records) {
     EXPECT_EQ(record.fault_class, FaultClass::kParametric);
@@ -384,9 +408,8 @@ TEST(Parametric, RecordsCarryDeviationAndParameter) {
 TEST(Parametric, SampleCellReportsOutOfTolerance) {
   ProcessSpec spec = ProcessSpec::typical();
   for (auto& param : spec.parameters) param.tolerance = 1e-9;  // everything out
-  const ParametricInjector injector(spec);
   Rng rng(47);
-  for (const Deviation& deviation : injector.sample_cell(rng)) {
+  for (const Deviation& deviation : sample_cell(spec, rng)) {
     EXPECT_TRUE(deviation.out_of_tolerance);
   }
 }
@@ -408,12 +431,12 @@ TEST(Parametric, ScaledSpecMultipliesSigmasOnly) {
 // ------------------------------------------------------------------ mixture
 
 TEST(MixtureInjector, ValidatesAndRequiresHealthyArray) {
-  EXPECT_THROW(MixtureInjector({}), ContractViolation);
   auto array = test_array();
-  array.set_health(0, biochip::CellHealth::kFaulty);
   Rng rng(1);
+  EXPECT_THROW(inject(FaultModel::mixture({}), array, rng), ContractViolation);
+  array.set_health(0, biochip::CellHealth::kFaulty);
   EXPECT_THROW(
-      MixtureInjector({BernoulliInjector(0.5)}).inject(array, rng),
+      inject(FaultModel::mixture({FaultModel::bernoulli(0.5)}), array, rng),
       ContractViolation);
 }
 
@@ -421,13 +444,13 @@ TEST(MixtureInjector, SingleComponentMatchesStandaloneInjector) {
   // mixture({X}) on a healthy chip replays X draw-for-draw, cell-for-cell.
   auto mixture_array = test_array();
   auto standalone_array = test_array();
-  const BernoulliInjector standalone(0.85);
-  const MixtureInjector mixture({BernoulliInjector(0.85)});
+  const FaultModel standalone = FaultModel::bernoulli(0.85);
+  const FaultModel mixture = FaultModel::mixture({standalone});
   Rng rng(53);
   Rng mixture_rng = rng;
   for (int trial = 0; trial < 100; ++trial) {
-    const FaultMap expected = standalone.inject(standalone_array, rng);
-    const FaultMap actual = mixture.inject(mixture_array, mixture_rng);
+    const FaultMap expected = inject(standalone, standalone_array, rng);
+    const FaultMap actual = inject(mixture, mixture_array, mixture_rng);
     ASSERT_EQ(actual.cells(), expected.cells()) << "trial = " << trial;
     standalone_array.reset_health();
     mixture_array.reset_health();
@@ -437,13 +460,13 @@ TEST(MixtureInjector, SingleComponentMatchesStandaloneInjector) {
 }
 
 TEST(MixtureInjector, ComposesCatastrophicAndParametricRecords) {
-  ProcessSpec spec = ProcessSpec::typical();
-  for (auto& param : spec.parameters) param.tolerance = 1.5 * param.sigma;
+  // Sigmas widened 2.4x: tolerances at 1.4-1.7 sigma.
   auto array = test_array();
-  const MixtureInjector injector(
-      {BernoulliInjector(0.9), ParametricInjector(spec)});
   Rng rng(59);
-  const FaultMap map = injector.inject(array, rng);
+  const FaultMap map = inject(
+      FaultModel::mixture(
+          {FaultModel::bernoulli(0.9), FaultModel::parametric(2.4)}),
+      array, rng);
   EXPECT_GT(map.count_of(FaultClass::kCatastrophic), 0);
   EXPECT_GT(map.count_of(FaultClass::kParametric), 0);
   // First faulter wins: no cell is attributed twice.

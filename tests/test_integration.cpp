@@ -9,7 +9,6 @@
 #include "common/rng.hpp"
 #include "core/defect_tolerant_biochip.hpp"
 #include "core/design_advisor.hpp"
-#include "fault/injector.hpp"
 #include "io/ascii_render.hpp"
 #include "io/table.hpp"
 #include "reconfig/local_reconfig.hpp"
@@ -33,7 +32,8 @@ TEST(Pipeline, InjectTestReconfigureAgreeOnFaults) {
   int checked = 0;
   for (int trial = 0; trial < 25; ++trial) {
     auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 10, 10);
-    const auto injected = fault::FixedCountInjector(6).inject(array, rng);
+    const auto injected = sim::inject(
+        sim::FaultModel::fixed_count(6), array, rng);
     if (array.health(0) == CellHealth::kFaulty) continue;
     const auto session = testplan::run_test_session(array, 0);
     if (!session.untestable.empty()) continue;  // disconnected draw

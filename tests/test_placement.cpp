@@ -6,8 +6,8 @@
 #include "biochip/dtmb.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
-#include "fault/injector.hpp"
 #include "fluidics/placement.hpp"
+#include "sim/fault_model.hpp"
 
 namespace dmfb::fluidics {
 namespace {
@@ -39,7 +39,7 @@ TEST(Placement, PlacesAllRequestedModules) {
 TEST(Placement, ModulesUseHealthyPrimaryCellsOnly) {
   auto array = biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 12, 12);
   Rng rng(88);
-  fault::FixedCountInjector(10).inject(array, rng);
+  sim::inject(sim::FaultModel::fixed_count(10), array, rng);
   const ModulePlacer placer(array);
   const auto placed = placer.place({mixer_shape(), mixer_shape()});
   ASSERT_TRUE(placed.has_value());
@@ -119,7 +119,7 @@ TEST(Replacement, SaturatedArrayBecomesUnplaceable) {
   ASSERT_TRUE(placer.place({mixer_shape()}).has_value());
   // Kill enough cells and no mixer fits anywhere.
   Rng rng(4);
-  fault::BernoulliInjector(0.4).inject(array, rng);
+  sim::inject(sim::FaultModel::bernoulli(0.4), array, rng);
   const auto after = placer.place({mixer_shape()});
   // (With 60% of cells dead on a 25-cell array a 4-cell module with margin
   // almost surely cannot fit; accept either outcome but verify validity.)

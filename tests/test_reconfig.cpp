@@ -13,9 +13,9 @@
 #include "biochip/dtmb.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
-#include "fault/injector.hpp"
 #include "reconfig/local_reconfig.hpp"
 #include "reconfig/shifted_replacement.hpp"
+#include "sim/fault_model.hpp"
 
 namespace dmfb::reconfig {
 namespace {
@@ -89,7 +89,7 @@ TEST(LocalReconfig, FailsWhenAllSparesDead) {
 TEST(LocalReconfig, SparesAssignedInjectively) {
   auto array = array_2_6();
   Rng rng(55);
-  fault::FixedCountInjector(12).inject(array, rng);
+  sim::inject(sim::FaultModel::fixed_count(12), array, rng);
   const ReconfigPlan plan = LocalReconfigurer().plan(array);
   std::set<hex::CellIndex> used_spares;
   for (const Replacement& replacement : plan.replacements) {
@@ -105,7 +105,7 @@ TEST(LocalReconfig, SparesAssignedInjectively) {
 TEST(LocalReconfig, ReplacementsAreAdjacent) {
   auto array = array_2_6();
   Rng rng(56);
-  fault::FixedCountInjector(10).inject(array, rng);
+  sim::inject(sim::FaultModel::fixed_count(10), array, rng);
   const ReconfigPlan plan = LocalReconfigurer().plan(array);
   for (const Replacement& replacement : plan.replacements) {
     EXPECT_TRUE(hex::adjacent(array.region().coord_at(replacement.faulty),
@@ -153,7 +153,7 @@ TEST(LocalReconfig, UsedPolicyIgnoresUnusedFaults) {
 TEST(LocalReconfig, ReplacementForRoundTrip) {
   auto array = array_2_6();
   Rng rng(57);
-  fault::FixedCountInjector(8).inject(array, rng);
+  sim::inject(sim::FaultModel::fixed_count(8), array, rng);
   const ReconfigPlan plan = LocalReconfigurer().plan(array);
   ASSERT_FALSE(plan.replacements.empty());
   for (const Replacement& replacement : plan.replacements) {
@@ -173,7 +173,7 @@ TEST(LocalReconfig, AllEnginesAgreeOnFeasibility) {
   Rng rng(58);
   for (int trial = 0; trial < 50; ++trial) {
     array.reset_health();
-    fault::BernoulliInjector(0.93).inject(array, rng);
+    sim::inject(sim::FaultModel::bernoulli(0.93), array, rng);
     const bool hk =
         LocalReconfigurer(CoveragePolicy::kAllFaultyPrimaries,
                           graph::MatchingEngine::kHopcroftKarp)
@@ -197,7 +197,7 @@ TEST(GreedyReconfig, NeverBeatsMatching) {
   int greedy_fail_matching_ok = 0;
   for (int trial = 0; trial < 300; ++trial) {
     array.reset_health();
-    fault::BernoulliInjector(0.90).inject(array, rng);
+    sim::inject(sim::FaultModel::bernoulli(0.90), array, rng);
     const bool greedy = GreedyReconfigurer().feasible(array);
     const bool matching = LocalReconfigurer().feasible(array);
     if (greedy) {
@@ -213,7 +213,7 @@ TEST(GreedyReconfig, NeverBeatsMatching) {
 TEST(GreedyReconfig, ValidPlanWhenSuccessful) {
   auto array = array_2_6();
   Rng rng(60);
-  fault::FixedCountInjector(6).inject(array, rng);
+  sim::inject(sim::FaultModel::fixed_count(6), array, rng);
   const ReconfigPlan plan = GreedyReconfigurer().plan(array);
   if (plan.success) {
     std::set<hex::CellIndex> used;
@@ -396,7 +396,8 @@ TEST(LocalReconfig, FailedPlansCarryACheckableHallViolator) {
       ++marked;
     }
     // Heavy enough fault load that repair often fails.
-    fault::FixedCountInjector(rng.uniform_int(10, 45)).inject(array, rng);
+    sim::inject(
+        sim::FaultModel::fixed_count(rng.uniform_int(10, 45)), array, rng);
     for (const CoveragePolicy policy :
          {CoveragePolicy::kAllFaultyPrimaries,
           CoveragePolicy::kUsedFaultyPrimaries}) {
@@ -460,7 +461,8 @@ TEST(LocalReconfig, HallViolatorRejectsNonMaximumPlans) {
   Rng rng(0xBAD5EED);
   for (std::int32_t trial = 0; trial < 400; ++trial) {
     auto array = array_2_6();
-    fault::FixedCountInjector(rng.uniform_int(15, 40)).inject(array, rng);
+    sim::inject(
+        sim::FaultModel::fixed_count(rng.uniform_int(15, 40)), array, rng);
     const ReconfigPlan greedy = GreedyReconfigurer().plan(array);
     if (greedy.success) continue;
     const ReconfigPlan optimal = LocalReconfigurer().plan(array);
@@ -550,10 +552,10 @@ PlanPinRun plan_pin_run(DtmbKind kind) {
   for (int k = 0; k < kPlanPinSeeds; ++k) {
     array.reset_health();
     Rng rng(static_cast<std::uint64_t>(k) * 977 + 5);
-    fault::BernoulliInjector(
-        kPlanPinSurvival[static_cast<std::size_t>(k) %
-                         std::size(kPlanPinSurvival)])
-        .inject(array, rng);
+    sim::inject(sim::FaultModel::bernoulli(
+                    kPlanPinSurvival[static_cast<std::size_t>(k) %
+                                     std::size(kPlanPinSurvival)]),
+                array, rng);
     for (const CoveragePolicy policy :
          {CoveragePolicy::kAllFaultyPrimaries,
           CoveragePolicy::kUsedFaultyPrimaries}) {

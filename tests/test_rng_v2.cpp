@@ -6,9 +6,8 @@
 //     stream (serial draws) and across per-run streams (the axis v2's
 //     thread-invariance rests on). All statistics are deterministic (fixed
 //     keys), so the thresholds are exact regression pins, not flaky gates.
-//  2. Sink agreement: fault::*Injector::inject_v2 (records, HexArray) and
-//     sim::inject_v2 (word-packed FaultState) run the same cores with
-//     different sinks, and must leave identical cursors and cell sets, for
+//  2. Sink agreement: sim::inject_v2 on a HexArray (records) and on a
+//     word-packed FaultState run the same cores with different sinks, and must leave identical cursors and cell sets, for
 //     every kind and for mixtures — the v2 counterpart of the v1 suite.
 //  3. Statistical equivalence: v1 and v2 yield estimates agree within
 //     combined 95% CI half-widths at matched run counts across
@@ -25,10 +24,8 @@
 
 #include "biochip/dtmb.hpp"
 #include "common/rng.hpp"
-#include "fault/kinds.hpp"
-#include "fault/injector.hpp"
-#include "fault/mixture.hpp"
-#include "fault/parametric.hpp"
+#include "fault/samplers.hpp"
+#include "sim/fault_model.hpp"
 #include "sim/fault_state.hpp"
 #include "sim/session.hpp"
 
@@ -251,18 +248,17 @@ TEST(FaultStateV2, AscendingBulkPathMatchesSetFaulty) {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Layer equivalence: fault:: records vs sim:: bitmap
+// 2. Sink equivalence: HexArray records vs FaultState bitmap
 
 struct LayerRun {
   std::vector<std::int32_t> cells;  ///< sorted faulty cells
   std::uint64_t cursor = 0;         ///< stream cursor after injection
 };
 
-template <typename LegacyInject>
-LayerRun run_legacy_v2(const LegacyInject& do_inject, std::uint64_t key) {
+LayerRun run_record_v2(const sim::FaultModel& model, std::uint64_t key) {
   auto array = biochip::make_dtmb_array_with_primaries(DtmbKind::kDtmb2_6, 60);
   CounterStream stream(key);
-  const fault::FaultMap map = do_inject(array, stream);
+  const fault::FaultMap map = sim::inject_v2(model, array, stream);
   LayerRun out;
   for (std::int32_t cell = 0; cell < array.cell_count(); ++cell) {
     if (array.health(cell) == biochip::CellHealth::kFaulty) {
@@ -288,85 +284,41 @@ LayerRun run_sim_v2(const sim::FaultModel& model, std::uint64_t key) {
   return out;
 }
 
-void expect_layers_agree(const LayerRun& legacy, const LayerRun& sim) {
-  EXPECT_EQ(legacy.cells, sim.cells);
-  EXPECT_EQ(legacy.cursor, sim.cursor)
-      << "layers diverged in draw consumption — every later draw desyncs";
-}
-
 constexpr int kEquivalenceKeys = 64;
 
-TEST(LayerEquivalenceV2, BernoulliBitIdentical) {
-  const fault::BernoulliInjector injector(0.92);
+/// Both sinks over the same keys: identical cells and cursors.
+void expect_sinks_agree(const sim::FaultModel& model) {
   for (int k = 0; k < kEquivalenceKeys; ++k) {
     const auto key = static_cast<std::uint64_t>(k) * 977 + 5;
-    expect_layers_agree(
-        run_legacy_v2([&](biochip::HexArray& array,
-                          CounterStream& stream) {
-          return injector.inject_v2(array, stream);
-        }, key),
-        run_sim_v2(sim::FaultModel::bernoulli(0.92), key));
+    const LayerRun record = run_record_v2(model, key);
+    const LayerRun bitmap = run_sim_v2(model, key);
+    EXPECT_EQ(record.cells, bitmap.cells) << "key " << key;
+    EXPECT_EQ(record.cursor, bitmap.cursor)
+        << "sinks diverged in draw consumption — every later draw desyncs";
   }
+}
+
+TEST(LayerEquivalenceV2, BernoulliBitIdentical) {
+  expect_sinks_agree(sim::FaultModel::bernoulli(0.92));
 }
 
 TEST(LayerEquivalenceV2, FixedCountBitIdentical) {
-  const fault::FixedCountInjector injector(7);
-  for (int k = 0; k < kEquivalenceKeys; ++k) {
-    const auto key = static_cast<std::uint64_t>(k) * 977 + 5;
-    expect_layers_agree(
-        run_legacy_v2([&](biochip::HexArray& array,
-                          CounterStream& stream) {
-          return injector.inject_v2(array, stream);
-        }, key),
-        run_sim_v2(sim::FaultModel::fixed_count(7), key));
-  }
+  expect_sinks_agree(sim::FaultModel::fixed_count(7));
 }
 
 TEST(LayerEquivalenceV2, ClusteredBitIdentical) {
-  const fault::ClusteredInjector injector(2.0, 1, 0.9, 0.3);
-  for (int k = 0; k < kEquivalenceKeys; ++k) {
-    const auto key = static_cast<std::uint64_t>(k) * 977 + 5;
-    expect_layers_agree(
-        run_legacy_v2([&](biochip::HexArray& array,
-                          CounterStream& stream) {
-          return injector.inject_v2(array, stream);
-        }, key),
-        run_sim_v2(sim::FaultModel::clustered(2.0, {1, 0.9, 0.3}), key));
-  }
+  expect_sinks_agree(sim::FaultModel::clustered(2.0, {1, 0.9, 0.3}));
 }
 
 TEST(LayerEquivalenceV2, ParametricBitIdentical) {
   // sigma_scale 1.4 so faults actually occur at these run counts.
-  const fault::ParametricInjector injector(
-      fault::ProcessSpec::typical().scaled(1.4));
-  for (int k = 0; k < kEquivalenceKeys; ++k) {
-    const auto key = static_cast<std::uint64_t>(k) * 977 + 5;
-    expect_layers_agree(
-        run_legacy_v2([&](biochip::HexArray& array,
-                          CounterStream& stream) {
-          return injector.inject_v2(array, stream);
-        }, key),
-        run_sim_v2(sim::FaultModel::parametric(1.4), key));
-  }
+  expect_sinks_agree(sim::FaultModel::parametric(1.4));
 }
 
 TEST(LayerEquivalenceV2, MixtureBitIdentical) {
-  const fault::MixtureInjector injector(
-      {fault::BernoulliInjector(0.95),
-       fault::ParametricInjector(fault::ProcessSpec::typical().scaled(1.4)),
-       fault::ClusteredInjector(1.0, 1, 0.9, 0.3)});
-  const sim::FaultModel model = sim::FaultModel::mixture(
+  expect_sinks_agree(sim::FaultModel::mixture(
       {sim::FaultModel::bernoulli(0.95), sim::FaultModel::parametric(1.4),
-       sim::FaultModel::clustered(1.0, {1, 0.9, 0.3})});
-  for (int k = 0; k < kEquivalenceKeys; ++k) {
-    const auto key = static_cast<std::uint64_t>(k) * 977 + 5;
-    expect_layers_agree(
-        run_legacy_v2([&](biochip::HexArray& array,
-                          CounterStream& stream) {
-          return injector.inject_v2(array, stream);
-        }, key),
-        run_sim_v2(model, key));
-  }
+       sim::FaultModel::clustered(1.0, {1, 0.9, 0.3})}));
 }
 
 // ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@
 
 #include "biochip/dtmb.hpp"
 #include "common/rng.hpp"
-#include "fault/injector.hpp"
 #include "fluidics/router.hpp"
+#include "sim/fault_model.hpp"
 
 namespace dmfb::fluidics {
 namespace {
@@ -40,7 +40,7 @@ TEST(RouterFuzz, RoutesNeverTouchFaultyOrReservedCells) {
   for (int trial = 0; trial < 40; ++trial) {
     auto array =
         biochip::make_dtmb_array(biochip::DtmbKind::kDtmb3_6, 9, 9);
-    fault::FixedCountInjector(6).inject(array, rng);
+    sim::inject(sim::FaultModel::fixed_count(6), array, rng);
     UsableCells usable(array);  // no reconfiguration: spares all reserved
     const Router router(usable);
     const auto from = pick_clear_cell(array, usable, {}, rng);
@@ -62,7 +62,8 @@ TEST(RouterFuzz, ShortestRouteNeverLongerThanDetourBound) {
     biochip::HexArray array(
         hex::Region::parallelogram(9, 9),
         [](hex::HexCoord) { return biochip::CellRole::kPrimary; });
-    fault::FixedCountInjector(rng.uniform_int(0, 10)).inject(array, rng);
+    sim::inject(
+        sim::FaultModel::fixed_count(rng.uniform_int(0, 10)), array, rng);
     UsableCells usable(array);
     const Router router(usable);
     const auto from = pick_clear_cell(array, usable, {}, rng);

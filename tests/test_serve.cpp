@@ -223,6 +223,32 @@ TEST(ResultStore, StoreLeavesNoTempFilesBehind) {
   }
 }
 
+TEST(ResultStore, OpenSweepsTempsOfDeadWritersOnly) {
+  // A kill -9 between a store()'s temp write and its rename leaves the
+  // temp behind. Reopening removes a dead writer's temp (no process can
+  // have pid 2^31 - 1, the largest pid_t), keeps this live process's own
+  // temp, and never touches a record.
+  TempDir dir("sweep");
+  fs::path record;
+  {
+    ResultStore store(dir.path());
+    store.store("kept", "payload");
+    record = store.path_of("kept");
+  }
+  const auto temp_of = [&](long long pid) {
+    fs::path temp = record;
+    temp += ".tmp." + std::to_string(pid) + ".0";
+    std::ofstream(temp) << "torn";
+    return temp;
+  };
+  const fs::path dead = temp_of(2147483647);
+  const fs::path own = temp_of(::getpid());
+  ResultStore reopened(dir.path());
+  EXPECT_FALSE(fs::exists(dead));
+  EXPECT_TRUE(fs::exists(own));
+  EXPECT_EQ(reopened.load("kept"), "payload");
+}
+
 TEST(ResultStore, RejectsMultilineKeysAndPayloads) {
   TempDir dir("multiline");
   ResultStore store(dir.path());
@@ -495,6 +521,35 @@ TEST(Server, ErrorLinesStayInStreamAndDaemonKeepsServing) {
   EXPECT_NE(seen[2].find("\"error\""), std::string::npos) << seen[2];
   EXPECT_NE(seen[2].find("cell count"), std::string::npos) << seen[2];
   EXPECT_EQ(seen[3].rfind("{\"id\": 5, \"yield\"", 0), 0u) << seen[3];
+}
+
+TEST(Server, OverlongRequestLineGetsAnErrorAndTheNextLineIsServed) {
+  // The same request padded with spaces to exactly kMaxRequestBytes is
+  // answered; one byte more is discarded up to its newline and answered
+  // with an error, and the line after it is still served.
+  const std::string request =
+      R"({"id": 1, "design": "dtmb1_6", "injector": "bernoulli", )"
+      R"("param": 0.9, "runs": 60})";
+  ASSERT_LT(request.size(), kMaxRequestBytes);
+  const auto padded = [&](std::size_t bytes) {
+    return request + std::string(bytes - request.size(), ' ') + "\n";
+  };
+  ServerOptions options;
+  options.threads = 2;
+  Server server(options);
+  const std::string out =
+      serve_batch(server, padded(kMaxRequestBytes) +
+                              padded(kMaxRequestBytes + 1) + request + "\n");
+  std::istringstream lines(out);
+  std::string line;
+  std::vector<std::string> seen;
+  while (std::getline(lines, line)) seen.push_back(line);
+  ASSERT_EQ(seen.size(), 3u) << out;
+  EXPECT_EQ(seen[0].rfind("{\"id\": 1, \"yield\"", 0), 0u) << seen[0];
+  EXPECT_NE(seen[1].find("\"error\""), std::string::npos) << seen[1];
+  EXPECT_NE(seen[1].find("request line exceeds"), std::string::npos)
+      << seen[1];
+  EXPECT_EQ(seen[2], seen[0]);
 }
 
 TEST(Server, OutOfRangeFixedCountParamsGetErrorLines) {

@@ -1,34 +1,29 @@
 // Equivalence suite for the composable fault models (parametric + mixture).
 //
 // The load-bearing pin: sim::FaultModel::{kParametric, kMixture} must
-// reproduce the serial HexArray reference loop (tests/hexarray_reference.hpp
-// with fault::ParametricInjector / fault::MixtureInjector)
+// reproduce the serial HexArray reference loop (tests/hexarray_reference.hpp:
+// the record path of sim::inject, LocalReconfigurer::feasible per run)
 // success-for-success, for every (policy x engine x pool) combination, at
 // threads 1 and 4 — the same contract the original suite pins for the
 // bernoulli / fixed-count / clustered kinds. Plus the mixture semantics:
 // standalone draw replay, first-faulter-wins attribution, composition
 // identities, and query-key/cache behaviour. And the draw-contract pin:
 // per-(kind, contract) FNV-1a digests of fault sets, attributions and the
-// stream position after injection, on every injection path.
+// stream position after injection, on both sinks.
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "biochip/dtmb.hpp"
 #include "common/contracts.hpp"
-#include "fault/injector.hpp"
-#include "fault/mixture.hpp"
-#include "fault/parametric.hpp"
 #include "hexarray_reference.hpp"
 #include "sim/fault_model.hpp"
 #include "sim/lockstep_bernoulli.hpp"
@@ -67,30 +62,6 @@ FaultModel test_mixture() {
        FaultModel::clustered(1.0, {1, 0.9, 0.3})});
 }
 
-fault::MixtureInjector legacy_test_mixture() {
-  return fault::MixtureInjector(
-      {fault::BernoulliInjector(0.97),
-       fault::ParametricInjector(
-           fault::ProcessSpec::typical().scaled(kSigmaScale)),
-       fault::ClusteredInjector(1.0, 1, 0.9, 0.3)});
-}
-
-/// The serial HexArray reference with the real injector for `query.fault`.
-YieldEstimate reference(biochip::HexArray& array, const YieldQuery& query) {
-  switch (query.fault.kind) {
-    case FaultModel::Kind::kParametric:
-      return hexarray_reference(
-          array,
-          fault::ParametricInjector(
-              fault::ProcessSpec::typical().scaled(query.fault.param)),
-          query);
-    case FaultModel::Kind::kMixture:
-      return hexarray_reference(array, legacy_test_mixture(), query);
-    default:
-      throw ContractViolation("not a composable-model kind");
-  }
-}
-
 // --------------------------------------------------------- equivalence pin
 
 TEST(SimFaultModelEquivalence, ParametricAndMixtureMatchLegacyEverywhere) {
@@ -121,7 +92,7 @@ TEST(SimFaultModelEquivalence, ParametricAndMixtureMatchLegacyEverywhere) {
             query.policy = policy;
             query.engine = engine;
             query.pool = pool;
-            const auto legacy = reference(array, query);
+            const auto legacy = hexarray_reference(array, query);
             Session& session =
                 threads == 1 ? serial_session : parallel_session;
             const auto ported = session.run(query);
@@ -147,13 +118,12 @@ TEST(SimFaultModelEquivalence, ParametricBitmapMatchesLegacyPerCell) {
   auto array = make_test_array();
   const auto design = ChipDesign::make(array);
   FaultState state(design);
-  const fault::ParametricInjector injector(
-      fault::ProcessSpec::typical().scaled(kSigmaScale));
+  const FaultModel model = FaultModel::parametric(kSigmaScale);
   Rng rng(271828);
   for (std::int32_t trial = 0; trial < 200; ++trial) {
     Rng sim_rng = rng;  // same stream for both injections
-    injector.inject(array, rng);
-    inject(FaultModel::parametric(kSigmaScale), state, sim_rng);
+    inject(model, array, rng);
+    inject(model, state, sim_rng);
     for (std::int32_t cell = 0; cell < array.cell_count(); ++cell) {
       ASSERT_EQ(state.is_faulty(cell),
                 array.health(cell) == biochip::CellHealth::kFaulty)
@@ -189,10 +159,10 @@ TEST(SimFaultModelMixture, FirstFaulterWinsAttribution) {
   // A mixture of two certain-kill components: every cell ends up faulty
   // exactly once, attributed to the first pass.
   auto array = make_test_array();
-  const fault::MixtureInjector injector(
-      {fault::BernoulliInjector(0.0), fault::BernoulliInjector(0.0)});
   Rng rng(99);
-  const fault::FaultMap map = injector.inject(array, rng);
+  const FaultModel certain_kill = FaultModel::bernoulli(0.0);
+  const fault::FaultMap map =
+      inject(FaultModel::mixture({certain_kill, certain_kill}), array, rng);
   EXPECT_EQ(static_cast<std::int32_t>(map.size()), array.cell_count());
   std::set<hex::CellIndex> cells;
   for (const auto& record : map.records) cells.insert(record.cell);
@@ -226,7 +196,7 @@ TEST(SimFaultModelMixture, MixtureFaultsAtLeastUnionOfSeverestComponent) {
 
 // Every (kind, draw contract) pair is pinned to constants recorded before
 // the injection layers shared code, so a change to any draw sequence shows
-// up here even when fault:: and sim:: still agree with each other. This is
+// up here even when the two sinks still agree with each other. This is
 // a contract pin: a mismatch means a draw order changed, not that the
 // constants need regenerating.
 
@@ -244,42 +214,23 @@ constexpr int kPinSeeds = 64;
 
 std::uint64_t pin_seed(int k) { return static_cast<std::uint64_t>(k) * 977 + 5; }
 
-/// One pinned model on both layers: the sim::FaultModel and a factory for
-/// the equivalent fault:: mixture component (nullptr for the mixture).
 struct PinnedModel {
   std::string name;
   FaultModel model;
-  std::function<fault::MixtureInjector::Component()> component;
 };
 
 std::vector<PinnedModel> pinned_models() {
   return {
-      {"bernoulli", FaultModel::bernoulli(0.92),
-       [] { return fault::BernoulliInjector(0.92); }},
-      {"fixed_count", FaultModel::fixed_count(7),
-       [] { return fault::FixedCountInjector(7); }},
-      {"clustered", FaultModel::clustered(2.0, {1, 0.9, 0.3}),
-       [] { return fault::ClusteredInjector(2.0, 1, 0.9, 0.3); }},
-      {"parametric", FaultModel::parametric(kSigmaScale),
-       [] {
-         return fault::ParametricInjector(
-             fault::ProcessSpec::typical().scaled(kSigmaScale));
-       }},
+      {"bernoulli", FaultModel::bernoulli(0.92)},
+      {"fixed_count", FaultModel::fixed_count(7)},
+      {"clustered", FaultModel::clustered(2.0, {1, 0.9, 0.3})},
+      {"parametric", FaultModel::parametric(kSigmaScale)},
       {"mixture",
        FaultModel::mixture({FaultModel::bernoulli(0.92),
                             FaultModel::fixed_count(7),
                             FaultModel::clustered(2.0, {1, 0.9, 0.3}),
-                            FaultModel::parametric(kSigmaScale)}),
-       nullptr},
+                            FaultModel::parametric(kSigmaScale)})},
   };
-}
-
-fault::MixtureInjector pinned_mixture() {
-  return fault::MixtureInjector(
-      {fault::BernoulliInjector(0.92), fault::FixedCountInjector(7),
-       fault::ClusteredInjector(2.0, 1, 0.9, 0.3),
-       fault::ParametricInjector(
-           fault::ProcessSpec::typical().scaled(kSigmaScale))});
 }
 
 void fold_array(std::uint64_t& digest, const biochip::HexArray& array,
@@ -311,23 +262,21 @@ void fold_state(std::uint64_t& digest, const FaultState& state) {
   }
 }
 
-/// Digest of a fault:: path over the pinned seeds. `inject_v1` / `inject_v2`
-/// run one injection on a healthy array; the stream position after it (next
-/// raw draw under v1, cursor under v2) is folded after the faults.
-template <typename InjectV1, typename InjectV2>
-std::uint64_t fault_digest(RngVersion version, const InjectV1& inject_v1,
-                           const InjectV2& inject_v2) {
+/// Digest of the record path (sim::inject on a HexArray) over the pinned
+/// seeds; the stream position after each injection (next raw draw under
+/// v1, cursor under v2) is folded after the faults.
+std::uint64_t record_digest(RngVersion version, const FaultModel& model) {
   auto array = biochip::make_dtmb_array_with_primaries(DtmbKind::kDtmb2_6, 60);
   std::uint64_t digest = kFnvOffset;
   for (int k = 0; k < kPinSeeds; ++k) {
     array.reset_health();
     if (version == RngVersion::kV1) {
       Rng rng(pin_seed(k));
-      fold_array(digest, array, inject_v1(array, rng));
+      fold_array(digest, array, inject(model, array, rng));
       fnv_fold(digest, rng());
     } else {
       CounterStream stream(pin_seed(k));
-      fold_array(digest, array, inject_v2(array, stream));
+      fold_array(digest, array, inject_v2(model, array, stream));
       fnv_fold(digest, stream.cursor());
     }
   }
@@ -384,8 +333,8 @@ std::uint64_t lockstep_digest(const LockstepKernel& kernel,
 struct PinnedDigests {
   const char* model;
   RngVersion version;
-  std::uint64_t fault_layer;  ///< cells + records + stream position
-  std::uint64_t sim_layer;    ///< cells + stream position
+  std::uint64_t fault_layer;  ///< record sink: cells + records + position
+  std::uint64_t sim_layer;    ///< bitmap sink: cells + stream position
 };
 
 // Recorded from the per-layer injectors before they shared one core.
@@ -433,49 +382,21 @@ TEST(SimFaultModelDrawContract, EveryPathMatchesThePinnedDigests) {
         return out.str();
       };
 
-      // fault:: standalone (the mixture's standalone is MixtureInjector).
-      const fault::MixtureInjector standalone_mixture = pinned_mixture();
-      const std::uint64_t standalone = fault_digest(
-          version,
-          [&](biochip::HexArray& array, Rng& rng) {
-            if (!pinned_model.component) {
-              return standalone_mixture.inject(array, rng);
-            }
-            return std::visit(
-                [&](const auto& injector) { return injector.inject(array, rng); },
-                pinned_model.component());
-          },
-          [&](biochip::HexArray& array, CounterStream& stream) {
-            if (!pinned_model.component) {
-              return standalone_mixture.inject_v2(array, stream);
-            }
-            return std::visit(
-                [&](const auto& injector) {
-                  return injector.inject_v2(array, stream);
-                },
-                pinned_model.component());
-          });
-      EXPECT_EQ(hex(standalone), hex(expected.fault_layer))
-          << label("fault:: standalone");
+      EXPECT_EQ(hex(record_digest(version, pinned_model.model)),
+                hex(expected.fault_layer))
+          << label("record sink");
 
-      // One-component MixtureInjector (the mixture has no such wrapping).
-      if (pinned_model.component) {
-        const fault::MixtureInjector wrapped({pinned_model.component()});
-        const std::uint64_t one_component = fault_digest(
-            version,
-            [&](biochip::HexArray& array, Rng& rng) {
-              return wrapped.inject(array, rng);
-            },
-            [&](biochip::HexArray& array, CounterStream& stream) {
-              return wrapped.inject_v2(array, stream);
-            });
-        EXPECT_EQ(hex(one_component), hex(expected.fault_layer))
-            << label("fault::MixtureInjector({X})");
+      // The same model as a one-component mixture (a mixture cannot nest).
+      if (pinned_model.model.kind != FaultModel::Kind::kMixture) {
+        EXPECT_EQ(hex(record_digest(
+                      version, FaultModel::mixture({pinned_model.model}))),
+                  hex(expected.fault_layer))
+            << label("record sink, mixture({X})");
       }
 
       EXPECT_EQ(hex(sim_digest(version, pinned_model.model)),
                 hex(expected.sim_layer))
-          << label("sim::inject");
+          << label("bitmap sink");
 
       // The lock-step v1 Bernoulli path: the generic template at 4 and 8
       // lanes, and every ISA build this CPU runs.
@@ -523,42 +444,42 @@ TEST(SimFaultModelValidate, RejectsBadParametricAndMixtures) {
 
 TEST(SimFaultModelValidate, RangeChecksFixedCountBeforeNarrowing) {
   // Out-of-int32 params must fail the contract, not reach a narrowing cast.
-  const auto design =
-      ChipDesign::make(biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 6, 6));
+  const std::int32_t cells =
+      biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 6, 6).cell_count();
   FaultModel model = FaultModel::fixed_count(0);
   for (const double param :
        {1e20, -1e20, 2147483648.0, 2.5, -1.0, std::nan("")}) {
     model.param = param;
-    EXPECT_THROW(validate(model, *design), ContractViolation) << param;
+    EXPECT_THROW(validate(model, cells), ContractViolation) << param;
   }
-  model.param = design->cell_count();
-  EXPECT_NO_THROW(validate(model, *design));
-  model.param = design->cell_count() + 1;
-  EXPECT_THROW(validate(model, *design), ContractViolation);
+  model.param = cells;
+  EXPECT_NO_THROW(validate(model, cells));
+  model.param = cells + 1;
+  EXPECT_THROW(validate(model, cells), ContractViolation);
 }
 
 TEST(SimFaultModelValidate, CapsClusteredMeanSpotsAndRadius) {
   // Past kMaxMeanSpots the Poisson spot count overflows int32 (3e9) or the
   // exponent folding stops making progress (1e308); a huge radius makes the
   // spot disk exhaust memory. Both caps are inclusive.
-  const auto design =
-      ChipDesign::make(biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 6, 6));
+  const std::int32_t cells =
+      biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 6, 6).cell_count();
   const ClusterShape shape{1, 0.9, 0.3};
   EXPECT_NO_THROW(
-      validate(FaultModel::clustered(kMaxMeanSpots, shape), *design));
+      validate(FaultModel::clustered(kMaxMeanSpots, shape), cells));
   for (const double mean_spots :
        {std::nextafter(kMaxMeanSpots, 2.0 * kMaxMeanSpots), 3e9, 1e308,
         std::numeric_limits<double>::infinity(), std::nan("")}) {
-    EXPECT_THROW(validate(FaultModel::clustered(mean_spots, shape), *design),
+    EXPECT_THROW(validate(FaultModel::clustered(mean_spots, shape), cells),
                  ContractViolation)
         << mean_spots;
   }
   ClusterShape wide = shape;
   wide.radius = kMaxClusterRadius;
-  EXPECT_NO_THROW(validate(FaultModel::clustered(2.0, wide), *design));
+  EXPECT_NO_THROW(validate(FaultModel::clustered(2.0, wide), cells));
   for (const std::int32_t radius : {kMaxClusterRadius + 1, 100000}) {
     wide.radius = radius;
-    EXPECT_THROW(validate(FaultModel::clustered(2.0, wide), *design),
+    EXPECT_THROW(validate(FaultModel::clustered(2.0, wide), cells),
                  ContractViolation)
         << radius;
   }

@@ -3,7 +3,7 @@
 //
 // The load-bearing suite is the bit-identity pin: sim::Session must
 // reproduce the serial HexArray reference loop (tests/hexarray_reference.hpp:
-// a fault::*Injector on a HexArray, LocalReconfigurer::feasible per run)
+// sim::inject on a HexArray, LocalReconfigurer::feasible per run)
 // success-for-success, for every (policy x engine x pool) combination, at
 // threads 1 and 4. That is what lets compound_yield, CampaignRunner and the
 // core facade ride on the session without moving a single golden number.
@@ -16,8 +16,6 @@
 #include "assay/multiplexed_chip.hpp"
 #include "biochip/dtmb.hpp"
 #include "common/contracts.hpp"
-#include "fault/injector.hpp"
-#include "fault/mixture.hpp"
 #include "hexarray_reference.hpp"
 #include "sim/session.hpp"
 
@@ -40,34 +38,6 @@ biochip::HexArray make_test_array() {
     ++marked;
   }
   return array;
-}
-
-/// The serial HexArray reference with the real injector for `query.fault`.
-YieldEstimate reference(biochip::HexArray& array, const YieldQuery& query) {
-  const FaultModel& model = query.fault;
-  switch (model.kind) {
-    case FaultModel::Kind::kBernoulli:
-      return hexarray_reference(
-          array, fault::BernoulliInjector(model.param), query);
-    case FaultModel::Kind::kFixedCount:
-      return hexarray_reference(
-          array,
-          fault::FixedCountInjector(static_cast<std::int32_t>(model.param)),
-          query);
-    case FaultModel::Kind::kClustered:
-      return hexarray_reference(
-          array,
-          fault::ClusteredInjector(model.param, model.cluster.radius,
-                                   model.cluster.core_kill,
-                                   model.cluster.edge_kill),
-          query);
-    case FaultModel::Kind::kParametric:
-    case FaultModel::Kind::kMixture:
-      // Covered by the dedicated equivalence suite
-      // (tests/test_sim_fault_models.cpp).
-      break;
-  }
-  throw ContractViolation("unknown model kind");
 }
 
 // --------------------------------------------------------- equivalence pin
@@ -101,7 +71,7 @@ TEST(SimEquivalence, BitIdenticalToLegacyForEveryEngineCombination) {
             query.policy = policy;
             query.engine = engine;
             query.pool = pool;
-            const auto legacy = reference(array, query);
+            const auto legacy = hexarray_reference(array, query);
             Session& session =
                 threads == 1 ? serial_session : parallel_session;
             const auto ported = session.run(query);
@@ -130,7 +100,8 @@ TEST(SimEquivalence, MatchesReferenceOnMultiplexedChip) {
   query.policy = CoveragePolicy::kUsedFaultyPrimaries;
   Session session(chip.array);
   const auto direct = session.run(query);
-  EXPECT_EQ(reference(chip.array, query).successes, direct.successes);
+  EXPECT_EQ(hexarray_reference(chip.array, query).successes,
+            direct.successes);
 }
 
 // ------------------------------------------------------------- determinism
@@ -284,11 +255,11 @@ TEST(FaultState, RepairableAgreesWithLocalReconfigurer) {
   const auto design = ChipDesign::make(array);
   FaultState state(design);
   Rng rng(123);
-  const fault::BernoulliInjector injector(0.9);
+  const FaultModel model = FaultModel::bernoulli(0.9);
   for (std::int32_t trial = 0; trial < 200; ++trial) {
     Rng legacy_rng = rng;  // same stream for both injections
-    injector.inject(array, rng);
-    inject(FaultModel::bernoulli(0.9), state, legacy_rng);
+    inject(model, array, rng);
+    inject(model, state, legacy_rng);
     for (const CoveragePolicy policy :
          {CoveragePolicy::kAllFaultyPrimaries,
           CoveragePolicy::kUsedFaultyPrimaries}) {
@@ -309,22 +280,22 @@ TEST(FaultState, RepairableAgreesWithLocalReconfigurer) {
 }
 
 TEST(FaultState, BernoulliFaultSetsAndFinalRngMatchLegacy) {
-  // v1 layer equivalence at degenerate and exact-threshold survival
-  // probabilities: the standalone injector, a one-component mixture and the
-  // bitmap path fault the same cells (same classifications for the two
-  // fault:: paths) and leave the Rng in the same state.
+  // v1 sink equivalence at degenerate and exact-threshold survival
+  // probabilities: the record path (standalone and as a one-component
+  // mixture) and the bitmap path fault the same cells (same classifications
+  // for the two record paths) and leave the Rng in the same state.
   auto array = make_test_array();
   const auto design = ChipDesign::make(array);
   FaultState state(design);
   for (const double survival : {0.0, 0.25, 0.9, 1.0}) {
-    const fault::BernoulliInjector standalone(survival);
-    const fault::MixtureInjector mixture({fault::BernoulliInjector(survival)});
+    const FaultModel standalone = FaultModel::bernoulli(survival);
+    const FaultModel mixture = FaultModel::mixture({standalone});
     for (std::uint64_t seed = 0; seed < 40; ++seed) {
       Rng legacy_rng(seed);
       Rng mixture_rng(seed);
       Rng sim_rng(seed);
-      const fault::FaultMap legacy = standalone.inject(array, legacy_rng);
-      inject(FaultModel::bernoulli(survival), state, sim_rng);
+      const fault::FaultMap legacy = inject(standalone, array, legacy_rng);
+      inject(standalone, state, sim_rng);
       ASSERT_EQ(state.faulty_count(),
                 static_cast<std::int32_t>(legacy.records.size()));
       for (std::int32_t cell = 0; cell < array.cell_count(); ++cell) {
@@ -334,7 +305,7 @@ TEST(FaultState, BernoulliFaultSetsAndFinalRngMatchLegacy) {
             << " cell=" << cell;
       }
       array.reset_health();
-      const fault::FaultMap mixed = mixture.inject(array, mixture_rng);
+      const fault::FaultMap mixed = inject(mixture, array, mixture_rng);
       ASSERT_EQ(mixed.records.size(), legacy.records.size());
       for (std::size_t i = 0; i < legacy.records.size(); ++i) {
         EXPECT_EQ(mixed.records[i].cell, legacy.records[i].cell);

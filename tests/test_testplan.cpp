@@ -7,7 +7,7 @@
 #include "biochip/dtmb.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
-#include "fault/injector.hpp"
+#include "sim/fault_model.hpp"
 #include "testplan/stimulus_test.hpp"
 
 namespace dmfb::testplan {
@@ -103,7 +103,7 @@ TEST(TestSession, FindsAllInjectedFaults) {
   for (int trial = 0; trial < 20; ++trial) {
     auto array = test_array();
     const fault::FaultMap injected =
-        fault::FixedCountInjector(5).inject(array, rng);
+        sim::inject(sim::FaultModel::fixed_count(5), array, rng);
     if (array.health(0) == CellHealth::kFaulty) continue;  // source dead
     const TestSessionResult result = run_test_session(array, 0);
     // Every found fault is real.
@@ -156,7 +156,7 @@ TEST(TestSession, IsolatedRegionReportedUntestable) {
 TEST(TestSession, WalkCountBoundedByFaultsPlusOne) {
   Rng rng(2718);
   auto array = test_array();
-  fault::FixedCountInjector(6).inject(array, rng);
+  sim::inject(sim::FaultModel::fixed_count(6), array, rng);
   if (array.health(0) != CellHealth::kFaulty) {
     const TestSessionResult result = run_test_session(array, 0);
     EXPECT_LE(result.walks_used,

@@ -8,7 +8,6 @@
 #include "biochip/dtmb.hpp"
 #include "biochip/redundancy.hpp"
 #include "common/contracts.hpp"
-#include "fault/injector.hpp"
 #include "hexarray_reference.hpp"
 #include "sim/session.hpp"
 #include "yield/analytic.hpp"
@@ -149,8 +148,7 @@ TEST(MonteCarlo, ThreadsProduceBitIdenticalResults) {
   auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 10, 10);
   sim::YieldQuery query = bernoulli_query(0.93, 2000);
   query.seed = 20260730;
-  const YieldEstimate serial =
-      sim::hexarray_reference(array, fault::BernoulliInjector(0.93), query);
+  const YieldEstimate serial = sim::hexarray_reference(array, query);
   for (const std::int32_t threads : {0, 1, 2, 3, 4, 7}) {
     query.threads = threads;
     const YieldEstimate parallel = sim::Session(array).run(query);
@@ -178,8 +176,7 @@ TEST(MonteCarlo, ThreadsExceedingRunsStillCorrect) {
   sim::YieldQuery query = bernoulli_query(0.9, 10);
   query.threads = 16;
   const YieldEstimate estimate = sim::Session(array).run(query);
-  const YieldEstimate serial =
-      sim::hexarray_reference(array, fault::BernoulliInjector(0.9), query);
+  const YieldEstimate serial = sim::hexarray_reference(array, query);
   EXPECT_EQ(estimate.runs, 10);
   EXPECT_EQ(estimate.successes, serial.successes);
 }

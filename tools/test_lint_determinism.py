@@ -154,7 +154,7 @@ class FpAccumulateTest(unittest.TestCase):
 
 
 class MixedRngVersionTest(unittest.TestCase):
-    INJECTOR = "src/fault/injector.cpp"
+    INJECTOR = "src/fault/samplers.hpp"
 
     def test_v1_only_function_is_fine(self):
         snippet = ("void inject(HexArray& a, Rng& rng) {\n"
@@ -199,10 +199,11 @@ class MixedRngVersionTest(unittest.TestCase):
     def test_declarations_mentioning_both_types_are_fine(self):
         # A header declaring both overloads: parameter names are preceded by
         # '&', which is not a draw.
-        snippet = ("FaultMap inject(HexArray& array, Rng& rng) const;\n"
-                   "FaultMap inject_v2(HexArray& array,\n"
-                   "                   CounterStream& stream) const;\n")
-        self.assertEqual(lint.scan_text("src/fault/injector.hpp", snippet),
+        snippet = ("FaultMap inject(const FaultModel& model, HexArray& array,\n"
+                   "                Rng& rng);\n"
+                   "FaultMap inject_v2(const FaultModel& model, HexArray& array,\n"
+                   "                   CounterStream& stream);\n")
+        self.assertEqual(lint.scan_text("src/sim/fault_model.hpp", snippet),
                          [])
 
     def test_sim_fault_model_is_an_injector_path(self):
