@@ -338,8 +338,9 @@ BENCHMARK(BM_McYieldRun_Mixture);
 
 // Operational-workload kernel (not part of the CI ratio gate): one full
 // operational run on the Section-7 multiplexed workload — inject, plan the
-// reconfiguration, re-schedule the assay on the surviving module pool,
-// re-route the droplet transports. Orders of magnitude heavier than the
+// reconfiguration, look up the assay's schedule for the surviving module
+// pool (each pool is list-scheduled once per OperationalState), count the
+// droplet transports' hops. An order of magnitude heavier than the
 // structural kernel by construction; tracked so the fig13_operational
 // campaign cost stays visible.
 

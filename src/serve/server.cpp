@@ -11,8 +11,9 @@
 #include <thread>
 #include <vector>
 
-#ifdef __linux__
 #include <pthread.h>
+#include <signal.h>
+#ifdef __linux__
 #include <sched.h>
 #endif
 
@@ -91,6 +92,26 @@ void pin_worker(std::thread& thread, unsigned index) {
 #endif
 }
 
+/// Blocks SIGTERM and SIGINT in the calling thread for its lifetime. Threads
+/// inherit their creator's mask, so workers spawned under it never take a
+/// drain signal, and the signal always interrupts the reader's blocking read.
+class DrainSignalsBlocked {
+ public:
+  DrainSignalsBlocked() {
+    sigset_t drain_signals;
+    sigemptyset(&drain_signals);
+    sigaddset(&drain_signals, SIGTERM);
+    sigaddset(&drain_signals, SIGINT);
+    pthread_sigmask(SIG_BLOCK, &drain_signals, &saved_);
+  }
+  ~DrainSignalsBlocked() { pthread_sigmask(SIG_SETMASK, &saved_, nullptr); }
+  DrainSignalsBlocked(const DrainSignalsBlocked&) = delete;
+  DrainSignalsBlocked& operator=(const DrainSignalsBlocked&) = delete;
+
+ private:
+  sigset_t saved_;
+};
+
 enum class LineRead : std::uint8_t { kLine, kTooLong, kEof };
 
 /// Reads one '\n'-terminated line into `line`, storing at most
@@ -165,35 +186,48 @@ std::uint64_t Server::serve(std::istream& in, std::ostream& out) {
       common::resolve_worker_threads(options_.threads);
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(workers));
-  for (std::int32_t t = 0; t < workers; ++t) {
-    pool.emplace_back([&queue, &emitter] {
-      while (std::optional<WorkItem> item = queue.pop()) {
-        process(*item, emitter);
+  {
+    const DrainSignalsBlocked blocked;
+    for (std::int32_t t = 0; t < workers; ++t) {
+      pool.emplace_back([&queue, &emitter] {
+        while (std::optional<WorkItem> item = queue.pop()) {
+          process(*item, emitter);
+        }
+      });
+      if (options_.pin_workers) {
+        pin_worker(pool.back(), static_cast<unsigned>(t));
       }
-    });
-    if (options_.pin_workers) {
-      pin_worker(pool.back(), static_cast<unsigned>(t));
     }
   }
 
+  // The reader answers the lines it rejects itself. It writes with the
+  // drain signals blocked: a signal that interrupted a write to a full
+  // stdout pipe would fail it with EINTR and leave the output stream failed.
+  const auto answer_here = [&emitter](std::uint64_t at, std::string reply) {
+    const DrainSignalsBlocked blocked;
+    emitter.emit(at, std::move(reply));
+  };
   std::uint64_t seq = 0;
   std::string line;
   LineRead read = LineRead::kEof;
   while (!drain_requested() &&
          (read = read_request_line(in, line)) != LineRead::kEof) {
+    // A drain signal ends a blocked read as end of input; the line it cut
+    // short is dropped unanswered.
+    if (in.eof() && drain_requested()) break;
     if (read == LineRead::kTooLong) {
       ++seq;
-      emitter.emit(seq, format_error(std::to_string(seq),
-                                     "request line exceeds " +
-                                         std::to_string(kMaxRequestBytes) +
-                                         " bytes"));
+      answer_here(seq, format_error(std::to_string(seq),
+                                    "request line exceeds " +
+                                        std::to_string(kMaxRequestBytes) +
+                                        " bytes"));
       continue;
     }
     if (blank(line)) continue;
     ++seq;
     ParsedRequest parsed = parse_request(line, seq);
     if (!parsed.ok()) {
-      emitter.emit(seq, format_error(std::to_string(seq), parsed.error));
+      answer_here(seq, format_error(std::to_string(seq), parsed.error));
       continue;
     }
     WorkItem item;
@@ -206,21 +240,21 @@ std::uint64_t Server::serve(std::istream& in, std::ostream& out) {
       if (item.request.injector == campaign::InjectorKind::kFixedCount &&
           static_cast<std::int32_t>(item.request.param) >
               item.session->design().cell_count()) {
-        emitter.emit(seq, format_error(
-                              item.request.id,
-                              "fixed_count param exceeds the design's cell "
-                              "count"));
+        answer_here(seq, format_error(
+                             item.request.id,
+                             "fixed_count param exceeds the design's cell "
+                             "count"));
         continue;
       }
     } catch (const std::exception& error) {
-      emitter.emit(seq, format_error(item.request.id, error.what()));
+      answer_here(seq, format_error(item.request.id, error.what()));
       continue;
     }
     if (!queue.push(std::move(item))) {
       // Only reachable if a future revision closes the queue early; answer
       // rather than go silent.
-      emitter.emit(seq, format_error(std::to_string(seq),
-                                     "server is draining"));
+      answer_here(seq, format_error(std::to_string(seq),
+                                    "server is draining"));
       break;
     }
   }

@@ -17,7 +17,10 @@
 // signal-safe, call it from a SIGTERM/SIGINT handler — stops the reader at
 // the next line boundary; everything already accepted is still computed
 // and answered before serve() returns. No answer is ever dropped or
-// emitted out of order.
+// emitted out of order. serve() blocks SIGTERM and SIGINT in its worker
+// threads, so a handler installed without SA_RESTART interrupts the
+// reader's blocking read even while the daemon is idle; the read then ends
+// as end of input, and a line it cut short is dropped unanswered.
 #pragma once
 
 #include <atomic>

@@ -89,17 +89,8 @@ std::optional<double> OperationalState::degraded_completion(
 
   // Graceful degradation ends where a resource class the assay needs has no
   // surviving instance at all.
-  for (const assay::AssayOp& op : graph.ops()) {
-    if (assay::capacity_of(surviving, assay::resource_class(op.kind)) < 1) {
-      return std::nullopt;
-    }
-  }
-
-  const assay::Schedule schedule = [&] {
-    obs::ScopedSpan span("assay.schedule", "op");
-    const obs::ScopedDuration timer(obs::Metric::kAssayScheduleNs);
-    return assay::ListScheduler(surviving).schedule(graph);
-  }();
+  const assay::Schedule* const degraded = schedule(surviving);
+  if (degraded == nullptr) return std::nullopt;
 
   // Usable cells: healthy primaries plus the plan's replacements (spares,
   // or unused primaries already in the mask), minus every faulty cell.
@@ -125,7 +116,7 @@ std::optional<double> OperationalState::degraded_completion(
     if (kind) {
       const auto& alive = alive_by_kind_[kind_slot(*kind)];
       const auto instance =
-          static_cast<std::size_t>(schedule.of(op.id).resource_index);
+          static_cast<std::size_t>(degraded->of(op.id).resource_index);
       DMFB_ASSERT(instance < alive.size());
       anchor_[id] = operator_of(modules[alive[instance]].cells.front());
     } else {
@@ -141,7 +132,7 @@ std::optional<double> OperationalState::degraded_completion(
       transport_hops += hops;
     }
   }
-  return schedule.makespan() +
+  return degraded->makespan() +
          kTransportSecondsPerHop * static_cast<double>(transport_hops);
 }
 
@@ -262,36 +253,119 @@ OperationalState::OperationalState(
     std::shared_ptr<const AssayWorkload> workload)
     : workload_(require_workload(std::move(workload))),
       faults_(workload_->design_ptr()),
-      array_(workload_->design().array()),
-      replacement_of_(static_cast<std::size_t>(array_.cell_count()),
-                      hex::kInvalidCell) {}
+      right_of_cell_(
+          static_cast<std::size_t>(workload_->design().cell_count()), -1),
+      schedules_(static_cast<std::size_t>(
+          (workload_->full_pool_.dispense_ports + 1) *
+          (workload_->full_pool_.mixers + 1) *
+          (workload_->full_pool_.detectors + 1))),
+      replacement_of_(
+          static_cast<std::size_t>(workload_->design().cell_count()),
+          hex::kInvalidCell) {}
+
+const reconfig::ReconfigPlan& OperationalState::plan(
+    reconfig::CoveragePolicy policy, graph::MatchingEngine engine,
+    reconfig::ReplacementPool pool) {
+  const ChipDesign::Skeleton& skeleton =
+      workload_->design().skeleton(policy, pool);
+  // Faulty covered primaries in ascending cell order — cells_to_cover's
+  // order, since the design's primaries are numbered ascending.
+  cover_.clear();
+  const std::span<const std::uint64_t> words = faults_.fault_words();
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (std::uint64_t bits = words[w] & skeleton.cover_words[w]; bits != 0;
+         bits &= bits - 1) {
+      cover_.push_back(static_cast<CellIndex>(
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(bits))));
+    }
+  }
+  plan_.replacements.clear();
+  plan_.unrepairable.clear();
+  if (cover_.empty()) {
+    plan_.success = true;
+    return plan_;
+  }
+  // Each row keeps its healthy skeleton candidates in skeleton order, and
+  // replacement cells are numbered as first discovered.
+  graph_.clear();
+  right_cells_.clear();
+  for (const CellIndex faulty : cover_) {
+    graph_.open_row();
+    const auto row = static_cast<std::size_t>(
+        skeleton.cover_row_of_cell[static_cast<std::size_t>(faulty)]);
+    for (const CellIndex candidate : skeleton.candidates_of(row)) {
+      if (faults_.is_faulty(candidate)) continue;
+      std::int32_t& b = right_of_cell_[static_cast<std::size_t>(candidate)];
+      if (b < 0) {
+        b = static_cast<std::int32_t>(right_cells_.size());
+        right_cells_.push_back(candidate);
+      }
+      graph_.add_edge(b);
+    }
+  }
+  for (const CellIndex cell : right_cells_) {
+    right_of_cell_[static_cast<std::size_t>(cell)] = -1;
+  }
+  plan_.success = matcher_.covers_all_left(graph_, engine);
+  const std::span<const std::int32_t> match_of_left = matcher_.match_of_left();
+  for (std::size_t a = 0; a < cover_.size(); ++a) {
+    const std::int32_t b = match_of_left[a];
+    if (b == graph::kUnmatched) {
+      plan_.unrepairable.push_back(cover_[a]);
+    } else {
+      plan_.replacements.push_back(
+          {cover_[a], right_cells_[static_cast<std::size_t>(b)]});
+    }
+  }
+  return plan_;
+}
+
+const assay::Schedule* OperationalState::schedule(
+    const assay::ResourcePool& pool) {
+  const assay::ResourcePool& full = workload_->full_pool_;
+  DMFB_EXPECTS(pool.dispense_ports >= 0 &&
+               pool.dispense_ports <= full.dispense_ports);
+  DMFB_EXPECTS(pool.mixers >= 0 && pool.mixers <= full.mixers);
+  DMFB_EXPECTS(pool.detectors >= 0 && pool.detectors <= full.detectors);
+  const assay::SequencingGraph& graph = workload_->graph_;
+  for (const assay::AssayOp& op : graph.ops()) {
+    if (assay::capacity_of(pool, assay::resource_class(op.kind)) < 1) {
+      return nullptr;
+    }
+  }
+  obs::ScopedSpan span("assay.schedule", "op");
+  const obs::ScopedDuration timer(obs::Metric::kAssayScheduleNs);
+  std::optional<assay::Schedule>& slot =
+      schedules_[static_cast<std::size_t>(
+          (pool.dispense_ports * (full.mixers + 1) + pool.mixers) *
+              (full.detectors + 1) +
+          pool.detectors)];
+  if (!slot) slot = assay::ListScheduler(pool).schedule(graph);
+  return &*slot;
+}
+
+std::size_t OperationalState::memoised_schedules() const noexcept {
+  return static_cast<std::size_t>(
+      std::count_if(schedules_.begin(), schedules_.end(),
+                    [](const auto& slot) { return slot.has_value(); }));
+}
 
 OperationalRun OperationalState::evaluate(reconfig::CoveragePolicy policy,
                                           graph::MatchingEngine engine,
                                           reconfig::ReplacementPool pool) {
-  // Mirror the fault bitmap onto the private array so the reconfig layer
-  // sees the drawn fault set.
-  for (const CellIndex cell : faults_.faulty_cells()) {
-    array_.set_health(cell, biochip::CellHealth::kFaulty);
-  }
-  const reconfig::ReconfigPlan plan = [&] {
+  {
     obs::ScopedSpan span("reconfig.plan", "op");
     const obs::ScopedDuration timer(obs::Metric::kReconfigPlanNs);
-    return reconfig::LocalReconfigurer(policy, engine, pool).plan(array_);
-  }();
+    plan(policy, engine, pool);
+  }
 
   OperationalRun run;
-  run.structural = plan.success;
-  const std::optional<double> completion = run_assay(plan);
+  run.structural = plan_.success;
+  const std::optional<double> completion = run_assay(plan_);
   run.operational = completion.has_value();
   if (completion) {
     run.completion_s = *completion;
     run.slowdown = *completion / workload_->baseline_completion_s_;
-  }
-
-  // Restore the mirror in O(#faults) for the next draw.
-  for (const CellIndex cell : faults_.faulty_cells()) {
-    array_.set_health(cell, biochip::CellHealth::kHealthy);
   }
   return run;
 }

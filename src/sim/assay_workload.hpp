@@ -13,11 +13,13 @@
 //
 // The per-run operational kernel (OperationalState::evaluate) is the first
 // place the top and bottom halves of the codebase meet in one Monte-Carlo
-// loop: it materialises the reconfig::ReconfigPlan for the drawn fault set,
-// applies it to the module placement (a faulty module cell survives iff the
-// plan hands its duty to an adjacent replacement), re-schedules the assay
-// with assay::ListScheduler on the surviving resource pool, and counts each
-// droplet transport's shortest-path hops over the repaired array (activated
+// loop: it builds the reconfig::ReconfigPlan for the drawn fault set from
+// the design's matching skeleton and the fault words (no HexArray is
+// touched), applies it to the module placement (a faulty module cell
+// survives iff the plan hands its duty to an adjacent replacement), looks
+// up the assay's assay::ListScheduler schedule for the surviving resource
+// pool (computed once per pool and kept), and counts each droplet
+// transport's shortest-path hops over the repaired array (activated
 // replacement spares included). Only hop counts are computed, never paths:
 // fluidics::HopGrid runs a word-parallel BFS on a usable-cell bitmap built
 // per run from the primary mask, the fault bits and the plan's spares. A
@@ -41,6 +43,7 @@
 #include "assay/list_scheduler.hpp"
 #include "assay/sequencing_graph.hpp"
 #include "fluidics/router.hpp"
+#include "graph/csr_matching.hpp"
 #include "reconfig/local_reconfig.hpp"
 #include "sim/chip_design.hpp"
 #include "sim/fault_state.hpp"
@@ -131,11 +134,11 @@ struct OperationalRun {
   double slowdown = 0.0;
 };
 
-/// Per-thread operational scratch: a FaultState for the injectors, a private
-/// HexArray mirror the reconfig layer plans against, and the assay
-/// evaluation's buffers (cell -> replacement table, usable-cell bitmap, BFS
-/// scratch). Not thread-safe; use one per worker (mirrors FaultState's
-/// contract).
+/// Per-thread operational scratch: a FaultState for the injectors, the
+/// plan step's reusable bipartite graph and matcher, a lazily filled memo
+/// of schedules by surviving resource pool, and the assay evaluation's
+/// buffers (cell -> replacement table, usable-cell bitmap, BFS scratch).
+/// Not thread-safe; use one per worker (mirrors FaultState's contract).
 class OperationalState {
  public:
   explicit OperationalState(std::shared_ptr<const AssayWorkload> workload);
@@ -146,11 +149,34 @@ class OperationalState {
   FaultState& faults() noexcept { return faults_; }
 
   /// Evaluates the current fault set: plan -> surviving modules ->
-  /// re-schedule -> transport hops. Leaves the fault set untouched (call
+  /// schedule -> transport hops. Leaves the fault set untouched (call
   /// reset() between runs, as with FaultState).
   OperationalRun evaluate(reconfig::CoveragePolicy policy,
                           graph::MatchingEngine engine,
                           reconfig::ReplacementPool pool);
+
+  /// The plan step of evaluate(): the spare assignment for the current
+  /// fault set, equal (success, replacements in order, unrepairable) to
+  /// reconfig::LocalReconfigurer(policy, engine, pool).plan() on an
+  /// equally faulted HexArray. The graph is the design skeleton's
+  /// (policy, pool) rows of the faulty covered primaries in cell order,
+  /// each filtered to its healthy candidates, with replacement cells
+  /// numbered in first-discovery order — the graph LocalReconfigurer
+  /// builds — and the same engine matches it. The reference stays valid
+  /// until the next plan() or evaluate() call.
+  const reconfig::ReconfigPlan& plan(reconfig::CoveragePolicy policy,
+                                     graph::MatchingEngine engine,
+                                     reconfig::ReplacementPool pool);
+
+  /// The assay's schedule on `pool`, or nullptr when a resource class the
+  /// graph uses has no instance in it (the assay fails). Each class of
+  /// `pool` must lie in [0, the workload's full_pool() count]. The first
+  /// call for a pool runs assay::ListScheduler(pool).schedule(graph) and
+  /// keeps the result; later calls return the kept schedule.
+  const assay::Schedule* schedule(const assay::ResourcePool& pool);
+
+  /// Pools whose schedule schedule() has computed and kept so far.
+  std::size_t memoised_schedules() const noexcept;
 
   /// Clears the fault bitmap in O(#faults).
   void reset() noexcept { faults_.reset(); }
@@ -168,7 +194,20 @@ class OperationalState {
 
   std::shared_ptr<const AssayWorkload> workload_;
   FaultState faults_;
-  biochip::HexArray array_;  ///< private faulted mirror for reconfig
+
+  // plan() scratch, reused across runs: the faulty covered primaries (cell
+  // order), BG(A, B, E) over them, its matcher, the replacement-cell
+  // numbering (right_of_cell_ is -1 except during a plan() call) and the
+  // plan itself.
+  std::vector<CellIndex> cover_;
+  graph::CsrBipartiteGraph graph_;
+  graph::CsrMatcher matcher_;
+  std::vector<std::int32_t> right_of_cell_;
+  std::vector<CellIndex> right_cells_;
+  reconfig::ReconfigPlan plan_;
+
+  // schedule() memo, one slot per pool <= full_pool(), filled on first use.
+  std::vector<std::optional<assay::Schedule>> schedules_;
 
   // run_assay scratch. replacement_of_ maps a cell to the plan's spare for
   // it (kInvalidCell otherwise) and is restored in O(|plan|) after a run.

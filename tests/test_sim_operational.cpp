@@ -11,11 +11,16 @@
 // repairability run-for-run. The fig13_operational campaign CSV is pinned
 // as a golden file, like fig9_smoke. The golden CSV rounds slowdowns to
 // four decimals, so the OperationalRunContract pin below digests every
-// run's verdicts and the exact bits of its completion time.
+// run's verdicts and the exact bits of its completion time. The kernel's
+// two reused steps have their own oracles: its plan equals
+// reconfig::LocalReconfigurer's on an equally faulted HexArray for every
+// engine, and its memoised schedule equals a fresh assay::ListScheduler
+// schedule for every pool.
 #include <bit>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <string>
 #include <string_view>
 #include <utility>
 
@@ -27,6 +32,7 @@
 #include "campaign/spec.hpp"
 #include "common/contracts.hpp"
 #include "sim/assay_workload.hpp"
+#include "sim/fault_model.hpp"
 #include "sim/session.hpp"
 
 namespace dmfb::sim {
@@ -133,7 +139,7 @@ TEST(OperationalState, LostMixerDegradesGracefully) {
   EXPECT_TRUE(run.operational);  // 3 mixers still serve the 4 chains
   EXPECT_GT(run.slowdown, 1.0);
 
-  // The mirror restores itself: after reset the healthy baseline is back.
+  // After reset the healthy baseline is back.
   state.reset();
   const OperationalRun healthy =
       state.evaluate(CoveragePolicy::kUsedFaultyPrimaries,
@@ -162,6 +168,157 @@ TEST(OperationalState, AssayFailsWhenAWholeResourceClassDies) {
                      ReplacementPool::kSparesOnly);
   EXPECT_FALSE(run.structural);
   EXPECT_FALSE(run.operational);
+}
+
+// ------------------------------------------------ plan and schedule steps
+
+TEST(OperationalState, PlanEqualsLocalReconfigurerOnAnEquallyFaultedArray) {
+  const auto& workload = multiplexed_workload();
+  OperationalState state(workload);
+  biochip::HexArray array = workload->design().array();
+  const FaultModel models[] = {
+      FaultModel::fixed_count(0),  FaultModel::fixed_count(1),
+      FaultModel::fixed_count(8),  FaultModel::fixed_count(25),
+      FaultModel::fixed_count(60), FaultModel::fixed_count(90),
+      FaultModel::fixed_count(120), FaultModel::bernoulli(0.97),
+      FaultModel::bernoulli(0.90),
+  };
+  std::size_t failed = 0;
+  std::size_t replaced = 0;
+  for (std::size_t m = 0; m < std::size(models); ++m) {
+    for (std::int32_t run = 0; run < 24; ++run) {
+      const auto seed = static_cast<std::uint64_t>(700 + m);
+      Rng state_rng = run_stream(seed, run);
+      inject(models[m], state.faults(), state_rng);
+      Rng array_rng = run_stream(seed, run);
+      inject(models[m], array, array_rng);
+      ASSERT_EQ(array.faulty_count(), state.faults().faulty_count());
+      for (const CoveragePolicy policy :
+           {CoveragePolicy::kAllFaultyPrimaries,
+            CoveragePolicy::kUsedFaultyPrimaries}) {
+        for (const ReplacementPool pool :
+             {ReplacementPool::kSparesOnly,
+              ReplacementPool::kSparesAndUnusedPrimaries}) {
+          for (const MatchingEngine engine :
+               {MatchingEngine::kHopcroftKarp, MatchingEngine::kKuhn,
+                MatchingEngine::kDinic, MatchingEngine::kPushRelabel,
+                MatchingEngine::kAuto}) {
+            const reconfig::ReconfigPlan expected =
+                reconfig::LocalReconfigurer(policy, engine, pool).plan(array);
+            const reconfig::ReconfigPlan& plan =
+                state.plan(policy, engine, pool);
+            const std::string where =
+                "model " + std::to_string(m) + " run " + std::to_string(run) +
+                " policy " + to_string(policy) + " pool " + to_string(pool) +
+                " engine " + graph::to_string(engine);
+            EXPECT_EQ(plan.success, expected.success) << where;
+            EXPECT_EQ(plan.unrepairable, expected.unrepairable) << where;
+            ASSERT_EQ(plan.replacements.size(), expected.replacements.size())
+                << where;
+            for (std::size_t i = 0; i < plan.replacements.size(); ++i) {
+              EXPECT_EQ(plan.replacements[i].faulty,
+                        expected.replacements[i].faulty)
+                  << where << " pair " << i;
+              EXPECT_EQ(plan.replacements[i].spare,
+                        expected.replacements[i].spare)
+                  << where << " pair " << i;
+            }
+            if (!expected.success) ++failed;
+            replaced += expected.replacements.size();
+          }
+        }
+      }
+      state.reset();
+      array.reset_health();
+    }
+  }
+  // The draws reach both verdicts and real spare assignments.
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(replaced, 0u);
+}
+
+/// Bit-level equality of two schedules: every op's slot, start, end and
+/// resource instance, and the makespan.
+void expect_same_schedule(const assay::Schedule& actual,
+                          const assay::Schedule& expected,
+                          const std::string& where) {
+  ASSERT_EQ(actual.ops.size(), expected.ops.size()) << where;
+  for (std::size_t i = 0; i < actual.ops.size(); ++i) {
+    EXPECT_EQ(actual.ops[i].op, expected.ops[i].op) << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.ops[i].start_s),
+              std::bit_cast<std::uint64_t>(expected.ops[i].start_s))
+        << where << " op " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.ops[i].end_s),
+              std::bit_cast<std::uint64_t>(expected.ops[i].end_s))
+        << where << " op " << i;
+    EXPECT_EQ(actual.ops[i].resource_index, expected.ops[i].resource_index)
+        << where << " op " << i;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.makespan()),
+            std::bit_cast<std::uint64_t>(expected.makespan()))
+      << where;
+}
+
+TEST(OperationalState, MemoisedScheduleEqualsAFreshScheduleForEveryPool) {
+  const auto& workload = multiplexed_workload();
+  const assay::SequencingGraph& graph = workload->graph();
+  const assay::ResourcePool& full = workload->full_pool();
+  OperationalState state(workload);
+  // Lazy: construction computes nothing.
+  EXPECT_EQ(state.memoised_schedules(), 0u);
+
+  std::size_t filled = 0;
+  for (std::int32_t ports = 0; ports <= full.dispense_ports; ++ports) {
+    for (std::int32_t mixers = 0; mixers <= full.mixers; ++mixers) {
+      for (std::int32_t detectors = 0; detectors <= full.detectors;
+           ++detectors) {
+        const assay::ResourcePool pool{ports, mixers, detectors};
+        const std::string where = "pool " + std::to_string(ports) + "/" +
+                                  std::to_string(mixers) + "/" +
+                                  std::to_string(detectors);
+        bool feasible = true;
+        for (const assay::AssayOp& op : graph.ops()) {
+          feasible = feasible &&
+                     assay::capacity_of(pool, assay::resource_class(
+                                                  op.kind)) >= 1;
+        }
+        const assay::Schedule* memo = state.schedule(pool);
+        if (!feasible) {
+          // "Assay fails" comes back before the memo is touched.
+          EXPECT_EQ(memo, nullptr) << where;
+          EXPECT_EQ(state.memoised_schedules(), filled) << where;
+          continue;
+        }
+        ASSERT_NE(memo, nullptr) << where;
+        EXPECT_EQ(state.memoised_schedules(), ++filled) << where;
+        expect_same_schedule(*memo,
+                             assay::ListScheduler(pool).schedule(graph),
+                             where);
+        // A second lookup returns the kept schedule, computing nothing.
+        EXPECT_EQ(state.schedule(pool), memo) << where;
+        EXPECT_EQ(state.memoised_schedules(), filled) << where;
+      }
+    }
+  }
+  // The multiplexed assay uses every class: each pool with >= 1 of each.
+  EXPECT_EQ(filled, static_cast<std::size_t>(full.dispense_ports *
+                                             full.mixers * full.detectors));
+  // Pools beyond the placed modules have no slot.
+  assay::ResourcePool beyond = full;
+  ++beyond.mixers;
+  EXPECT_THROW(state.schedule(beyond), ContractViolation);
+}
+
+TEST(OperationalState, EvaluateFillsTheMemoOncePerSurvivingPool) {
+  OperationalState state(multiplexed_workload());
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    const OperationalRun run =
+        state.evaluate(CoveragePolicy::kUsedFaultyPrimaries,
+                       MatchingEngine::kHopcroftKarp,
+                       ReplacementPool::kSparesOnly);
+    EXPECT_TRUE(run.operational);
+    EXPECT_EQ(state.memoised_schedules(), 1u);
+  }
 }
 
 // ------------------------------------------------- determinism (acceptance)

@@ -18,10 +18,12 @@
 //                    (also always printed to stderr)
 //
 // Shutdown: EOF on stdin drains naturally. SIGTERM/SIGINT stop the reader
-// at the next line boundary; every query already accepted is still
-// computed and answered before exit. Exit status is 0 after a clean drain,
+// at once, even while it waits for input: a line the signal cuts short is
+// dropped unanswered, and every query already accepted is still computed
+// and answered before exit. Exit status is 0 after a clean drain,
 // 1 on setup failure (bad store directory), 2 on bad usage.
-#include <csignal>
+#include <signal.h>
+
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -155,8 +157,15 @@ int main(int argc, char** argv) {
 
   serve::Server server(std::move(options));
   g_server = &server;
-  std::signal(SIGTERM, handle_drain_signal);
-  std::signal(SIGINT, handle_drain_signal);
+  // No SA_RESTART: the signal must interrupt the reader's blocking read of
+  // stdin, which then reads as end of input. With a restarted read an idle
+  // daemon would drain only at EOF.
+  struct sigaction drain_action {};
+  drain_action.sa_handler = handle_drain_signal;
+  sigemptyset(&drain_action.sa_mask);
+  drain_action.sa_flags = 0;
+  sigaction(SIGTERM, &drain_action, nullptr);
+  sigaction(SIGINT, &drain_action, nullptr);
 
   std::cerr << "dmfb_serve " << kVersionString << ": serving on stdio\n";
   const std::uint64_t answered = server.serve(std::cin, std::cout);
