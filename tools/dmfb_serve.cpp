@@ -22,8 +22,11 @@
 // dropped unanswered, and every query already accepted is still computed
 // and answered before exit. Exit status is 0 after a clean drain,
 // 1 on setup failure (bad store directory), 2 on bad usage.
+#include <fcntl.h>
 #include <signal.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -52,9 +55,17 @@ int usage(const char* argv0) {
 // The signal handler needs a stable address before any signal can arrive;
 // the server itself is built in main after flag parsing.
 dmfb::serve::Server* g_server = nullptr;
+// /dev/null, opened before the handler is installed (-1 if it could not be).
+int g_null_input = -1;
 
 extern "C" void handle_drain_signal(int) {
+  const int saved_errno = errno;
   if (g_server != nullptr) g_server->request_drain();
+  // A signal that lands after the reader checked the drain flag but before
+  // it entered read() interrupts nothing. With /dev/null in place of stdin
+  // that read ends at once, as end of input.
+  if (g_null_input >= 0) dup2(g_null_input, STDIN_FILENO);
+  errno = saved_errno;
 }
 
 std::string stats_json(const dmfb::sim::Session::Stats& stats,
@@ -157,6 +168,7 @@ int main(int argc, char** argv) {
 
   serve::Server server(std::move(options));
   g_server = &server;
+  g_null_input = open("/dev/null", O_RDONLY | O_CLOEXEC);
   // No SA_RESTART: the signal must interrupt the reader's blocking read of
   // stdin, which then reads as end of input. With a restarted read an idle
   // daemon would drain only at EOF.
