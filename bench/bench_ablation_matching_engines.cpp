@@ -73,7 +73,7 @@ int main() {
   auto start = Clock::now();
   for (std::size_t i = 0; i < contested.size(); ++i) {
     for (const sim::CellIndex cell : contested[i]) state.set_faulty(cell);
-    reference[i] = state.repairable(query.policy, query.engine, query.pool);
+    reference[i] = state.repairable(query.policy, query.pool);
     reference_successes += reference[i];
     state.reset();
   }

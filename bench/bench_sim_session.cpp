@@ -82,7 +82,6 @@ void BM_McYieldRun_Session(benchmark::State& state) {
     sim::inject(model, fault_state, rng);
     benchmark::DoNotOptimize(fault_state.repairable(
         reconfig::CoveragePolicy::kAllFaultyPrimaries,
-        graph::MatchingEngine::kHopcroftKarp,
         reconfig::ReplacementPool::kSparesOnly));
     fault_state.reset();
   }
@@ -107,7 +106,6 @@ void BM_McYieldRun_SessionMetrics(benchmark::State& state) {
     sim::inject(model, fault_state, rng);
     benchmark::DoNotOptimize(fault_state.repairable(
         reconfig::CoveragePolicy::kAllFaultyPrimaries,
-        graph::MatchingEngine::kHopcroftKarp,
         reconfig::ReplacementPool::kSparesOnly));
     fault_state.reset();
   }
@@ -115,48 +113,10 @@ void BM_McYieldRun_SessionMetrics(benchmark::State& state) {
 }
 BENCHMARK(BM_McYieldRun_SessionMetrics);
 
-// Repair-path variants of the session kernel (not part of the CI ratio
-// gate): the same fault stream checked by the diff-based incremental repair
-// path, and at the low-density operating point where the incremental diff
-// actually pays (p = 0.99 leaves ~2 faults per run, so consecutive runs
-// differ in a handful of cells). The batch path runs no engine, so an
-// engine variant of BM_McYieldRun_Session would time the same code.
-
-void BM_McYieldRun_Incremental(benchmark::State& state) {
-  const auto design = sim::ChipDesign::make(bench_array());
-  sim::FaultState fault_state(design);
-  const sim::FaultModel model = sim::FaultModel::bernoulli(kSurvivalP);
-  std::int32_t run = 0;
-  for (auto _ : state) {
-    Rng rng = sim::run_stream(kSeed, run++);
-    sim::inject(model, fault_state, rng);
-    benchmark::DoNotOptimize(fault_state.repairable_incremental(
-        reconfig::CoveragePolicy::kAllFaultyPrimaries,
-        reconfig::ReplacementPool::kSparesOnly));
-    fault_state.reset();
-  }
-}
-BENCHMARK(BM_McYieldRun_Incremental);
-
-void BM_McYieldRun_IncrementalSparse(benchmark::State& state) {
-  const auto design = sim::ChipDesign::make(bench_array());
-  sim::FaultState fault_state(design);
-  const sim::FaultModel model = sim::FaultModel::bernoulli(0.99);
-  std::int32_t run = 0;
-  for (auto _ : state) {
-    Rng rng = sim::run_stream(kSeed, run++);
-    sim::inject(model, fault_state, rng);
-    benchmark::DoNotOptimize(fault_state.repairable_incremental(
-        reconfig::CoveragePolicy::kAllFaultyPrimaries,
-        reconfig::ReplacementPool::kSparesOnly));
-    fault_state.reset();
-  }
-}
-BENCHMARK(BM_McYieldRun_IncrementalSparse);
-
-// The standard DTMB(1,6) query (the paper's principal design) under the
-// auto-planned path, against its legacy counterpart: the pair the ROADMAP
-// item-2 kernel target is quoted on.
+// The standard DTMB(1,6) query (the paper's principal design) under
+// engine = auto, against its legacy counterpart: the pair the ROADMAP
+// item-2 kernel target is quoted on. Every engine runs the same structural
+// repair, so the row keeps its name but times FaultState::repairable.
 
 void BM_McYieldRun_Dtmb16_Legacy(benchmark::State& state) {
   auto array = dtmb16_array();
@@ -176,23 +136,13 @@ void BM_McYieldRun_Dtmb16_Auto(benchmark::State& state) {
   const auto design = sim::ChipDesign::make(dtmb16_array());
   sim::FaultState fault_state(design);
   const sim::FaultModel model = sim::FaultModel::bernoulli(kSurvivalP);
-  sim::YieldQuery query;
-  query.fault = model;
-  query.engine = graph::MatchingEngine::kAuto;
-  const bool incremental = sim::plans_incremental(query, *design);
   std::int32_t run = 0;
   for (auto _ : state) {
     Rng rng = sim::run_stream(kSeed, run++);
     sim::inject(model, fault_state, rng);
-    const bool ok =
-        incremental
-            ? fault_state.repairable_incremental(
-                  reconfig::CoveragePolicy::kAllFaultyPrimaries,
-                  reconfig::ReplacementPool::kSparesOnly)
-            : fault_state.repairable(
-                  reconfig::CoveragePolicy::kAllFaultyPrimaries, query.engine,
-                  reconfig::ReplacementPool::kSparesOnly);
-    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(fault_state.repairable(
+        reconfig::CoveragePolicy::kAllFaultyPrimaries,
+        reconfig::ReplacementPool::kSparesOnly));
     fault_state.reset();
   }
 }
@@ -208,8 +158,7 @@ BENCHMARK(BM_McYieldRun_Dtmb16_Auto);
 // injection draws on cells that never fault.
 
 void BM_McYieldRun_Dtmb16Sparse(benchmark::State& state) {
-  // v1 baseline for the sparse pair: DTMB(1,6), p = 0.99, incremental
-  // repair (the plan the session would pick for this query).
+  // v1 baseline for the sparse pair: DTMB(1,6), p = 0.99.
   const auto design = sim::ChipDesign::make(dtmb16_large_array());
   sim::FaultState fault_state(design);
   const sim::FaultModel model = sim::FaultModel::bernoulli(0.99);
@@ -217,7 +166,7 @@ void BM_McYieldRun_Dtmb16Sparse(benchmark::State& state) {
   for (auto _ : state) {
     Rng rng = sim::run_stream(kSeed, run++);
     sim::inject(model, fault_state, rng);
-    benchmark::DoNotOptimize(fault_state.repairable_incremental(
+    benchmark::DoNotOptimize(fault_state.repairable(
         reconfig::CoveragePolicy::kAllFaultyPrimaries,
         reconfig::ReplacementPool::kSparesOnly));
     fault_state.reset();
@@ -235,7 +184,6 @@ void BM_McYieldRun_InjectV2(benchmark::State& state) {
     sim::inject_v2(model, fault_state, stream);
     benchmark::DoNotOptimize(fault_state.repairable(
         reconfig::CoveragePolicy::kAllFaultyPrimaries,
-        graph::MatchingEngine::kHopcroftKarp,
         reconfig::ReplacementPool::kSparesOnly));
     fault_state.reset();
   }
@@ -250,7 +198,7 @@ void BM_McYieldRun_InjectV2_Dtmb16Sparse(benchmark::State& state) {
   for (auto _ : state) {
     CounterStream stream = sim::run_stream_v2(kSeed, run++);
     sim::inject_v2(model, fault_state, stream);
-    benchmark::DoNotOptimize(fault_state.repairable_incremental(
+    benchmark::DoNotOptimize(fault_state.repairable(
         reconfig::CoveragePolicy::kAllFaultyPrimaries,
         reconfig::ReplacementPool::kSparesOnly));
     fault_state.reset();
@@ -268,7 +216,6 @@ void BM_McYieldRun_InjectV2_Parametric(benchmark::State& state) {
     sim::inject_v2(model, fault_state, stream);
     benchmark::DoNotOptimize(fault_state.repairable(
         reconfig::CoveragePolicy::kAllFaultyPrimaries,
-        graph::MatchingEngine::kHopcroftKarp,
         reconfig::ReplacementPool::kSparesOnly));
     fault_state.reset();
   }
@@ -288,7 +235,6 @@ void BM_McYieldRun_InjectV2_Mixture(benchmark::State& state) {
     sim::inject_v2(model, fault_state, stream);
     benchmark::DoNotOptimize(fault_state.repairable(
         reconfig::CoveragePolicy::kAllFaultyPrimaries,
-        graph::MatchingEngine::kHopcroftKarp,
         reconfig::ReplacementPool::kSparesOnly));
     fault_state.reset();
   }
@@ -309,7 +255,6 @@ void BM_McYieldRun_Parametric(benchmark::State& state) {
     sim::inject(model, fault_state, rng);
     benchmark::DoNotOptimize(fault_state.repairable(
         reconfig::CoveragePolicy::kAllFaultyPrimaries,
-        graph::MatchingEngine::kHopcroftKarp,
         reconfig::ReplacementPool::kSparesOnly));
     fault_state.reset();
   }
@@ -329,7 +274,6 @@ void BM_McYieldRun_Mixture(benchmark::State& state) {
     sim::inject(model, fault_state, rng);
     benchmark::DoNotOptimize(fault_state.repairable(
         reconfig::CoveragePolicy::kAllFaultyPrimaries,
-        graph::MatchingEngine::kHopcroftKarp,
         reconfig::ReplacementPool::kSparesOnly));
     fault_state.reset();
   }

@@ -26,18 +26,12 @@ constexpr MetricInfo kMetricInfo[kMetricCount] = {
      "operationally successful runs (assay executes after repair)"},
     {"sim.adaptive_chunks", MetricKind::kCounter, true,
      "adaptive-stopping chunk evaluations (1 for fixed-run queries)"},
-    {"sim.engine.batch", MetricKind::kCounter, true,
-     "structural queries planned onto batch repair (first fit + augmenting "
-     "paths)"},
-    {"sim.engine.incremental", MetricKind::kCounter, true,
-     "structural queries planned onto incremental matching repair"},
     {"sim.incremental.diff_repairs", MetricKind::kCounter, false,
-     "incremental runs repaired from the word-packed fault diff"},
+     "never counted (kept for perfbench/layers.cpp)"},
     {"sim.incremental.full_rebuilds", MetricKind::kCounter, false,
-     "incremental runs rebuilt from scratch (first run, config switch, "
-     "previous run infeasible)"},
+     "never counted (kept for perfbench/layers.cpp)"},
     {"sim.incremental.churn_bailouts", MetricKind::kCounter, false,
-     "incremental runs rebuilt because fault churn exceeded the slack"},
+     "never counted (kept for perfbench/layers.cpp)"},
     {"fault.injections", MetricKind::kCounter, true,
      "sim::inject calls (one per Monte-Carlo run per component)"},
     {"fault.cells_faulted", MetricKind::kCounter, true,

@@ -49,11 +49,11 @@ enum class Metric : std::uint16_t {
   kSimSuccesses,           ///< structurally repairable runs
   kSimOpSuccesses,         ///< operationally successful runs (assay leg)
   kSimAdaptiveChunks,      ///< stop-rule chunk evaluations (1 if fixed-run)
-  kEngineBatch,            ///< queries planned onto batch repair
-  kEngineIncremental,      ///< queries planned onto incremental repair
-  kIncDiffRepairs,         ///< incremental runs repaired via the word diff
-  kIncFullRebuilds,        ///< incremental runs rebuilt (first/config/infeasible)
-  kIncChurnBailouts,       ///< incremental runs rebuilt past the churn slack
+  /// Never counted: the next three exist only for perfbench/layers.cpp and
+  /// are removed in the next benchmark change.
+  kIncDiffRepairs,
+  kIncFullRebuilds,
+  kIncChurnBailouts,
   kInjectRuns,             ///< sim::inject calls (fault draws materialised)
   kInjectCellsFaulted,     ///< cells marked faulty across all runs
   kInjectCellTrials,       ///< per-cell fault trials evaluated by injectors
@@ -99,7 +99,7 @@ struct MetricInfo {
   /// True when the merged total is guaranteed bit-identical for every
   /// thread count and schedule of the same workload; false for counters
   /// that legitimately depend on scheduling (worker splits, in-flight
-  /// joins, incremental-repair history) and for all wall-time histograms.
+  /// joins) and for all wall-time histograms.
   bool stable = false;
   std::string_view help;
 };

@@ -15,8 +15,10 @@ namespace {
 
 /// Minimal strict cursor over one flat JSON object line. Deliberately
 /// narrow: string values may not contain escapes (no campaign token needs
-/// them), numbers are the JSON grammar, and nested arrays/objects are
-/// rejected — a request is a flat key/value record, nothing more.
+/// them) or control characters, numbers are the JSON grammar, and nested
+/// arrays/objects are rejected — a request is a flat key/value record,
+/// nothing more. Every accepted token is valid JSON, so echoing one (the
+/// id, an unknown design name) never breaks a response line.
 struct Cursor {
   std::string_view text;
   std::size_t pos = 0;
@@ -39,12 +41,15 @@ struct Cursor {
     skip_ws();
     return pos < text.size() ? text[pos] : '\0';
   }
-  /// The content of a quoted string (quotes consumed, escapes rejected).
+  /// The content of a quoted string (quotes consumed; escapes and raw
+  /// U+0000-U+001F characters rejected).
   std::optional<std::string> take_string() {
     if (!eat('"')) return std::nullopt;
     const std::size_t start = pos;
     while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\') return std::nullopt;
+      if (text[pos] == '\\' || static_cast<unsigned char>(text[pos]) < 0x20) {
+        return std::nullopt;
+      }
       ++pos;
     }
     if (pos >= text.size()) return std::nullopt;
@@ -52,16 +57,36 @@ struct Cursor {
     ++pos;  // closing quote
     return value;
   }
-  /// The raw token of a JSON number (sign, digits, '.', exponent).
+  /// The raw token of a JSON number,
+  /// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, not followed by
+  /// another number character (so "007" and "1.2.3" are rejected whole).
   std::optional<std::string> take_number_token() {
     skip_ws();
     const std::size_t start = pos;
-    while (pos < text.size() &&
-           (std::string_view("+-.0123456789eE").find(text[pos]) !=
-            std::string_view::npos)) {
-      ++pos;
+    const auto digits = [&] {
+      const std::size_t first = pos;
+      while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
+      return pos > first;
+    };
+    const auto take = [&](char expected) {
+      if (pos < text.size() && text[pos] == expected) {
+        ++pos;
+        return true;
+      }
+      return false;
+    };
+    take('-');
+    if (!take('0') && !digits()) return std::nullopt;
+    if (take('.') && !digits()) return std::nullopt;
+    if (take('e') || take('E')) {
+      if (!take('+')) take('-');
+      if (!digits()) return std::nullopt;
     }
-    if (pos == start) return std::nullopt;
+    if (pos < text.size() &&
+        std::string_view("+-.0123456789eE").find(text[pos]) !=
+            std::string_view::npos) {
+      return std::nullopt;
+    }
     return std::string(text.substr(start, pos - start));
   }
   bool at_end() {

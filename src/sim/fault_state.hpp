@@ -2,7 +2,7 @@
 //
 // Everything a worker needs to evaluate runs on a shared design, instead of
 // a HexArray clone: a word-packed fault bitmap plus the reusable matching
-// buffers, all indexed by cell (claim and match arrays, visit stamps). One
+// buffers, all indexed by cell (claim arrays, visit stamps). One
 // FaultState serves an entire worker's run loop with zero steady-state
 // allocation; reset() costs O(#faults), not O(#cells).
 //
@@ -12,27 +12,14 @@
 // policy must cover, and bit extraction walks only the set bits instead of
 // every coverable primary.
 //
-// Both repairability paths are Kuhn's augmenting-path algorithm in cell
-// space over the design's skeleton; no run builds a bipartite graph or
-// calls a matching engine. Equal verdicts (pinned by the fuzz suite):
-//   repairable()             — batch: each faulty covered primary, in cell
-//                              order, claims its first unclaimed healthy
-//                              candidate. A primary that finds none starts
-//                              one augmenting-path DFS whose first hops are
-//                              its (claimed) healthy candidates. If that DFS
-//                              fails, no maximum matching saturates the
-//                              primary (Kuhn's lemma), so the run is
-//                              unrepairable; isolated primaries fail at once.
-//   repairable_incremental() — diff this run's fault words against the
-//                              previous accepted run's, drop matches that
-//                              involve departed/newly-faulty cells, and
-//                              re-augment only from the changed primaries;
-//                              past a churn threshold (or after a config
-//                              change / infeasible verdict) it falls back
-//                              to a full rebuild. Because maximum-matching
-//                              *size* is order-independent, the verdict is
-//                              a pure function of the fault set — worker
-//                              history never leaks into results.
+// repairable() is Kuhn's augmenting-path algorithm in cell space over the
+// design's skeleton; no run builds a bipartite graph or calls a matching
+// engine. Each faulty covered primary, in cell order, claims its first
+// unclaimed healthy candidate. A primary that finds none starts one
+// augmenting-path DFS whose first hops are its (claimed) healthy
+// candidates. If that DFS fails, no maximum matching saturates the primary
+// (Kuhn's lemma), so the run is unrepairable; isolated primaries fail at
+// once. The verdict is a pure function of the fault set.
 #pragma once
 
 #include <cstdint>
@@ -102,49 +89,38 @@ class FaultState {
   /// first-fit claims over the design's pre-built (policy, pool) skeleton,
   /// extended by an augmenting-path DFS wherever first-fit gets stuck (see
   /// the header comment). Equivalent to reconfig::LocalReconfigurer::feasible
-  /// on an equally-faulted HexArray, for every engine. `engine` is not read:
-  /// every engine gives the same verdict, and the parameter stays only until
-  /// the callers that still pass it drop it together with the campaign
-  /// `engine` key.
+  /// on an equally-faulted HexArray, for every engine.
   bool repairable(reconfig::CoveragePolicy policy,
-                  graph::MatchingEngine engine,
                   reconfig::ReplacementPool pool);
 
-  /// Same verdict as repairable(), computed incrementally against the fault
-  /// words this state saw on its previous repairable_incremental() call
-  /// (see the header comment); the same augmenting DFS as repairable().
-  /// Call between inject() and reset(), one (policy, pool)
-  /// configuration per run sequence for the diff to pay off.
+  /// repairable(policy, pool); `engine` is not read. Exists only for
+  /// perfbench/layers.cpp and is removed in the next benchmark change.
+  bool repairable(reconfig::CoveragePolicy policy,
+                  graph::MatchingEngine /*engine*/,
+                  reconfig::ReplacementPool pool) {
+    return repairable(policy, pool);
+  }
+
+  /// repairable(policy, pool). Exists only for perfbench/layers.cpp and is
+  /// removed in the next benchmark change.
   bool repairable_incremental(reconfig::CoveragePolicy policy,
-                              reconfig::ReplacementPool pool);
-
-  // -- incremental-repair introspection (tests, diagnostics) ----------------
-  /// Matched pairs held by the incremental matching after the last
-  /// repairable_incremental() call (== covered faulty primaries when it
-  /// returned true).
-  std::int32_t incremental_matched_count() const noexcept;
-  /// Full invariant check of the incremental matching: mutual consistency,
-  /// matched primaries faulty + covered, candidates healthy and adjacent in
-  /// the active skeleton. Test hook; O(#cells).
-  bool incremental_matching_valid() const;
-
-  /// Churn (popcount of the fault-word diff) at or above which
-  /// repairable_incremental() rebuilds from scratch instead of diffing:
-  /// the incremental path costs ~one augmentation per changed cell, the
-  /// rebuild ~one per faulty primary, so past parity (plus slack for the
-  /// constant-factor advantage of the batch scan) diffing only adds work.
-  static constexpr std::int32_t kIncrementalChurnSlack = 8;
+                              reconfig::ReplacementPool pool) {
+    return repairable(policy, pool);
+  }
 
  private:
   // Kuhn's augmenting-path DFS from the faulty covered `primary` over the
-  // healthy candidates of its skeleton row. `Matching` maps a candidate to
-  // the primary holding it (owner, -1 when free) and records a new pair
-  // (assign); the batch claims and the incremental matching each supply
-  // one. Visit marks are this call's next_epoch() in right_stamp_.
-  template <typename Matching>
-  bool augment(const ChipDesign::Skeleton& skeleton, CellIndex primary,
-               Matching& matching);
+  // healthy candidates of its skeleton row, through the current call's
+  // claims. Visit marks are this call's next_epoch() in right_stamp_.
+  bool augment(const ChipDesign::Skeleton& skeleton, CellIndex primary);
   std::int32_t next_epoch() noexcept;
+  bool claimed(CellIndex candidate) const noexcept {
+    return claim_stamp_[static_cast<std::size_t>(candidate)] == claim_epoch_;
+  }
+  void claim(CellIndex primary, CellIndex candidate) noexcept {
+    claim_stamp_[static_cast<std::size_t>(candidate)] = claim_epoch_;
+    claim_owner_[static_cast<std::size_t>(candidate)] = primary;
+  }
 
   std::shared_ptr<const ChipDesign> design_;
   std::vector<std::uint64_t> words_;
@@ -161,18 +137,6 @@ class FaultState {
   std::vector<std::int32_t> claim_stamp_;
   std::vector<CellIndex> claim_owner_;
   std::int32_t claim_epoch_ = 0;
-
-  // Incremental-repair state: the committed fault words of the previous
-  // call and the live matching in cell space (primary cell <-> candidate
-  // cell). inc_valid_ means the previous verdict was feasible, so every
-  // prev-faulty covered primary is matched and a diff is meaningful.
-  std::vector<std::uint64_t> prev_words_;
-  std::vector<std::int32_t> inc_match_primary_;
-  std::vector<std::int32_t> inc_match_candidate_;
-  std::vector<CellIndex> inc_pending_;  // primaries to (re)augment, scratch
-  bool inc_valid_ = false;
-  reconfig::CoveragePolicy inc_policy_{};
-  reconfig::ReplacementPool inc_pool_{};
 };
 
 }  // namespace dmfb::sim

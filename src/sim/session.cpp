@@ -397,12 +397,6 @@ OperationalEstimate Session::run_operational(const YieldQuery& query) {
       query, [&] { return execute_operational(query); });
 }
 
-bool plans_incremental(const YieldQuery& query, const ChipDesign& design) {
-  return query.engine == graph::MatchingEngine::kAuto &&
-         expected_fault_fraction(query.fault, design) <=
-             kAutoIncrementalDensityMax;
-}
-
 namespace {
 
 /// Deals runs [begin, end) over up to `threads` workers in kBatchRuns
@@ -469,22 +463,11 @@ std::int32_t run_chunks(const YieldQuery& query, const RunChunk& run_chunk) {
 }  // namespace
 
 YieldEstimate Session::execute(const YieldQuery& query) const {
-  // Either path returns the same verdict per run (a pure function of the
-  // fault set), so partitioning runs over workers — each with its own
-  // incremental history — never changes the estimate.
-  const bool incremental = plans_incremental(query, *design_);
-  // One count per computed structural query, keyed by the repair path: a
-  // pure function of the query + design, so the totals are thread-invariant.
-  if (obs::enabled()) {
-    obs::count(incremental ? obs::Metric::kEngineIncremental
-                           : obs::Metric::kEngineBatch);
-  }
-  // Repairs and resets the run just injected into `state`.
+  // Repairs and resets the run just injected into `state`. The verdict is a
+  // pure function of the fault set, so partitioning runs over workers never
+  // changes the estimate.
   const auto settle = [&](FaultState& state) {
-    const bool ok =
-        incremental
-            ? state.repairable_incremental(query.policy, query.pool)
-            : state.repairable(query.policy, query.engine, query.pool);
+    const bool ok = state.repairable(query.policy, query.pool);
     state.reset();
     return ok;
   };

@@ -86,9 +86,8 @@ struct YieldQuery {
 
   reconfig::CoveragePolicy policy =
       reconfig::CoveragePolicy::kAllFaultyPrimaries;
-  /// Matching engine. Structural runs run no engine (FaultState::repairable
-  /// settles them in cell space); there kAuto only picks incremental repair
-  /// at low expected defect density — see plans_incremental. For
+  /// Matching engine. Structural runs run no engine: FaultState::repairable
+  /// settles them in cell space, the same code for every value. For
   /// operational (kAssay) queries it picks the reconfigurer's plan engine,
   /// kAuto resolving per instance, deterministically. Estimates never
   /// depend on the choice (every engine computes a maximum matching).
@@ -165,20 +164,6 @@ Rng run_stream(std::uint64_t seed, std::int32_t run) noexcept;
 /// derivation family as run_stream, but the key is the *second* splitmix64
 /// output so v2 uniforms never coincide with the v1 xoshiro seed state.
 CounterStream run_stream_v2(std::uint64_t seed, std::int32_t run) noexcept;
-
-/// Expected per-cell fault probability at or below which an auto-engine
-/// query takes the incremental repair path: consecutive runs then differ in
-/// few cells, so diff + re-augment beats a from-scratch check.
-inline constexpr double kAutoIncrementalDensityMax = 0.125;
-
-/// True when a structural query's per-run check takes the diff-based
-/// FaultState::repairable_incremental path, false for the batch
-/// FaultState::repairable. Only kAuto queries with
-/// expected_fault_fraction(fault) <= kAutoIncrementalDensityMax plan
-/// incremental repair; neither path runs a matching engine, so this is the
-/// only structural decision the engine still makes. Deterministic: the plan
-/// depends only on (query, design), never on sampled state or threads.
-bool plans_incremental(const YieldQuery& query, const ChipDesign& design);
 
 /// Both metrics of one operational (workload = kAssay) experiment, plus the
 /// completion-time degradation of the surviving runs. Structural and

@@ -1,8 +1,8 @@
 // Property tests for the word-packed fault bitmap (sim::FaultState) and the
 // skeleton coverage masks it is ANDed against.
 //
-// The bitmap is the foundation the word-parallel repairability scan and the
-// incremental diff stand on, so the suite checks it against the dumbest
+// The bitmap is the foundation the word-parallel repairability scan stands
+// on, so the suite checks it against the dumbest
 // possible reference — a per-cell byte vector — across random insert
 // sequences, and pins the verdict equivalence between the packed scan and
 // the legacy per-cell reconfig::LocalReconfigurer on arrays whose cell
@@ -182,7 +182,7 @@ TEST(FaultStateWords, PackedVerdictMatchesLegacyPerCellOnBoundarySizes) {
           for (const auto pool : kPools) {
             for (const auto engine : kEngines) {
               const reconfig::LocalReconfigurer legacy(policy, engine, pool);
-              EXPECT_EQ(state.repairable(policy, engine, pool),
+              EXPECT_EQ(state.repairable(policy, pool),
                         legacy.feasible(array))
                   << "trial=" << trial << " engine="
                   << static_cast<int>(engine);
@@ -199,7 +199,7 @@ TEST(FaultStateWords, PackedVerdictMatchesLegacyPerCellOnBoundarySizes) {
 // set's shape is asserted under (all faulty primaries, spares only), where
 // reconfig::GreedyReconfigurer replays the same first fit; the verdict is
 // then checked against LocalReconfigurer::feasible under every policy x
-// pool, and against the incremental path.
+// pool.
 std::int32_t healthy_spares(const biochip::HexArray& array, CellIndex cell) {
   std::int32_t count = 0;
   for (const CellIndex spare : array.spare_neighbors_of(cell)) {
@@ -210,7 +210,7 @@ std::int32_t healthy_spares(const biochip::HexArray& array, CellIndex cell) {
 
 /// Loads `faults` into `array` and returns FaultState::repairable's verdict
 /// under (all faulty, spares only), after checking it against the
-/// reconfigurer and the incremental path under every policy x pool.
+/// reconfigurer under every policy x pool.
 bool repair_verdict(biochip::HexArray& array,
                     std::initializer_list<CellIndex> faults) {
   array.reset_health();
@@ -226,19 +226,12 @@ bool repair_verdict(biochip::HexArray& array,
           reconfig::LocalReconfigurer(
               policy, graph::MatchingEngine::kHopcroftKarp, pool)
               .feasible(array);
-      EXPECT_EQ(state.repairable(policy, graph::MatchingEngine::kAuto, pool),
-                expected)
-          << "policy=" << static_cast<int>(policy)
-          << " pool=" << static_cast<int>(pool);
-      FaultState incremental(design);
-      for (const CellIndex cell : faults) incremental.set_faulty(cell);
-      EXPECT_EQ(incremental.repairable_incremental(policy, pool), expected)
+      EXPECT_EQ(state.repairable(policy, pool), expected)
           << "policy=" << static_cast<int>(policy)
           << " pool=" << static_cast<int>(pool);
     }
   }
   return state.repairable(CoveragePolicy::kAllFaultyPrimaries,
-                          graph::MatchingEngine::kAuto,
                           ReplacementPool::kSparesOnly);
 }
 
@@ -327,7 +320,7 @@ TEST(FaultStateRepair, HallViolatorOfSizeTwoIsUnrepairable) {
 
 // Every fault set of a 16-cell array against the legacy HexArray
 // reconfigurer, an independent implementation: the packed path (first fit,
-// then augmenting paths) must agree with it under each explicit engine. All
+// then augmenting paths) must agree with it. All
 // 2^16 sets run for the spares-only pool under both policies; the
 // spares-and-unused pool takes every 7th set, which keeps the suite to a few
 // seconds per array in Debug sanitizer builds. One test per array, so ctest
@@ -336,9 +329,6 @@ class ExhaustiveSixteenCells
     : public ::testing::TestWithParam<std::pair<DtmbKind, std::int32_t>> {};
 
 TEST_P(ExhaustiveSixteenCells, VerdictMatchesLegacyOnEveryFaultSet) {
-  constexpr graph::MatchingEngine kExplicitEngines[] = {
-      graph::MatchingEngine::kHopcroftKarp, graph::MatchingEngine::kKuhn,
-      graph::MatchingEngine::kDinic, graph::MatchingEngine::kPushRelabel};
   constexpr std::uint32_t kSets = 1u << 16;
   const auto [kind, primaries] = GetParam();
   auto array = with_used_quarter(
@@ -362,14 +352,11 @@ TEST_P(ExhaustiveSixteenCells, VerdictMatchesLegacyOnEveryFaultSet) {
             reconfig::LocalReconfigurer(
                 policy, graph::MatchingEngine::kHopcroftKarp, pool)
                 .feasible(array);
-        for (const auto engine : kExplicitEngines) {
-          if (state.repairable(policy, engine, pool) != expected &&
-              ++mismatches <= 8) {
-            ADD_FAILURE() << "mask=" << mask
-                          << " policy=" << static_cast<int>(policy)
-                          << " pool=" << static_cast<int>(pool)
-                          << " engine=" << static_cast<int>(engine);
-          }
+        if (state.repairable(policy, pool) != expected &&
+            ++mismatches <= 8) {
+          ADD_FAILURE() << "mask=" << mask
+                        << " policy=" << static_cast<int>(policy)
+                        << " pool=" << static_cast<int>(pool);
         }
       }
     }

@@ -240,7 +240,7 @@ std::int64_t scalar_successes(const std::shared_ptr<const ChipDesign>& design,
   for (std::int32_t run = 0; run < query.runs; ++run) {
     Rng rng = run_stream(query.seed, run);
     inject(query.fault, state, rng);
-    if (state.repairable(query.policy, query.engine, query.pool)) ++successes;
+    if (state.repairable(query.policy, query.pool)) ++successes;
     state.reset();
   }
   return successes;

@@ -8,16 +8,14 @@
 // axis, so a single disagreeing instance would split yield curves by
 // engine.
 //
-// The second half fuzzes sim::FaultState's two repair paths, both Kuhn's
-// augmenting paths in cell space. Randomized insert/remove fault sequences
-// replayed incrementally must give the same verdict as the batch path, with
-// the incremental matching passing its full invariant check after every
-// step; steps are classified by a replay of the batch path's first fit, so
-// the suite proves its augmenting paths run. On the contested fault sets
-// (those first fit cannot saturate) the batch verdict is also checked
-// against CsrMatcher's Hopcroft-Karp on an independently built graph.
+// The second half fuzzes sim::FaultState::repairable, Kuhn's augmenting
+// paths in cell space. Randomized insert/remove fault sequences must give
+// the same verdict as LocalReconfigurer on an equally faulted HexArray;
+// steps are classified by a replay of first fit, so the suite proves the
+// augmenting paths run. On the contested fault sets (those first fit cannot
+// saturate) the verdict is also checked against CsrMatcher's Hopcroft-Karp
+// on an independently built graph.
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -168,34 +166,12 @@ TEST(MatchingFuzz, HallViolatorWitnessesEveryDeficientInstance) {
 }
 
 // ----------------------------------------------------------------------
-// Incremental-repair fuzz: evolving fault sets on a real DTMB design.
+// Batch-repair fuzz: evolving fault sets on a real DTMB design.
 
-/// The faulty primaries the (policy, pool) skeleton must cover, straight
-/// from the packed words — the ground truth incremental_matched_count()
-/// must reach on every feasible verdict.
-std::int32_t covered_faulty(const sim::FaultState& state,
-                            const sim::ChipDesign::Skeleton& skeleton) {
-  std::int32_t count = 0;
-  const auto words = state.fault_words();
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    count += std::popcount(words[w] & skeleton.cover_words[w]);
-  }
-  return count;
-}
-
-sim::FaultState& load_faults(sim::FaultState& state,
-                             const std::vector<char>& faulty) {
-  state.reset();
-  for (std::size_t cell = 0; cell < faulty.size(); ++cell) {
-    if (faulty[cell]) state.set_faulty(static_cast<std::int32_t>(cell));
-  }
-  return state;
-}
-
-/// The certificate FaultState::repairable tries before any engine, replayed
-/// independently: covered faulty primaries in cell order, each claiming its
-/// first healthy candidate (skeleton order) that no earlier primary claimed.
-/// True iff every primary gets one.
+/// The certificate FaultState::repairable tries before any augmenting path,
+/// replayed independently: covered faulty primaries in cell order, each
+/// claiming its first healthy candidate (skeleton order) that no earlier
+/// primary claimed. True iff every primary gets one.
 bool first_fit_saturates(const sim::FaultState& state,
                          const sim::ChipDesign::Skeleton& skeleton) {
   std::vector<char> claimed(
@@ -218,7 +194,7 @@ bool first_fit_saturates(const sim::FaultState& state,
   return true;
 }
 
-std::shared_ptr<const sim::ChipDesign> fuzz_design() {
+TEST(BatchRepairFuzz, AgreesWithLocalReconfigurerOnRandomSequences) {
   // 9x9 DTMB(2,6): 81 cells, so the fault bitmap crosses a word boundary.
   // A quarter of the primaries are assay-used to give the used-faulty
   // policy and the spares-and-unused pool real work.
@@ -229,11 +205,7 @@ std::shared_ptr<const sim::ChipDesign> fuzz_design() {
     array.set_usage(primary, biochip::CellUsage::kAssayUsed);
     ++marked;
   }
-  return sim::ChipDesign::make(array);
-}
-
-TEST(IncrementalRepairFuzz, AgreesWithEveryScratchEngineOnRandomSequences) {
-  const auto design = fuzz_design();
+  const auto design = sim::ChipDesign::make(array);
   const auto n = static_cast<std::size_t>(design->cell_count());
   constexpr reconfig::CoveragePolicy kPolicies[] = {
       reconfig::CoveragePolicy::kAllFaultyPrimaries,
@@ -242,27 +214,27 @@ TEST(IncrementalRepairFuzz, AgreesWithEveryScratchEngineOnRandomSequences) {
       reconfig::ReplacementPool::kSparesOnly,
       reconfig::ReplacementPool::kSparesAndUnusedPrimaries};
   Rng rng(0x19C4E5ULL);
-  // Steps by how the batch path decides them: first fit alone, augmenting
-  // paths after first fit got stuck on a repairable set, or an unrepairable
-  // set. Each must occur, so the augmenting paths are exercised and not
-  // only first fit.
+  // Steps by how repairable decides them: first fit alone, augmenting paths
+  // after first fit got stuck on a repairable set, or an unrepairable set.
+  // Each must occur, so the augmenting paths are exercised and not only
+  // first fit.
   std::int32_t saturated = 0;
   std::int32_t stuck_repairable = 0;
   std::int32_t unrepairable = 0;
   for (const auto policy : kPolicies) {
     for (const auto pool : kPools) {
       const auto& skeleton = design->skeleton(policy, pool);
-      sim::FaultState inc(design);      // carries history across steps
-      sim::FaultState scratch(design);  // always batch, per engine
+      const reconfig::LocalReconfigurer oracle(
+          policy, MatchingEngine::kHopcroftKarp, pool);
+      sim::FaultState state(design);
       std::vector<char> faulty(n, 0);
       for (std::int32_t step = 0; step < 400; ++step) {
         if (rng.bernoulli(0.15)) {
-          // Heavy churn: resample the whole set (exercises the rebuild
-          // threshold and the post-rebuild diff baseline).
+          // Heavy churn: resample the whole set.
           const double density = rng.uniform01() * 0.35;
           for (auto& bit : faulty) bit = rng.bernoulli(density) ? 1 : 0;
         } else {
-          // Light churn: toggle a few cells (the diff path's home turf).
+          // Light churn: toggle a few cells.
           const std::int32_t flips = rng.uniform_int(1, 6);
           for (std::int32_t f = 0; f < flips; ++f) {
             const auto cell = static_cast<std::size_t>(
@@ -270,20 +242,17 @@ TEST(IncrementalRepairFuzz, AgreesWithEveryScratchEngineOnRandomSequences) {
             faulty[cell] ^= 1;
           }
         }
-        const bool verdict =
-            load_faults(inc, faulty).repairable_incremental(policy, pool);
-        EXPECT_TRUE(inc.incremental_matching_valid()) << "step=" << step;
-        if (verdict) {
-          EXPECT_EQ(inc.incremental_matched_count(),
-                    covered_faulty(inc, skeleton))
-              << "step=" << step;
+        array.reset_health();
+        state.reset();
+        for (std::size_t cell = 0; cell < n; ++cell) {
+          if (!faulty[cell]) continue;
+          array.set_health(static_cast<std::int32_t>(cell),
+                           biochip::CellHealth::kFaulty);
+          state.set_faulty(static_cast<std::int32_t>(cell));
         }
-        load_faults(scratch, faulty);
-        for (const MatchingEngine engine : kEngines) {
-          EXPECT_EQ(scratch.repairable(policy, engine, pool), verdict)
-              << "step=" << step << " engine=" << static_cast<int>(engine);
-        }
-        if (first_fit_saturates(scratch, skeleton)) {
+        const bool verdict = state.repairable(policy, pool);
+        EXPECT_EQ(verdict, oracle.feasible(array)) << "step=" << step;
+        if (first_fit_saturates(state, skeleton)) {
           EXPECT_TRUE(verdict) << "step=" << step;
           ++saturated;
         } else if (verdict) {
@@ -297,39 +266,6 @@ TEST(IncrementalRepairFuzz, AgreesWithEveryScratchEngineOnRandomSequences) {
   EXPECT_GE(saturated, 10);
   EXPECT_GE(stuck_repairable, 10);
   EXPECT_GE(unrepairable, 10);
-}
-
-TEST(IncrementalRepairFuzz, SurvivesConfigSwitchesMidSequence) {
-  // Switching (policy, pool) between calls invalidates the diff baseline;
-  // the state must rebuild and stay correct rather than diff across
-  // incompatible skeletons.
-  const auto design = fuzz_design();
-  const auto n = static_cast<std::size_t>(design->cell_count());
-  Rng rng(0xC0F19ULL);
-  sim::FaultState inc(design);
-  sim::FaultState scratch(design);
-  std::vector<char> faulty(n, 0);
-  for (std::int32_t step = 0; step < 200; ++step) {
-    const std::int32_t flips = rng.uniform_int(1, 4);
-    for (std::int32_t f = 0; f < flips; ++f) {
-      faulty[static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int32_t>(n) - 1))] ^= 1;
-    }
-    const auto policy = rng.bernoulli(0.5)
-                            ? reconfig::CoveragePolicy::kAllFaultyPrimaries
-                            : reconfig::CoveragePolicy::kUsedFaultyPrimaries;
-    const auto pool =
-        rng.bernoulli(0.5)
-            ? reconfig::ReplacementPool::kSparesOnly
-            : reconfig::ReplacementPool::kSparesAndUnusedPrimaries;
-    const bool verdict =
-        load_faults(inc, faulty).repairable_incremental(policy, pool);
-    EXPECT_TRUE(inc.incremental_matching_valid()) << "step=" << step;
-    EXPECT_EQ(load_faults(scratch, faulty)
-                  .repairable(policy, MatchingEngine::kHopcroftKarp, pool),
-              verdict)
-        << "step=" << step;
-  }
 }
 
 TEST(BatchRepairFuzz, ContestedSetsAgreeWithCsrHopcroftKarp) {
@@ -384,7 +320,7 @@ TEST(BatchRepairFuzz, ContestedSetsAgreeWithCsrHopcroftKarp) {
         }
         const bool expected =
             matcher.covers_all_left(csr, MatchingEngine::kHopcroftKarp);
-        EXPECT_EQ(state.repairable(policy, MatchingEngine::kAuto,
+        EXPECT_EQ(state.repairable(policy,
                                    reconfig::ReplacementPool::kSparesOnly),
                   expected)
             << width << "x" << height << " trial=" << trial

@@ -18,6 +18,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -435,6 +436,51 @@ TEST(Protocol, RejectsMalformedAndUnknownInput) {
     EXPECT_FALSE(parsed.ok()) << line;
     EXPECT_FALSE(parsed.error.empty()) << line;
   }
+}
+
+TEST(Protocol, AcceptsOnlyStrictJsonNumbersAndStrings) {
+  // Every numeric key reads the JSON number grammar, and the id is echoed
+  // verbatim, so a token JSON rejects must never be accepted.
+  const auto with_id = [](std::string_view id) {
+    return "{\"id\": " + std::string(id) +
+           ", \"design\": \"dtmb1_6\", \"injector\": \"bernoulli\", "
+           "\"param\": 0.5}";
+  };
+  for (const char* id : {"0", "-0", "42", "-7", "1.5", "1.5e-3", "2E+2",
+                         "0.25e10"}) {
+    const ParsedRequest parsed = parse_request(with_id(id), 1);
+    ASSERT_TRUE(parsed.ok()) << id << ": " << parsed.error;
+    EXPECT_EQ(parsed.request->id, id);
+  }
+  for (const char* id : {"+1", ".5", "007", "01.5", "1.", "-", "1e", "1e+",
+                         "1.2.3", "--1", "1e5e5", "0x10"}) {
+    EXPECT_FALSE(parse_request(with_id(id), 1).ok()) << id;
+  }
+  for (const char* param : {"+0.5", ".5", "00.5", "0.5."}) {
+    const std::string line =
+        std::string(R"({"design": "dtmb1_6", "injector": "bernoulli", )") +
+        "\"param\": " + param + "}";
+    EXPECT_FALSE(parse_request(line, 1).ok()) << param;
+  }
+  // Raw control characters (here a tab) inside strings are rejected, in a
+  // key, an id and a token value alike; between tokens they are whitespace.
+  for (const char* line :
+       {"{\"id\": \"a\tb\", \"design\": \"dtmb1_6\", "
+        "\"injector\": \"bernoulli\", \"param\": 0.5}",
+        "{\"design\": \"dtm\tb1_6\", \"injector\": \"bernoulli\", "
+        "\"param\": 0.5}",
+        "{\"des\x01ign\": \"dtmb1_6\", \"injector\": \"bernoulli\", "
+        "\"param\": 0.5}"}) {
+    const ParsedRequest parsed = parse_request(line, 1);
+    EXPECT_FALSE(parsed.ok()) << line;
+    for (const char ch : parsed.error) {
+      EXPECT_GE(static_cast<unsigned char>(ch), 0x20) << parsed.error;
+    }
+  }
+  EXPECT_TRUE(parse_request("{\"design\":\t\"dtmb1_6\",\t\"injector\": "
+                            "\"bernoulli\", \"param\": 0.5}",
+                            1)
+                  .ok());
 }
 
 TEST(Protocol, JsonDoubleRoundTripsExactly) {

@@ -1,12 +1,10 @@
-// Thread-invariance regression for the auto-planned engine paths.
+// Thread-invariance regression for engine = auto.
 //
 // Session's determinism contract says an estimate depends only on
-// (design, query), never on the worker count. The auto engine adds two new
-// per-run paths (incremental repair with per-worker history, batch
-// push-relabel), so this suite re-pins the contract where it is now most
-// at risk: fig9-smoke-style queries under engine = auto must come back
-// bit-identical at threads 1 and 4, and bit-identical to the explicit
-// Hopcroft-Karp answers — the engine axis must never move an estimate.
+// (design, query), never on the worker count. Fig9-smoke-style queries
+// under engine = auto must come back bit-identical at threads 1 and 4, and
+// bit-identical to the explicit Hopcroft-Karp answers — the engine axis
+// must never move an estimate.
 //
 // Each thread count gets its own Session over the shared design: the result
 // cache deliberately ignores `threads` (it never affects the estimate — the
@@ -24,8 +22,7 @@ using biochip::DtmbKind;
 
 TEST(SessionThreadInvariance, AutoEngineBitIdenticalAcrossThreadCounts) {
   // The fig9_smoke grid, thinned: every design, the 120-primary column,
-  // survival probabilities spanning the sweep (low p drives high defect
-  // density, so both sides of the incremental/batch planning split run).
+  // survival probabilities spanning the sweep.
   constexpr DtmbKind kKinds[] = {DtmbKind::kDtmb2_6, DtmbKind::kDtmb3_6,
                                  DtmbKind::kDtmb4_4};
   constexpr double kSurvival[] = {0.80, 0.92, 0.99};

@@ -58,7 +58,8 @@ TEST(SimEquivalence, BitIdenticalToLegacyForEveryEngineCombination) {
           CoveragePolicy::kUsedFaultyPrimaries}) {
       for (const MatchingEngine engine :
            {MatchingEngine::kHopcroftKarp, MatchingEngine::kKuhn,
-            MatchingEngine::kDinic}) {
+            MatchingEngine::kDinic, MatchingEngine::kPushRelabel,
+            MatchingEngine::kAuto}) {
         for (const ReplacementPool pool :
              {ReplacementPool::kSparesOnly,
               ReplacementPool::kSparesAndUnusedPrimaries}) {
@@ -268,8 +269,7 @@ TEST(FaultState, RepairableAgreesWithLocalReconfigurer) {
             ReplacementPool::kSparesAndUnusedPrimaries}) {
         const reconfig::LocalReconfigurer reconfigurer(
             policy, MatchingEngine::kHopcroftKarp, pool);
-        EXPECT_EQ(state.repairable(policy, MatchingEngine::kHopcroftKarp,
-                                   pool),
+        EXPECT_EQ(state.repairable(policy, pool),
                   reconfigurer.feasible(array))
             << "trial=" << trial;
       }
