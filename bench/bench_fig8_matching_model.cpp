@@ -1,7 +1,7 @@
 // Regenerates paper Figure 8: the maximal bipartite-matching model of
 // reconfigurability. A worked instance on a DTMB(2,6) array: inject faults,
 // print the bipartite graph BG(A, B, E) (A = faulty primaries, B = healthy
-// adjacent spares), the maximum matching found by each engine, and — in an
+// adjacent spares), the maximum matching Hopcroft-Karp finds, and — in an
 // unrepairable variant — the Hall violator that certifies failure.
 #include <iostream>
 

@@ -1,5 +1,5 @@
 // google-benchmark micro-benchmarks for the performance-critical kernels:
-// maximum matching (CSR matcher, one row per engine), one Monte-Carlo yield
+// maximum matching (CSR matcher, Hopcroft-Karp), one Monte-Carlo yield
 // run, v1 Bernoulli injection (scalar and lock-step), droplet routing, and
 // the covering-walk test planner.
 #include <benchmark/benchmark.h>
@@ -33,12 +33,12 @@ graph::CsrBipartiteGraph random_bipartite(std::int32_t left,
   return g;
 }
 
-void BM_Matching(benchmark::State& state, graph::MatchingEngine engine) {
+void BM_Matching(benchmark::State& state) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   const auto g = random_bipartite(n, n, 8.0 / n, 42);
   graph::CsrMatcher matcher;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(matcher.maximum_matching_size(g, engine));
+    benchmark::DoNotOptimize(matcher.maximum_matching_size(g));
   }
   state.SetComplexityN(n);
 }
@@ -172,18 +172,8 @@ void BM_CoveringWalk(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK_CAPTURE(BM_Matching, hopcroft_karp,
-                  dmfb::graph::MatchingEngine::kHopcroftKarp)
-    ->Range(64, 1024)
-    ->Complexity();
-BENCHMARK_CAPTURE(BM_Matching, kuhn, dmfb::graph::MatchingEngine::kKuhn)
-    ->Range(64, 1024)
-    ->Complexity();
-BENCHMARK_CAPTURE(BM_Matching, dinic, dmfb::graph::MatchingEngine::kDinic)
-    ->Range(64, 1024)
-    ->Complexity();
-BENCHMARK_CAPTURE(BM_Matching, push_relabel,
-                  dmfb::graph::MatchingEngine::kPushRelabel)
+BENCHMARK(BM_Matching)
+    ->Name("BM_Matching/hopcroft_karp")
     ->Range(64, 1024)
     ->Complexity();
 BENCHMARK(BM_McYieldRun)->Arg(100)->Arg(250)->Arg(500);

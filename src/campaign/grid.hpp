@@ -47,6 +47,9 @@ struct CampaignPoint {
   std::vector<MixtureComponent> components;
   reconfig::CoveragePolicy policy =
       reconfig::CoveragePolicy::kAllFaultyPrimaries;
+  /// Always kHopcroftKarp: fills the artifacts' `engine` column. Kept for
+  /// perfbench/layers.cpp, which sends it over the wire; the next benchmark
+  /// change removes it.
   graph::MatchingEngine engine = graph::MatchingEngine::kHopcroftKarp;
   reconfig::ReplacementPool pool = reconfig::ReplacementPool::kSparesOnly;
 

@@ -89,7 +89,7 @@ sim::FaultModel fault_model_of(const CampaignPoint& point) {
   return sim::FaultModel::mixture(std::move(parts));
 }
 
-/// The session query a grid point expands to under the spec's engine knobs.
+/// The session query a grid point expands to under the spec's run knobs.
 sim::YieldQuery query_of(const CampaignPoint& point, const CampaignSpec& spec,
                          std::int32_t inner_threads) {
   sim::YieldQuery query;
@@ -102,7 +102,6 @@ sim::YieldQuery query_of(const CampaignPoint& point, const CampaignSpec& spec,
   query.threads = inner_threads;
   query.rng_version = point.rng_version;
   query.policy = point.policy;
-  query.engine = point.engine;
   query.pool = point.pool;
   return query;
 }

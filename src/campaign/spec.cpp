@@ -17,7 +17,6 @@ using common::parse_uint64;
 
 constexpr std::int32_t kMaxRuns = 100'000'000;
 constexpr std::int32_t kMaxThreads = 4096;
-constexpr std::int32_t kMaxPrimaries = 1'000'000;
 // sigma_scale multiplies the typical() process sigmas; 0 would degenerate
 // the Gaussians and huge values only saturate the fault probability at 1.
 constexpr double kMinSigmaScale = 1e-6;
@@ -71,14 +70,12 @@ constexpr TokenPair kPolicyTokens[] = {
          reconfig::CoveragePolicy::kUsedFaultyPrimaries)},
 };
 
+// Two tokens, one behaviour: "auto" is still accepted (perfbench's serve
+// mix sends it) and prints back as "hopcroft_karp".
 constexpr TokenPair kEngineTokens[] = {
     {"hopcroft_karp",
      static_cast<std::uint8_t>(graph::MatchingEngine::kHopcroftKarp)},
-    {"kuhn", static_cast<std::uint8_t>(graph::MatchingEngine::kKuhn)},
-    {"dinic", static_cast<std::uint8_t>(graph::MatchingEngine::kDinic)},
-    {"push_relabel",
-     static_cast<std::uint8_t>(graph::MatchingEngine::kPushRelabel)},
-    {"auto", static_cast<std::uint8_t>(graph::MatchingEngine::kAuto)},
+    {"auto", static_cast<std::uint8_t>(graph::MatchingEngine::kHopcroftKarp)},
 };
 
 constexpr TokenPair kPoolTokens[] = {

@@ -1,6 +1,7 @@
 // Declarative campaign specs: one text file describes a whole sweep grid
 // over the Monte-Carlo yield stack (design family x size x defect model x
-// coverage policy x matching engine x replacement pool).
+// coverage policy x replacement pool; the `engine` key is kept, but has one
+// behaviour).
 //
 // The format is a self-contained line-based `key = value` dialect — no
 // external parser dependency. `#` starts a comment, lists are
@@ -85,12 +86,17 @@ std::optional<SinkKind> parse_sink(std::string_view token) noexcept;
 std::optional<WorkloadKind> parse_workload(std::string_view token) noexcept;
 
 /// Spec-file tokens for the reconfiguration vocabulary (round-trip safe;
-/// reconfig::to_string / graph::to_string are display strings, not tokens).
+/// reconfig::to_string is a display string, not a token).
 const char* spec_token(reconfig::CoveragePolicy policy) noexcept;
+/// Always "hopcroft_karp". Kept with the `engine` key, which perfbench's
+/// serve mix and perfbench/layers.cpp still use; the next benchmark change
+/// removes both.
 const char* spec_token(graph::MatchingEngine engine) noexcept;
 const char* spec_token(reconfig::ReplacementPool pool) noexcept;
 std::optional<reconfig::CoveragePolicy> parse_policy(
     std::string_view token) noexcept;
+/// "hopcroft_karp" and "auto" both parse to kHopcroftKarp, the one matching
+/// algorithm; every other token is rejected.
 std::optional<graph::MatchingEngine> parse_engine(
     std::string_view token) noexcept;
 std::optional<reconfig::ReplacementPool> parse_pool(
@@ -100,6 +106,10 @@ std::optional<reconfig::ReplacementPool> parse_pool(
 /// docs/API.md (determinism contract) for what the versions mean.
 const char* spec_token(RngVersion version) noexcept;
 std::optional<RngVersion> parse_rng_version(std::string_view token) noexcept;
+
+/// Largest `primaries` value a spec (or a serve request) may ask for; the
+/// smallest is 1.
+inline constexpr std::int32_t kMaxPrimaries = 1'000'000;
 
 /// Clustered-injector knobs shared by every clustered grid point.
 struct ClusterParams {
@@ -136,6 +146,7 @@ struct CampaignSpec {
   /// kind may appear once; its parameter comes from that kind's grid key.
   std::vector<InjectorKind> mixture_components;
   std::vector<reconfig::CoveragePolicy> policies;
+  /// Every entry is kHopcroftKarp; see spec_token(graph::MatchingEngine).
   std::vector<graph::MatchingEngine> engines;
   std::vector<reconfig::ReplacementPool> pools;
 

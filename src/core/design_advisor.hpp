@@ -50,7 +50,7 @@ class DesignAdvisor {
   /// Evaluates designs sized to hold at least `min_primaries` primaries.
   /// Uses Monte-Carlo on the actual finite arrays, so boundary effects are
   /// included. `base.fault` is ignored; the remaining query knobs (runs,
-  /// seed, threads, policy, engine, pool) apply to every design.
+  /// seed, threads, policy, pool) apply to every design.
   explicit DesignAdvisor(std::int32_t min_primaries,
                          sim::YieldQuery base = {});
 

@@ -1,19 +1,17 @@
 // The bipartite graph BG(A, B, E) of the paper's reconfiguration model
-// (Fig. 8) and the matching engines that run on it.
+// (Fig. 8) and the Hopcroft-Karp matcher that runs on it.
 //
 // CsrBipartiteGraph is the repo's one bipartite-graph representation: left
 // rows are appended in order into two shared vectors (CSR layout) and
-// clear() rewinds without releasing capacity. CsrMatcher owns the
-// per-engine work buffers (match arrays, BFS layers, visit stamps) and
-// likewise reuses them across calls, so one (graph, matcher) pair serves an
-// entire Monte-Carlo experiment with zero steady-state allocation; the
-// reconfiguration planner (reconfig::LocalReconfigurer) uses the same pair
-// per plan.
+// clear() rewinds without releasing capacity. CsrMatcher owns Hopcroft-
+// Karp's work buffers (match arrays, BFS layers, BFS queue) and likewise
+// reuses them across calls, so one (graph, matcher) pair serves any number
+// of instances with zero steady-state allocation; the reconfiguration
+// planners (reconfig::LocalReconfigurer, sim::OperationalState::plan) run
+// on it.
 //
-// All engines compute a maximum matching, so matching *size* — and
-// therefore repairability — is identical across engines (pinned by the
-// brute-force and Koenig checks of the matching fuzz suite). The matching
-// itself may differ between engines.
+// The matcher's size is checked against brute force and its matching
+// against a Koenig certificate by the matching fuzz suite.
 #pragma once
 
 #include <cstdint>
@@ -74,17 +72,16 @@ class CsrBipartiteGraph {
   std::int32_t right_count_ = 0;
 };
 
-/// Reusable matching workspace. Not thread-safe; use one per thread.
+/// Reusable Hopcroft-Karp workspace. Not thread-safe; use one per thread.
 class CsrMatcher {
  public:
-  /// Size of a maximum matching of `graph` under `engine`.
-  std::int32_t maximum_matching_size(const CsrBipartiteGraph& graph,
-                                     MatchingEngine engine);
+  /// Size of a maximum matching of `graph` (Hopcroft-Karp).
+  std::int32_t maximum_matching_size(const CsrBipartiteGraph& graph);
 
   /// True iff a maximum matching saturates every left vertex (the local
   /// reconfiguration repairability predicate).
-  bool covers_all_left(const CsrBipartiteGraph& graph, MatchingEngine engine) {
-    return maximum_matching_size(graph, engine) == graph.left_count();
+  bool covers_all_left(const CsrBipartiteGraph& graph) {
+    return maximum_matching_size(graph) == graph.left_count();
   }
 
   /// Left-side matching of the last maximum_matching_size call
@@ -95,24 +92,13 @@ class CsrMatcher {
   }
 
  private:
-  std::int32_t run_kuhn(const CsrBipartiteGraph& graph);
-  std::int32_t run_hopcroft_karp(const CsrBipartiteGraph& graph);
-  std::int32_t run_dinic(const CsrBipartiteGraph& graph);
-  std::int32_t run_push_relabel(const CsrBipartiteGraph& graph);  // push_relabel.cpp
-
-  bool kuhn_augment(const CsrBipartiteGraph& graph, std::int32_t a);
   bool hk_bfs(const CsrBipartiteGraph& graph);
   bool hk_augment(const CsrBipartiteGraph& graph, std::int32_t a);
-  bool dinic_augment(const CsrBipartiteGraph& graph, std::int32_t a);
 
   std::vector<std::int32_t> match_left_;
   std::vector<std::int32_t> match_right_;
-  std::vector<std::int32_t> layer_;       // HK/Dinic BFS layers over left
-  std::vector<std::int32_t> queue_;       // flat BFS queue
-  std::vector<std::int32_t> visit_stamp_; // Kuhn right-visited epochs
-  std::vector<std::int32_t> cursor_;      // Dinic current-arc per left vertex
-  std::vector<std::int32_t> label_right_; // push-relabel right labels
-  std::int32_t stamp_ = 0;
+  std::vector<std::int32_t> layer_;  // BFS layers over left
+  std::vector<std::int32_t> queue_;  // flat BFS queue
 };
 
 }  // namespace dmfb::graph

@@ -8,25 +8,6 @@
 
 namespace dmfb::graph {
 
-const char* to_string(MatchingEngine engine) noexcept {
-  switch (engine) {
-    case MatchingEngine::kHopcroftKarp: return "hopcroft-karp";
-    case MatchingEngine::kKuhn: return "kuhn";
-    case MatchingEngine::kDinic: return "dinic";
-    case MatchingEngine::kPushRelabel: return "push-relabel";
-    case MatchingEngine::kAuto: return "auto";
-  }
-  return "?";
-}
-
-MatchingEngine resolve_engine(MatchingEngine engine,
-                              std::int32_t left_count) noexcept {
-  if (engine != MatchingEngine::kAuto) return engine;
-  return left_count >= kAutoPushRelabelLeftCount
-             ? MatchingEngine::kPushRelabel
-             : MatchingEngine::kHopcroftKarp;
-}
-
 namespace {
 
 /// The right side of `match_of_left`, or nullopt when it is not a valid

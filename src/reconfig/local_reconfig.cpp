@@ -108,9 +108,8 @@ ReconfigGraph build_reconfig_graph(const HexArray& array,
 }  // namespace
 
 LocalReconfigurer::LocalReconfigurer(CoveragePolicy policy,
-                                     graph::MatchingEngine engine,
                                      ReplacementPool pool)
-    : policy_(policy), engine_(engine), pool_(pool) {}
+    : policy_(policy), pool_(pool) {}
 
 ReconfigPlan LocalReconfigurer::plan(const HexArray& array) const {
   const std::vector<CellIndex> cover = cells_to_cover(array, policy_);
@@ -121,7 +120,7 @@ ReconfigPlan LocalReconfigurer::plan(const HexArray& array) const {
   }
   const ReconfigGraph rg = build_reconfig_graph(array, cover, pool_);
   graph::CsrMatcher matcher;
-  result.success = matcher.covers_all_left(rg.graph, engine_);
+  result.success = matcher.covers_all_left(rg.graph);
   const auto match_of_left = matcher.match_of_left();
   for (std::size_t a = 0; a < cover.size(); ++a) {
     const std::int32_t b = match_of_left[a];
@@ -148,7 +147,7 @@ bool LocalReconfigurer::feasible(const HexArray& array) const {
     if (!has_candidate) return false;
   }
   const ReconfigGraph rg = build_reconfig_graph(array, cover, pool_);
-  return graph::CsrMatcher().covers_all_left(rg.graph, engine_);
+  return graph::CsrMatcher().covers_all_left(rg.graph);
 }
 
 std::vector<CellIndex> replacement_neighborhood(

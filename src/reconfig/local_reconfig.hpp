@@ -3,9 +3,9 @@
 // Given a tested array (health state set), build the bipartite graph
 // BG(A, B, E): A = faulty primary cells that matter under the coverage
 // policy, B = healthy spare cells, edges = physical adjacency. The graph is
-// a graph::CsrBipartiteGraph and the matching comes from graph::CsrMatcher,
-// the same engines the sim hot path runs. The chip is repairable iff a
-// maximum matching saturates A; the matching itself is the
+// a graph::CsrBipartiteGraph and the matching comes from graph::CsrMatcher
+// (Hopcroft-Karp), as in sim::OperationalState::plan. The chip is
+// repairable iff a maximum matching saturates A; the matching itself is the
 // spare-assignment plan. Thanks to microfluidic locality the plan is purely
 // local: each faulty cell's duties move one hop to its matched spare, and no
 // fault-free module is disturbed (contrast with shifted replacement).
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "biochip/hex_array.hpp"
-#include "graph/matching.hpp"
 
 namespace dmfb::reconfig {
 
@@ -70,11 +69,9 @@ class LocalReconfigurer {
  public:
   explicit LocalReconfigurer(
       CoveragePolicy policy = CoveragePolicy::kAllFaultyPrimaries,
-      graph::MatchingEngine engine = graph::MatchingEngine::kHopcroftKarp,
       ReplacementPool pool = ReplacementPool::kSparesOnly);
 
   CoveragePolicy policy() const noexcept { return policy_; }
-  graph::MatchingEngine engine() const noexcept { return engine_; }
   ReplacementPool pool() const noexcept { return pool_; }
 
   /// Computes the spare-assignment plan for the array's current fault state.
@@ -85,7 +82,6 @@ class LocalReconfigurer {
 
  private:
   CoveragePolicy policy_;
-  graph::MatchingEngine engine_;
   ReplacementPool pool_;
 };
 

@@ -215,10 +215,10 @@ ParsedRequest parse_request(std::string_view line,
       } else if (*key == "engine") {
         const std::optional<std::string> token = take_token();
         if (!token) return bad_value();
-        const std::optional<graph::MatchingEngine> engine =
-            campaign::parse_engine(*token);
-        if (!engine) return fail(unknown_token_message("engine", *token));
-        request.engine = *engine;
+        // Validated, then dropped: every accepted engine is Hopcroft-Karp.
+        if (!campaign::parse_engine(*token)) {
+          return fail(unknown_token_message("engine", *token));
+        }
       } else if (*key == "pool") {
         const std::optional<std::string> token = take_token();
         if (!token) return bad_value();
@@ -227,7 +227,10 @@ ParsedRequest parse_request(std::string_view line,
         if (!pool) return fail(unknown_token_message("pool", *token));
         request.pool = *pool;
       } else if (*key == "primaries") {
-        if (!take_i32(request.min_primaries)) return bad_value();
+        if (!take_i32(request.min_primaries) || request.min_primaries < 1 ||
+            request.min_primaries > campaign::kMaxPrimaries) {
+          return bad_value();
+        }
       } else if (*key == "runs") {
         if (!take_i32(request.runs) || request.runs <= 0) return bad_value();
       } else if (*key == "radius") {
@@ -308,7 +311,6 @@ sim::YieldQuery query_of(const ServeRequest& request) {
   query.seed = request.seed;
   query.threads = 1;
   query.policy = request.policy;
-  query.engine = request.engine;
   query.pool = request.pool;
   query.target_ci_half_width = request.target_ci_half_width;
   query.rng_version = request.rng_version;

@@ -11,11 +11,13 @@
 //    "target_ci_half_width": 0.0}
 //
 // Only design, injector and param are required; everything else defaults
-// exactly like a campaign spec. `id` (number or string) is echoed back
-// verbatim; when absent, the 1-based line number stands in. The parser is
-// strict and flat: unknown keys, nested values, or malformed JSON reject
-// the line with an error response (the daemon keeps serving). Mixture
-// injectors are spec-file-only and not expressible over the wire.
+// exactly like a campaign spec. `engine` accepts "hopcroft_karp" or "auto",
+// both Hopcroft-Karp, and `primaries` lies in [1, campaign::kMaxPrimaries].
+// `id` (number or string) is echoed back verbatim; when absent, the 1-based
+// line number stands in. The parser is strict and flat: unknown keys,
+// nested values, or malformed JSON reject the line with an error response
+// (the daemon keeps serving). Mixture injectors are spec-file-only and not
+// expressible over the wire.
 //
 // Responses (field order fixed; doubles carry max_digits10 = 17 significant
 // digits, so equal estimates always serialize to equal bytes):
@@ -43,7 +45,8 @@ namespace dmfb::serve {
 struct ServeRequest {
   std::string id;  ///< raw JSON token to echo (number or quoted string)
   campaign::Design design = campaign::Design::kDtmb2_6;
-  std::int32_t min_primaries = 60;  ///< ignored for the multiplexed chip
+  /// In [1, campaign::kMaxPrimaries]; ignored for the multiplexed chip.
+  std::int32_t min_primaries = 60;
   campaign::InjectorKind injector = campaign::InjectorKind::kBernoulli;
   double param = 0.0;
   campaign::ClusterParams cluster;  ///< radius/core_kill/edge_kill keys
@@ -54,7 +57,6 @@ struct ServeRequest {
   double target_ci_half_width = 0.0;
   reconfig::CoveragePolicy policy =
       reconfig::CoveragePolicy::kAllFaultyPrimaries;
-  graph::MatchingEngine engine = graph::MatchingEngine::kHopcroftKarp;
   reconfig::ReplacementPool pool = reconfig::ReplacementPool::kSparesOnly;
 };
 

@@ -80,7 +80,7 @@ class Server {
   sim::Session::Stats session_stats() const;
 
  private:
-  std::shared_ptr<sim::Session>& session_for(const ServeRequest& request);
+  std::shared_ptr<sim::Session> session_for(const ServeRequest& request);
 
   ServerOptions options_;
   std::atomic<bool> drain_{false};

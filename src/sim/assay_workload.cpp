@@ -264,8 +264,7 @@ OperationalState::OperationalState(
           hex::kInvalidCell) {}
 
 const reconfig::ReconfigPlan& OperationalState::plan(
-    reconfig::CoveragePolicy policy, graph::MatchingEngine engine,
-    reconfig::ReplacementPool pool) {
+    reconfig::CoveragePolicy policy, reconfig::ReplacementPool pool) {
   const ChipDesign::Skeleton& skeleton =
       workload_->design().skeleton(policy, pool);
   // Faulty covered primaries in ascending cell order — cells_to_cover's
@@ -306,7 +305,7 @@ const reconfig::ReconfigPlan& OperationalState::plan(
   for (const CellIndex cell : right_cells_) {
     right_of_cell_[static_cast<std::size_t>(cell)] = -1;
   }
-  plan_.success = matcher_.covers_all_left(graph_, engine);
+  plan_.success = matcher_.covers_all_left(graph_);
   const std::span<const std::int32_t> match_of_left = matcher_.match_of_left();
   for (std::size_t a = 0; a < cover_.size(); ++a) {
     const std::int32_t b = match_of_left[a];
@@ -351,12 +350,11 @@ std::size_t OperationalState::memoised_schedules() const noexcept {
 }
 
 OperationalRun OperationalState::evaluate(reconfig::CoveragePolicy policy,
-                                          graph::MatchingEngine engine,
                                           reconfig::ReplacementPool pool) {
   {
     obs::ScopedSpan span("reconfig.plan", "op");
     const obs::ScopedDuration timer(obs::Metric::kReconfigPlanNs);
-    plan(policy, engine, pool);
+    plan(policy, pool);
   }
 
   OperationalRun run;

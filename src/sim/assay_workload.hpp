@@ -152,20 +152,26 @@ class OperationalState {
   /// schedule -> transport hops. Leaves the fault set untouched (call
   /// reset() between runs, as with FaultState).
   OperationalRun evaluate(reconfig::CoveragePolicy policy,
-                          graph::MatchingEngine engine,
                           reconfig::ReplacementPool pool);
+
+  /// evaluate(policy, pool); `engine` is not read. Exists only for
+  /// perfbench/layers.cpp and is removed in the next benchmark change.
+  OperationalRun evaluate(reconfig::CoveragePolicy policy,
+                          graph::MatchingEngine /*engine*/,
+                          reconfig::ReplacementPool pool) {
+    return evaluate(policy, pool);
+  }
 
   /// The plan step of evaluate(): the spare assignment for the current
   /// fault set, equal (success, replacements in order, unrepairable) to
-  /// reconfig::LocalReconfigurer(policy, engine, pool).plan() on an
-  /// equally faulted HexArray. The graph is the design skeleton's
-  /// (policy, pool) rows of the faulty covered primaries in cell order,
-  /// each filtered to its healthy candidates, with replacement cells
-  /// numbered in first-discovery order — the graph LocalReconfigurer
-  /// builds — and the same engine matches it. The reference stays valid
-  /// until the next plan() or evaluate() call.
+  /// reconfig::LocalReconfigurer(policy, pool).plan() on an equally
+  /// faulted HexArray. The graph is the design skeleton's (policy, pool)
+  /// rows of the faulty covered primaries in cell order, each filtered to
+  /// its healthy candidates, with replacement cells numbered in
+  /// first-discovery order — the graph LocalReconfigurer builds — and the
+  /// same Hopcroft-Karp matches it. The reference stays valid until the
+  /// next plan() or evaluate() call.
   const reconfig::ReconfigPlan& plan(reconfig::CoveragePolicy policy,
-                                     graph::MatchingEngine engine,
                                      reconfig::ReplacementPool pool);
 
   /// The assay's schedule on `pool`, or nullptr when a resource class the

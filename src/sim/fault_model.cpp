@@ -426,7 +426,7 @@ double expected_fault_fraction(const FaultModel& model,
     case FaultModel::Kind::kClustered: {
       // Mean-field: each spot kills ~disk-area x mean kill probability
       // cells; boundary clipping and spot overlap only lower the truth, so
-      // this over-estimates — safe for an engine heuristic.
+      // this over-estimates.
       const double radius = static_cast<double>(model.cluster.radius);
       const double disk = 1.0 + 3.0 * radius * (radius + 1.0);
       const double mean_kill =

@@ -148,9 +148,8 @@ double expected_failures_per_spot(const ClusterShape& shape) noexcept;
 /// in [0, 1]. Exact for bernoulli / fixed-count / parametric, a documented
 /// mean-field approximation for clustered (mean spots x full-disk area x
 /// average kill probability, ignoring boundary clipping and overlap), and
-/// the independent-union combination for mixtures. Deterministic — it feeds
-/// Session's engine auto-selection, which must never depend on sampled
-/// state.
+/// the independent-union combination for mixtures. Deterministic — it
+/// never depends on sampled state.
 double expected_fault_fraction(const FaultModel& model,
                                const ChipDesign& design);
 

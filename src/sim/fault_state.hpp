@@ -13,9 +13,9 @@
 // every coverable primary.
 //
 // repairable() is Kuhn's augmenting-path algorithm in cell space over the
-// design's skeleton; no run builds a bipartite graph or calls a matching
-// engine. Each faulty covered primary, in cell order, claims its first
-// unclaimed healthy candidate. A primary that finds none starts one
+// design's skeleton; no run builds a bipartite graph or runs
+// graph::CsrMatcher. Each faulty covered primary, in cell order, claims its
+// first unclaimed healthy candidate. A primary that finds none starts one
 // augmenting-path DFS whose first hops are its (claimed) healthy
 // candidates. If that DFS fails, no maximum matching saturates the primary
 // (Kuhn's lemma), so the run is unrepairable; isolated primaries fail at
@@ -89,7 +89,7 @@ class FaultState {
   /// first-fit claims over the design's pre-built (policy, pool) skeleton,
   /// extended by an augmenting-path DFS wherever first-fit gets stuck (see
   /// the header comment). Equivalent to reconfig::LocalReconfigurer::feasible
-  /// on an equally-faulted HexArray, for every engine.
+  /// on an equally-faulted HexArray.
   bool repairable(reconfig::CoveragePolicy policy,
                   reconfig::ReplacementPool pool);
 

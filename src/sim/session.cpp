@@ -87,7 +87,9 @@ std::string query_key(const YieldQuery& query) {
   append_fault_key(key, query.fault);
   key << '|' << query.runs << '|' << query.seed << '|'
       << static_cast<int>(query.policy) << '|'
-      << static_cast<int>(query.engine) << '|' << static_cast<int>(query.pool)
+      // The retired engine field: always 0, so every key is the one
+      // Hopcroft-Karp had.
+      << 0 << '|' << static_cast<int>(query.pool)
       << '|' << std::bit_cast<std::uint64_t>(query.target_ci_half_width)
       << '|' << static_cast<int>(query.workload) << '|'
       << static_cast<int>(query.rng_version);
@@ -100,7 +102,9 @@ std::string store_key(const YieldQuery& query, const ChipDesign& design) {
   // set, the fingerprint recipe, the payload codecs, or the answer a query
   // computes change, so stale on-disk records become misses instead of
   // silently-wrong answers. Version 2: operational plans come from the CSR
-  // matcher, whose Dinic may pick a different maximum matching.
+  // matcher. Hopcroft-Karp is its only algorithm, and query_key's engine
+  // field is always 0, so records written under the retired engines' keys
+  // are never requested again.
   std::ostringstream key;
   key << "2|" << design.fingerprint() << '|' << query_key(query);
   return key.str();
@@ -546,7 +550,7 @@ OperationalEstimate Session::execute_operational(
       Rng rng = run_stream(query.seed, run);
       inject(query.fault, state.faults(), rng);
       chunk_runs[static_cast<std::size_t>(run - chunk_begin)] =
-          state.evaluate(query.policy, query.engine, query.pool);
+          state.evaluate(query.policy, query.pool);
       state.reset();
     }
   };
@@ -556,7 +560,7 @@ OperationalEstimate Session::execute_operational(
       CounterStream stream = run_stream_v2(query.seed, run);
       inject_v2(query.fault, state.faults(), stream);
       chunk_runs[static_cast<std::size_t>(run - chunk_begin)] =
-          state.evaluate(query.policy, query.engine, query.pool);
+          state.evaluate(query.policy, query.pool);
       state.reset();
     }
   };

@@ -69,7 +69,7 @@ enum class Workload : std::uint8_t {
   kAssay,
 };
 
-/// One self-contained yield question: defect model, run budget, engine
+/// One self-contained yield question: defect model, run budget, repair
 /// configuration.
 struct YieldQuery {
   FaultModel fault;  ///< what breaks per run
@@ -86,11 +86,9 @@ struct YieldQuery {
 
   reconfig::CoveragePolicy policy =
       reconfig::CoveragePolicy::kAllFaultyPrimaries;
-  /// Matching engine. Structural runs run no engine: FaultState::repairable
-  /// settles them in cell space, the same code for every value. For
-  /// operational (kAssay) queries it picks the reconfigurer's plan engine,
-  /// kAuto resolving per instance, deterministically. Estimates never
-  /// depend on the choice (every engine computes a maximum matching).
+  /// Not read: structural runs are settled by FaultState::repairable and
+  /// operational plans always run Hopcroft-Karp. Exists only for
+  /// perfbench/layers.cpp and is removed in the next benchmark change.
   graph::MatchingEngine engine = graph::MatchingEngine::kHopcroftKarp;
   reconfig::ReplacementPool pool = reconfig::ReplacementPool::kSparesOnly;
 

@@ -54,7 +54,7 @@ struct CompoundYield {
 /// `session` (seed offset by m), so the design snapshot, its matching
 /// skeletons and the session query cache are shared across the whole sweep —
 /// and across repeated compound evaluations. `base.fault` is ignored; the
-/// remaining query knobs (runs, seed, threads, policy, engine, pool) apply
+/// remaining query knobs (runs, seed, threads, policy, pool) apply
 /// to every term.
 CompoundYield compound_yield(sim::Session& session, const DefectCountPmf& pmf,
                              const sim::YieldQuery& base,

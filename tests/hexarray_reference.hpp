@@ -16,12 +16,11 @@
 
 namespace dmfb::sim {
 
-/// Estimate of `query` (fault, runs, seed, policy, engine, pool; threads
-/// are ignored). `array` must arrive healthy and is left healthy.
+/// Estimate of `query` (fault, runs, seed, policy, pool; threads are
+/// ignored). `array` must arrive healthy and is left healthy.
 inline YieldEstimate hexarray_reference(biochip::HexArray& array,
                                         const YieldQuery& query) {
-  const reconfig::LocalReconfigurer reconfigurer(query.policy, query.engine,
-                                                 query.pool);
+  const reconfig::LocalReconfigurer reconfigurer(query.policy, query.pool);
   std::int64_t successes = 0;
   for (std::int32_t run = 0; run < query.runs; ++run) {
     Rng rng = run_stream(query.seed, run);

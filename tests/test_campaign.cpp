@@ -179,6 +179,34 @@ TEST(CampaignSpecParse, UnknownRngVersionListsTheAlternatives) {
   EXPECT_NE(result.errors[0].message.find("v2"), std::string::npos);
 }
 
+TEST(CampaignSpecParse, EngineAcceptsHopcroftKarpAndAutoOnly) {
+  // Both tokens name the one matching algorithm, and `auto` prints back as
+  // hopcroft_karp.
+  const CampaignSpec spec = parse_or_die(
+      "design = dtmb2_6\n"
+      "primaries = 10\n"
+      "p = 0.9\n"
+      "engine = auto, hopcroft_karp\n");
+  EXPECT_EQ(spec.engines, (std::vector<graph::MatchingEngine>{
+                              graph::MatchingEngine::kHopcroftKarp,
+                              graph::MatchingEngine::kHopcroftKarp}));
+  EXPECT_NE(to_spec_text(spec).find("engine = hopcroft_karp, hopcroft_karp\n"),
+            std::string::npos);
+  for (const std::string removed : {"kuhn", "dinic", "push_relabel"}) {
+    const ParseResult result = parse_campaign_spec(
+        "design = dtmb2_6\n"
+        "engine = hopcroft_karp, " + removed + "\n"
+        "primaries = 10\n"
+        "p = 0.9\n");
+    ASSERT_FALSE(result.ok()) << removed;
+    ASSERT_EQ(result.errors.size(), 1u) << removed;
+    EXPECT_EQ(result.errors[0].line, 2) << removed;
+    EXPECT_NE(result.errors[0].message.find("'" + removed + "'"),
+              std::string::npos)
+        << result.errors[0].message;
+  }
+}
+
 TEST(CampaignGridRngVersion, PointsInheritTheVersionAndKeyOnIt) {
   CampaignSpec spec = parse_or_die(builtin_campaign("fig9_smoke_v2"));
   EXPECT_EQ(spec.rng_version, RngVersion::kV2);
@@ -862,7 +890,7 @@ TEST(OutArgument, PathPrefixEscapesFormatDetection) {
 }
 
 TEST(CampaignRunner, SessionCacheBacksTheDedupeStats) {
-  // Two distinct p values, each listed twice, across two engines that share
+  // One p value listed twice, across two pools and two policies that share
   // one design: 8 grid points, 4 distinct computations.
   CampaignSpec spec = parse_or_die(
       "name = cachestats\n"
@@ -870,7 +898,7 @@ TEST(CampaignRunner, SessionCacheBacksTheDedupeStats) {
       "design = dtmb2_6\n"
       "primaries = 20\n"
       "p = 0.9, 0.9\n"
-      "engine = hopcroft_karp, kuhn\n"
+      "pool = spares_only, spares_and_unused_primaries\n"
       "policy = all_faulty_primaries, used_faulty_primaries\n");
   spec.threads = 2;
   CampaignRunner runner(std::move(spec));

@@ -35,10 +35,6 @@ constexpr CoveragePolicy kPolicies[] = {
 constexpr ReplacementPool kPools[] = {
     ReplacementPool::kSparesOnly,
     ReplacementPool::kSparesAndUnusedPrimaries};
-constexpr graph::MatchingEngine kEngines[] = {
-    graph::MatchingEngine::kHopcroftKarp, graph::MatchingEngine::kKuhn,
-    graph::MatchingEngine::kDinic, graph::MatchingEngine::kPushRelabel,
-    graph::MatchingEngine::kAuto};
 
 /// width x height parallelograms whose cell counts straddle the word
 /// boundary, plus a two-word array for good measure.
@@ -160,7 +156,7 @@ TEST(FaultStateWords, SkeletonCoverMasksMirrorCoverLists) {
 
 TEST(FaultStateWords, PackedVerdictMatchesLegacyPerCellOnBoundarySizes) {
   // The packed word scan vs the legacy HexArray reconfigurer, same faults,
-  // every policy x pool x engine, on word-boundary cell counts.
+  // every policy x pool, on word-boundary cell counts.
   Rng rng(0x60D0ULL);
   for (const auto& [width, height] : kShapes) {
     for (const DtmbKind kind : {DtmbKind::kDtmb1_6, DtmbKind::kDtmb2_6}) {
@@ -180,13 +176,9 @@ TEST(FaultStateWords, PackedVerdictMatchesLegacyPerCellOnBoundarySizes) {
         }
         for (const auto policy : kPolicies) {
           for (const auto pool : kPools) {
-            for (const auto engine : kEngines) {
-              const reconfig::LocalReconfigurer legacy(policy, engine, pool);
-              EXPECT_EQ(state.repairable(policy, pool),
-                        legacy.feasible(array))
-                  << "trial=" << trial << " engine="
-                  << static_cast<int>(engine);
-            }
+            const reconfig::LocalReconfigurer legacy(policy, pool);
+            EXPECT_EQ(state.repairable(policy, pool), legacy.feasible(array))
+                << "trial=" << trial;
           }
         }
       }
@@ -223,9 +215,7 @@ bool repair_verdict(biochip::HexArray& array,
   for (const auto policy : kPolicies) {
     for (const auto pool : kPools) {
       const bool expected =
-          reconfig::LocalReconfigurer(
-              policy, graph::MatchingEngine::kHopcroftKarp, pool)
-              .feasible(array);
+          reconfig::LocalReconfigurer(policy, pool).feasible(array);
       EXPECT_EQ(state.repairable(policy, pool), expected)
           << "policy=" << static_cast<int>(policy)
           << " pool=" << static_cast<int>(pool);
@@ -349,9 +339,7 @@ TEST_P(ExhaustiveSixteenCells, VerdictMatchesLegacyOnEveryFaultSet) {
       }
       for (const auto policy : kPolicies) {
         const bool expected =
-            reconfig::LocalReconfigurer(
-                policy, graph::MatchingEngine::kHopcroftKarp, pool)
-                .feasible(array);
+            reconfig::LocalReconfigurer(policy, pool).feasible(array);
         if (state.repairable(policy, pool) != expected &&
             ++mismatches <= 8) {
           ADD_FAILURE() << "mask=" << mask

@@ -1,6 +1,6 @@
-// Tests for graph algorithms: the CSR matching engines (checked against
-// brute force and each other), Hall certificates, the reusable CSR matcher,
-// and generic graph utilities.
+// Tests for graph algorithms: the CSR Hopcroft-Karp matcher (checked
+// against brute force), Hall certificates, the reusable CSR matcher, and
+// generic graph utilities.
 #include <algorithm>
 #include <initializer_list>
 #include <set>
@@ -45,7 +45,7 @@ CsrBipartiteGraph random_bipartite(Rng& rng, std::int32_t left,
   return g;
 }
 
-/// A maximum matching of `g` under `engine`, copied out of a fresh matcher.
+/// A maximum matching of `g`, copied out of a fresh matcher.
 struct Matched {
   std::int32_t size = 0;
   std::vector<std::int32_t> match_of_left;
@@ -55,11 +55,10 @@ struct Matched {
   }
 };
 
-Matched match_with(const CsrBipartiteGraph& g,
-                   MatchingEngine engine = MatchingEngine::kHopcroftKarp) {
+Matched match_with(const CsrBipartiteGraph& g) {
   CsrMatcher matcher;
   Matched m;
-  m.size = matcher.maximum_matching_size(g, engine);
+  m.size = matcher.maximum_matching_size(g);
   const auto left = matcher.match_of_left();
   m.match_of_left.assign(left.begin(), left.end());
   return m;
@@ -67,15 +66,11 @@ Matched match_with(const CsrBipartiteGraph& g,
 
 // ------------------------------------------------------------- matching
 
-constexpr MatchingEngine kEngines[] = {MatchingEngine::kHopcroftKarp,
-                                       MatchingEngine::kKuhn,
-                                       MatchingEngine::kDinic};
-
 class MatchingEngineTest : public ::testing::TestWithParam<MatchingEngine> {};
 
 TEST_P(MatchingEngineTest, EmptyGraphHasEmptyMatching) {
   const CsrBipartiteGraph g;
-  const Matched m = match_with(g, GetParam());
+  const Matched m = match_with(g);
   EXPECT_EQ(m.size, 0);
   EXPECT_TRUE(m.covers_all_left());
   EXPECT_TRUE(is_valid_matching(g, m.match_of_left));
@@ -83,7 +78,7 @@ TEST_P(MatchingEngineTest, EmptyGraphHasEmptyMatching) {
 
 TEST_P(MatchingEngineTest, SingleEdge) {
   const CsrBipartiteGraph g = make_graph(1, {{0, 0}});
-  const Matched m = match_with(g, GetParam());
+  const Matched m = match_with(g);
   EXPECT_EQ(m.size, 1);
   EXPECT_EQ(m.match_of_left[0], 0);
   EXPECT_TRUE(is_valid_matching(g, m.match_of_left));
@@ -91,7 +86,7 @@ TEST_P(MatchingEngineTest, SingleEdge) {
 
 TEST_P(MatchingEngineTest, IsolatedLeftVertexUnmatched) {
   const CsrBipartiteGraph g = make_graph(2, {{0, 0}});
-  const Matched m = match_with(g, GetParam());
+  const Matched m = match_with(g);
   EXPECT_EQ(m.size, 1);
   EXPECT_FALSE(m.covers_all_left());
   EXPECT_EQ(m.match_of_left[1], kUnmatched);
@@ -101,7 +96,7 @@ TEST_P(MatchingEngineTest, RequiresAugmentingPath) {
   // Greedy left-to-right would match 0-0 and strand 1; the maximum
   // matching must reassign: 0-1, 1-0.
   const CsrBipartiteGraph g = make_graph(2, {{0, 0}, {0, 1}, {1, 0}});
-  const Matched m = match_with(g, GetParam());
+  const Matched m = match_with(g);
   EXPECT_EQ(m.size, 2);
   EXPECT_TRUE(m.covers_all_left());
   EXPECT_TRUE(is_valid_matching(g, m.match_of_left));
@@ -113,7 +108,7 @@ TEST_P(MatchingEngineTest, PerfectMatchingOnCompleteGraph) {
     g.open_row();
     for (std::int32_t b = 0; b < 5; ++b) g.add_edge(b);
   }
-  const Matched m = match_with(g, GetParam());
+  const Matched m = match_with(g);
   EXPECT_EQ(m.size, 5);
   EXPECT_TRUE(is_valid_matching(g, m.match_of_left));
 }
@@ -122,52 +117,31 @@ TEST_P(MatchingEngineTest, HallViolatorLimitsMatching) {
   // Three left vertices share the same two right neighbours: max = 2.
   const CsrBipartiteGraph g =
       make_graph(3, {{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 0}, {2, 1}});
-  const Matched m = match_with(g, GetParam());
+  const Matched m = match_with(g);
   EXPECT_EQ(m.size, 2);
 }
 
 TEST_P(MatchingEngineTest, MatchesBruteForceOnRandomGraphs) {
-  Rng rng(0xBEEF + static_cast<std::uint64_t>(GetParam()));
+  Rng rng(0xBEEF);
   for (int trial = 0; trial < 150; ++trial) {
     const auto left = rng.uniform_int(0, 6);
     const auto right = rng.uniform_int(0, 6);
     const CsrBipartiteGraph g =
         random_bipartite(rng, left, right, rng.uniform01());
-    const Matched m = match_with(g, GetParam());
+    const Matched m = match_with(g);
     EXPECT_TRUE(is_valid_matching(g, m.match_of_left));
     EXPECT_EQ(m.size, brute_force_matching_size(g))
         << "trial " << trial << " left=" << left << " right=" << right;
   }
 }
 
-TEST_P(MatchingEngineTest, ParityWithOtherEnginesOnLargerGraphs) {
-  Rng rng(0xFACE);
-  for (int trial = 0; trial < 30; ++trial) {
-    const CsrBipartiteGraph g = random_bipartite(rng, 40, 35, 0.08);
-    const auto size = match_with(g, GetParam()).size;
-    const auto reference =
-        match_with(g, MatchingEngine::kHopcroftKarp).size;
-    EXPECT_EQ(size, reference);
-  }
-}
-
+// Instantiated once: Hopcroft-Karp is the only matching algorithm, and the
+// parameter keeps the cases' names.
 INSTANTIATE_TEST_SUITE_P(AllEngines, MatchingEngineTest,
-                         ::testing::ValuesIn(kEngines),
-                         [](const auto& test_info) {
-                           return std::string(to_string(test_info.param)) ==
-                                          "hopcroft-karp"
-                                      ? std::string("HopcroftKarp")
-                                      : std::string(to_string(test_info.param)) ==
-                                                "kuhn"
-                                            ? std::string("Kuhn")
-                                            : std::string("Dinic");
+                         ::testing::Values(MatchingEngine::kHopcroftKarp),
+                         [](const auto&) {
+                           return std::string("HopcroftKarp");
                          });
-
-TEST(Matching, EngineNames) {
-  EXPECT_STREQ(to_string(MatchingEngine::kHopcroftKarp), "hopcroft-karp");
-  EXPECT_STREQ(to_string(MatchingEngine::kKuhn), "kuhn");
-  EXPECT_STREQ(to_string(MatchingEngine::kDinic), "dinic");
-}
 
 TEST(Matching, ValidatorCatchesCorruptPairing) {
   const CsrBipartiteGraph g = make_graph(2, {{0, 0}, {1, 1}});
@@ -380,15 +354,13 @@ TEST(CoveringWalk, OnlyReachableComponent) {
 TEST(CsrMatcher, EmptyGraphCoversTrivially) {
   CsrBipartiteGraph g;
   CsrMatcher matcher;
-  EXPECT_EQ(matcher.maximum_matching_size(g, MatchingEngine::kHopcroftKarp),
-            0);
-  EXPECT_TRUE(matcher.covers_all_left(g, MatchingEngine::kKuhn));
+  EXPECT_EQ(matcher.maximum_matching_size(g), 0);
+  EXPECT_TRUE(matcher.covers_all_left(g));
 }
 
 TEST(CsrMatcher, AgreesWithLegacyEnginesOnRandomGraphs) {
-  // One matcher deliberately reused across instances and engines must give
-  // every engine the exhaustive maximum, whatever the previous call left in
-  // its buffers.
+  // One matcher deliberately reused across instances must give the
+  // exhaustive maximum, whatever the previous call left in its buffers.
   Rng rng(0xC5A);
   CsrMatcher matcher;
   for (int trial = 0; trial < 60; ++trial) {
@@ -397,10 +369,8 @@ TEST(CsrMatcher, AgreesWithLegacyEnginesOnRandomGraphs) {
     const CsrBipartiteGraph csr =
         random_bipartite(rng, left, right, rng.uniform01());
     const std::int32_t expected = brute_force_matching_size(csr);
-    for (const MatchingEngine engine : kEngines) {
-      EXPECT_EQ(matcher.maximum_matching_size(csr, engine), expected)
-          << "trial=" << trial << " engine=" << to_string(engine);
-    }
+    EXPECT_EQ(matcher.maximum_matching_size(csr), expected)
+        << "trial=" << trial;
   }
 }
 
@@ -409,15 +379,13 @@ TEST(CsrMatcher, MatchOfLeftIsAValidMatching) {
   CsrMatcher matcher;
   for (int trial = 0; trial < 30; ++trial) {
     const CsrBipartiteGraph csr = random_bipartite(rng, 10, 8, 0.3);
-    for (const MatchingEngine engine : kEngines) {
-      const std::int32_t size = matcher.maximum_matching_size(csr, engine);
-      const auto match = matcher.match_of_left();
-      ASSERT_EQ(match.size(), static_cast<std::size_t>(csr.left_count()));
-      EXPECT_TRUE(is_valid_matching(csr, match));
-      EXPECT_EQ(std::count_if(match.begin(), match.end(),
-                              [](std::int32_t b) { return b != kUnmatched; }),
-                size);
-    }
+    const std::int32_t size = matcher.maximum_matching_size(csr);
+    const auto match = matcher.match_of_left();
+    ASSERT_EQ(match.size(), static_cast<std::size_t>(csr.left_count()));
+    EXPECT_TRUE(is_valid_matching(csr, match));
+    EXPECT_EQ(std::count_if(match.begin(), match.end(),
+                            [](std::int32_t b) { return b != kUnmatched; }),
+              size);
   }
 }
 

@@ -1,12 +1,10 @@
-// Fuzz suite for the matching engines: on seeded random bipartite graphs
-// (including empty and degenerate sides), every CSR engine — Kuhn,
-// Hopcroft-Karp, Dinic, push-relabel and kAuto — must return a valid
+// Fuzz suite for the CSR matcher: on seeded random bipartite graphs
+// (including empty and degenerate sides), Hopcroft-Karp must return a valid
 // matching whose size equals the exhaustive maximum, and the Hall set
 // hall_violator extracts from it must carry exactly the König deficiency.
 // Neither oracle needs a second matching implementation. This is the
-// algebra local reconfiguration stands on: engines is a campaign sweep
-// axis, so a single disagreeing instance would split yield curves by
-// engine.
+// algebra local reconfiguration stands on: every operational plan is this
+// matching.
 //
 // The second half fuzzes sim::FaultState::repairable, Kuhn's augmenting
 // paths in cell space. Randomized insert/remove fault sequences must give
@@ -33,14 +31,6 @@
 
 namespace dmfb::graph {
 namespace {
-
-constexpr MatchingEngine kEngines[] = {
-    MatchingEngine::kHopcroftKarp,
-    MatchingEngine::kKuhn,
-    MatchingEngine::kDinic,
-    MatchingEngine::kPushRelabel,
-    MatchingEngine::kAuto,  // resolves per instance; must still agree
-};
 
 /// One random instance: edges[a] lists a's right neighbours (sorted,
 /// deduplicated by construction order).
@@ -94,7 +84,7 @@ std::int32_t deficiency(const Instance& instance,
 }
 
 TEST(MatchingFuzz, EnginesAndCsrAgreeOnRandomInstances) {
-  // Two oracles per engine and instance: (a) the matching is valid and as
+  // Two oracles per instance: (a) the matching is valid and as
   // large as the exhaustive maximum; (b) König's theorem — the Hall set S
   // extracted from it has |S| - |N(S)| == left - |M|, which certifies that
   // no larger matching exists independently of (a).
@@ -105,20 +95,16 @@ TEST(MatchingFuzz, EnginesAndCsrAgreeOnRandomInstances) {
     const Instance instance = random_instance(rng);
     build_csr(instance, csr);
     const std::int32_t maximum = brute_force_matching_size(csr);
-    for (const MatchingEngine engine : kEngines) {
-      const std::int32_t size = matcher.maximum_matching_size(csr, engine);
-      const std::vector<std::int32_t> match(matcher.match_of_left().begin(),
-                                            matcher.match_of_left().end());
-      EXPECT_TRUE(is_valid_matching(csr, match))
-          << "trial=" << trial << " engine=" << to_string(engine);
-      EXPECT_EQ(size, maximum)
-          << "trial=" << trial << " engine=" << to_string(engine);
-      EXPECT_EQ(deficiency(instance, hall_violator(csr, match)),
-                instance.left - size)
-          << "trial=" << trial << " engine=" << to_string(engine);
-      EXPECT_EQ(matcher.covers_all_left(csr, engine), maximum == instance.left)
-          << "trial=" << trial;
-    }
+    const std::int32_t size = matcher.maximum_matching_size(csr);
+    const std::vector<std::int32_t> match(matcher.match_of_left().begin(),
+                                          matcher.match_of_left().end());
+    EXPECT_TRUE(is_valid_matching(csr, match)) << "trial=" << trial;
+    EXPECT_EQ(size, maximum) << "trial=" << trial;
+    EXPECT_EQ(deficiency(instance, hall_violator(csr, match)),
+              instance.left - size)
+        << "trial=" << trial;
+    EXPECT_EQ(matcher.covers_all_left(csr), maximum == instance.left)
+        << "trial=" << trial;
   }
 }
 
@@ -135,10 +121,8 @@ TEST(MatchingFuzz, DegenerateSidesMatchEverywhere) {
         std::vector<std::vector<std::int32_t>>(
             static_cast<std::size_t>(left))};
     build_csr(instance, csr);
-    for (const MatchingEngine engine : kEngines) {
-      EXPECT_EQ(matcher.maximum_matching_size(csr, engine), 0);
-      EXPECT_EQ(matcher.covers_all_left(csr, engine), left == 0);
-    }
+    EXPECT_EQ(matcher.maximum_matching_size(csr), 0);
+    EXPECT_EQ(matcher.covers_all_left(csr), left == 0);
   }
 }
 
@@ -151,8 +135,7 @@ TEST(MatchingFuzz, HallViolatorWitnessesEveryDeficientInstance) {
   for (std::int32_t trial = 0; trial < 500; ++trial) {
     const Instance instance = random_instance(rng);
     build_csr(instance, csr);
-    const bool covered =
-        matcher.covers_all_left(csr, MatchingEngine::kHopcroftKarp);
+    const bool covered = matcher.covers_all_left(csr);
     const std::vector<std::int32_t> violator =
         hall_violator(csr, matcher.match_of_left());
     if (covered) {
@@ -224,8 +207,7 @@ TEST(BatchRepairFuzz, AgreesWithLocalReconfigurerOnRandomSequences) {
   for (const auto policy : kPolicies) {
     for (const auto pool : kPools) {
       const auto& skeleton = design->skeleton(policy, pool);
-      const reconfig::LocalReconfigurer oracle(
-          policy, MatchingEngine::kHopcroftKarp, pool);
+      const reconfig::LocalReconfigurer oracle(policy, pool);
       sim::FaultState state(design);
       std::vector<char> faulty(n, 0);
       for (std::int32_t step = 0; step < 400; ++step) {
@@ -318,8 +300,7 @@ TEST(BatchRepairFuzz, ContestedSetsAgreeWithCsrHopcroftKarp) {
             csr.add_edge(right);
           }
         }
-        const bool expected =
-            matcher.covers_all_left(csr, MatchingEngine::kHopcroftKarp);
+        const bool expected = matcher.covers_all_left(csr);
         EXPECT_EQ(state.repairable(policy,
                                    reconfig::ReplacementPool::kSparesOnly),
                   expected)

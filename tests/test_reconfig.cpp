@@ -168,27 +168,6 @@ TEST(LocalReconfig, ReplacementForRoundTrip) {
   EXPECT_EQ(plan.replacement_for(hex::kInvalidCell), hex::kInvalidCell);
 }
 
-TEST(LocalReconfig, AllEnginesAgreeOnFeasibility) {
-  auto array = array_2_6();
-  Rng rng(58);
-  for (int trial = 0; trial < 50; ++trial) {
-    array.reset_health();
-    sim::inject(sim::FaultModel::bernoulli(0.93), array, rng);
-    const bool hk =
-        LocalReconfigurer(CoveragePolicy::kAllFaultyPrimaries,
-                          graph::MatchingEngine::kHopcroftKarp)
-            .feasible(array);
-    const bool kuhn = LocalReconfigurer(CoveragePolicy::kAllFaultyPrimaries,
-                                        graph::MatchingEngine::kKuhn)
-                          .feasible(array);
-    const bool dinic = LocalReconfigurer(CoveragePolicy::kAllFaultyPrimaries,
-                                         graph::MatchingEngine::kDinic)
-                           .feasible(array);
-    EXPECT_EQ(hk, kuhn);
-    EXPECT_EQ(hk, dinic);
-  }
-}
-
 // --------------------------------------------------------------- greedy
 
 TEST(GreedyReconfig, NeverBeatsMatching) {
@@ -404,8 +383,7 @@ TEST(LocalReconfig, FailedPlansCarryACheckableHallViolator) {
       for (const ReplacementPool pool :
            {ReplacementPool::kSparesOnly,
             ReplacementPool::kSparesAndUnusedPrimaries}) {
-        const LocalReconfigurer reconfigurer(
-            policy, graph::MatchingEngine::kHopcroftKarp, pool);
+        const LocalReconfigurer reconfigurer(policy, pool);
         const ReconfigPlan plan = reconfigurer.plan(array);
         const std::vector<CellIndex> violator =
             hall_violator(array, plan, pool);
@@ -481,14 +459,12 @@ TEST(LocalReconfig, HallViolatorRejectsNonMaximumPlans) {
 // ----------------------------------------------------- plan draw contract
 
 // Pins the exact spare-assignment plans LocalReconfigurer::plan returns, so
-// a change of graph representation or engine internals cannot silently
+// a change of graph representation or matcher internals cannot silently
 // move a replacement. Inputs: four DTMB designs x both coverage policies x
 // both replacement pools x 64 seeded Bernoulli fault sets, with survival
-// probabilities spread so that some cover sets exceed
-// kAutoPushRelabelLeftCount and kAuto really switches engines. Each
-// engine's plans fold into an FNV-1a digest of replacements + unrepairable
-// cells; Dinic is pinned on the verdict digest only (success, matching
-// size, feasible()), which every engine must reproduce.
+// probabilities spread from sparse to dense cover sets. The plans fold
+// into an FNV-1a digest of replacements + unrepairable cells, and the
+// verdicts (success, matching size, feasible()) into a second digest.
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
@@ -516,32 +492,13 @@ void fold_plan(std::uint64_t& digest, const ReconfigPlan& plan) {
 }
 
 struct PlanDigests {
-  std::uint64_t verdict = kFnvOffset;  ///< every engine, Dinic included
+  std::uint64_t verdict = kFnvOffset;
   std::uint64_t hopcroft_karp = kFnvOffset;
-  std::uint64_t kuhn = kFnvOffset;
-  std::uint64_t push_relabel = kFnvOffset;
-  std::uint64_t automatic = kFnvOffset;
 };
 
 /// Every (policy, pool, seed) input of one design, folded.
-struct PlanPinRun {
+PlanDigests plan_pin_run(DtmbKind kind) {
   PlanDigests digests;
-  /// The verdict digest once per engine; all five must be equal.
-  std::vector<std::uint64_t> verdicts;
-  /// Inputs whose cover set is large enough for kAuto to pick push-relabel.
-  std::int32_t large_covers = 0;
-};
-
-PlanPinRun plan_pin_run(DtmbKind kind) {
-  constexpr graph::MatchingEngine kPinEngines[] = {
-      graph::MatchingEngine::kHopcroftKarp, graph::MatchingEngine::kKuhn,
-      graph::MatchingEngine::kPushRelabel, graph::MatchingEngine::kAuto,
-      graph::MatchingEngine::kDinic};
-  PlanPinRun run;
-  std::uint64_t* plan_slots[] = {
-      &run.digests.hopcroft_karp, &run.digests.kuhn, &run.digests.push_relabel,
-      &run.digests.automatic, nullptr};
-  run.verdicts.assign(std::size(kPinEngines), kFnvOffset);
   auto array = biochip::make_dtmb_array_with_primaries(kind, 200);
   std::int32_t marked = 0;
   for (const auto primary : array.primaries()) {
@@ -562,23 +519,16 @@ PlanPinRun plan_pin_run(DtmbKind kind) {
       for (const ReplacementPool pool :
            {ReplacementPool::kSparesOnly,
             ReplacementPool::kSparesAndUnusedPrimaries}) {
-        if (cells_to_cover(array, policy).size() >=
-            static_cast<std::size_t>(graph::kAutoPushRelabelLeftCount)) {
-          ++run.large_covers;
-        }
-        for (std::size_t e = 0; e < std::size(kPinEngines); ++e) {
-          const LocalReconfigurer reconfigurer(policy, kPinEngines[e], pool);
-          const ReconfigPlan plan = reconfigurer.plan(array);
-          fnv_fold(run.verdicts[e], plan.success ? 1 : 0);
-          fnv_fold(run.verdicts[e], plan.replacements.size());
-          fnv_fold(run.verdicts[e], reconfigurer.feasible(array) ? 1 : 0);
-          if (plan_slots[e] != nullptr) fold_plan(*plan_slots[e], plan);
-        }
+        const LocalReconfigurer reconfigurer(policy, pool);
+        const ReconfigPlan plan = reconfigurer.plan(array);
+        fnv_fold(digests.verdict, plan.success ? 1 : 0);
+        fnv_fold(digests.verdict, plan.replacements.size());
+        fnv_fold(digests.verdict, reconfigurer.feasible(array) ? 1 : 0);
+        fold_plan(digests.hopcroft_karp, plan);
       }
     }
   }
-  run.digests.verdict = run.verdicts.back();  // Dinic's
-  return run;
+  return digests;
 }
 
 struct PinnedPlanDigests {
@@ -589,18 +539,10 @@ struct PinnedPlanDigests {
 // Recorded from the planner before it moved onto the CSR matcher; not a
 // golden to regenerate — a mismatch means a plan changed.
 constexpr PinnedPlanDigests kPinnedPlanDigests[] = {
-    {DtmbKind::kDtmb1_6,
-     {0xdc01cf182a6f7cdcULL, 0x648c7e4cde4042d2ULL, 0x67adbb6454af9b1dULL,
-      0xceff9cc07ae3dff7ULL, 0x068446e67161def4ULL}},
-    {DtmbKind::kDtmb2_6,
-     {0xdd12ee5728e4c146ULL, 0xe6cf28cb8e70ec53ULL, 0xb5acc82ebba8f55fULL,
-      0xdf7a379ce0270cc7ULL, 0x1c86441977acbd53ULL}},
-    {DtmbKind::kDtmb3_6,
-     {0x71f2be3c2bf2fc5cULL, 0xa805fb76dca7a0a9ULL, 0xa5b76e2c5748895fULL,
-      0x922016866e685530ULL, 0x3e226945a6e43643ULL}},
-    {DtmbKind::kDtmb4_4,
-     {0x5c73411867c476ceULL, 0x32b8e7da7d1a62cdULL, 0xeb34e97d4ccd2cf1ULL,
-      0x31649b407d099829ULL, 0xa27f43bff728bca9ULL}},
+    {DtmbKind::kDtmb1_6, {0xdc01cf182a6f7cdcULL, 0x648c7e4cde4042d2ULL}},
+    {DtmbKind::kDtmb2_6, {0xdd12ee5728e4c146ULL, 0xe6cf28cb8e70ec53ULL}},
+    {DtmbKind::kDtmb3_6, {0x71f2be3c2bf2fc5cULL, 0xa805fb76dca7a0a9ULL}},
+    {DtmbKind::kDtmb4_4, {0x5c73411867c476ceULL, 0x32b8e7da7d1a62cdULL}},
 };
 
 TEST(LocalReconfigDrawContract, PlansMatchThePinnedDigests) {
@@ -611,23 +553,11 @@ TEST(LocalReconfigDrawContract, PlansMatchThePinnedDigests) {
   };
   for (const PinnedPlanDigests& pinned : kPinnedPlanDigests) {
     const std::string name(biochip::dtmb_info(pinned.kind).name);
-    const PlanPinRun run = plan_pin_run(pinned.kind);
-    const PlanDigests& actual = run.digests;
-    EXPECT_GT(run.large_covers, 0) << name << ": kAuto never switches";
-    for (const std::uint64_t verdict : run.verdicts) {
-      EXPECT_EQ(hex(verdict), hex(actual.verdict))
-          << name << ": engines disagree on a verdict";
-    }
+    const PlanDigests actual = plan_pin_run(pinned.kind);
     EXPECT_EQ(hex(actual.verdict), hex(pinned.digests.verdict))
-        << name << " verdict (dinic)";
+        << name << " verdicts";
     EXPECT_EQ(hex(actual.hopcroft_karp), hex(pinned.digests.hopcroft_karp))
         << name << " hopcroft-karp plans";
-    EXPECT_EQ(hex(actual.kuhn), hex(pinned.digests.kuhn))
-        << name << " kuhn plans";
-    EXPECT_EQ(hex(actual.push_relabel), hex(pinned.digests.push_relabel))
-        << name << " push-relabel plans";
-    EXPECT_EQ(hex(actual.automatic), hex(pinned.digests.automatic))
-        << name << " auto plans";
   }
 }
 

@@ -304,14 +304,13 @@ TEST(StoreKey, QueryFieldInjectionCannotForgeACollision) {
 }
 
 TEST(StoreKey, PreviousSchemaRecordIsAMissAndRecomputes) {
-  // Schema "1|" records predate the CSR-only planner, whose Dinic plans
-  // may differ; an operational (assay, dinic) record stored under the old
-  // key must never answer a query, even when its payload decodes.
+  // Schema "1|" records predate the CSR-only planner; an operational
+  // (assay) record stored under the old key must never answer a query,
+  // even when its payload decodes.
   const auto workload = sim::AssayWorkload::multiplexed();
   sim::YieldQuery query;
   query.fault = sim::FaultModel::fixed_count(20);
   query.workload = sim::Workload::kAssay;
-  query.engine = graph::MatchingEngine::kDinic;
   query.policy = reconfig::CoveragePolicy::kUsedFaultyPrimaries;
   query.runs = 16;
   query.threads = 1;
@@ -483,6 +482,47 @@ TEST(Protocol, AcceptsOnlyStrictJsonNumbersAndStrings) {
                   .ok());
 }
 
+TEST(Protocol, EngineAcceptsHopcroftKarpAndAutoOnly) {
+  const auto with_engine = [](std::string_view engine) {
+    return R"({"design": "dtmb2_6", "injector": "bernoulli", "param": 0.9, )"
+           R"("engine": ")" +
+           std::string(engine) + "\"}";
+  };
+  const ParsedRequest hk = parse_request(with_engine("hopcroft_karp"), 1);
+  const ParsedRequest automatic = parse_request(with_engine("auto"), 1);
+  ASSERT_TRUE(hk.ok()) << hk.error;
+  ASSERT_TRUE(automatic.ok()) << automatic.error;
+  // Both name Hopcroft-Karp, so they ask the same question under one key.
+  EXPECT_EQ(query_of(*automatic.request).engine,
+            graph::MatchingEngine::kHopcroftKarp);
+  EXPECT_EQ(sim::query_key(query_of(*automatic.request)),
+            sim::query_key(query_of(*hk.request)));
+  for (const std::string_view removed : {"kuhn", "dinic", "push_relabel"}) {
+    const ParsedRequest parsed = parse_request(with_engine(removed), 1);
+    EXPECT_FALSE(parsed.ok()) << removed;
+    EXPECT_EQ(parsed.error, "unknown engine '" + std::string(removed) + "'");
+  }
+}
+
+TEST(Protocol, PrimariesMustLieInTheSpecRange) {
+  const auto with_primaries = [](std::string_view primaries) {
+    return R"({"design": "dtmb2_6", "injector": "bernoulli", "param": 0.9, )"
+           R"("primaries": )" +
+           std::string(primaries) + "}";
+  };
+  for (const std::string_view bad : {"0", "1000001", "2147483647", "-1"}) {
+    const ParsedRequest parsed = parse_request(with_primaries(bad), 1);
+    EXPECT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.error, "invalid value for \"primaries\"") << bad;
+  }
+  const ParsedRequest low = parse_request(with_primaries("1"), 1);
+  ASSERT_TRUE(low.ok()) << low.error;
+  EXPECT_EQ(low.request->min_primaries, 1);
+  const ParsedRequest high = parse_request(with_primaries("1000000"), 1);
+  ASSERT_TRUE(high.ok()) << high.error;
+  EXPECT_EQ(high.request->min_primaries, campaign::kMaxPrimaries);
+}
+
 TEST(Protocol, JsonDoubleRoundTripsExactly) {
   for (const double value :
        {0.0, 1.0, 0.1, 1.0 / 3.0, 0.9999999999999999, 1e-300, 12345.6789}) {
@@ -567,6 +607,30 @@ TEST(Server, ErrorLinesStayInStreamAndDaemonKeepsServing) {
   EXPECT_NE(seen[2].find("\"error\""), std::string::npos) << seen[2];
   EXPECT_NE(seen[2].find("cell count"), std::string::npos) << seen[2];
   EXPECT_EQ(seen[3].rfind("{\"id\": 5, \"yield\"", 0), 0u) << seen[3];
+}
+
+TEST(Server, RejectedPrimariesLeaveNoSessionBehind) {
+  // A design that fails to build must not leave an empty session slot:
+  // session_stats() reads every slot.
+  ServerOptions options;
+  options.threads = 1;
+  Server server(options);
+  const std::string out = serve_batch(
+      server,
+      "{\"design\": \"dtmb2_6\", \"primaries\": 0, "
+      "\"injector\": \"bernoulli\", \"param\": 0.9, \"runs\": 10}\n"
+      "{\"design\": \"dtmb2_6\", \"primaries\": 30, "
+      "\"injector\": \"bernoulli\", \"param\": 0.9, \"runs\": 10}\n");
+  std::istringstream lines(out);
+  std::string line;
+  std::vector<std::string> seen;
+  while (std::getline(lines, line)) seen.push_back(line);
+  ASSERT_EQ(seen.size(), 2u) << out;
+  EXPECT_EQ(seen[0].rfind("{\"id\": 1, \"error\"", 0), 0u) << seen[0];
+  EXPECT_EQ(seen[1].rfind("{\"id\": 2, \"yield\"", 0), 0u) << seen[1];
+  const sim::Session::Stats stats = server.session_stats();
+  EXPECT_EQ(stats.queries, 1u);
+  EXPECT_EQ(stats.computed, 1u);
 }
 
 TEST(Server, OverlongRequestLineGetsAnErrorAndTheNextLineIsServed) {
@@ -735,7 +799,7 @@ design = dtmb2_6
 primaries = 30
 injector = bernoulli
 p = 0.90, 0.93, 0.95, 0.97
-engine = hopcroft_karp, kuhn
+pool = spares_only, spares_and_unused_primaries
 )";
 
 std::string run_campaign_csv(std::int32_t threads,

@@ -49,12 +49,13 @@ std::shared_ptr<const ChipDesign> shared_design() {
 std::vector<YieldQuery> overlapping_queries() {
   std::vector<YieldQuery> queries;
   for (const double p : {0.88, 0.92, 0.95, 0.99}) {
-    for (const auto engine :
-         {graph::MatchingEngine::kHopcroftKarp, graph::MatchingEngine::kAuto}) {
+    for (const auto pool :
+         {reconfig::ReplacementPool::kSparesOnly,
+          reconfig::ReplacementPool::kSparesAndUnusedPrimaries}) {
       YieldQuery query;
       query.fault = FaultModel::bernoulli(p);
       query.runs = 400;
-      query.engine = engine;
+      query.pool = pool;
       query.threads = 1;
       queries.push_back(query);
     }

@@ -2,9 +2,10 @@
 //
 // Session's determinism contract says an estimate depends only on
 // (design, query), never on the worker count. Fig9-smoke-style queries
-// under engine = auto must come back bit-identical at threads 1 and 4, and
-// bit-identical to the explicit Hopcroft-Karp answers — the engine axis
-// must never move an estimate.
+// asked with the `auto` engine token (the one the serve benchmark sends)
+// must come back bit-identical at threads 1 and 4, and bit-identical to
+// the `hopcroft_karp` answers — both tokens name the one matching
+// algorithm.
 //
 // Each thread count gets its own Session over the shared design: the result
 // cache deliberately ignores `threads` (it never affects the estimate — the
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "biochip/dtmb.hpp"
+#include "campaign/spec.hpp"
 #include "sim/session.hpp"
 
 namespace dmfb::sim {
@@ -35,7 +37,7 @@ TEST(SessionThreadInvariance, AutoEngineBitIdenticalAcrossThreadCounts) {
       YieldQuery query;
       query.fault = FaultModel::bernoulli(p);
       query.runs = 200;
-      query.engine = graph::MatchingEngine::kAuto;
+      query.engine = *campaign::parse_engine("auto");
 
       query.threads = 1;
       const YieldEstimate serial = serial_session.run(query);
@@ -46,10 +48,10 @@ TEST(SessionThreadInvariance, AutoEngineBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(serial.runs, threaded.runs);
       EXPECT_EQ(serial.value, threaded.value);
 
-      // The engine axis is run-time only: auto == explicit Hopcroft-Karp.
-      query.engine = graph::MatchingEngine::kHopcroftKarp;
+      // auto == explicit Hopcroft-Karp, recomputed by a fresh session.
+      query.engine = *campaign::parse_engine("hopcroft_karp");
       query.threads = 1;
-      const YieldEstimate reference = serial_session.run(query);
+      const YieldEstimate reference = Session(design).run(query);
       EXPECT_EQ(serial.successes, reference.successes)
           << "kind=" << static_cast<int>(kind) << " p=" << p;
     }
@@ -65,7 +67,7 @@ TEST(SessionThreadInvariance, AdaptiveAutoEngineStopsIdentically) {
   query.fault = FaultModel::bernoulli(0.95);
   query.runs = 8192;
   query.target_ci_half_width = 0.02;
-  query.engine = graph::MatchingEngine::kAuto;
+  query.engine = *campaign::parse_engine("auto");
 
   query.threads = 1;
   const YieldEstimate serial = Session(design).run(query);

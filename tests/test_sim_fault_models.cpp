@@ -3,7 +3,7 @@
 // The load-bearing pin: sim::FaultModel::{kParametric, kMixture} must
 // reproduce the serial HexArray reference loop (tests/hexarray_reference.hpp:
 // the record path of sim::inject, LocalReconfigurer::feasible per run)
-// success-for-success, for every (policy x engine x pool) combination, at
+// success-for-success, for every (policy x pool) combination, at
 // threads 1 and 4 — the same contract the original suite pins for the
 // bernoulli / fixed-count / clustered kinds. Plus the mixture semantics:
 // standalone draw replay, first-faulter-wins attribution, composition
@@ -33,7 +33,6 @@ namespace dmfb::sim {
 namespace {
 
 using biochip::DtmbKind;
-using graph::MatchingEngine;
 using reconfig::CoveragePolicy;
 using reconfig::ReplacementPool;
 
@@ -77,35 +76,29 @@ TEST(SimFaultModelEquivalence, ParametricAndMixtureMatchLegacyEverywhere) {
     for (const CoveragePolicy policy :
          {CoveragePolicy::kAllFaultyPrimaries,
           CoveragePolicy::kUsedFaultyPrimaries}) {
-      for (const MatchingEngine engine :
-           {MatchingEngine::kHopcroftKarp, MatchingEngine::kKuhn,
-            MatchingEngine::kDinic}) {
-        for (const ReplacementPool pool :
-             {ReplacementPool::kSparesOnly,
-              ReplacementPool::kSparesAndUnusedPrimaries}) {
-          for (const std::int32_t threads : {1, 4}) {
-            YieldQuery query;
-            query.fault = model;
-            query.runs = 300;
-            query.seed = 0xFACADE;
-            query.threads = threads;
-            query.policy = policy;
-            query.engine = engine;
-            query.pool = pool;
-            const auto legacy = hexarray_reference(array, query);
-            Session& session =
-                threads == 1 ? serial_session : parallel_session;
-            const auto ported = session.run(query);
-            EXPECT_EQ(ported.successes, legacy.successes)
-                << "model=" << static_cast<int>(model.kind)
-                << " policy=" << static_cast<int>(policy)
-                << " engine=" << static_cast<int>(engine)
-                << " pool=" << static_cast<int>(pool)
-                << " threads=" << threads;
-            EXPECT_DOUBLE_EQ(ported.value, legacy.value);
-            EXPECT_DOUBLE_EQ(ported.ci95.lo, legacy.ci95.lo);
-            EXPECT_DOUBLE_EQ(ported.ci95.hi, legacy.ci95.hi);
-          }
+      for (const ReplacementPool pool :
+           {ReplacementPool::kSparesOnly,
+            ReplacementPool::kSparesAndUnusedPrimaries}) {
+        for (const std::int32_t threads : {1, 4}) {
+          YieldQuery query;
+          query.fault = model;
+          query.runs = 300;
+          query.seed = 0xFACADE;
+          query.threads = threads;
+          query.policy = policy;
+          query.pool = pool;
+          const auto legacy = hexarray_reference(array, query);
+          Session& session =
+              threads == 1 ? serial_session : parallel_session;
+          const auto ported = session.run(query);
+          EXPECT_EQ(ported.successes, legacy.successes)
+              << "model=" << static_cast<int>(model.kind)
+              << " policy=" << static_cast<int>(policy)
+              << " pool=" << static_cast<int>(pool)
+              << " threads=" << threads;
+          EXPECT_DOUBLE_EQ(ported.value, legacy.value);
+          EXPECT_DOUBLE_EQ(ported.ci95.lo, legacy.ci95.lo);
+          EXPECT_DOUBLE_EQ(ported.ci95.hi, legacy.ci95.hi);
         }
       }
     }

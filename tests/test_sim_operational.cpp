@@ -3,7 +3,7 @@
 // Session's Workload::kAssay query path.
 //
 // The load-bearing suite is the thread-invariance pin: for every
-// (policy x engine x pool) combination the operational estimate — both
+// (policy x pool) combination the operational estimate — both
 // yield legs, the run-order-folded mean slowdown and the worst slowdown —
 // must be bit-identical at threads 1 and 4. A second pin ties the
 // structural leg of an operational query to the same query asked with
@@ -13,9 +13,9 @@
 // four decimals, so the OperationalRunContract pin below digests every
 // run's verdicts and the exact bits of its completion time. The kernel's
 // two reused steps have their own oracles: its plan equals
-// reconfig::LocalReconfigurer's on an equally faulted HexArray for every
-// engine, and its memoised schedule equals a fresh assay::ListScheduler
-// schedule for every pool.
+// reconfig::LocalReconfigurer's on an equally faulted HexArray, and its
+// memoised schedule equals a fresh assay::ListScheduler schedule for every
+// pool.
 #include <bit>
 #include <fstream>
 #include <iomanip>
@@ -40,7 +40,6 @@ namespace {
 
 using reconfig::CoveragePolicy;
 using reconfig::ReplacementPool;
-using graph::MatchingEngine;
 
 /// The shared Section-7 workload: building it once keeps the suite fast
 /// (chip construction + baseline routing run once, not per test).
@@ -102,7 +101,6 @@ TEST(OperationalState, HealthyChipCompletesAtBaseline) {
   OperationalState state(multiplexed_workload());
   const OperationalRun run =
       state.evaluate(CoveragePolicy::kUsedFaultyPrimaries,
-                     MatchingEngine::kHopcroftKarp,
                      ReplacementPool::kSparesOnly);
   EXPECT_TRUE(run.structural);
   EXPECT_TRUE(run.operational);
@@ -133,7 +131,6 @@ TEST(OperationalState, LostMixerDegradesGracefully) {
   }
   const OperationalRun run =
       state.evaluate(CoveragePolicy::kUsedFaultyPrimaries,
-                     MatchingEngine::kHopcroftKarp,
                      ReplacementPool::kSparesOnly);
   EXPECT_FALSE(run.structural);
   EXPECT_TRUE(run.operational);  // 3 mixers still serve the 4 chains
@@ -143,7 +140,6 @@ TEST(OperationalState, LostMixerDegradesGracefully) {
   state.reset();
   const OperationalRun healthy =
       state.evaluate(CoveragePolicy::kUsedFaultyPrimaries,
-                     MatchingEngine::kHopcroftKarp,
                      ReplacementPool::kSparesOnly);
   EXPECT_DOUBLE_EQ(healthy.slowdown, 1.0);
 }
@@ -164,7 +160,6 @@ TEST(OperationalState, AssayFailsWhenAWholeResourceClassDies) {
   }
   const OperationalRun run =
       state.evaluate(CoveragePolicy::kUsedFaultyPrimaries,
-                     MatchingEngine::kHopcroftKarp,
                      ReplacementPool::kSparesOnly);
   EXPECT_FALSE(run.structural);
   EXPECT_FALSE(run.operational);
@@ -199,33 +194,26 @@ TEST(OperationalState, PlanEqualsLocalReconfigurerOnAnEquallyFaultedArray) {
         for (const ReplacementPool pool :
              {ReplacementPool::kSparesOnly,
               ReplacementPool::kSparesAndUnusedPrimaries}) {
-          for (const MatchingEngine engine :
-               {MatchingEngine::kHopcroftKarp, MatchingEngine::kKuhn,
-                MatchingEngine::kDinic, MatchingEngine::kPushRelabel,
-                MatchingEngine::kAuto}) {
-            const reconfig::ReconfigPlan expected =
-                reconfig::LocalReconfigurer(policy, engine, pool).plan(array);
-            const reconfig::ReconfigPlan& plan =
-                state.plan(policy, engine, pool);
-            const std::string where =
-                "model " + std::to_string(m) + " run " + std::to_string(run) +
-                " policy " + to_string(policy) + " pool " + to_string(pool) +
-                " engine " + graph::to_string(engine);
-            EXPECT_EQ(plan.success, expected.success) << where;
-            EXPECT_EQ(plan.unrepairable, expected.unrepairable) << where;
-            ASSERT_EQ(plan.replacements.size(), expected.replacements.size())
-                << where;
-            for (std::size_t i = 0; i < plan.replacements.size(); ++i) {
-              EXPECT_EQ(plan.replacements[i].faulty,
-                        expected.replacements[i].faulty)
-                  << where << " pair " << i;
-              EXPECT_EQ(plan.replacements[i].spare,
-                        expected.replacements[i].spare)
-                  << where << " pair " << i;
-            }
-            if (!expected.success) ++failed;
-            replaced += expected.replacements.size();
+          const reconfig::ReconfigPlan expected =
+              reconfig::LocalReconfigurer(policy, pool).plan(array);
+          const reconfig::ReconfigPlan& plan = state.plan(policy, pool);
+          const std::string where =
+              "model " + std::to_string(m) + " run " + std::to_string(run) +
+              " policy " + to_string(policy) + " pool " + to_string(pool);
+          EXPECT_EQ(plan.success, expected.success) << where;
+          EXPECT_EQ(plan.unrepairable, expected.unrepairable) << where;
+          ASSERT_EQ(plan.replacements.size(), expected.replacements.size())
+              << where;
+          for (std::size_t i = 0; i < plan.replacements.size(); ++i) {
+            EXPECT_EQ(plan.replacements[i].faulty,
+                      expected.replacements[i].faulty)
+                << where << " pair " << i;
+            EXPECT_EQ(plan.replacements[i].spare,
+                      expected.replacements[i].spare)
+                << where << " pair " << i;
           }
+          if (!expected.success) ++failed;
+          replaced += expected.replacements.size();
         }
       }
       state.reset();
@@ -314,7 +302,6 @@ TEST(OperationalState, EvaluateFillsTheMemoOncePerSurvivingPool) {
   for (int repeat = 0; repeat < 3; ++repeat) {
     const OperationalRun run =
         state.evaluate(CoveragePolicy::kUsedFaultyPrimaries,
-                       MatchingEngine::kHopcroftKarp,
                        ReplacementPool::kSparesOnly);
     EXPECT_TRUE(run.operational);
     EXPECT_EQ(state.memoised_schedules(), 1u);
@@ -334,33 +321,27 @@ TEST(SimOperational, BitIdenticalAcrossThreadsForEveryEngineCombination) {
     for (const CoveragePolicy policy :
          {CoveragePolicy::kAllFaultyPrimaries,
           CoveragePolicy::kUsedFaultyPrimaries}) {
-      for (const MatchingEngine engine :
-           {MatchingEngine::kHopcroftKarp, MatchingEngine::kKuhn,
-            MatchingEngine::kDinic}) {
-        for (const ReplacementPool pool :
-             {ReplacementPool::kSparesOnly,
-              ReplacementPool::kSparesAndUnusedPrimaries}) {
-          YieldQuery query = operational_query(model, 192, 1);
-          query.policy = policy;
-          query.engine = engine;
-          query.pool = pool;
-          const OperationalEstimate serial =
-              serial_session.run_operational(query);
-          query.threads = 4;
-          const OperationalEstimate parallel =
-              parallel_session.run_operational(query);
-          EXPECT_EQ(parallel.structural.successes,
-                    serial.structural.successes)
-              << "policy=" << static_cast<int>(policy)
-              << " engine=" << static_cast<int>(engine)
-              << " pool=" << static_cast<int>(pool);
-          EXPECT_EQ(parallel.operational.successes,
-                    serial.operational.successes);
-          // The slowdown fold is floating-point: bit-identity here proves
-          // the run-order fold really is thread-count independent.
-          EXPECT_DOUBLE_EQ(parallel.mean_slowdown, serial.mean_slowdown);
-          EXPECT_DOUBLE_EQ(parallel.worst_slowdown, serial.worst_slowdown);
-        }
+      for (const ReplacementPool pool :
+           {ReplacementPool::kSparesOnly,
+            ReplacementPool::kSparesAndUnusedPrimaries}) {
+        YieldQuery query = operational_query(model, 192, 1);
+        query.policy = policy;
+        query.pool = pool;
+        const OperationalEstimate serial =
+            serial_session.run_operational(query);
+        query.threads = 4;
+        const OperationalEstimate parallel =
+            parallel_session.run_operational(query);
+        EXPECT_EQ(parallel.structural.successes,
+                  serial.structural.successes)
+            << "policy=" << static_cast<int>(policy)
+            << " pool=" << static_cast<int>(pool);
+        EXPECT_EQ(parallel.operational.successes,
+                  serial.operational.successes);
+        // The slowdown fold is floating-point: bit-identity here proves
+        // the run-order fold really is thread-count independent.
+        EXPECT_DOUBLE_EQ(parallel.mean_slowdown, serial.mean_slowdown);
+        EXPECT_DOUBLE_EQ(parallel.worst_slowdown, serial.worst_slowdown);
       }
     }
   }
@@ -463,7 +444,7 @@ std::uint64_t operational_run_digest(const FaultModel& model,
     Rng rng = run_stream(2005, run);
     inject(model, state.faults(), rng);
     const OperationalRun result =
-        state.evaluate(policy, MatchingEngine::kHopcroftKarp, pool);
+        state.evaluate(policy, pool);
     state.reset();
     fnv_fold(digest, result.structural ? 1 : 0);
     fnv_fold(digest, result.operational ? 1 : 0);

@@ -4,7 +4,7 @@
 // The load-bearing suite is the bit-identity pin: sim::Session must
 // reproduce the serial HexArray reference loop (tests/hexarray_reference.hpp:
 // sim::inject on a HexArray, LocalReconfigurer::feasible per run)
-// success-for-success, for every (policy x engine x pool) combination, at
+// success-for-success, for every (policy x pool) combination, at
 // threads 1 and 4. That is what lets compound_yield, CampaignRunner and the
 // core facade ride on the session without moving a single golden number.
 #include <cmath>
@@ -25,7 +25,6 @@ namespace {
 using biochip::DtmbKind;
 using reconfig::CoveragePolicy;
 using reconfig::ReplacementPool;
-using graph::MatchingEngine;
 
 biochip::HexArray make_test_array() {
   auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 9, 9);
@@ -56,36 +55,29 @@ TEST(SimEquivalence, BitIdenticalToLegacyForEveryEngineCombination) {
     for (const CoveragePolicy policy :
          {CoveragePolicy::kAllFaultyPrimaries,
           CoveragePolicy::kUsedFaultyPrimaries}) {
-      for (const MatchingEngine engine :
-           {MatchingEngine::kHopcroftKarp, MatchingEngine::kKuhn,
-            MatchingEngine::kDinic, MatchingEngine::kPushRelabel,
-            MatchingEngine::kAuto}) {
-        for (const ReplacementPool pool :
-             {ReplacementPool::kSparesOnly,
-              ReplacementPool::kSparesAndUnusedPrimaries}) {
-          for (const std::int32_t threads : {1, 4}) {
-            YieldQuery query;
-            query.fault = model;
-            query.runs = 300;
-            query.seed = 0xFACADE;
-            query.threads = threads;
-            query.policy = policy;
-            query.engine = engine;
-            query.pool = pool;
-            const auto legacy = hexarray_reference(array, query);
-            Session& session =
-                threads == 1 ? serial_session : parallel_session;
-            const auto ported = session.run(query);
-            EXPECT_EQ(ported.successes, legacy.successes)
-                << "model=" << static_cast<int>(model.kind)
-                << " policy=" << static_cast<int>(policy)
-                << " engine=" << static_cast<int>(engine)
-                << " pool=" << static_cast<int>(pool)
-                << " threads=" << threads;
-            EXPECT_DOUBLE_EQ(ported.value, legacy.value);
-            EXPECT_DOUBLE_EQ(ported.ci95.lo, legacy.ci95.lo);
-            EXPECT_DOUBLE_EQ(ported.ci95.hi, legacy.ci95.hi);
-          }
+      for (const ReplacementPool pool :
+           {ReplacementPool::kSparesOnly,
+            ReplacementPool::kSparesAndUnusedPrimaries}) {
+        for (const std::int32_t threads : {1, 4}) {
+          YieldQuery query;
+          query.fault = model;
+          query.runs = 300;
+          query.seed = 0xFACADE;
+          query.threads = threads;
+          query.policy = policy;
+          query.pool = pool;
+          const auto legacy = hexarray_reference(array, query);
+          Session& session =
+              threads == 1 ? serial_session : parallel_session;
+          const auto ported = session.run(query);
+          EXPECT_EQ(ported.successes, legacy.successes)
+              << "model=" << static_cast<int>(model.kind)
+              << " policy=" << static_cast<int>(policy)
+              << " pool=" << static_cast<int>(pool)
+              << " threads=" << threads;
+          EXPECT_DOUBLE_EQ(ported.value, legacy.value);
+          EXPECT_DOUBLE_EQ(ported.ci95.lo, legacy.ci95.lo);
+          EXPECT_DOUBLE_EQ(ported.ci95.hi, legacy.ci95.hi);
         }
       }
     }
@@ -207,9 +199,6 @@ TEST(SimSession, DistinctQueriesGetDistinctKeys) {
   other.seed ^= 1;
   EXPECT_NE(query_key(other), key);
   other = base;
-  other.engine = MatchingEngine::kKuhn;
-  EXPECT_NE(query_key(other), key);
-  other = base;
   other.target_ci_half_width = 0.01;
   EXPECT_NE(query_key(other), key);
   other = base;
@@ -267,8 +256,7 @@ TEST(FaultState, RepairableAgreesWithLocalReconfigurer) {
       for (const ReplacementPool pool :
            {ReplacementPool::kSparesOnly,
             ReplacementPool::kSparesAndUnusedPrimaries}) {
-        const reconfig::LocalReconfigurer reconfigurer(
-            policy, MatchingEngine::kHopcroftKarp, pool);
+        const reconfig::LocalReconfigurer reconfigurer(policy, pool);
         EXPECT_EQ(state.repairable(policy, pool),
                   reconfigurer.feasible(array))
             << "trial=" << trial;
