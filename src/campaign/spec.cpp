@@ -15,7 +15,6 @@ namespace {
 
 using common::parse_uint64;
 
-constexpr std::int32_t kMaxRuns = 100'000'000;
 constexpr std::int32_t kMaxThreads = 4096;
 // sigma_scale multiplies the typical() process sigmas; 0 would degenerate
 // the Gaussians and huge values only saturate the fault probability at 1.

@@ -111,6 +111,10 @@ std::optional<RngVersion> parse_rng_version(std::string_view token) noexcept;
 /// smallest is 1.
 inline constexpr std::int32_t kMaxPrimaries = 1'000'000;
 
+/// Largest `runs` value a spec (or a serve request) may ask for; the
+/// smallest is 1.
+inline constexpr std::int32_t kMaxRuns = 100'000'000;
+
 /// Clustered-injector knobs shared by every clustered grid point.
 struct ClusterParams {
   std::int32_t radius = 1;

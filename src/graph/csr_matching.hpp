@@ -6,9 +6,9 @@
 // clear() rewinds without releasing capacity. CsrMatcher owns Hopcroft-
 // Karp's work buffers (match arrays, BFS layers, BFS queue) and likewise
 // reuses them across calls, so one (graph, matcher) pair serves any number
-// of instances with zero steady-state allocation; the reconfiguration
-// planners (reconfig::LocalReconfigurer, sim::OperationalState::plan) run
-// on it.
+// of instances with zero steady-state allocation; reconfig::RepairGraph,
+// the one repair-graph builder behind every reconfiguration plan, runs on
+// it.
 //
 // The matcher's size is checked against brute force and its matching
 // against a Koenig certificate by the matching fuzz suite.
@@ -48,13 +48,6 @@ class CsrBipartiteGraph {
   std::int32_t right_count() const noexcept { return right_count_; }
   std::int32_t edge_count() const noexcept {
     return static_cast<std::int32_t>(flat_.size());
-  }
-
-  /// Degree of the most recently opened row (0 when no row is open).
-  std::int32_t open_row_degree() const noexcept {
-    return row_start_.empty()
-               ? 0
-               : static_cast<std::int32_t>(flat_.size()) - row_start_.back();
   }
 
   std::span<const std::int32_t> neighbors_of_left(std::int32_t left) const {

@@ -232,7 +232,10 @@ ParsedRequest parse_request(std::string_view line,
           return bad_value();
         }
       } else if (*key == "runs") {
-        if (!take_i32(request.runs) || request.runs <= 0) return bad_value();
+        if (!take_i32(request.runs) || request.runs < 1 ||
+            request.runs > campaign::kMaxRuns) {
+          return bad_value();
+        }
       } else if (*key == "radius") {
         if (!take_i32(request.cluster.radius)) return bad_value();
       } else if (*key == "param") {

@@ -12,7 +12,8 @@
 //
 // Only design, injector and param are required; everything else defaults
 // exactly like a campaign spec. `engine` accepts "hopcroft_karp" or "auto",
-// both Hopcroft-Karp, and `primaries` lies in [1, campaign::kMaxPrimaries].
+// both Hopcroft-Karp, `primaries` lies in [1, campaign::kMaxPrimaries] and
+// `runs` in [1, campaign::kMaxRuns].
 // `id` (number or string) is echoed back verbatim; when absent, the 1-based
 // line number stands in. The parser is strict and flat: unknown keys,
 // nested values, or malformed JSON reject the line with an error response
@@ -52,7 +53,7 @@ struct ServeRequest {
   campaign::ClusterParams cluster;  ///< radius/core_kill/edge_kill keys
   campaign::WorkloadKind workload = campaign::WorkloadKind::kStructural;
   RngVersion rng_version = RngVersion::kV1;
-  std::int32_t runs = 10000;
+  std::int32_t runs = 10000;  ///< In [1, campaign::kMaxRuns].
   std::uint64_t seed = sim::kDefaultSeed;
   double target_ci_half_width = 0.0;
   reconfig::CoveragePolicy policy =

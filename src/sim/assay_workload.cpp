@@ -253,8 +253,7 @@ OperationalState::OperationalState(
     std::shared_ptr<const AssayWorkload> workload)
     : workload_(require_workload(std::move(workload))),
       faults_(workload_->design_ptr()),
-      right_of_cell_(
-          static_cast<std::size_t>(workload_->design().cell_count()), -1),
+      repair_(workload_->design().cell_count()),
       schedules_(static_cast<std::size_t>(
           (workload_->full_pool_.dispense_ports + 1) *
           (workload_->full_pool_.mixers + 1) *
@@ -267,8 +266,8 @@ const reconfig::ReconfigPlan& OperationalState::plan(
     reconfig::CoveragePolicy policy, reconfig::ReplacementPool pool) {
   const ChipDesign::Skeleton& skeleton =
       workload_->design().skeleton(policy, pool);
-  // Faulty covered primaries in ascending cell order — cells_to_cover's
-  // order, since the design's primaries are numbered ascending.
+  // Faulty covered primaries in ascending cell order, as LocalReconfigurer
+  // covers them.
   cover_.clear();
   const std::span<const std::uint64_t> words = faults_.fault_words();
   for (std::size_t w = 0; w < words.size(); ++w) {
@@ -278,44 +277,15 @@ const reconfig::ReconfigPlan& OperationalState::plan(
           (w << 6) + static_cast<std::size_t>(std::countr_zero(bits))));
     }
   }
-  plan_.replacements.clear();
-  plan_.unrepairable.clear();
-  if (cover_.empty()) {
-    plan_.success = true;
-    return plan_;
-  }
-  // Each row keeps its healthy skeleton candidates in skeleton order, and
-  // replacement cells are numbered as first discovered.
-  graph_.clear();
-  right_cells_.clear();
-  for (const CellIndex faulty : cover_) {
-    graph_.open_row();
-    const auto row = static_cast<std::size_t>(
-        skeleton.cover_row_of_cell[static_cast<std::size_t>(faulty)]);
-    for (const CellIndex candidate : skeleton.candidates_of(row)) {
-      if (faults_.is_faulty(candidate)) continue;
-      std::int32_t& b = right_of_cell_[static_cast<std::size_t>(candidate)];
-      if (b < 0) {
-        b = static_cast<std::int32_t>(right_cells_.size());
-        right_cells_.push_back(candidate);
-      }
-      graph_.add_edge(b);
-    }
-  }
-  for (const CellIndex cell : right_cells_) {
-    right_of_cell_[static_cast<std::size_t>(cell)] = -1;
-  }
-  plan_.success = matcher_.covers_all_left(graph_);
-  const std::span<const std::int32_t> match_of_left = matcher_.match_of_left();
-  for (std::size_t a = 0; a < cover_.size(); ++a) {
-    const std::int32_t b = match_of_left[a];
-    if (b == graph::kUnmatched) {
-      plan_.unrepairable.push_back(cover_[a]);
-    } else {
-      plan_.replacements.push_back(
-          {cover_[a], right_cells_[static_cast<std::size_t>(b)]});
-    }
-  }
+  repair_.match(
+      cover_,
+      [&skeleton](CellIndex faulty, auto&& fn) {
+        for (const CellIndex candidate : skeleton.candidates_of(faulty)) {
+          fn(candidate);
+        }
+      },
+      [this](CellIndex cell) { return faults_.is_faulty(cell); });
+  repair_.write_plan(cover_, plan_);
   return plan_;
 }
 

@@ -43,7 +43,6 @@
 #include "assay/list_scheduler.hpp"
 #include "assay/sequencing_graph.hpp"
 #include "fluidics/router.hpp"
-#include "graph/csr_matching.hpp"
 #include "reconfig/local_reconfig.hpp"
 #include "sim/chip_design.hpp"
 #include "sim/fault_state.hpp"
@@ -135,7 +134,7 @@ struct OperationalRun {
 };
 
 /// Per-thread operational scratch: a FaultState for the injectors, the
-/// plan step's reusable bipartite graph and matcher, a lazily filled memo
+/// plan step's reusable reconfig::RepairGraph, a lazily filled memo
 /// of schedules by surviving resource pool, and the assay evaluation's
 /// buffers (cell -> replacement table, usable-cell bitmap, BFS scratch).
 /// Not thread-safe; use one per worker (mirrors FaultState's contract).
@@ -163,13 +162,11 @@ class OperationalState {
   }
 
   /// The plan step of evaluate(): the spare assignment for the current
-  /// fault set, equal (success, replacements in order, unrepairable) to
-  /// reconfig::LocalReconfigurer(policy, pool).plan() on an equally
-  /// faulted HexArray. The graph is the design skeleton's (policy, pool)
-  /// rows of the faulty covered primaries in cell order, each filtered to
-  /// its healthy candidates, with replacement cells numbered in
-  /// first-discovery order — the graph LocalReconfigurer builds — and the
-  /// same Hopcroft-Karp matches it. The reference stays valid until the
+  /// fault set. reconfig::RepairGraph matches the design skeleton's
+  /// (policy, pool) rows of the faulty covered primaries in cell order,
+  /// filtered by fault bit, so the plan equals (success, replacements in
+  /// order, unrepairable) reconfig::LocalReconfigurer(policy, pool).plan()
+  /// on an equally faulted HexArray. The reference stays valid until the
   /// next plan() or evaluate() call.
   const reconfig::ReconfigPlan& plan(reconfig::CoveragePolicy policy,
                                      reconfig::ReplacementPool pool);
@@ -202,14 +199,9 @@ class OperationalState {
   FaultState faults_;
 
   // plan() scratch, reused across runs: the faulty covered primaries (cell
-  // order), BG(A, B, E) over them, its matcher, the replacement-cell
-  // numbering (right_of_cell_ is -1 except during a plan() call) and the
-  // plan itself.
+  // order), the repair graph and matcher over them, and the plan itself.
   std::vector<CellIndex> cover_;
-  graph::CsrBipartiteGraph graph_;
-  graph::CsrMatcher matcher_;
-  std::vector<std::int32_t> right_of_cell_;
-  std::vector<CellIndex> right_cells_;
+  reconfig::RepairGraph repair_;
   reconfig::ReconfigPlan plan_;
 
   // schedule() memo, one slot per pool <= full_pool(), filled on first use.

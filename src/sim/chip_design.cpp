@@ -4,31 +4,9 @@
 
 namespace dmfb::sim {
 
-namespace {
-
-using biochip::CellRole;
 using biochip::CellUsage;
 using reconfig::CoveragePolicy;
 using reconfig::ReplacementPool;
-
-/// Design-time (health-independent) half of reconfig's candidate predicate:
-/// spares always qualify; primaries qualify only in the spares-and-unused
-/// pool and only while unused. The per-run health filter stays with
-/// FaultState.
-void append_candidates(const biochip::HexArray& array, CellIndex primary,
-                       ReplacementPool pool,
-                       std::vector<CellIndex>& flat) {
-  for (const CellIndex spare : array.spare_neighbors_of(primary)) {
-    flat.push_back(spare);
-  }
-  if (pool == ReplacementPool::kSparesAndUnusedPrimaries) {
-    for (const CellIndex neighbor : array.primary_neighbors_of(primary)) {
-      if (array.usage(neighbor) == CellUsage::kUnused) flat.push_back(neighbor);
-    }
-  }
-}
-
-}  // namespace
 
 ChipDesign::ChipDesign(biochip::HexArray array) : array_(std::move(array)) {
   for (const CoveragePolicy policy :
@@ -52,7 +30,10 @@ ChipDesign::ChipDesign(biochip::HexArray array) : array_(std::move(array)) {
         skeleton.cover_words[static_cast<std::size_t>(primary) >> 6] |=
             std::uint64_t{1} << (primary & 63);
         skeleton.cover.push_back(primary);
-        append_candidates(array_, primary, pool, skeleton.candidate_flat);
+        reconfig::for_each_candidate(
+            array_, primary, pool, [&skeleton](CellIndex candidate) {
+              skeleton.candidate_flat.push_back(candidate);
+            });
         skeleton.candidate_offset.push_back(
             static_cast<std::int32_t>(skeleton.candidate_flat.size()));
       }

@@ -64,10 +64,10 @@ class ChipDesign {
     /// Primaries the policy may require covering, in cell-index order
     /// (all primaries, or the assay-used ones).
     std::vector<CellIndex> cover;
-    /// CSR rows parallel to `cover`: the replacement candidates adjacent to
-    /// each coverable primary, in the legacy candidate order (spares first,
-    /// then unused primaries for the spares-and-unused pool). Candidates are
-    /// filtered per run by fault bit only.
+    /// CSR rows parallel to `cover`: each coverable primary's replacement
+    /// candidates as reconfig::for_each_candidate lists them (the one
+    /// candidate rule and order). Candidates are filtered per run by fault
+    /// bit only.
     std::vector<CellIndex> candidate_flat;
     std::vector<std::int32_t> candidate_offset;  // cover.size() + 1 entries
     /// Inverse of `cover`: cell -> its cover row, -1 for uncovered cells
@@ -78,10 +78,13 @@ class ChipDesign {
     /// cover, one word-parallel AND per 64 cells.
     std::vector<std::uint64_t> cover_words;
 
-    std::span<const CellIndex> candidates_of(std::size_t cover_index) const {
-      return {candidate_flat.data() + candidate_offset[cover_index],
-              static_cast<std::size_t>(candidate_offset[cover_index + 1] -
-                                       candidate_offset[cover_index])};
+    /// The candidate row of `primary`, which must be in `cover`.
+    std::span<const CellIndex> candidates_of(CellIndex primary) const {
+      const auto row = static_cast<std::size_t>(
+          cover_row_of_cell[static_cast<std::size_t>(primary)]);
+      return {candidate_flat.data() + candidate_offset[row],
+              static_cast<std::size_t>(candidate_offset[row + 1] -
+                                       candidate_offset[row])};
     }
   };
 

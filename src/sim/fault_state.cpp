@@ -46,10 +46,7 @@ std::int32_t FaultState::next_epoch() noexcept {
 
 bool FaultState::augment(const ChipDesign::Skeleton& skeleton,
                          CellIndex primary) {
-  const std::int32_t row =
-      skeleton.cover_row_of_cell[static_cast<std::size_t>(primary)];
-  for (const CellIndex candidate :
-       skeleton.candidates_of(static_cast<std::size_t>(row))) {
+  for (const CellIndex candidate : skeleton.candidates_of(primary)) {
     if (is_faulty(candidate)) continue;
     auto& stamp = right_stamp_[static_cast<std::size_t>(candidate)];
     if (stamp == epoch_) continue;
@@ -76,10 +73,8 @@ bool FaultState::repairable(reconfig::CoveragePolicy policy,
           (w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
       bits &= bits - 1;
       // First fit: the primary's first healthy candidate nobody claimed.
-      const auto row = static_cast<std::size_t>(
-          skeleton.cover_row_of_cell[static_cast<std::size_t>(cell)]);
       bool placed = false;
-      for (const CellIndex candidate : skeleton.candidates_of(row)) {
+      for (const CellIndex candidate : skeleton.candidates_of(cell)) {
         if (!claimed(candidate) && !is_faulty(candidate)) {
           claim(cell, candidate);
           placed = true;
@@ -91,11 +86,31 @@ bool FaultState::repairable(reconfig::CoveragePolicy policy,
       // Without one no maximum matching saturates it.
       if (!placed) {
         next_epoch();
-        if (!augment(skeleton, cell)) return false;
+        if (!augment(skeleton, cell)) {
+          stuck_ = {cell, claim_epoch_};
+          return false;
+        }
       }
     }
   }
   return true;
+}
+
+RepairWitness FaultState::witness() const {
+  RepairWitness witness;
+  const bool failed = stuck_.claim_epoch == claim_epoch_;
+  if (failed) witness.hall_set.push_back(stuck_.primary);
+  for (CellIndex cell = 0; cell < design_->cell_count(); ++cell) {
+    if (!claimed(cell)) continue;
+    const CellIndex owner = claim_owner_[static_cast<std::size_t>(cell)];
+    if (!failed) {
+      witness.claims.push_back({owner, cell});
+    } else if (right_stamp_[static_cast<std::size_t>(cell)] == epoch_) {
+      witness.hall_set.push_back(owner);  // visited by the failed DFS
+    }
+  }
+  std::sort(witness.hall_set.begin(), witness.hall_set.end());
+  return witness;
 }
 
 }  // namespace dmfb::sim

@@ -20,6 +20,9 @@
 // candidates. If that DFS fails, no maximum matching saturates the primary
 // (Kuhn's lemma), so the run is unrepairable; isolated primaries fail at
 // once. The verdict is a pure function of the fault set.
+//
+// witness() certifies each verdict from the call's claim and visit arrays:
+// the claims on success, a Hall set (paper Section 6) on failure.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +35,17 @@
 #include "sim/chip_design.hpp"
 
 namespace dmfb::sim {
+
+/// Certificate of one FaultState::repairable verdict.
+struct RepairWitness {
+  /// On success: each covered faulty primary (`faulty`) with the adjacent
+  /// healthy candidate it claims (`spare`), ascending by candidate.
+  std::vector<reconfig::Replacement> claims;
+  /// On failure: the Hall set S, ascending — the stuck primary plus the
+  /// owners of the candidates its failed augmenting DFS visited, which are
+  /// all of S's healthy candidates, so |N(S)| = |S| - 1.
+  std::vector<CellIndex> hall_set;
+};
 
 class FaultState {
  public:
@@ -88,10 +102,15 @@ class FaultState {
   /// True iff local reconfiguration can repair the current fault state:
   /// first-fit claims over the design's pre-built (policy, pool) skeleton,
   /// extended by an augmenting-path DFS wherever first-fit gets stuck (see
-  /// the header comment). Equivalent to reconfig::LocalReconfigurer::feasible
-  /// on an equally-faulted HexArray.
+  /// the header comment). witness() certifies the answer.
   bool repairable(reconfig::CoveragePolicy policy,
                   reconfig::ReplacementPool pool);
+
+  /// The witness of the last repairable() call: its claims if it returned
+  /// true, its Hall set if it returned false. Built from the call's scratch
+  /// in O(#cells), so it is valid only until the next repairable() call
+  /// (set_faulty() and reset() do not touch it).
+  RepairWitness witness() const;
 
   /// repairable(policy, pool); `engine` is not read. Exists only for
   /// perfbench/layers.cpp and is removed in the next benchmark change.
@@ -137,6 +156,13 @@ class FaultState {
   std::vector<std::int32_t> claim_stamp_;
   std::vector<CellIndex> claim_owner_;
   std::int32_t claim_epoch_ = 0;
+
+  // The primary a failing repairable() call got stuck on, with that call's
+  // claim epoch; the only store the witness adds to the run loop.
+  struct Stuck {
+    CellIndex primary = hex::kInvalidCell;
+    std::int32_t claim_epoch = -1;
+  } stuck_;
 };
 
 }  // namespace dmfb::sim

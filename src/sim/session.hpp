@@ -4,8 +4,7 @@
 // The session owns (a) the shared design snapshot and (b) a thread-safe
 // result cache keyed by the full query, so repeated or concurrent identical
 // queries are computed once and served to every caller — the primitive the
-// campaign runner's point dedupe, the compound-yield per-m sweep and the
-// core facade all build on. Worker threads inside a run use per-thread
+// campaign runner's point dedupe and the core facade build on. Worker threads inside a run use per-thread
 // FaultState scratch (no HexArray clones) over the design's pre-built
 // matching skeletons.
 //

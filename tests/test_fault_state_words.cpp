@@ -4,9 +4,10 @@
 // The bitmap is the foundation the word-parallel repairability scan stands
 // on, so the suite checks it against the dumbest
 // possible reference — a per-cell byte vector — across random insert
-// sequences, and pins the verdict equivalence between the packed scan and
-// the legacy per-cell reconfig::LocalReconfigurer on arrays whose cell
-// counts sit exactly on the 64-bit word boundary (63 / 64 / 65 cells).
+// sequences, and checks every verdict of the packed scan with its witness
+// (tests/repair_witness.hpp) on arrays whose cell counts sit exactly on the
+// 64-bit word boundary (63 / 64 / 65 cells) and on every fault set of
+// 16-cell arrays.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -19,6 +20,7 @@
 #include "biochip/dtmb.hpp"
 #include "common/rng.hpp"
 #include "reconfig/local_reconfig.hpp"
+#include "repair_witness.hpp"
 #include "sim/chip_design.hpp"
 #include "sim/fault_state.hpp"
 
@@ -44,18 +46,6 @@ constexpr std::pair<std::int32_t, std::int32_t> kShapes[] = {
     {13, 5},  // 65 cells: second word holds exactly one live bit
     {12, 11},
 };
-
-/// Marks a quarter of the primaries assay-used so the used-faulty policy
-/// and the spares-and-unused pool are non-trivial.
-biochip::HexArray with_used_quarter(biochip::HexArray array) {
-  std::int32_t marked = 0;
-  for (const auto primary : array.primaries()) {
-    if (marked >= array.primary_count() / 4) break;
-    array.set_usage(primary, biochip::CellUsage::kAssayUsed);
-    ++marked;
-  }
-  return array;
-}
 
 biochip::HexArray make_array(DtmbKind kind, std::int32_t width,
                              std::int32_t height) {
@@ -154,30 +144,26 @@ TEST(FaultStateWords, SkeletonCoverMasksMirrorCoverLists) {
   }
 }
 
-TEST(FaultStateWords, PackedVerdictMatchesLegacyPerCellOnBoundarySizes) {
-  // The packed word scan vs the legacy HexArray reconfigurer, same faults,
-  // every policy x pool, on word-boundary cell counts.
+TEST(FaultStateWords, PackedVerdictIsCertifiedOnBoundarySizes) {
+  // Every verdict of the packed word scan, every policy x pool, on
+  // word-boundary cell counts, checked by its witness.
   Rng rng(0x60D0ULL);
   for (const auto& [width, height] : kShapes) {
     for (const DtmbKind kind : {DtmbKind::kDtmb1_6, DtmbKind::kDtmb2_6}) {
-      auto array = make_array(kind, width, height);
-      const auto design = ChipDesign::make(array);
+      const auto design = ChipDesign::make(make_array(kind, width, height));
+      const WitnessChecker checker(design->array());
       FaultState state(design);
       const std::int32_t n = design->cell_count();
       for (std::int32_t trial = 0; trial < 60; ++trial) {
         const double density = rng.uniform01() * 0.4;
-        array.reset_health();
         state.reset();
         for (std::int32_t cell = 0; cell < n; ++cell) {
-          if (rng.bernoulli(density)) {
-            array.set_health(cell, biochip::CellHealth::kFaulty);
-            state.set_faulty(cell);
-          }
+          if (rng.bernoulli(density)) state.set_faulty(cell);
         }
         for (const auto policy : kPolicies) {
           for (const auto pool : kPools) {
-            const reconfig::LocalReconfigurer legacy(policy, pool);
-            EXPECT_EQ(state.repairable(policy, pool), legacy.feasible(array))
+            EXPECT_TRUE(checker.check(state, policy, pool,
+                                      state.repairable(policy, pool)))
                 << "trial=" << trial;
           }
         }
@@ -189,9 +175,8 @@ TEST(FaultStateWords, PackedVerdictMatchesLegacyPerCellOnBoundarySizes) {
 // Hand-built fault sets on a 6x6 DTMB(2,6) array (36 cells, 27 primaries)
 // for the branches of FaultState::repairable beyond plain first fit. Each
 // set's shape is asserted under (all faulty primaries, spares only), where
-// reconfig::GreedyReconfigurer replays the same first fit; the verdict is
-// then checked against LocalReconfigurer::feasible under every policy x
-// pool.
+// reconfig::GreedyReconfigurer replays the same first fit; every verdict is
+// then checked by its witness under every policy x pool.
 std::int32_t healthy_spares(const biochip::HexArray& array, CellIndex cell) {
   std::int32_t count = 0;
   for (const CellIndex spare : array.spare_neighbors_of(cell)) {
@@ -201,12 +186,15 @@ std::int32_t healthy_spares(const biochip::HexArray& array, CellIndex cell) {
 }
 
 /// Loads `faults` into `array` and returns FaultState::repairable's verdict
-/// under (all faulty, spares only), after checking it against the
-/// reconfigurer under every policy x pool.
+/// under (all faulty, spares only), after checking every policy x pool
+/// verdict by its witness. `witness`, when given, receives the (all faulty,
+/// spares only) witness.
 bool repair_verdict(biochip::HexArray& array,
-                    std::initializer_list<CellIndex> faults) {
+                    std::initializer_list<CellIndex> faults,
+                    RepairWitness* witness = nullptr) {
   array.reset_health();
   const auto design = ChipDesign::make(array);
+  const WitnessChecker checker(design->array());
   FaultState state(design);
   for (const CellIndex cell : faults) {
     array.set_health(cell, biochip::CellHealth::kFaulty);
@@ -214,15 +202,16 @@ bool repair_verdict(biochip::HexArray& array,
   }
   for (const auto policy : kPolicies) {
     for (const auto pool : kPools) {
-      const bool expected =
-          reconfig::LocalReconfigurer(policy, pool).feasible(array);
-      EXPECT_EQ(state.repairable(policy, pool), expected)
+      EXPECT_TRUE(
+          checker.check(state, policy, pool, state.repairable(policy, pool)))
           << "policy=" << static_cast<int>(policy)
           << " pool=" << static_cast<int>(pool);
     }
   }
-  return state.repairable(CoveragePolicy::kAllFaultyPrimaries,
-                          ReplacementPool::kSparesOnly);
+  const bool verdict = state.repairable(CoveragePolicy::kAllFaultyPrimaries,
+                                        ReplacementPool::kSparesOnly);
+  if (witness != nullptr) *witness = state.witness();
+  return verdict;
 }
 
 TEST(FaultStateRepair, StuckFirstFitIsRepairedByAugmentingPaths) {
@@ -297,20 +286,21 @@ TEST(FaultStateRepair, HallViolatorOfSizeTwoIsUnrepairable) {
   // Neither primary is isolated, but together they see one healthy spare.
   EXPECT_GT(healthy_spares(array, 29), 0);
   EXPECT_GT(healthy_spares(array, 34), 0);
-  const reconfig::LocalReconfigurer matcher;
-  const auto violator = reconfig::hall_violator(
-      array, matcher.plan(array), ReplacementPool::kSparesOnly);
-  EXPECT_EQ(violator, (std::vector<CellIndex>{29, 34}));
-  EXPECT_EQ(reconfig::replacement_neighborhood(array, violator,
-                                               ReplacementPool::kSparesOnly)
+  RepairWitness witness;
+  EXPECT_FALSE(repair_verdict(array, {29, 34}, &witness));
+  EXPECT_EQ(witness.hall_set, (std::vector<CellIndex>{29, 34}));
+  const auto is_faulty = [](CellIndex cell) {
+    return cell == 29 || cell == 34;
+  };
+  EXPECT_EQ(WitnessChecker(array)
+                .neighborhood(witness.hall_set, ReplacementPool::kSparesOnly,
+                              is_faulty)
                 .size(),
             1u);
-  EXPECT_FALSE(repair_verdict(array, {29, 34}));
 }
 
-// Every fault set of a 16-cell array against the legacy HexArray
-// reconfigurer, an independent implementation: the packed path (first fit,
-// then augmenting paths) must agree with it. All
+// Every fault set of a 16-cell array, each verdict of the packed path
+// (first fit, then augmenting paths) checked by its witness. All
 // 2^16 sets run for the spares-only pool under both policies; the
 // spares-and-unused pool takes every 7th set, which keeps the suite to a few
 // seconds per array in Debug sanitizer builds. One test per array, so ctest
@@ -318,12 +308,13 @@ TEST(FaultStateRepair, HallViolatorOfSizeTwoIsUnrepairable) {
 class ExhaustiveSixteenCells
     : public ::testing::TestWithParam<std::pair<DtmbKind, std::int32_t>> {};
 
-TEST_P(ExhaustiveSixteenCells, VerdictMatchesLegacyOnEveryFaultSet) {
+TEST_P(ExhaustiveSixteenCells, EveryFaultSetCarriesACheckedWitness) {
   constexpr std::uint32_t kSets = 1u << 16;
   const auto [kind, primaries] = GetParam();
-  auto array = with_used_quarter(
+  const auto array = with_used_quarter(
       biochip::make_dtmb_array_with_primaries(kind, primaries));
   ASSERT_EQ(array.cell_count(), 16);
+  const WitnessChecker checker(array);
   FaultState state(ChipDesign::make(array));
   std::int32_t mismatches = 0;
   for (const auto pool : kPools) {
@@ -332,19 +323,16 @@ TEST_P(ExhaustiveSixteenCells, VerdictMatchesLegacyOnEveryFaultSet) {
     for (std::uint32_t mask = 0; mask < kSets; mask += stride) {
       state.reset();
       for (std::int32_t cell = 0; cell < 16; ++cell) {
-        const bool faulty = ((mask >> cell) & 1) != 0;
-        array.set_health(cell, faulty ? biochip::CellHealth::kFaulty
-                                      : biochip::CellHealth::kHealthy);
-        if (faulty) state.set_faulty(cell);
+        if (((mask >> cell) & 1) != 0) state.set_faulty(cell);
       }
       for (const auto policy : kPolicies) {
-        const bool expected =
-            reconfig::LocalReconfigurer(policy, pool).feasible(array);
-        if (state.repairable(policy, pool) != expected &&
-            ++mismatches <= 8) {
+        const ::testing::AssertionResult checked = checker.check(
+            state, policy, pool, state.repairable(policy, pool));
+        if (!checked && ++mismatches <= 8) {
           ADD_FAILURE() << "mask=" << mask
                         << " policy=" << static_cast<int>(policy)
-                        << " pool=" << static_cast<int>(pool);
+                        << " pool=" << static_cast<int>(pool) << ": "
+                        << checked.message();
         }
       }
     }

@@ -396,13 +396,13 @@ TEST(CsrBipartiteGraph, ClearRewindsWithoutShrinking) {
   g.add_edge(2);
   EXPECT_EQ(g.left_count(), 1);
   EXPECT_EQ(g.right_count(), 5);
-  EXPECT_EQ(g.open_row_degree(), 2);
+  EXPECT_EQ(g.neighbors_of_left(0).size(), 2u);
   g.clear();
   EXPECT_EQ(g.left_count(), 0);
   EXPECT_EQ(g.right_count(), 0);
   EXPECT_EQ(g.edge_count(), 0);
   g.open_row();
-  EXPECT_EQ(g.open_row_degree(), 0);
+  EXPECT_EQ(g.neighbors_of_left(0).size(), 0u);
   g.add_edge(0);
   EXPECT_EQ(g.right_count(), 1);
   EXPECT_EQ(g.neighbors_of_left(0).size(), 1u);

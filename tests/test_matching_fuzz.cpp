@@ -7,13 +7,11 @@
 // matching.
 //
 // The second half fuzzes sim::FaultState::repairable, Kuhn's augmenting
-// paths in cell space. Randomized insert/remove fault sequences must give
-// the same verdict as LocalReconfigurer on an equally faulted HexArray;
+// paths in cell space. On randomized insert/remove fault sequences every
+// verdict's witness must pass the checker of tests/repair_witness.hpp;
 // steps are classified by a replay of first fit, so the suite proves the
 // augmenting paths run. On the contested fault sets (those first fit cannot
-// saturate) the verdict is also checked against CsrMatcher's Hopcroft-Karp
-// on an independently built graph.
-#include <algorithm>
+// saturate) both verdicts must be common.
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -26,6 +24,7 @@
 #include "graph/matching.hpp"
 #include "matching_oracle.hpp"
 #include "reconfig/local_reconfig.hpp"
+#include "repair_witness.hpp"
 #include "sim/chip_design.hpp"
 #include "sim/fault_state.hpp"
 
@@ -83,7 +82,7 @@ std::int32_t deficiency(const Instance& instance,
   return static_cast<std::int32_t>(left_set.size()) - neighborhood;
 }
 
-TEST(MatchingFuzz, EnginesAndCsrAgreeOnRandomInstances) {
+TEST(MatchingFuzz, CsrMatchesBruteForceAndKoenigOnRandomInstances) {
   // Two oracles per instance: (a) the matching is valid and as
   // large as the exhaustive maximum; (b) König's theorem — the Hall set S
   // extracted from it has |S| - |N(S)| == left - |M|, which certifies that
@@ -161,10 +160,8 @@ bool first_fit_saturates(const sim::FaultState& state,
       static_cast<std::size_t>(state.design().cell_count()), 0);
   for (const sim::CellIndex primary : skeleton.cover) {
     if (!state.is_faulty(primary)) continue;
-    const auto row = static_cast<std::size_t>(
-        skeleton.cover_row_of_cell[static_cast<std::size_t>(primary)]);
     bool found = false;
-    for (const sim::CellIndex candidate : skeleton.candidates_of(row)) {
+    for (const sim::CellIndex candidate : skeleton.candidates_of(primary)) {
       auto& mark = claimed[static_cast<std::size_t>(candidate)];
       if (!state.is_faulty(candidate) && mark == 0) {
         mark = 1;
@@ -177,18 +174,13 @@ bool first_fit_saturates(const sim::FaultState& state,
   return true;
 }
 
-TEST(BatchRepairFuzz, AgreesWithLocalReconfigurerOnRandomSequences) {
+TEST(BatchRepairFuzz, WitnessesHoldOnRandomSequences) {
   // 9x9 DTMB(2,6): 81 cells, so the fault bitmap crosses a word boundary.
   // A quarter of the primaries are assay-used to give the used-faulty
   // policy and the spares-and-unused pool real work.
-  auto array = biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 9, 9);
-  std::int32_t marked = 0;
-  for (const auto primary : array.primaries()) {
-    if (marked >= array.primary_count() / 4) break;
-    array.set_usage(primary, biochip::CellUsage::kAssayUsed);
-    ++marked;
-  }
-  const auto design = sim::ChipDesign::make(array);
+  const auto design = sim::ChipDesign::make(sim::with_used_quarter(
+      biochip::make_dtmb_array(biochip::DtmbKind::kDtmb2_6, 9, 9)));
+  const sim::WitnessChecker checker(design->array());
   const auto n = static_cast<std::size_t>(design->cell_count());
   constexpr reconfig::CoveragePolicy kPolicies[] = {
       reconfig::CoveragePolicy::kAllFaultyPrimaries,
@@ -207,7 +199,6 @@ TEST(BatchRepairFuzz, AgreesWithLocalReconfigurerOnRandomSequences) {
   for (const auto policy : kPolicies) {
     for (const auto pool : kPools) {
       const auto& skeleton = design->skeleton(policy, pool);
-      const reconfig::LocalReconfigurer oracle(policy, pool);
       sim::FaultState state(design);
       std::vector<char> faulty(n, 0);
       for (std::int32_t step = 0; step < 400; ++step) {
@@ -224,16 +215,13 @@ TEST(BatchRepairFuzz, AgreesWithLocalReconfigurerOnRandomSequences) {
             faulty[cell] ^= 1;
           }
         }
-        array.reset_health();
         state.reset();
         for (std::size_t cell = 0; cell < n; ++cell) {
-          if (!faulty[cell]) continue;
-          array.set_health(static_cast<std::int32_t>(cell),
-                           biochip::CellHealth::kFaulty);
-          state.set_faulty(static_cast<std::int32_t>(cell));
+          if (faulty[cell]) state.set_faulty(static_cast<std::int32_t>(cell));
         }
         const bool verdict = state.repairable(policy, pool);
-        EXPECT_EQ(verdict, oracle.feasible(array)) << "step=" << step;
+        EXPECT_TRUE(checker.check(state, policy, pool, verdict))
+            << "step=" << step;
         if (first_fit_saturates(state, skeleton)) {
           EXPECT_TRUE(verdict) << "step=" << step;
           ++saturated;
@@ -250,17 +238,14 @@ TEST(BatchRepairFuzz, AgreesWithLocalReconfigurerOnRandomSequences) {
   EXPECT_GE(unrepairable, 10);
 }
 
-TEST(BatchRepairFuzz, ContestedSetsAgreeWithCsrHopcroftKarp) {
-  // Only the sets first fit cannot saturate (GreedyReconfigurer::feasible
-  // false, spares-only pool), where FaultState::repairable must augment.
-  // The reference graph is built here from the HexArray's spare adjacency,
-  // not from the design skeleton, and matched by Hopcroft-Karp.
+TEST(BatchRepairFuzz, ContestedSetsCarryCheckedWitnesses) {
+  // Only the sets first fit cannot saturate (spares-only pool), where
+  // FaultState::repairable must augment; every verdict's witness is
+  // checked.
   constexpr reconfig::CoveragePolicy kPolicies[] = {
       reconfig::CoveragePolicy::kAllFaultyPrimaries,
       reconfig::CoveragePolicy::kUsedFaultyPrimaries};
   Rng rng(0xC0A7E57ULL);
-  CsrBipartiteGraph csr;
-  CsrMatcher matcher;
   std::int32_t repairable = 0;
   std::int32_t unrepairable = 0;
   for (const auto& [width, height] :
@@ -274,39 +259,24 @@ TEST(BatchRepairFuzz, ContestedSetsAgreeWithCsrHopcroftKarp) {
       }
     }
     const auto design = sim::ChipDesign::make(array);
+    const sim::WitnessChecker checker(array);
     sim::FaultState state(design);
-    std::vector<std::int32_t> right_of(
-        static_cast<std::size_t>(array.cell_count()), -1);
     for (std::int32_t trial = 0; trial < 1500; ++trial) {
       const double density = 0.02 + rng.uniform01() * 0.12;
-      array.reset_health();
       state.reset();
       for (std::int32_t cell = 0; cell < array.cell_count(); ++cell) {
-        if (rng.bernoulli(density)) {
-          array.set_health(cell, biochip::CellHealth::kFaulty);
-          state.set_faulty(cell);
-        }
+        if (rng.bernoulli(density)) state.set_faulty(cell);
       }
       for (const auto policy : kPolicies) {
-        if (reconfig::GreedyReconfigurer(policy).feasible(array)) continue;
-        csr.clear();
-        std::fill(right_of.begin(), right_of.end(), -1);
-        for (const auto primary : reconfig::cells_to_cover(array, policy)) {
-          csr.open_row();
-          for (const auto spare : array.spare_neighbors_of(primary)) {
-            if (array.health(spare) == biochip::CellHealth::kFaulty) continue;
-            auto& right = right_of[static_cast<std::size_t>(spare)];
-            if (right < 0) right = csr.right_count();
-            csr.add_edge(right);
-          }
+        constexpr auto kPool = reconfig::ReplacementPool::kSparesOnly;
+        if (first_fit_saturates(state, design->skeleton(policy, kPool))) {
+          continue;
         }
-        const bool expected = matcher.covers_all_left(csr);
-        EXPECT_EQ(state.repairable(policy,
-                                   reconfig::ReplacementPool::kSparesOnly),
-                  expected)
+        const bool verdict = state.repairable(policy, kPool);
+        EXPECT_TRUE(checker.check(state, policy, kPool, verdict))
             << width << "x" << height << " trial=" << trial
             << " policy=" << static_cast<int>(policy);
-        ++(expected ? repairable : unrepairable);
+        ++(verdict ? repairable : unrepairable);
       }
     }
   }

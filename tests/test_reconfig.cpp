@@ -15,6 +15,7 @@
 #include "common/rng.hpp"
 #include "reconfig/local_reconfig.hpp"
 #include "reconfig/shifted_replacement.hpp"
+#include "repair_witness.hpp"
 #include "sim/fault_model.hpp"
 
 namespace dmfb::reconfig {
@@ -355,13 +356,18 @@ TEST(ShiftedReplacement, SuccessIffEveryColumnHasAtMostOneFault) {
   }
 }
 
-// ------------------------------------------------- Hall-violator property
+// ------------------------------------------------- certified verdicts
 
-// Whenever the matching-based planner fails, plan.unrepairable extended by
-// its alternating-path closure through the plan's matching must be a
-// directly checkable Hall violator: |N(S)| < |S| with N(S) the replacement
-// neighbourhood under the planner's pool. Verified on randomized fault maps
-// across both coverage policies and both replacement pools.
+/// The fault predicate of `array`'s health state.
+auto faults_of(const HexArray& array) {
+  return [&array](CellIndex cell) {
+    return array.health(cell) == CellHealth::kFaulty;
+  };
+}
+
+// On randomized fault maps, every policy x pool: a successful plan's
+// replacements pass the witness checker (tests/repair_witness.hpp), and a
+// failed plan agrees with sim::FaultState, whose Hall set passes it.
 TEST(LocalReconfig, FailedPlansCarryACheckableHallViolator) {
   Rng rng(0x4A11);
   std::int32_t failures_witnessed = 0;
@@ -374,56 +380,34 @@ TEST(LocalReconfig, FailedPlansCarryACheckableHallViolator) {
       array.set_usage(primary, CellUsage::kAssayUsed);
       ++marked;
     }
+    const auto design = sim::ChipDesign::make(array);
+    const sim::WitnessChecker checker(array);
     // Heavy enough fault load that repair often fails.
     sim::inject(
         sim::FaultModel::fixed_count(rng.uniform_int(10, 45)), array, rng);
+    sim::FaultState state(design);
+    for (CellIndex cell = 0; cell < array.cell_count(); ++cell) {
+      if (array.health(cell) == CellHealth::kFaulty) state.set_faulty(cell);
+    }
     for (const CoveragePolicy policy :
          {CoveragePolicy::kAllFaultyPrimaries,
           CoveragePolicy::kUsedFaultyPrimaries}) {
       for (const ReplacementPool pool :
            {ReplacementPool::kSparesOnly,
             ReplacementPool::kSparesAndUnusedPrimaries}) {
-        const LocalReconfigurer reconfigurer(policy, pool);
-        const ReconfigPlan plan = reconfigurer.plan(array);
-        const std::vector<CellIndex> violator =
-            hall_violator(array, plan, pool);
+        const ReconfigPlan plan = LocalReconfigurer(policy, pool).plan(array);
+        const bool verdict = state.repairable(policy, pool);
+        EXPECT_EQ(plan.success, verdict) << "trial=" << trial;
+        EXPECT_TRUE(checker.check(state, policy, pool, verdict))
+            << "trial=" << trial << " policy=" << static_cast<int>(policy)
+            << " pool=" << static_cast<int>(pool);
         if (plan.success) {
-          EXPECT_TRUE(violator.empty()) << "trial=" << trial;
+          EXPECT_TRUE(checker.check(faults_of(array), policy, pool, true,
+                                    {plan.replacements, {}}))
+              << "trial=" << trial;
           continue;
         }
         ++failures_witnessed;
-        ASSERT_FALSE(violator.empty()) << "trial=" << trial;
-        // The uncovered cells are all in the witness set…
-        for (const CellIndex cell : plan.unrepairable) {
-          EXPECT_TRUE(std::binary_search(violator.begin(), violator.end(),
-                                         cell))
-              << "trial=" << trial;
-        }
-        // …every witness cell is a covered faulty primary…
-        const std::vector<CellIndex> cover = cells_to_cover(array, policy);
-        for (const CellIndex cell : violator) {
-          EXPECT_TRUE(std::find(cover.begin(), cover.end(), cell) !=
-                      cover.end())
-              << "trial=" << trial;
-        }
-        // …and Hall's condition fails on it: |N(S)| < |S|.
-        const std::vector<CellIndex> neighborhood =
-            replacement_neighborhood(array, violator, pool);
-        EXPECT_LT(neighborhood.size(), violator.size())
-            << "trial=" << trial << " policy=" << static_cast<int>(policy)
-            << " pool=" << static_cast<int>(pool);
-        // Exact deficiency: the closure reaches only matched candidates, so
-        // |S| - |N(S)| counts precisely the unmatched (unrepairable) cells
-        // that seeded it.
-        EXPECT_EQ(violator.size() - neighborhood.size(),
-                  static_cast<std::size_t>(std::count_if(
-                      violator.begin(), violator.end(),
-                      [&](CellIndex cell) {
-                        return std::find(plan.unrepairable.begin(),
-                                         plan.unrepairable.end(),
-                                         cell) != plan.unrepairable.end();
-                      })))
-            << "trial=" << trial;
       }
     }
   }
@@ -433,24 +417,35 @@ TEST(LocalReconfig, FailedPlansCarryACheckableHallViolator) {
 
 TEST(LocalReconfig, HallViolatorRejectsNonMaximumPlans) {
   // A failed greedy plan proves nothing: its matching need not be maximum,
-  // so certificate extraction must refuse it rather than hand back a set
-  // that fails the |N(S)| < |S| check. Hunt a seed where greedy fails but
-  // the maximum matching differs from greedy's.
+  // so neither certificate it could offer passes the checker. Hunt a seed
+  // where greedy fails and the maximum matching is larger.
   Rng rng(0xBAD5EED);
   for (std::int32_t trial = 0; trial < 400; ++trial) {
     auto array = array_2_6();
+    const sim::WitnessChecker checker(array);
     sim::inject(
         sim::FaultModel::fixed_count(rng.uniform_int(15, 40)), array, rng);
     const ReconfigPlan greedy = GreedyReconfigurer().plan(array);
     if (greedy.success) continue;
     const ReconfigPlan optimal = LocalReconfigurer().plan(array);
     if (greedy.replacements.size() == optimal.replacements.size()) continue;
-    // Greedy matched fewer cells than the maximum: the closure from its
-    // unmatched cells reaches an augmenting path, which the certificate
-    // extractor reports as a contract violation.
-    EXPECT_THROW(hall_violator(array, greedy,
-                               ReplacementPool::kSparesOnly),
-                 ContractViolation);
+    // Greedy's claims leave a covered faulty primary unclaimed...
+    EXPECT_FALSE(checker.check(faults_of(array),
+                               CoveragePolicy::kAllFaultyPrimaries,
+                               ReplacementPool::kSparesOnly, true,
+                               {greedy.replacements, {}}));
+    // ...and a cell greedy gave up on but the maximum matching repairs is
+    // no Hall set: it has a healthy spare of its own.
+    const auto repaired = std::find_if(
+        greedy.unrepairable.begin(), greedy.unrepairable.end(),
+        [&](CellIndex cell) {
+          return optimal.replacement_for(cell) != hex::kInvalidCell;
+        });
+    ASSERT_NE(repaired, greedy.unrepairable.end());
+    EXPECT_FALSE(checker.check(faults_of(array),
+                               CoveragePolicy::kAllFaultyPrimaries,
+                               ReplacementPool::kSparesOnly, false,
+                               {{}, {*repaired}}));
     return;
   }
   GTEST_SKIP() << "no greedy-vs-maximum gap found in the seeded stream";

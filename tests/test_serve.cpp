@@ -523,6 +523,26 @@ TEST(Protocol, PrimariesMustLieInTheSpecRange) {
   EXPECT_EQ(high.request->min_primaries, campaign::kMaxPrimaries);
 }
 
+TEST(Protocol, RunsMustLieInTheSpecRange) {
+  const auto with_runs = [](std::string_view runs) {
+    return R"({"design": "dtmb2_6", "injector": "bernoulli", "param": 0.9, )"
+           R"("runs": )" +
+           std::string(runs) + "}";
+  };
+  for (const std::string_view bad :
+       {"0", "-1", "100000001", "2000000000", "2147483647"}) {
+    const ParsedRequest parsed = parse_request(with_runs(bad), 1);
+    EXPECT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.error, "invalid value for \"runs\"") << bad;
+  }
+  const ParsedRequest low = parse_request(with_runs("1"), 1);
+  ASSERT_TRUE(low.ok()) << low.error;
+  EXPECT_EQ(low.request->runs, 1);
+  const ParsedRequest high = parse_request(with_runs("100000000"), 1);
+  ASSERT_TRUE(high.ok()) << high.error;
+  EXPECT_EQ(high.request->runs, campaign::kMaxRuns);
+}
+
 TEST(Protocol, JsonDoubleRoundTripsExactly) {
   for (const double value :
        {0.0, 1.0, 0.1, 1.0 / 3.0, 0.9999999999999999, 1e-300, 12345.6789}) {

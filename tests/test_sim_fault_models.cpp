@@ -1,8 +1,8 @@
 // Equivalence suite for the composable fault models (parametric + mixture).
 //
 // The load-bearing pin: sim::FaultModel::{kParametric, kMixture} must
-// reproduce the serial HexArray reference loop (tests/hexarray_reference.hpp:
-// the record path of sim::inject, LocalReconfigurer::feasible per run)
+// reproduce the serial certified loop (tests/repair_witness.hpp: scalar
+// sim::inject into one FaultState, every verdict's witness checked)
 // success-for-success, for every (policy x pool) combination, at
 // threads 1 and 4 — the same contract the original suite pins for the
 // bernoulli / fixed-count / clustered kinds. Plus the mixture semantics:
@@ -24,7 +24,7 @@
 
 #include "biochip/dtmb.hpp"
 #include "common/contracts.hpp"
-#include "hexarray_reference.hpp"
+#include "repair_witness.hpp"
 #include "sim/fault_model.hpp"
 #include "sim/lockstep_bernoulli.hpp"
 #include "sim/session.hpp"
@@ -37,16 +37,7 @@ using reconfig::CoveragePolicy;
 using reconfig::ReplacementPool;
 
 biochip::HexArray make_test_array() {
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 9, 9);
-  // Mark a quarter of the primaries assay-used so the used-faulty coverage
-  // policy and the spares-and-unused-primaries pool both have real work.
-  std::int32_t marked = 0;
-  for (const auto primary : array.primaries()) {
-    if (marked >= array.primary_count() / 4) break;
-    array.set_usage(primary, biochip::CellUsage::kAssayUsed);
-    ++marked;
-  }
-  return array;
+  return with_used_quarter(biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 9, 9));
 }
 
 // sigma_scale large enough that parametric faults actually stress the
@@ -63,46 +54,11 @@ FaultModel test_mixture() {
 
 // --------------------------------------------------------- equivalence pin
 
-TEST(SimFaultModelEquivalence, ParametricAndMixtureMatchLegacyEverywhere) {
-  auto array = make_test_array();
-  const auto design = ChipDesign::make(array);
-  // One session per thread count: `threads` is not part of the query cache
-  // key, so a shared session would serve the threads=4 leg from the serial
-  // run's cache entry instead of exercising the parallel path.
-  Session serial_session(design);
-  Session parallel_session(design);
-  for (const FaultModel& model :
-       {FaultModel::parametric(kSigmaScale), test_mixture()}) {
-    for (const CoveragePolicy policy :
-         {CoveragePolicy::kAllFaultyPrimaries,
-          CoveragePolicy::kUsedFaultyPrimaries}) {
-      for (const ReplacementPool pool :
-           {ReplacementPool::kSparesOnly,
-            ReplacementPool::kSparesAndUnusedPrimaries}) {
-        for (const std::int32_t threads : {1, 4}) {
-          YieldQuery query;
-          query.fault = model;
-          query.runs = 300;
-          query.seed = 0xFACADE;
-          query.threads = threads;
-          query.policy = policy;
-          query.pool = pool;
-          const auto legacy = hexarray_reference(array, query);
-          Session& session =
-              threads == 1 ? serial_session : parallel_session;
-          const auto ported = session.run(query);
-          EXPECT_EQ(ported.successes, legacy.successes)
-              << "model=" << static_cast<int>(model.kind)
-              << " policy=" << static_cast<int>(policy)
-              << " pool=" << static_cast<int>(pool)
-              << " threads=" << threads;
-          EXPECT_DOUBLE_EQ(ported.value, legacy.value);
-          EXPECT_DOUBLE_EQ(ported.ci95.lo, legacy.ci95.lo);
-          EXPECT_DOUBLE_EQ(ported.ci95.hi, legacy.ci95.hi);
-        }
-      }
-    }
-  }
+TEST(SimFaultModelEquivalence,
+     ParametricAndMixtureMatchCertifiedLoopEverywhere) {
+  expect_sessions_match_certified_loop(
+      ChipDesign::make(make_test_array()),
+      {FaultModel::parametric(kSigmaScale), test_mixture()});
 }
 
 TEST(SimFaultModelEquivalence, ParametricBitmapMatchesLegacyPerCell) {

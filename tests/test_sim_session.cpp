@@ -2,11 +2,12 @@
 // FaultState repairability, and the Session query API.
 //
 // The load-bearing suite is the bit-identity pin: sim::Session must
-// reproduce the serial HexArray reference loop (tests/hexarray_reference.hpp:
-// sim::inject on a HexArray, LocalReconfigurer::feasible per run)
-// success-for-success, for every (policy x pool) combination, at
-// threads 1 and 4. That is what lets compound_yield, CampaignRunner and the
-// core facade ride on the session without moving a single golden number.
+// reproduce the serial certified loop (tests/repair_witness.hpp: scalar
+// sim::inject into one FaultState, every verdict's witness checked against
+// the design's geometry) success-for-success, for every (policy x pool)
+// combination, at threads 1 and 4. That is what lets CampaignRunner and
+// the core facade ride on the session without moving a single golden
+// number.
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -16,7 +17,7 @@
 #include "assay/multiplexed_chip.hpp"
 #include "biochip/dtmb.hpp"
 #include "common/contracts.hpp"
-#include "hexarray_reference.hpp"
+#include "repair_witness.hpp"
 #include "sim/session.hpp"
 
 namespace dmfb::sim {
@@ -27,73 +28,28 @@ using reconfig::CoveragePolicy;
 using reconfig::ReplacementPool;
 
 biochip::HexArray make_test_array() {
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 9, 9);
-  // Mark a quarter of the primaries assay-used so the used-faulty coverage
-  // policy and the spares-and-unused-primaries pool both have real work.
-  std::int32_t marked = 0;
-  for (const auto primary : array.primaries()) {
-    if (marked >= array.primary_count() / 4) break;
-    array.set_usage(primary, biochip::CellUsage::kAssayUsed);
-    ++marked;
-  }
-  return array;
+  return with_used_quarter(biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 9, 9));
 }
 
 // --------------------------------------------------------- equivalence pin
 
-TEST(SimEquivalence, BitIdenticalToLegacyForEveryEngineCombination) {
-  auto array = make_test_array();
-  const auto design = ChipDesign::make(array);
-  // One session per thread count: `threads` is not part of the query cache
-  // key, so a shared session would serve the threads=4 leg from the serial
-  // run's cache entry instead of exercising the parallel path.
-  Session serial_session(design);
-  Session parallel_session(design);
-  for (const FaultModel& model :
-       {FaultModel::bernoulli(0.94), FaultModel::fixed_count(6),
-        FaultModel::clustered(1.5, {1, 0.9, 0.3})}) {
-    for (const CoveragePolicy policy :
-         {CoveragePolicy::kAllFaultyPrimaries,
-          CoveragePolicy::kUsedFaultyPrimaries}) {
-      for (const ReplacementPool pool :
-           {ReplacementPool::kSparesOnly,
-            ReplacementPool::kSparesAndUnusedPrimaries}) {
-        for (const std::int32_t threads : {1, 4}) {
-          YieldQuery query;
-          query.fault = model;
-          query.runs = 300;
-          query.seed = 0xFACADE;
-          query.threads = threads;
-          query.policy = policy;
-          query.pool = pool;
-          const auto legacy = hexarray_reference(array, query);
-          Session& session =
-              threads == 1 ? serial_session : parallel_session;
-          const auto ported = session.run(query);
-          EXPECT_EQ(ported.successes, legacy.successes)
-              << "model=" << static_cast<int>(model.kind)
-              << " policy=" << static_cast<int>(policy)
-              << " pool=" << static_cast<int>(pool)
-              << " threads=" << threads;
-          EXPECT_DOUBLE_EQ(ported.value, legacy.value);
-          EXPECT_DOUBLE_EQ(ported.ci95.lo, legacy.ci95.lo);
-          EXPECT_DOUBLE_EQ(ported.ci95.hi, legacy.ci95.hi);
-        }
-      }
-    }
-  }
+TEST(SimEquivalence, BitIdenticalToCertifiedSerialLoopForEveryCombination) {
+  expect_sessions_match_certified_loop(
+      ChipDesign::make(make_test_array()),
+      {FaultModel::bernoulli(0.94), FaultModel::fixed_count(6),
+       FaultModel::clustered(1.5, {1, 0.9, 0.3})});
 }
 
 TEST(SimEquivalence, MatchesReferenceOnMultiplexedChip) {
   // The Section-7 multiplexed chip exercises realistic usage marking.
-  auto chip = assay::make_multiplexed_chip();
+  const auto design = ChipDesign::make(assay::make_multiplexed_chip().array);
   YieldQuery query;
   query.fault = FaultModel::bernoulli(0.95);
   query.runs = 400;
   query.policy = CoveragePolicy::kUsedFaultyPrimaries;
-  Session session(chip.array);
+  Session session(design);
   const auto direct = session.run(query);
-  EXPECT_EQ(hexarray_reference(chip.array, query).successes,
+  EXPECT_EQ(certified_serial_loop(design, query).successes,
             direct.successes);
 }
 
@@ -240,31 +196,32 @@ TEST(ChipDesign, SnapshotIsIndependentOfSourceMutations) {
   EXPECT_EQ(design->array().faulty_count(), 0);
 }
 
-TEST(FaultState, RepairableAgreesWithLocalReconfigurer) {
-  auto array = make_test_array();
-  const auto design = ChipDesign::make(array);
+TEST(FaultState, RepairableVerdictsCarryCheckedWitnesses) {
+  const auto design = ChipDesign::make(make_test_array());
+  const WitnessChecker checker(design->array());
   FaultState state(design);
   Rng rng(123);
   const FaultModel model = FaultModel::bernoulli(0.9);
+  std::int32_t verdicts[2] = {0, 0};
   for (std::int32_t trial = 0; trial < 200; ++trial) {
-    Rng legacy_rng = rng;  // same stream for both injections
-    inject(model, array, rng);
-    inject(model, state, legacy_rng);
+    inject(model, state, rng);
     for (const CoveragePolicy policy :
          {CoveragePolicy::kAllFaultyPrimaries,
           CoveragePolicy::kUsedFaultyPrimaries}) {
       for (const ReplacementPool pool :
            {ReplacementPool::kSparesOnly,
             ReplacementPool::kSparesAndUnusedPrimaries}) {
-        const reconfig::LocalReconfigurer reconfigurer(policy, pool);
-        EXPECT_EQ(state.repairable(policy, pool),
-                  reconfigurer.feasible(array))
+        const bool verdict = state.repairable(policy, pool);
+        EXPECT_TRUE(checker.check(state, policy, pool, verdict))
             << "trial=" << trial;
+        ++verdicts[verdict ? 1 : 0];
       }
     }
-    array.reset_health();
     state.reset();
   }
+  // Both witness kinds are exercised.
+  EXPECT_GT(verdicts[0], 10);
+  EXPECT_GT(verdicts[1], 50);
 }
 
 TEST(FaultState, BernoulliFaultSetsAndFinalRngMatchLegacy) {

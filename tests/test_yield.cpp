@@ -8,7 +8,7 @@
 #include "biochip/dtmb.hpp"
 #include "biochip/redundancy.hpp"
 #include "common/contracts.hpp"
-#include "hexarray_reference.hpp"
+#include "repair_witness.hpp"
 #include "sim/session.hpp"
 #include "yield/analytic.hpp"
 
@@ -144,14 +144,15 @@ TEST(MonteCarlo, DeterministicForSameSeed) {
 TEST(MonteCarlo, ThreadsProduceBitIdenticalResults) {
   // The acceptance bar for the parallel engine: a fresh session at any
   // thread count (including 0 = auto, and partitions that do not divide
-  // the run count) reproduces the serial HexArray loop exactly.
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 10, 10);
+  // the run count) reproduces the serial certified loop exactly.
+  const auto design = sim::ChipDesign::make(
+      biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 10, 10));
   sim::YieldQuery query = bernoulli_query(0.93, 2000);
   query.seed = 20260730;
-  const YieldEstimate serial = sim::hexarray_reference(array, query);
+  const YieldEstimate serial = sim::certified_serial_loop(design, query);
   for (const std::int32_t threads : {0, 1, 2, 3, 4, 7}) {
     query.threads = threads;
-    const YieldEstimate parallel = sim::Session(array).run(query);
+    const YieldEstimate parallel = sim::Session(design).run(query);
     EXPECT_EQ(parallel.successes, serial.successes) << "threads = " << threads;
     EXPECT_DOUBLE_EQ(parallel.value, serial.value) << "threads = " << threads;
     EXPECT_DOUBLE_EQ(parallel.ci95.lo, serial.ci95.lo);
@@ -160,23 +161,26 @@ TEST(MonteCarlo, ThreadsProduceBitIdenticalResults) {
 }
 
 TEST(MonteCarlo, ThreadsIdenticalForFixedFaultModel) {
-  const auto array = biochip::make_dtmb_array(DtmbKind::kDtmb3_6, 8, 8);
+  const auto design =
+      sim::ChipDesign::make(biochip::make_dtmb_array(DtmbKind::kDtmb3_6, 8, 8));
   sim::YieldQuery query = fixed_count_query(5, 1500);
-  query.threads = 1;
-  const YieldEstimate serial = sim::Session(array).run(query);
-  query.threads = 4;
-  const YieldEstimate parallel = sim::Session(array).run(query);
-  EXPECT_EQ(parallel.successes, serial.successes);
+  const YieldEstimate certified = sim::certified_serial_loop(design, query);
+  for (const std::int32_t threads : {1, 4}) {
+    query.threads = threads;
+    EXPECT_EQ(sim::Session(design).run(query).successes, certified.successes)
+        << "threads = " << threads;
+  }
 }
 
 TEST(MonteCarlo, ThreadsExceedingRunsStillCorrect) {
   // Fewer runs than one batch per thread: every run is still simulated
-  // once, with the same outcome as the serial HexArray loop.
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 6, 6);
+  // once, with the same outcome as the serial certified loop.
+  const auto design =
+      sim::ChipDesign::make(biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 6, 6));
   sim::YieldQuery query = bernoulli_query(0.9, 10);
   query.threads = 16;
-  const YieldEstimate estimate = sim::Session(array).run(query);
-  const YieldEstimate serial = sim::hexarray_reference(array, query);
+  const YieldEstimate estimate = sim::Session(design).run(query);
+  const YieldEstimate serial = sim::certified_serial_loop(design, query);
   EXPECT_EQ(estimate.runs, 10);
   EXPECT_EQ(estimate.successes, serial.successes);
 }
@@ -286,15 +290,8 @@ TEST(MonteCarlo, OptionsValidation) {
 }
 
 TEST(MonteCarlo, UsedPolicyYieldAtLeastAllPolicy) {
-  auto array = biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 10, 10);
-  // Mark a quarter of the primaries used.
-  std::int32_t marked = 0;
-  for (const auto primary : array.primaries()) {
-    if (marked >= array.primary_count() / 4) break;
-    array.set_usage(primary, biochip::CellUsage::kAssayUsed);
-    ++marked;
-  }
-  sim::Session session(array);
+  sim::Session session(sim::with_used_quarter(
+      biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 10, 10)));
   const double p = 0.93;
   sim::YieldQuery all = bernoulli_query(p, 3000);
   sim::YieldQuery used = all;
