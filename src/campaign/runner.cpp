@@ -20,14 +20,6 @@
 
 namespace dmfb::campaign {
 
-namespace {
-
-biochip::HexArray build_array(Design design, std::int32_t min_primaries) {
-  return build_design_array(design, min_primaries);
-}
-
-}  // namespace
-
 biochip::HexArray build_design_array(Design design,
                                      std::int32_t min_primaries) {
   switch (design) {
@@ -180,10 +172,10 @@ std::string CampaignRunner::title() const {
   return out.str();
 }
 
-std::vector<PointResult> CampaignRunner::run() {
-  obs::ScopedSpan run_span("campaign.run", "campaign");
-  const std::vector<CampaignPoint> points = expand_grid(spec_);
-  stats_.grid_points = points.size();
+void CampaignRunner::prepare() {
+  obs::ScopedSpan span("campaign.prepare", "campaign");
+  points_ = expand_grid(spec_);
+  sessions_.clear();
 
   // -- shared sessions, one per (design, size) -------------------------------
   // Designs are snapshotted once behind shared immutable ChipDesigns; every
@@ -191,11 +183,8 @@ std::vector<PointResult> CampaignRunner::run() {
   // sessions' query caches do the duplicate-point dedupe: identical points
   // resolve to identical query keys, so concurrent duplicates wait for the
   // first computation instead of re-running it.
-  std::map<std::pair<Design, std::int32_t>, std::unique_ptr<sim::Session>>
-      sessions;
-  for (const CampaignPoint& point : points) {
-    const auto key = std::make_pair(point.design, point.min_primaries);
-    auto& session = sessions[key];
+  for (const CampaignPoint& point : points_) {
+    auto& session = sessions_[{point.design, point.min_primaries}];
     if (!session) {
       if (point.workload == WorkloadKind::kAssay) {
         // Parse-time validation pins assay campaigns to the multiplexed
@@ -205,21 +194,37 @@ std::vector<PointResult> CampaignRunner::run() {
             std::make_unique<sim::Session>(sim::AssayWorkload::multiplexed());
       } else {
         session = std::make_unique<sim::Session>(
-            build_array(point.design, point.min_primaries));
+            build_design_array(point.design, point.min_primaries));
       }
       if (result_cache_) session->attach_result_cache(result_cache_);
     }
-    if (point.injector == InjectorKind::kFixedCount) {
-      DMFB_EXPECTS(static_cast<std::int32_t>(point.param) <=
-                   session->design().cell_count());
-    }
-    for (const MixtureComponent& component : point.components) {
-      if (component.kind == InjectorKind::kFixedCount) {
-        DMFB_EXPECTS(static_cast<std::int32_t>(component.param) <=
-                     session->design().cell_count());
+    const std::int32_t cells = session->design().cell_count();
+    const auto check_count = [&](InjectorKind kind, double param) {
+      if (kind == InjectorKind::kFixedCount &&
+          static_cast<std::int32_t>(param) > cells) {
+        throw ContractViolation(
+            "fixed_count param m = " +
+            std::to_string(static_cast<std::int32_t>(param)) +
+            " exceeds the design's cell count (" + std::to_string(cells) +
+            " cells on design " + to_string(point.design) + ")");
       }
+    };
+    check_count(point.injector, point.param);
+    for (const MixtureComponent& component : point.components) {
+      check_count(component.kind, component.param);
     }
   }
+  prepared_ = true;
+}
+
+std::vector<PointResult> CampaignRunner::run() {
+  obs::ScopedSpan run_span("campaign.run", "campaign");
+  if (!prepared_) prepare();
+  prepared_ = false;
+  const std::vector<CampaignPoint> points = std::move(points_);
+  const std::map<SessionKey, std::unique_ptr<sim::Session>> sessions =
+      std::move(sessions_);
+  stats_.grid_points = points.size();
 
   // -- work order: first occurrences ahead of duplicates ---------------------
   // Duplicates resolve through the session cache; scheduling them after

@@ -16,8 +16,10 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/grid.hpp"
@@ -76,8 +78,18 @@ class CampaignRunner {
   /// uninterrupted run (stored payloads are bit-exact).
   void set_result_cache(std::shared_ptr<sim::ResultCache> cache);
 
+  /// Expands the grid, builds one session per (design, size) and checks
+  /// every point against its design: a fixed_count m, or a mixture
+  /// component's m, above the design's cell count throws ContractViolation
+  /// naming the value and the cell count. run() prepares when this was not
+  /// called; a caller that opens artifact files calls it first, so a
+  /// rejected spec leaves existing artifacts untouched. Attach the result
+  /// cache before preparing.
+  void prepare();
+
   /// Expands the grid, executes every unique point, streams rows to the
-  /// sinks and returns per-grid-point results in grid order.
+  /// sinks and returns per-grid-point results in grid order. Consumes the
+  /// prepared sessions: a second run() prepares afresh.
   std::vector<PointResult> run();
 
   const CampaignSpec& spec() const noexcept { return spec_; }
@@ -93,10 +105,16 @@ class CampaignRunner {
   std::string title() const;
 
  private:
+  using SessionKey = std::pair<Design, std::int32_t>;  ///< (design, size)
+
   CampaignSpec spec_;
   std::vector<ArtifactSink*> sinks_;
   std::shared_ptr<sim::ResultCache> result_cache_;
   RunnerStats stats_;
+  // prepare()'s output, consumed by run().
+  bool prepared_ = false;
+  std::vector<CampaignPoint> points_;
+  std::map<SessionKey, std::unique_ptr<sim::Session>> sessions_;
 };
 
 }  // namespace dmfb::campaign

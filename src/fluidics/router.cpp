@@ -180,4 +180,63 @@ std::int32_t HopGrid::hops(std::span<const std::uint64_t> usable,
   }
 }
 
+PrimaryGeodesics::PrimaryGeodesics(const biochip::HexArray& array,
+                                   std::span<const hex::CellIndex> anchors)
+    : anchors_(anchors.size()),
+      words_((static_cast<std::size_t>(array.cell_count()) + 63) / 64),
+      distance_(anchors_ * anchors_, 0),
+      certified_(anchors_ * anchors_, 0),
+      paths_(anchors_ * anchors_ * words_, 0) {
+  const hex::Region& region = array.region();
+  for (const hex::CellIndex anchor : anchors) {
+    DMFB_EXPECTS(anchor >= 0 && anchor < array.cell_count());
+  }
+  // BFS distances over primary cells from the current source; -1 marks a
+  // cell the search has not reached (every spare, and cut-off primaries).
+  std::vector<std::int32_t> dist(static_cast<std::size_t>(array.cell_count()));
+  std::vector<hex::CellIndex> queue;
+  queue.reserve(dist.size());
+  const auto dist_of = [&dist](hex::CellIndex cell) -> std::int32_t& {
+    return dist[static_cast<std::size_t>(cell)];
+  };
+  for (std::size_t a = 0; a < anchors_; ++a) {
+    const hex::CellIndex source = anchors[a];
+    std::fill(dist.begin(), dist.end(), -1);
+    queue.clear();
+    if (array.role(source) == biochip::CellRole::kPrimary) {
+      dist_of(source) = 0;
+      queue.push_back(source);
+    }
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const hex::CellIndex v = queue[head];
+      for (const hex::CellIndex u : array.primary_neighbors_of(v)) {
+        if (dist_of(u) >= 0) continue;
+        dist_of(u) = dist_of(v) + 1;
+        queue.push_back(u);
+      }
+    }
+    for (std::size_t b = 0; b < anchors_; ++b) {
+      const std::size_t p = a * anchors_ + b;
+      hex::CellIndex cell = anchors[b];
+      distance_[p] =
+          hex::distance(region.coord_at(source), region.coord_at(cell));
+      if (dist_of(cell) != distance_[p]) continue;  // no primary geodesic
+      // Walk back from the target: each step moves to the first primary
+      // neighbour one BFS level closer to the source.
+      certified_[p] = 1;
+      std::uint64_t* path = paths_.data() + p * words_;
+      for (;;) {
+        const auto bit = static_cast<std::size_t>(cell);
+        path[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+        if (cell == source) break;
+        const std::span<const hex::CellIndex> back =
+            array.primary_neighbors_of(cell);
+        cell = *std::find_if(back.begin(), back.end(), [&](hex::CellIndex u) {
+          return dist_of(u) == dist_of(cell) - 1;
+        });
+      }
+    }
+  }
+}
+
 }  // namespace dmfb::fluidics

@@ -9,6 +9,10 @@
 //  * HopGrid — the same BFS distance without the path: a word-parallel
 //    frontier expansion over a usable-cell bitmap, for callers that only
 //    need hop counts (the operational Monte-Carlo kernel).
+//
+// PrimaryGeodesics answers many of those hop counts without a search: it
+// stores one all-primary shortest path per pair of anchor cells, and a pair
+// whose stored path has no faulty cell is exactly its hex distance apart.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +21,7 @@
 #include <vector>
 
 #include "biochip/hex_array.hpp"
+#include "common/contracts.hpp"
 #include "reconfig/local_reconfig.hpp"
 
 namespace dmfb::fluidics {
@@ -109,6 +114,77 @@ class HopGrid {
   std::int32_t stride_ = 0;
   std::vector<std::int32_t> bit_of_cell_;
   std::vector<std::uint64_t> primary_words_;
+};
+
+/// Shortest all-primary paths between a fixed list of anchor cells, the
+/// certificate that lets a hop count skip the BFS. For each ordered anchor
+/// pair (a, b) it keeps the hex distance d(a, b) and, when some path of
+/// exactly d(a, b) hops runs over primary cells only, one such path's cells
+/// (both endpoints included) as a bitmap in cell-index layout: cell i at
+/// bit i % 64 of word i / 64, the layout of sim::FaultState::fault_words().
+/// A pair with no such path has no certificate.
+///
+/// Why a certified count is exact: take any usable set that holds every
+/// healthy primary (the operational kernel's healthy primaries plus
+/// activated spares). Every hop moves to a lattice neighbour, so no route
+/// is shorter than d(a, b). If no cell of the stored path is faulty, every
+/// cell of it is a healthy primary and so usable, which gives a route of
+/// d(a, b) hops. Hence the shortest route has exactly d(a, b) hops:
+/// Router::shortest_route(a, b).size() - 1 and HopGrid::hops both equal it.
+class PrimaryGeodesics {
+ public:
+  /// Runs one BFS over `array`'s primary cells from each anchor (one
+  /// distance vector reused) and backtracks each pair's path from it.
+  /// Anchors must be valid cells; an anchor that is not a primary has no
+  /// certified pair.
+  PrimaryGeodesics(const biochip::HexArray& array,
+                   std::span<const hex::CellIndex> anchors);
+
+  std::size_t anchor_count() const noexcept { return anchors_; }
+  /// Words in each path bitmap: (cell_count + 63) / 64.
+  std::size_t word_count() const noexcept { return words_; }
+
+  /// Hex distance from anchor `from` to anchor `to` (anchor-list indices).
+  std::int32_t distance(std::size_t from, std::size_t to) const {
+    return distance_[pair(from, to)];
+  }
+  bool certified(std::size_t from, std::size_t to) const {
+    return certified_[pair(from, to)] != 0;
+  }
+  /// The certified pair's path bitmap (word_count() words); all zero for a
+  /// pair with no certificate.
+  std::span<const std::uint64_t> path(std::size_t from, std::size_t to) const {
+    return {paths_.data() + pair(from, to) * words_, words_};
+  }
+
+  /// The hop count from anchor `from` to anchor `to` when the certificate
+  /// proves it: the hex distance if the pair is certified and no cell of its
+  /// path is set in `faulty` (word_count() words, cell-index layout), else
+  /// -1 (the caller runs the BFS). Exact for every usable set that holds
+  /// all primaries not set in `faulty` (see the class comment).
+  std::int32_t certified_hops(std::size_t from, std::size_t to,
+                              std::span<const std::uint64_t> faulty) const {
+    DMFB_EXPECTS(faulty.size() == words_);
+    const std::size_t p = pair(from, to);
+    if (certified_[p] == 0) return -1;
+    const std::uint64_t* path_words = paths_.data() + p * words_;
+    for (std::size_t w = 0; w < words_; ++w) {
+      if ((path_words[w] & faulty[w]) != 0) return -1;
+    }
+    return distance_[p];
+  }
+
+ private:
+  std::size_t pair(std::size_t from, std::size_t to) const {
+    DMFB_EXPECTS(from < anchors_ && to < anchors_);
+    return from * anchors_ + to;
+  }
+
+  std::size_t anchors_ = 0;
+  std::size_t words_ = 0;
+  std::vector<std::int32_t> distance_;   ///< hex distance per pair
+  std::vector<std::uint8_t> certified_;  ///< 1 iff the pair has a path
+  std::vector<std::uint64_t> paths_;     ///< pair-major path bitmaps
 };
 
 }  // namespace dmfb::fluidics

@@ -40,6 +40,10 @@ constexpr MetricInfo kMetricInfo[kMetricCount] = {
      "per-cell fault trials evaluated by the injectors"},
     {"fault.classification_draws", MetricKind::kCounter, true,
      "catastrophic-defect classification draws"},
+    {"fluidics.route.transports", MetricKind::kCounter, true,
+     "operational droplet transports whose hops were counted"},
+    {"fluidics.route.certified", MetricKind::kCounter, true,
+     "transports whose hops a stored all-primary geodesic proved (no BFS)"},
     {"campaign.grid_points", MetricKind::kCounter, true,
      "campaign grid points executed"},
     {"campaign.unique_points", MetricKind::kCounter, true,

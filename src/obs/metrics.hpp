@@ -58,6 +58,8 @@ enum class Metric : std::uint16_t {
   kInjectCellsFaulted,     ///< cells marked faulty across all runs
   kInjectCellTrials,       ///< per-cell fault trials evaluated by injectors
   kInjectClassificationDraws,  ///< catastrophic-defect classification draws
+  kRouteTransports,        ///< operational droplet transports hop-counted
+  kRouteCertified,         ///< transports settled by a stored geodesic
   kCampaignGridPoints,     ///< campaign grid points executed
   kCampaignUniquePoints,   ///< distinct session computations
   kCampaignDedupedPoints,  ///< grid points served by the session cache

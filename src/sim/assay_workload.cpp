@@ -41,6 +41,16 @@ std::size_t kind_slot(WorkloadModule::Kind kind) noexcept {
   return static_cast<std::size_t>(kind);
 }
 
+/// Each module's transport endpoint on a healthy array, in module order.
+std::vector<CellIndex> home_anchors(std::span<const WorkloadModule> modules) {
+  std::vector<CellIndex> anchors;
+  anchors.reserve(modules.size());
+  for (const WorkloadModule& module : modules) {
+    anchors.push_back(module.cells.front());
+  }
+  return anchors;
+}
+
 }  // namespace
 
 std::optional<double> OperationalState::run_assay(
@@ -61,6 +71,8 @@ std::optional<double> OperationalState::degraded_completion(
     const reconfig::ReconfigPlan& plan) {
   const assay::SequencingGraph& graph = workload_->graph_;
   const std::span<const WorkloadModule> modules = workload_->modules_;
+  transports_ = 0;
+  certified_ = 0;
   // The cell that carries out `cell`'s duty: itself when healthy, else the
   // adjacent replacement the plan assigned (kInvalidCell when none).
   const auto operator_of = [&](CellIndex cell) {
@@ -92,23 +104,21 @@ std::optional<double> OperationalState::degraded_completion(
   const assay::Schedule* const degraded = schedule(surviving);
   if (degraded == nullptr) return std::nullopt;
 
-  // Usable cells: healthy primaries plus the plan's replacements (spares,
-  // or unused primaries already in the mask), minus every faulty cell.
-  obs::ScopedSpan route_span("fluidics.route", "op");
-  const obs::ScopedDuration route_timer(obs::Metric::kRouteNs);
-  const fluidics::HopGrid& grid = workload_->grid_;
-  usable_.assign(grid.primary_words().begin(), grid.primary_words().end());
-  for (const reconfig::Replacement& replacement : plan.replacements) {
-    grid.set(usable_, replacement.spare);
-  }
-  for (const CellIndex cell : faults_.faulty_cells()) grid.clear(usable_, cell);
-
   // Transport endpoints: the scheduler's instance index i binds an op to
   // the i-th surviving module of its class (module order); a faulty anchor
   // cell hands the endpoint to its replacement. Resource-free ops (store)
-  // park at their producer's endpoint.
+  // park at their producer's endpoint. home_ keeps the module index while
+  // the endpoint is still the module's own anchor cell (-1 once replaced),
+  // the key into the workload's geodesic table.
+  obs::ScopedSpan route_span("fluidics.route", "op");
+  const obs::ScopedDuration route_timer(obs::Metric::kRouteNs);
+  const fluidics::HopGrid& grid = workload_->grid_;
+  const fluidics::PrimaryGeodesics& geodesics = workload_->geodesics_;
+  const std::span<const std::uint64_t> fault_words = faults_.fault_words();
+  bool usable_built = false;
   anchor_.assign(static_cast<std::size_t>(graph.op_count()),
                  hex::kInvalidCell);
+  home_.assign(static_cast<std::size_t>(graph.op_count()), -1);
   std::int64_t transport_hops = 0;
   for (const assay::AssayOp& op : graph.ops()) {
     const auto id = static_cast<std::size_t>(op.id);
@@ -118,16 +128,48 @@ std::optional<double> OperationalState::degraded_completion(
       const auto instance =
           static_cast<std::size_t>(degraded->of(op.id).resource_index);
       DMFB_ASSERT(instance < alive.size());
-      anchor_[id] = operator_of(modules[alive[instance]].cells.front());
+      const CellIndex home = modules[alive[instance]].cells.front();
+      anchor_[id] = operator_of(home);
+      if (anchor_[id] == home) {
+        home_[id] = static_cast<std::int32_t>(alive[instance]);
+      }
     } else {
       DMFB_ASSERT(!op.inputs.empty());
-      anchor_[id] = anchor_[static_cast<std::size_t>(op.inputs.front())];
+      const auto producer = static_cast<std::size_t>(op.inputs.front());
+      anchor_[id] = anchor_[producer];
+      home_[id] = home_[producer];
     }
     DMFB_ASSERT(anchor_[id] != hex::kInvalidCell);
     for (const std::int32_t input : op.inputs) {
-      const std::int32_t hops =
-          grid.hops(usable_, anchor_[static_cast<std::size_t>(input)],
-                    anchor_[id], hop_scratch_);
+      const auto from = static_cast<std::size_t>(input);
+      ++transports_;
+      // Geodesic first: both endpoints at home and the stored primary path
+      // intact prove hops = hex distance (PrimaryGeodesics).
+      std::int32_t hops =
+          home_[from] >= 0 && home_[id] >= 0
+              ? geodesics.certified_hops(static_cast<std::size_t>(home_[from]),
+                                         static_cast<std::size_t>(home_[id]),
+                                         fault_words)
+              : -1;
+      if (hops >= 0) {
+        ++certified_;
+      } else {
+        // BFS on refusal. Usable cells: healthy primaries plus the plan's
+        // replacements (spares, or unused primaries already in the mask),
+        // minus every faulty cell; built on the run's first fallback.
+        if (!usable_built) {
+          usable_.assign(grid.primary_words().begin(),
+                         grid.primary_words().end());
+          for (const reconfig::Replacement& replacement : plan.replacements) {
+            grid.set(usable_, replacement.spare);
+          }
+          for (const CellIndex cell : faults_.faulty_cells()) {
+            grid.clear(usable_, cell);
+          }
+          usable_built = true;
+        }
+        hops = grid.hops(usable_, anchor_[from], anchor_[id], hop_scratch_);
+      }
       if (hops < 0) return std::nullopt;  // transport severed: assay fails
       transport_hops += hops;
     }
@@ -142,7 +184,8 @@ AssayWorkload::AssayWorkload(std::shared_ptr<const ChipDesign> design,
     : design_(std::move(design)),
       graph_(std::move(graph)),
       modules_(std::move(modules)),
-      grid_(design_->array()) {}
+      grid_(design_->array()),
+      geodesics_(design_->array(), home_anchors(modules_)) {}
 
 std::shared_ptr<const AssayWorkload> AssayWorkload::make(
     std::shared_ptr<const ChipDesign> design, assay::SequencingGraph graph,
@@ -330,6 +373,10 @@ OperationalRun OperationalState::evaluate(reconfig::CoveragePolicy policy,
   OperationalRun run;
   run.structural = plan_.success;
   const std::optional<double> completion = run_assay(plan_);
+  if (obs::enabled()) {
+    obs::count(obs::Metric::kRouteTransports, transports_);
+    obs::count(obs::Metric::kRouteCertified, certified_);
+  }
   run.operational = completion.has_value();
   if (completion) {
     run.completion_s = *completion;

@@ -20,10 +20,14 @@
 // up the assay's assay::ListScheduler schedule for the surviving resource
 // pool (computed once per pool and kept), and counts each droplet
 // transport's shortest-path hops over the repaired array (activated
-// replacement spares included). Only hop counts are computed, never paths:
-// fluidics::HopGrid runs a word-parallel BFS on a usable-cell bitmap built
-// per run from the primary mask, the fault bits and the plan's spares. A
-// run is operationally successful iff every resource class the graph needs
+// replacement spares included). Only hop counts are computed, never paths,
+// geodesic first and BFS on refusal: when both endpoints sit on their
+// modules' own anchor cells and the all-primary shortest path stored for
+// that pair (fluidics::PrimaryGeodesics, built once per workload) has no
+// faulty cell, the hop count is the hex distance, proved without a search;
+// otherwise fluidics::HopGrid runs a word-parallel BFS on a usable-cell
+// bitmap built from the primary mask, the fault bits and the plan's spares
+// (once per run, on its first refused transport). A run is operationally successful iff every resource class the graph needs
 // keeps >= 1 instance, the degraded schedule exists, and every droplet
 // transport still has a path; its completion time is the degraded makespan
 // plus the transport overhead, so "slowdown" = completion /
@@ -72,7 +76,8 @@ class AssayWorkload {
   /// cell of `design`, that every resource class `graph` uses has >= 1
   /// module, and that the healthy-array baseline (full-pool schedule +
   /// every transport connected) is feasible; the baseline completion time
-  /// is frozen into the workload, next to the design's HopGrid. Throws
+  /// is frozen into the workload, next to the design's HopGrid and the
+  /// geodesic table over the module anchors (built first). Throws
   /// ContractViolation otherwise.
   static std::shared_ptr<const AssayWorkload> make(
       std::shared_ptr<const ChipDesign> design, assay::SequencingGraph graph,
@@ -116,6 +121,9 @@ class AssayWorkload {
   assay::SequencingGraph graph_;
   std::vector<WorkloadModule> modules_;
   fluidics::HopGrid grid_;  ///< the design's bitmap, for transport hops
+  /// Certified all-primary paths between the modules' anchor cells (module
+  /// order), which settle most transports without a BFS.
+  fluidics::PrimaryGeodesics geodesics_;
   assay::ResourcePool full_pool_;
   double baseline_completion_s_ = 0.0;
   std::uint64_t fingerprint_ = 0;
@@ -136,7 +144,8 @@ struct OperationalRun {
 /// Per-thread operational scratch: a FaultState for the injectors, the
 /// plan step's reusable reconfig::RepairGraph, a lazily filled memo
 /// of schedules by surviving resource pool, and the assay evaluation's
-/// buffers (cell -> replacement table, usable-cell bitmap, BFS scratch).
+/// buffers (cell -> replacement table, usable-cell bitmap, BFS scratch,
+/// per-op endpoints).
 /// Not thread-safe; use one per worker (mirrors FaultState's contract).
 class OperationalState {
  public:
@@ -214,6 +223,13 @@ class OperationalState {
   fluidics::HopGrid::Scratch hop_scratch_;
   std::vector<std::size_t> alive_by_kind_[3];  ///< surviving modules by kind
   std::vector<CellIndex> anchor_;              ///< per-op transport endpoint
+  /// Per op: the module whose own anchor cell is its endpoint, or -1 when
+  /// the endpoint moved to a replacement cell.
+  std::vector<std::int32_t> home_;
+  // The last run's transports, and those the geodesic table settled;
+  // evaluate() adds them to the fluidics.route.* counters.
+  std::int64_t transports_ = 0;
+  std::int64_t certified_ = 0;
 };
 
 }  // namespace dmfb::sim

@@ -9,11 +9,19 @@
 // boxes 63, 64 and 127 cells wide, whose strides (64, 65, 128) make the
 // vertical or diagonal step a whole-word shift, so the kernel's word-carry
 // runs at r = 0 under the sanitizers.
+//
+// The geodesic certificate (PrimaryGeodesics) is checked the same way:
+// whenever its table settles a transport, the router and HopGrid must both
+// route it in exactly the hex distance, over the random arrays above and
+// DTMB(1,6)/(3,6)/(4,4) arrays, with random anchors, faults and activated
+// spares.
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "biochip/dtmb.hpp"
 #include "biochip/hex_array.hpp"
 #include "common/rng.hpp"
 #include "fluidics/router.hpp"
@@ -201,6 +209,161 @@ TEST(HopCountFuzz, OpenGridHopsAreHexDistances) {
           << "width " << width;
     }
   }
+}
+
+struct CertificateTally {
+  int pairs = 0;
+  int certified = 0;     ///< pairs with a stored all-primary geodesic
+  int no_geodesic = 0;   ///< pairs the table refuses outright
+  int settled = 0;       ///< certified_hops answered (path intact)
+  int fault_refused = 0;  ///< certified, path hit, yet BFS = hex distance
+  int same_cell = 0;     ///< settled pairs with from == to
+};
+
+/// A certified path's bitmap is one chain of distance + 1 primary cells
+/// from `from` to `to`, each a lattice neighbour of the next.
+void expect_geodesic_path(const biochip::HexArray& array,
+                          const PrimaryGeodesics& table, std::size_t a,
+                          std::size_t b, hex::CellIndex from,
+                          hex::CellIndex to) {
+  std::vector<hex::CellIndex> cells;
+  const std::span<const std::uint64_t> path = table.path(a, b);
+  for (std::size_t w = 0; w < path.size(); ++w) {
+    for (std::uint64_t bits = path[w]; bits != 0; bits &= bits - 1) {
+      cells.push_back(static_cast<hex::CellIndex>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+    }
+  }
+  ASSERT_EQ(static_cast<std::int32_t>(cells.size()), table.distance(a, b) + 1);
+  for (const hex::CellIndex cell : cells) {
+    ASSERT_LT(cell, array.cell_count());
+    EXPECT_EQ(array.role(cell), CellRole::kPrimary);
+  }
+  EXPECT_TRUE(std::binary_search(cells.begin(), cells.end(), from));
+  EXPECT_TRUE(std::binary_search(cells.begin(), cells.end(), to));
+  // Ordered by distance from `from`, each cell is one hop past the last.
+  const hex::Region& region = array.region();
+  const auto from_from = [&](hex::CellIndex cell) {
+    return hex::distance(region.coord_at(from), region.coord_at(cell));
+  };
+  std::sort(cells.begin(), cells.end(),
+            [&](hex::CellIndex x, hex::CellIndex y) {
+              return from_from(x) < from_from(y);
+            });
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    EXPECT_EQ(from_from(cells[k]), static_cast<std::int32_t>(k));
+    if (k > 0) {
+      EXPECT_EQ(hex::distance(region.coord_at(cells[k - 1]),
+                              region.coord_at(cells[k])),
+                1);
+    }
+  }
+}
+
+/// Checks every ordered pair of `anchors` on `array` with `fault_rate`
+/// random faults and a random share of the spares activated.
+void check_certificates(biochip::HexArray array,
+                        const std::vector<hex::CellIndex>& anchors,
+                        double fault_rate, Rng& rng, CertificateTally& tally) {
+  const PrimaryGeodesics table(array, anchors);
+  ASSERT_EQ(table.anchor_count(), anchors.size());
+  ASSERT_EQ(table.word_count(),
+            (static_cast<std::size_t>(array.cell_count()) + 63) / 64);
+  std::vector<std::uint64_t> faulty(table.word_count(), 0);
+  for (hex::CellIndex cell = 0; cell < array.cell_count(); ++cell) {
+    if (rng.bernoulli(fault_rate)) {
+      array.set_health(cell, CellHealth::kFaulty);
+      faulty[static_cast<std::size_t>(cell) >> 6] |= std::uint64_t{1}
+                                                     << (cell & 63);
+    }
+  }
+  UsableCells usable(array);
+  const double activate_rate = rng.uniform01();
+  for (const hex::CellIndex spare : array.spares()) {
+    if (rng.bernoulli(activate_rate)) usable.activate_spare(spare);
+  }
+  const HopGrid grid(array);
+  std::vector<std::uint64_t> words(grid.word_count(), 0);
+  for (hex::CellIndex cell = 0; cell < array.cell_count(); ++cell) {
+    if (usable.usable(cell)) grid.set(words, cell);
+  }
+  const Router router(usable);
+  HopGrid::Scratch scratch;
+  const hex::Region& region = array.region();
+  for (std::size_t a = 0; a < anchors.size(); ++a) {
+    for (std::size_t b = 0; b < anchors.size(); ++b) {
+      const hex::CellIndex from = anchors[a];
+      const hex::CellIndex to = anchors[b];
+      const std::int32_t lattice =
+          hex::distance(region.coord_at(from), region.coord_at(to));
+      ASSERT_EQ(table.distance(a, b), lattice);
+      ++tally.pairs;
+      if (!table.certified(a, b)) {
+        ++tally.no_geodesic;
+        EXPECT_EQ(table.certified_hops(a, b, faulty), -1);
+        continue;
+      }
+      ++tally.certified;
+      expect_geodesic_path(array, table, a, b, from, to);
+      if (::testing::Test::HasFailure()) return;
+      const std::int32_t bfs = grid.hops(words, from, to, scratch);
+      const std::int32_t hops = table.certified_hops(a, b, faulty);
+      if (hops < 0) {
+        if (bfs == lattice) ++tally.fault_refused;
+        continue;
+      }
+      const std::vector<hex::CellIndex> route =
+          router.shortest_route(from, to);
+      ASSERT_EQ(hops, lattice) << "from " << from << " to " << to;
+      ASSERT_EQ(static_cast<std::int32_t>(route.size()) - 1, lattice)
+          << "from " << from << " to " << to << " on "
+          << array.cell_count() << " cells";
+      ASSERT_EQ(bfs, lattice) << "from " << from << " to " << to;
+      ++tally.settled;
+      if (from == to) ++tally.same_cell;
+    }
+  }
+}
+
+TEST(HopCountFuzz, CertifiedGeodesicsMatchTheRouterAndHopGrid) {
+  Rng rng(0x40B8);
+  CertificateTally tally;
+  constexpr biochip::DtmbKind kDtmbKinds[] = {biochip::DtmbKind::kDtmb1_6,
+                                              biochip::DtmbKind::kDtmb3_6,
+                                              biochip::DtmbKind::kDtmb4_4};
+  for (int trial = 0; trial < 240; ++trial) {
+    biochip::HexArray array = [&] {
+      if (trial % 8 >= 5) {
+        return biochip::make_dtmb_array(kDtmbKinds[trial % 8 - 5],
+                                        rng.uniform_int(3, 16),
+                                        rng.uniform_int(3, 16));
+      }
+      const hex::Region region = random_region(trial % 5, rng);
+      std::vector<CellRole> roles(static_cast<std::size_t>(region.size()));
+      const double spare_rate = 0.3 * rng.uniform01();
+      for (CellRole& role : roles) {
+        role =
+            rng.bernoulli(spare_rate) ? CellRole::kSpare : CellRole::kPrimary;
+      }
+      return biochip::HexArray(region, roles);
+    }();
+    // Random anchors, repeats allowed (from == to pairs), any role.
+    std::vector<hex::CellIndex> anchors(
+        static_cast<std::size_t>(rng.uniform_int(1, 10)));
+    for (hex::CellIndex& anchor : anchors) {
+      anchor = static_cast<hex::CellIndex>(
+          rng.uniform_below(static_cast<std::uint64_t>(array.cell_count())));
+    }
+    check_certificates(std::move(array), anchors, 0.1 * rng.uniform01(), rng,
+                       tally);
+    if (HasFailure()) return;
+  }
+  // Every outcome class actually occurred.
+  EXPECT_GT(tally.certified, 2000);
+  EXPECT_GT(tally.no_geodesic, 2500);
+  EXPECT_GT(tally.settled, 1800);
+  EXPECT_GT(tally.fault_refused, 100);
+  EXPECT_GT(tally.same_cell, 500);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace.hpp"
+#include "sim/assay_workload.hpp"
 #include "sim/session.hpp"
 
 namespace dmfb::obs {
@@ -38,6 +39,32 @@ Snapshot run_query_snapshot(std::int32_t threads) {
   EXPECT_EQ(estimate.runs, 512);
   registry.uninstall();
   return registry.snapshot();
+}
+
+/// The same for an operational query on the multiplexed assay chip.
+Snapshot run_operational_snapshot(std::int32_t threads) {
+  Registry registry;
+  registry.install();
+  sim::Session session(sim::AssayWorkload::multiplexed());
+  sim::YieldQuery query;
+  query.fault = sim::FaultModel::fixed_count(25);
+  query.workload = sim::Workload::kAssay;
+  query.runs = 256;
+  query.seed = 0xD0E5A11;
+  query.threads = threads;
+  query.policy = reconfig::CoveragePolicy::kUsedFaultyPrimaries;
+  const sim::OperationalEstimate estimate = session.run_operational(query);
+  EXPECT_EQ(estimate.operational.runs, 256);
+  registry.uninstall();
+  return registry.snapshot();
+}
+
+void expect_stable_counters_equal(const Snapshot& a, const Snapshot& b) {
+  for (std::size_t m = 0; m < kCounterCount; ++m) {
+    const auto metric = static_cast<Metric>(m);
+    if (!info(metric).stable) continue;
+    EXPECT_EQ(a.counter(metric), b.counter(metric)) << info(metric).name;
+  }
 }
 
 // ---------------------------------------------------------------- registry
@@ -122,11 +149,7 @@ TEST(ObsRegistryTest, HistogramStatisticsAreExactForCountSumMinMax) {
 TEST(ObsRegistryTest, StableCountersIdenticalAtOneAndFourThreads) {
   const Snapshot t1 = run_query_snapshot(1);
   const Snapshot t4 = run_query_snapshot(4);
-  for (std::size_t m = 0; m < kCounterCount; ++m) {
-    const auto metric = static_cast<Metric>(m);
-    if (!info(metric).stable) continue;
-    EXPECT_EQ(t1.counter(metric), t4.counter(metric)) << info(metric).name;
-  }
+  expect_stable_counters_equal(t1, t4);
   // And they are not trivially zero: the query really was instrumented.
   EXPECT_EQ(t1.counter(Metric::kSessionQueries), 1);
   EXPECT_EQ(t1.counter(Metric::kSessionComputed), 1);
@@ -140,6 +163,17 @@ TEST(ObsRegistryTest, StableCountersIdenticalAtOneAndFourThreads) {
   EXPECT_EQ(t1.counter(Metric::kInjectClassificationDraws),
             t1.counter(Metric::kInjectCellsFaulted));
   EXPECT_GT(t1.counter(Metric::kInjectCellsFaulted), 0);
+
+  // An operational query adds the route counters: every transport is
+  // counted, and the geodesic table settles a share of them.
+  const Snapshot op1 = run_operational_snapshot(1);
+  const Snapshot op4 = run_operational_snapshot(4);
+  expect_stable_counters_equal(op1, op4);
+  EXPECT_EQ(op1.counter(Metric::kSimRuns), 256);
+  EXPECT_GT(op1.counter(Metric::kRouteCertified), 0);
+  EXPECT_LT(op1.counter(Metric::kRouteCertified),
+            op1.counter(Metric::kRouteTransports));
+  EXPECT_EQ(t1.counter(Metric::kRouteTransports), 0);
 }
 
 TEST(ObsRegistryTest, SessionCacheHitCountsSecondIdenticalQuery) {

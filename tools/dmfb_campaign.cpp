@@ -251,6 +251,30 @@ int main(int argc, char** argv) {
     runner.set_result_cache(store);
   }
 
+  // Observability is opt-in and free when absent: the registry/recorder
+  // are only constructed (and installed) when the flags ask for them, and
+  // they observe the run without steering it — artifacts stay bit-identical.
+  std::unique_ptr<obs::Registry> registry;
+  std::unique_ptr<obs::TraceRecorder> recorder;
+  if (!metrics_path.empty()) {
+    registry = std::make_unique<obs::Registry>();
+    registry->install();
+  }
+  if (!trace_path.empty()) {
+    recorder = std::make_unique<obs::TraceRecorder>();
+    recorder->install();
+  }
+
+  // Grid points are checked against their designs before any artifact file
+  // opens: a rejected spec leaves an earlier run's artifacts untouched.
+  try {
+    runner.prepare();
+  } catch (const std::exception& ex) {
+    std::cerr << argv[0] << ": campaign '" << active.name
+              << "' rejected: " << ex.what() << '\n';
+    return 1;
+  }
+
   std::vector<std::unique_ptr<campaign::ArtifactSink>> file_sinks;
   std::unique_ptr<campaign::ConsoleSink> console_text;
   std::unique_ptr<campaign::ConsoleSink> console_markdown;
@@ -289,20 +313,6 @@ int main(int argc, char** argv) {
         break;
       }
     }
-  }
-
-  // Observability is opt-in and free when absent: the registry/recorder
-  // are only constructed (and installed) when the flags ask for them, and
-  // they observe the run without steering it — artifacts stay bit-identical.
-  std::unique_ptr<obs::Registry> registry;
-  std::unique_ptr<obs::TraceRecorder> recorder;
-  if (!metrics_path.empty()) {
-    registry = std::make_unique<obs::Registry>();
-    registry->install();
-  }
-  if (!trace_path.empty()) {
-    recorder = std::make_unique<obs::TraceRecorder>();
-    recorder->install();
   }
 
   try {
