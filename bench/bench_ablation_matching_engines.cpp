@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <utility>
 #include <vector>
 
 #include "biochip/dtmb.hpp"
@@ -55,14 +56,14 @@ int main() {
   for (std::int32_t run = 0; run < query.runs; ++run) {
     Rng rng = sim::run_stream(query.seed, run);
     sim::inject(query.fault, state, rng);
-    for (const sim::CellIndex cell : state.faulty_cells()) {
+    std::vector<sim::CellIndex> faulty = state.faulty_cells();
+    for (const sim::CellIndex cell : faulty) {
       array.set_health(cell, biochip::CellHealth::kFaulty);
     }
     if (first_fit.feasible(array)) {
       ++certified;
     } else {
-      contested.emplace_back(state.faulty_cells().begin(),
-                             state.faulty_cells().end());
+      contested.push_back(std::move(faulty));
     }
     array.reset_health();
     state.reset();

@@ -78,9 +78,11 @@ void BM_McYieldThreads(benchmark::State& state) {
 
 // v1 Bernoulli injection plus reset per run, no repair, on one fig9 point:
 // DTMB(3,6), 120 primaries, p = 0.90. The scalar row is sim::inject per
-// run; the lock-step row injects lane batches as Session's v1 loop does,
+// run; the lock-step row injects lane batches as Session's v1 loop does
+// (over-drawn SIMD phase A, word-parallel phase B, scalar fallback),
 // labelled with the ISA build this CPU picked ("scalar" when it has none).
-// items/s is runs per second; the fault sets are identical.
+// items/s is runs per second; the fault sets and the draws each run
+// consumes are identical.
 constexpr double kInjectSurvival = 0.90;
 constexpr std::uint64_t kInjectSeed = 3;
 
@@ -121,8 +123,7 @@ void BM_InjectV1_Lockstep(benchmark::State& state) {
     }
     batch.draw();
     for (std::int32_t lane = 0; lane < batch.lanes(); ++lane) {
-      (void)batch.inject(lane, faults);
-      benchmark::DoNotOptimize(faults.faulty_count());
+      benchmark::DoNotOptimize(batch.inject(lane, faults));
       faults.reset();
     }
     run += batch.lanes();

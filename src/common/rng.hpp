@@ -89,7 +89,7 @@ class Rng {
 
   /// The raw 256-bit engine state, and an engine resumed from one: for
   /// kernels that advance several streams side by side in SIMD lanes
-  /// (sim/lockstep_bernoulli.hpp) and hand each back as an Rng.
+  /// (sim/lockstep_bernoulli.hpp) and resume a lane on the scalar path.
   std::array<std::uint64_t, 4> state() const noexcept {
     return {state_[0], state_[1], state_[2], state_[3]};
   }

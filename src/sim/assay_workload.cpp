@@ -41,6 +41,22 @@ std::size_t kind_slot(WorkloadModule::Kind kind) noexcept {
   return static_cast<std::size_t>(kind);
 }
 
+/// One operational step's trace span and duration sample, or neither: the
+/// healthy baseline AssayWorkload::make evaluates records nothing, so each
+/// step's histogram counts the operational runs alone.
+class StepTimer {
+ public:
+  StepTimer(bool observed, const char* name, obs::Metric metric) {
+    if (!observed) return;
+    span_.emplace(name, "op");
+    timer_.emplace(metric);
+  }
+
+ private:
+  std::optional<obs::ScopedSpan> span_;
+  std::optional<obs::ScopedDuration> timer_;
+};
+
 /// Each module's transport endpoint on a healthy array, in module order.
 std::vector<CellIndex> home_anchors(std::span<const WorkloadModule> modules) {
   std::vector<CellIndex> anchors;
@@ -110,8 +126,8 @@ std::optional<double> OperationalState::degraded_completion(
   // park at their producer's endpoint. home_ keeps the module index while
   // the endpoint is still the module's own anchor cell (-1 once replaced),
   // the key into the workload's geodesic table.
-  obs::ScopedSpan route_span("fluidics.route", "op");
-  const obs::ScopedDuration route_timer(obs::Metric::kRouteNs);
+  const StepTimer route_timer(observed_, "fluidics.route",
+                              obs::Metric::kRouteNs);
   const fluidics::HopGrid& grid = workload_->grid_;
   const fluidics::PrimaryGeodesics& geodesics = workload_->geodesics_;
   const std::span<const std::uint64_t> fault_words = faults_.fault_words();
@@ -163,8 +179,14 @@ std::optional<double> OperationalState::degraded_completion(
           for (const reconfig::Replacement& replacement : plan.replacements) {
             grid.set(usable_, replacement.spare);
           }
-          for (const CellIndex cell : faults_.faulty_cells()) {
-            grid.clear(usable_, cell);
+          for (std::size_t w = 0; w < fault_words.size(); ++w) {
+            for (std::uint64_t bits = fault_words[w]; bits != 0;
+                 bits &= bits - 1) {
+              grid.clear(usable_,
+                         static_cast<CellIndex>(
+                             (w << 6) +
+                             static_cast<std::size_t>(std::countr_zero(bits))));
+            }
           }
           usable_built = true;
         }
@@ -226,8 +248,10 @@ std::shared_ptr<const AssayWorkload> AssayWorkload::make(
   // the workload itself) are meaningless.
   reconfig::ReconfigPlan healthy_plan;
   healthy_plan.success = true;
+  OperationalState baseline_state(workload);
+  baseline_state.observed_ = false;
   const std::optional<double> baseline =
-      OperationalState(workload).run_assay(healthy_plan);
+      baseline_state.run_assay(healthy_plan);
   DMFB_EXPECTS(baseline.has_value());
   DMFB_EXPECTS(*baseline > 0.0);
   workload->baseline_completion_s_ = *baseline;
@@ -345,8 +369,8 @@ const assay::Schedule* OperationalState::schedule(
       return nullptr;
     }
   }
-  obs::ScopedSpan span("assay.schedule", "op");
-  const obs::ScopedDuration timer(obs::Metric::kAssayScheduleNs);
+  const StepTimer timer(observed_, "assay.schedule",
+                        obs::Metric::kAssayScheduleNs);
   std::optional<assay::Schedule>& slot =
       schedules_[static_cast<std::size_t>(
           (pool.dispense_ports * (full.mixers + 1) + pool.mixers) *
@@ -365,8 +389,8 @@ std::size_t OperationalState::memoised_schedules() const noexcept {
 OperationalRun OperationalState::evaluate(reconfig::CoveragePolicy policy,
                                           reconfig::ReplacementPool pool) {
   {
-    obs::ScopedSpan span("reconfig.plan", "op");
-    const obs::ScopedDuration timer(obs::Metric::kReconfigPlanNs);
+    const StepTimer timer(observed_, "reconfig.plan",
+                          obs::Metric::kReconfigPlanNs);
     plan(policy, pool);
   }
 

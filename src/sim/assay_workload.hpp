@@ -190,7 +190,7 @@ class OperationalState {
   /// Pools whose schedule schedule() has computed and kept so far.
   std::size_t memoised_schedules() const noexcept;
 
-  /// Clears the fault bitmap in O(#faults).
+  /// Clears the fault bitmap (FaultState::reset: O(#cells / 64) words).
   void reset() noexcept { faults_.reset(); }
 
  private:
@@ -226,6 +226,9 @@ class OperationalState {
   /// Per op: the module whose own anchor cell is its endpoint, or -1 when
   /// the endpoint moved to a replacement cell.
   std::vector<std::int32_t> home_;
+  // False only on the healthy-baseline state AssayWorkload::make evaluates:
+  // its steps record no trace span or duration sample.
+  bool observed_ = true;
   // The last run's transports, and those the geodesic table settled;
   // evaluate() adds them to the fluidics.route.* counters.
   std::int64_t transports_ = 0;

@@ -34,10 +34,21 @@ FaultState::FaultState(std::shared_ptr<const ChipDesign> design)
 }
 
 void FaultState::reset() noexcept {
-  for (const CellIndex cell : faulty_cells_) {
-    words_[static_cast<std::size_t>(cell) >> 6] = 0;
+  std::fill(words_.begin(), words_.end(), 0);
+  faulty_count_ = 0;
+  last_faulty_ = -1;
+}
+
+std::vector<CellIndex> FaultState::faulty_cells() const {
+  std::vector<CellIndex> cells;
+  cells.reserve(static_cast<std::size_t>(faulty_count_));
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+      cells.push_back(static_cast<CellIndex>(
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(bits))));
+    }
   }
-  faulty_cells_.clear();
+  return cells;
 }
 
 std::int32_t FaultState::next_epoch() noexcept {

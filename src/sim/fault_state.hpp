@@ -4,13 +4,17 @@
 // a HexArray clone: a word-packed fault bitmap plus the reusable matching
 // buffers, all indexed by cell (claim arrays, visit stamps). One
 // FaultState serves an entire worker's run loop with zero steady-state
-// allocation; reset() costs O(#faults), not O(#cells).
+// allocation.
 //
 // Fault bits are packed 64 per std::uint64_t word (cell i -> word i/64,
 // bit i%64), so the repairability scan is word-parallel: one AND against
 // the skeleton's coverage mask per 64 cells finds the faulty primaries the
 // policy must cover, and bit extraction walks only the set bits instead of
-// every coverable primary.
+// every coverable primary. The bitmap is the only record of the fault set:
+// beside it the state keeps just the fault count and the highest marked
+// cell (the ascending writers' precondition). reset() zeroes the words in
+// O(#cells / 64), which repairable()'s word scan already costs every run,
+// and a lock-step injector writes a run's faults a whole word at a time.
 //
 // repairable() is Kuhn's augmenting-path algorithm in cell space over the
 // design's skeleton; no run builds a bipartite graph or runs
@@ -25,6 +29,7 @@
 // the claims on success, a Hall set (paper Section 6) on failure.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -69,33 +74,47 @@ class FaultState {
                                << (static_cast<std::uint32_t>(cell) & 63);
     if ((word & mask) == 0) {
       word |= mask;
-      faulty_cells_.push_back(cell);
+      ++faulty_count_;
+      if (cell > last_faulty_) last_faulty_ = cell;
     }
   }
-  /// Bulk-injection path for skip-sampled v2 streams: `cell` must be
-  /// strictly greater than every cell already marked (ascending injection
-  /// order), so the membership probe of set_faulty is unnecessary — the
-  /// fault word is written and the cell appended directly.
+  /// Bulk-injection path for streams that fault cells in ascending order
+  /// (v1 Bernoulli and parametric, v2 skip-sampling): `cell` must be
+  /// strictly greater than every cell already marked, so the membership
+  /// probe of set_faulty is unnecessary.
   void set_faulty_ascending(CellIndex cell) {
     DMFB_EXPECTS(cell >= 0 && cell < design_->cell_count());
-    DMFB_EXPECTS(faulty_cells_.empty() || faulty_cells_.back() < cell);
+    DMFB_EXPECTS(cell > last_faulty_);
     words_[static_cast<std::size_t>(cell) >> 6] |=
         std::uint64_t{1} << (static_cast<std::uint32_t>(cell) & 63);
-    faulty_cells_.push_back(cell);
+    ++faulty_count_;
+    last_faulty_ = cell;
   }
-  std::int32_t faulty_count() const noexcept {
-    return static_cast<std::int32_t>(faulty_cells_.size());
+  /// Ascending bulk write: marks every set bit of `bits` in fault word
+  /// `word` (cell word * 64 + b for bit b). No bit may lie at or past
+  /// cell_count(), and none at or below a cell already marked, so the
+  /// cells of a run arrive one word at a time, lowest first.
+  void set_faulty_word_ascending(std::size_t word, std::uint64_t bits) {
+    DMFB_EXPECTS(word < words_.size());
+    if (bits == 0) return;
+    const auto base = static_cast<CellIndex>(word << 6);
+    const CellIndex highest = base + 63 - std::countl_zero(bits);
+    DMFB_EXPECTS(highest < design_->cell_count());
+    DMFB_EXPECTS(base + std::countr_zero(bits) > last_faulty_);
+    words_[word] |= bits;
+    faulty_count_ += std::popcount(bits);
+    last_faulty_ = highest;
   }
-  /// Faulty cells in injection order (may help diagnostics; not sorted).
-  std::span<const CellIndex> faulty_cells() const noexcept {
-    return faulty_cells_;
-  }
+  std::int32_t faulty_count() const noexcept { return faulty_count_; }
+  /// The faulty cells, ascending (decoded from the bitmap; for diagnostics
+  /// and tests, not the run loop).
+  std::vector<CellIndex> faulty_cells() const;
   /// The packed bitmap (cell i at word i/64, bit i%64; trailing bits of the
   /// last word are always zero). Word count = fault_word_count(cell_count).
   std::span<const std::uint64_t> fault_words() const noexcept {
     return words_;
   }
-  /// Clears all fault bits in O(#faults).
+  /// Clears all fault bits: zeroes the O(#cells / 64) words.
   void reset() noexcept;
 
   // -- repairability --------------------------------------------------------
@@ -143,7 +162,10 @@ class FaultState {
 
   std::shared_ptr<const ChipDesign> design_;
   std::vector<std::uint64_t> words_;
-  std::vector<CellIndex> faulty_cells_;
+  std::int32_t faulty_count_ = 0;
+  // The highest marked cell (-1 when none): every bit of words_ lies at or
+  // below it.
+  CellIndex last_faulty_ = -1;
 
   // Augmenting-DFS visit marks: candidate cell visited iff its stamp equals
   // epoch_ (one epoch per DFS).

@@ -12,13 +12,17 @@
 #include <bit>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "biochip/dtmb.hpp"
+#include "biochip/hex_array.hpp"
+#include "common/contracts.hpp"
 #include "common/rng.hpp"
+#include "hexgrid/region.hpp"
 #include "reconfig/local_reconfig.hpp"
 #include "repair_witness.hpp"
 #include "sim/chip_design.hpp"
@@ -106,6 +110,116 @@ TEST(FaultStateWords, BitmapMatchesByteVectorReference) {
       std::fill(reference.begin(), reference.end(), 0);
     }
   }
+}
+
+/// A one-row all-primary array of exactly `cells` cells.
+std::shared_ptr<const ChipDesign> row_design(std::int32_t cells) {
+  return ChipDesign::make(biochip::HexArray(
+      hex::Region::parallelogram(cells, 1),
+      [](hex::HexCoord) { return biochip::CellRole::kPrimary; }));
+}
+
+TEST(FaultStateWords, MixedWritersKeepCountCellsAndResetConsistent) {
+  Rng rng(0xA5CE9DULL);
+  for (const std::int32_t n : {1, 63, 64, 65, 129}) {
+    const auto design = row_design(n);
+    FaultState state(design);
+    std::vector<char> reference(static_cast<std::size_t>(n), 0);
+    for (std::int32_t round = 0; round < 200; ++round) {
+      CellIndex last = -1;  // the highest marked cell
+      for (std::int32_t op = rng.uniform_int(0, 12); op > 0; --op) {
+        const int writer = rng.uniform_int(0, 2);
+        if (writer == 0) {
+          // Anywhere, duplicates included.
+          const CellIndex cell = rng.uniform_int(0, n - 1);
+          state.set_faulty(cell);
+          reference[static_cast<std::size_t>(cell)] = 1;
+          last = std::max(last, cell);
+        } else if (last < n - 1 && writer == 1) {
+          const CellIndex cell = rng.uniform_int(last + 1, n - 1);
+          state.set_faulty_ascending(cell);
+          reference[static_cast<std::size_t>(cell)] = 1;
+          last = cell;
+        } else if (last < n - 1) {
+          // A random word at or after the first free cell's, its bits kept
+          // above `last` and below n.
+          const std::int32_t first_word = (last + 1) / 64;
+          const std::int32_t word =
+              rng.uniform_int(first_word, (n - 1) / 64);
+          std::uint64_t bits = rng() & rng();
+          for (std::int32_t b = 0; b < 64; ++b) {
+            const CellIndex cell = word * 64 + b;
+            if (cell <= last || cell >= n) {
+              bits &= ~(std::uint64_t{1} << b);
+            } else if ((bits >> b) & 1) {
+              reference[static_cast<std::size_t>(cell)] = 1;
+            }
+          }
+          state.set_faulty_word_ascending(static_cast<std::size_t>(word),
+                                          bits);
+          if (bits != 0) last = word * 64 + 63 - std::countl_zero(bits);
+        }
+      }
+      std::vector<CellIndex> expected;
+      for (CellIndex cell = 0; cell < n; ++cell) {
+        if (reference[static_cast<std::size_t>(cell)] != 0) {
+          expected.push_back(cell);
+        }
+        ASSERT_EQ(state.is_faulty(cell),
+                  reference[static_cast<std::size_t>(cell)] != 0)
+            << "n=" << n << " round=" << round << " cell=" << cell;
+      }
+      ASSERT_EQ(state.faulty_cells(), expected) << "n=" << n;
+      ASSERT_EQ(state.faulty_count(),
+                static_cast<std::int32_t>(expected.size()));
+      if (n % 64 != 0) {
+        EXPECT_EQ(state.fault_words().back() >> (n % 64), 0u);
+      }
+      state.reset();
+      EXPECT_EQ(state.faulty_count(), 0);
+      EXPECT_TRUE(state.faulty_cells().empty());
+      for (const std::uint64_t word : state.fault_words()) {
+        EXPECT_EQ(word, 0u);
+      }
+      std::fill(reference.begin(), reference.end(), 0);
+      // reset() also forgets the highest marked cell.
+      state.set_faulty_ascending(0);
+      state.reset();
+    }
+  }
+}
+
+TEST(FaultStateWords, AscendingWritesRejectCellsOutOfRangeOrOutOfOrder) {
+  FaultState state(row_design(129));  // words 0..2; word 2 holds cell 128
+  EXPECT_THROW(state.set_faulty_word_ascending(3, 1), ContractViolation);
+  EXPECT_THROW(state.set_faulty_word_ascending(2, 0b10), ContractViolation);
+  EXPECT_THROW(state.set_faulty_word_ascending(2, std::uint64_t{1} << 63),
+               ContractViolation);
+  EXPECT_EQ(state.faulty_count(), 0);
+
+  state.set_faulty(70);
+  // At, and below, a marked cell.
+  EXPECT_THROW(state.set_faulty_word_ascending(1, std::uint64_t{1} << 6),
+               ContractViolation);
+  EXPECT_THROW(state.set_faulty_word_ascending(1, std::uint64_t{1} << 5),
+               ContractViolation);
+  EXPECT_THROW(state.set_faulty_word_ascending(0, std::uint64_t{1} << 63),
+               ContractViolation);
+  // Mixed bits: one above the marked cell does not excuse one below it.
+  EXPECT_THROW(state.set_faulty_word_ascending(
+                   1, (std::uint64_t{1} << 5) | (std::uint64_t{1} << 9)),
+               ContractViolation);
+  EXPECT_THROW(state.set_faulty_ascending(70), ContractViolation);
+  EXPECT_THROW(state.set_faulty_ascending(12), ContractViolation);
+  EXPECT_EQ(state.faulty_cells(), std::vector<CellIndex>{70});
+
+  // Above it, then the last live cell; a zero word writes nothing anywhere.
+  state.set_faulty_word_ascending(1, std::uint64_t{1} << 7);
+  state.set_faulty_word_ascending(0, 0);
+  state.set_faulty_word_ascending(2, 1);
+  EXPECT_EQ(state.faulty_cells(), (std::vector<CellIndex>{70, 71, 128}));
+  EXPECT_EQ(state.faulty_count(), 3);
+  EXPECT_THROW(state.set_faulty_ascending(128), ContractViolation);
 }
 
 TEST(FaultStateWords, SkeletonCoverMasksMirrorCoverLists) {

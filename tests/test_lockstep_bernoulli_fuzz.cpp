@@ -1,18 +1,24 @@
 // Differential fuzz: the lock-step v1 Bernoulli kernel against scalar
-// sim::inject. Every lane of every batch must fault the same cells, in the
-// same order, and leave its stream where the scalar loop leaves it. Each
-// case runs the generic template (4 and 8 lanes, at the default ISA) on any
-// host, plus every ISA build this CPU supports.
+// sim::inject. Every lane of every batch must fault the same cells, write
+// the same fault words, and consume the draws the scalar loop consumes (its
+// stream, replayed that many draws, ends where the scalar stream ends).
+// Each case runs the generic template (4 and 8 lanes, at the default ISA,
+// with a portable compress) on any host, plus every ISA build this CPU
+// supports.
 //
 // The cases cover the kernel's edge cases: cell counts on both sides of
 // the 64-draw mask words (1, 63, 64, 65, 127, 128, 129, 320), fault
-// probabilities from 1e-9 to 1 - 1e-9, a hit on the last phase-A draw (its
-// classification draw is owed to the scalar finish), runs of consecutive
-// candidates (a candidate right after a hit is that hit's classification
-// draw), a hit on bit 63 whose classification draw is bit 0 of the next
-// word, and Session ranges whose run count no lane width divides.
+// probabilities from 1e-9 to 1 - 1e-9, runs of consecutive candidates (a
+// candidate right after a hit is that hit's classification draw), a hit on
+// bit 63 whose classification draw is bit 0 of the next word, a last cell
+// whose classification draw lies past phase A, and Session ranges whose
+// run count no lane width divides. A seed search adds lanes whose hits
+// exceed the slack, so phase A ends before their last cell and the scalar
+// fallback finishes them, some owing the classification draw of a hit on
+// the last phase-A draw.
 #include <array>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,44 +51,66 @@ std::shared_ptr<const ChipDesign> row_design(std::int32_t cells) {
 /// Which phase-A edge cases the checked runs exercised.
 struct Coverage {
   std::int64_t runs = 0;
-  std::int64_t hit_on_last_draw = 0;
   std::int64_t consecutive_candidates = 0;
   std::int64_t candidate_classification_draw = 0;
   std::int64_t owed_across_word = 0;
+  /// Phase A held every trial, but not the last hit's classification draw.
+  std::int64_t classification_past_phase_a = 0;
+  std::int64_t slack_exhausted = 0;   ///< the scalar fallback ran
+  std::int64_t owed_at_fallback = 0;  ///< ... after a hit on the last draw
 };
 
-/// Replays a run's first `cells` draws as the scalar loop consumes them and
-/// records which edge cases they hit.
-void note_coverage(Rng rng, std::int32_t cells, std::uint64_t threshold,
-                   Coverage& coverage) {
-  bool previous_hit = false;
-  bool previous_candidate = false;
-  bool hit_on_last = false;
+/// Where a run's scalar draws fall against a phase A of `phase_a` draws.
+struct DrawProfile {
+  std::int32_t consumed = 0;  ///< cells + hits
+  bool exhausted = false;     ///< some trial lies at or past draw phase_a
+  bool owed = false;          ///< exhausted, and draw phase_a - 1 was a hit
+};
+
+/// Replays a run's draws as the scalar loop consumes them and records
+/// which edge cases they hit.
+DrawProfile note_coverage(Rng rng, std::int32_t cells,
+                          std::uint64_t threshold, std::int32_t phase_a,
+                          Coverage& coverage) {
+  DrawProfile profile;
   bool consecutive = false;
   bool classification = false;
   bool across_word = false;
-  for (std::int32_t j = 0; j < cells; ++j) {
+  bool hit_on_last_draw = false;
+  bool previous_candidate = false;
+  for (std::int32_t cell = 0; cell < cells; ++cell) {
+    profile.exhausted |= profile.consumed >= phase_a;
+    const bool hit = rng() < threshold;
+    consecutive |= hit && previous_candidate;
+    previous_candidate = hit;
+    ++profile.consumed;
+    if (!hit) continue;
+    hit_on_last_draw |= profile.consumed == phase_a;
     const bool candidate = rng() < threshold;
-    const bool hit = candidate && !previous_hit;
-    consecutive |= candidate && previous_candidate;
-    classification |= candidate && previous_hit;
-    across_word |= candidate && previous_hit && j % 64 == 0;
-    hit_on_last |= hit && j == cells - 1;
-    previous_hit = hit;
+    consecutive |= candidate;
+    classification |= candidate;
+    across_word |= profile.consumed % 64 == 0;
     previous_candidate = candidate;
+    ++profile.consumed;
   }
+  profile.owed = profile.exhausted && hit_on_last_draw;
   ++coverage.runs;
-  coverage.hit_on_last_draw += hit_on_last ? 1 : 0;
   coverage.consecutive_candidates += consecutive ? 1 : 0;
   coverage.candidate_classification_draw += classification ? 1 : 0;
   coverage.owed_across_word += across_word ? 1 : 0;
+  coverage.classification_past_phase_a +=
+      !profile.exhausted && profile.consumed > phase_a ? 1 : 0;
+  coverage.slack_exhausted += profile.exhausted ? 1 : 0;
+  coverage.owed_at_fallback += profile.owed ? 1 : 0;
+  return profile;
 }
 
-/// Runs `batches` lock-step batches of (seed, first_run ...) through
-/// `kernel` and checks every lane against scalar sim::inject.
+/// Runs the streams `runs` of (seed, run) through `kernel`, lanes() at a
+/// time, and checks every lane against scalar sim::inject.
 void expect_lanes_match_scalar(const LockstepKernel& kernel,
                                std::int32_t cells, double fault_prob,
-                               std::uint64_t seed, std::int32_t batches,
+                               std::uint64_t seed,
+                               const std::vector<std::int32_t>& runs,
                                Coverage& coverage) {
   const auto design = row_design(cells);
   // The model's survival p, and back: the double the scalar core receives.
@@ -91,32 +119,35 @@ void expect_lanes_match_scalar(const LockstepKernel& kernel,
   FaultState lockstep_state(design);
   FaultState scalar_state(design);
   LockstepBernoulli batch(kernel, cells, q);
-  for (std::int32_t b = 0; b < batches; ++b) {
-    const std::int32_t first = b * batch.lanes();
-    for (std::int32_t lane = 0; lane < batch.lanes(); ++lane) {
-      batch.load(lane, run_stream(seed, first + lane));
+  const auto lanes = static_cast<std::size_t>(batch.lanes());
+  for (std::size_t first = 0; first + lanes <= runs.size(); first += lanes) {
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      batch.load(static_cast<std::int32_t>(lane),
+                 run_stream(seed, runs[first + lane]));
     }
     batch.draw();
-    for (std::int32_t lane = 0; lane < batch.lanes(); ++lane) {
-      const std::int32_t run = first + lane;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const std::int32_t run = runs[first + lane];
       const std::string where = std::string(kernel.isa) + " lanes=" +
                                 std::to_string(kernel.lanes) +
                                 " cells=" + std::to_string(cells) +
                                 " q=" + std::to_string(q) +
                                 " run=" + std::to_string(run);
       Rng scalar = run_stream(seed, run);
-      note_coverage(scalar, cells, bernoulli_threshold(q), coverage);
+      const DrawProfile profile = note_coverage(
+          scalar, cells, bernoulli_threshold(q), batch.draws(), coverage);
       inject(model, scalar_state, scalar);
-      const Rng lockstep = batch.inject(lane, lockstep_state);
+      const std::int32_t consumed =
+          batch.inject(static_cast<std::int32_t>(lane), lockstep_state);
 
-      const std::vector<CellIndex> expected(
-          scalar_state.faulty_cells().begin(),
-          scalar_state.faulty_cells().end());
-      const std::vector<CellIndex> actual(
-          lockstep_state.faulty_cells().begin(),
-          lockstep_state.faulty_cells().end());
-      ASSERT_EQ(actual, expected) << where;
-      ASSERT_EQ(lockstep.state(), scalar.state()) << where;
+      ASSERT_EQ(lockstep_state.faulty_cells(), scalar_state.faulty_cells())
+          << where;
+      ASSERT_EQ(lockstep_state.faulty_count(), scalar_state.faulty_count())
+          << where;
+      ASSERT_EQ(consumed, profile.consumed) << where;
+      Rng replay = run_stream(seed, run);
+      for (std::int32_t d = 0; d < consumed; ++d) (void)replay();
+      ASSERT_EQ(replay.state(), scalar.state()) << where;
       ASSERT_EQ(lockstep_state.fault_words().size(),
                 scalar_state.fault_words().size());
       for (std::size_t w = 0; w < scalar_state.fault_words().size(); ++w) {
@@ -130,19 +161,27 @@ void expect_lanes_match_scalar(const LockstepKernel& kernel,
   }
 }
 
+/// Runs 0, 1, ..., count - 1.
+std::vector<std::int32_t> first_runs(std::int32_t count) {
+  std::vector<std::int32_t> runs(static_cast<std::size_t>(count));
+  for (std::int32_t run = 0; run < count; ++run) {
+    runs[static_cast<std::size_t>(run)] = run;
+  }
+  return runs;
+}
+
 void expect_kernel_matches_scalar(const LockstepKernel& kernel) {
   Coverage coverage;
   for (const std::int32_t cells : kCellCounts) {
     for (const double fault_prob : kFaultProbs) {
       for (const std::uint64_t seed : {0xD0E5A11ULL, 7ULL}) {
         expect_lanes_match_scalar(kernel, cells, fault_prob, seed,
-                                  /*batches=*/16, coverage);
+                                  first_runs(16 * kernel.lanes), coverage);
         if (testing::Test::HasFatalFailure()) return;
       }
     }
   }
   // The corpus really reached the edge cases it exists for.
-  EXPECT_GT(coverage.hit_on_last_draw, 0) << kernel.isa;
   EXPECT_GT(coverage.consecutive_candidates, 0) << kernel.isa;
   EXPECT_GT(coverage.candidate_classification_draw, 0) << kernel.isa;
   EXPECT_GT(coverage.owed_across_word, 0) << kernel.isa;
@@ -160,12 +199,111 @@ TEST(LockstepBernoulli, EverySupportedIsaMatchesScalarInject) {
   }
 }
 
+/// Cell counts and fault probabilities whose phase A is not a whole number
+/// of mask words, so the last phase-A draw is not bit 63 of its word.
+struct SlackCase {
+  std::int32_t cells;
+  double fault_prob;
+};
+constexpr SlackCase kSlackCases[] = {{65, 0.5}, {129, 0.2}, {320, 0.01}};
+
+/// Seed search: the first `wanted` runs of `seed` whose scalar draws do not
+/// fit a phase A of `phase_a` draws. Nearly all of them have more hits than
+/// the slack; the rest hit on their last cell's trial at draw phase_a - 1.
+std::vector<std::int32_t> exhausted_runs(std::int32_t cells,
+                                         double fault_prob,
+                                         std::uint64_t seed,
+                                         std::int32_t phase_a,
+                                         std::size_t wanted) {
+  const std::uint64_t threshold = bernoulli_threshold(fault_prob);
+  std::vector<std::int32_t> runs;
+  Coverage ignored;
+  for (std::int32_t run = 0; run < 1'000'000 && runs.size() < wanted;
+       ++run) {
+    if (note_coverage(run_stream(seed, run), cells, threshold, phase_a,
+                      ignored)
+            .consumed > phase_a) {
+      runs.push_back(run);
+    }
+  }
+  return runs;
+}
+
+TEST(LockstepBernoulli, SlackExhaustedLanesMatchScalarInject) {
+  constexpr std::uint64_t kSeed = 0x51ACCULL;
+  // 16 runs per case fill whole batches at 4 and 8 lanes.
+  std::vector<std::vector<std::int32_t>> runs;
+  for (const SlackCase& slack_case : kSlackCases) {
+    const std::int32_t phase_a =
+        slack_case.cells + lockstep_slack(slack_case.cells,
+                                          slack_case.fault_prob);
+    ASSERT_NE(phase_a % 64, 0);
+    runs.push_back(exhausted_runs(slack_case.cells, slack_case.fault_prob,
+                                  kSeed, phase_a, 16));
+    ASSERT_EQ(runs.back().size(), 16u) << "cells=" << slack_case.cells;
+  }
+  std::vector<LockstepKernel> kernels = {generic_lockstep_kernel<4>(),
+                                         generic_lockstep_kernel<8>()};
+  for (const LockstepKernel& kernel : supported_lockstep_kernels()) {
+    kernels.push_back(kernel);
+  }
+  for (const LockstepKernel& kernel : kernels) {
+    Coverage coverage;
+    for (std::size_t c = 0; c < std::size(kSlackCases); ++c) {
+      expect_lanes_match_scalar(kernel, kSlackCases[c].cells,
+                                kSlackCases[c].fault_prob, kSeed, runs[c],
+                                coverage);
+      if (testing::Test::HasFatalFailure()) return;
+    }
+    // The search reached each edge of phase A's end: fallbacks, fallbacks
+    // owing the classification draw of a hit on the last phase-A draw, and
+    // a last hit whose classification draw phase A did not hold.
+    EXPECT_GT(coverage.slack_exhausted, 0) << kernel.isa;
+    EXPECT_GT(coverage.owed_at_fallback, 0) << kernel.isa;
+    EXPECT_GT(coverage.classification_past_phase_a, 0) << kernel.isa;
+  }
+}
+
+TEST(LockstepBernoulli, ClassificationDrawsFollowTheSerialRecurrence) {
+  Rng rng(0xC1A55ULL);
+  for (std::int32_t round = 0; round < 20000; ++round) {
+    // Dense, sparse and run-heavy words, plus the all-ones word.
+    std::uint64_t candidates = rng();
+    if (round % 4 == 1) candidates &= rng();
+    if (round % 4 == 2) candidates |= rng() | (candidates << 1);
+    if (round % 4 == 3 && round < 8) candidates = ~std::uint64_t{0};
+    const std::uint64_t carry_in = rng() & 1;
+    std::uint64_t expected = 0;
+    bool previous_hit = carry_in != 0;
+    for (int b = 0; b < 64; ++b) {
+      if (previous_hit) expected |= std::uint64_t{1} << b;
+      previous_hit = !previous_hit && ((candidates >> b) & 1) != 0;
+    }
+    std::uint64_t carry = carry_in;
+    ASSERT_EQ(classification_draws(candidates, carry), expected)
+        << std::hex << candidates << " carry " << carry_in;
+    ASSERT_EQ(carry, previous_hit ? 1u : 0u) << std::hex << candidates;
+  }
+}
+
+TEST(LockstepBernoulli, SlackIsBoundedByTheCellCount) {
+  EXPECT_EQ(lockstep_slack(1, 0.5), 1);
+  EXPECT_EQ(lockstep_slack(320, 1.0 - 1e-9), 320);
+  EXPECT_EQ(lockstep_slack(320, 1e-9), 2);
+  // fig9's densest point: mean 96, sd 8.76, so 96 + 26.3 rounded up, + 1.
+  EXPECT_EQ(lockstep_slack(480, 0.2), 124);
+  EXPECT_THROW((void)lockstep_slack(0, 0.5), ContractViolation);
+  EXPECT_THROW((void)lockstep_slack(64, 0.0), ContractViolation);
+  EXPECT_THROW((void)lockstep_slack(64, 1.0), ContractViolation);
+}
+
 TEST(LockstepBernoulli, SupportedKernelsAreWidestFirst) {
   const auto kernels = supported_lockstep_kernels();
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     EXPECT_GT(kernels[i].lanes, 0);
     EXPECT_LE(kernels[i].lanes, kMaxLockstepLanes);
     EXPECT_NE(kernels[i].candidates, nullptr);
+    EXPECT_NE(kernels[i].faults, nullptr);
     if (i > 0) {
       EXPECT_LT(kernels[i].lanes, kernels[i - 1].lanes);
     }

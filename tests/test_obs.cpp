@@ -176,6 +176,19 @@ TEST(ObsRegistryTest, StableCountersIdenticalAtOneAndFourThreads) {
   EXPECT_EQ(t1.counter(Metric::kRouteTransports), 0);
 }
 
+// One duration sample per operational run and step. The workload is built
+// inside the installed registry, and the healthy baseline
+// AssayWorkload::make evaluates records no sample of its own.
+TEST(ObsRegistryTest, OperationalStepDurationsCountOneSamplePerRun) {
+  const Snapshot snapshot = run_operational_snapshot(1);
+  const std::int64_t runs = snapshot.counter(Metric::kSimRuns);
+  ASSERT_EQ(runs, 256);
+  for (const Metric metric : {Metric::kReconfigPlanNs,
+                              Metric::kAssayScheduleNs, Metric::kRouteNs}) {
+    EXPECT_EQ(snapshot.histogram(metric).count, runs) << info(metric).name;
+  }
+}
+
 TEST(ObsRegistryTest, SessionCacheHitCountsSecondIdenticalQuery) {
   Registry registry;
   registry.install();

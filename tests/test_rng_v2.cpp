@@ -278,8 +278,7 @@ LayerRun run_sim_v2(const sim::FaultModel& model, std::uint64_t key) {
   CounterStream stream(key);
   sim::inject_v2(model, state, stream);
   LayerRun out;
-  out.cells.assign(state.faulty_cells().begin(), state.faulty_cells().end());
-  std::sort(out.cells.begin(), out.cells.end());
+  out.cells = state.faulty_cells();  // ascending
   out.cursor = stream.cursor();
   return out;
 }

@@ -203,10 +203,7 @@ void fold_array(std::uint64_t& digest, const biochip::HexArray& array,
 }
 
 void fold_state(std::uint64_t& digest, const FaultState& state) {
-  std::vector<CellIndex> cells(state.faulty_cells().begin(),
-                               state.faulty_cells().end());
-  std::sort(cells.begin(), cells.end());
-  for (const CellIndex cell : cells) {
+  for (const CellIndex cell : state.faulty_cells()) {  // ascending
     fnv_fold(digest, static_cast<std::uint64_t>(cell));
   }
 }
@@ -271,7 +268,10 @@ std::uint64_t lockstep_digest(const LockstepKernel& kernel,
     batch.draw();
     for (std::int32_t lane = 0; lane < kernel.lanes; ++lane) {
       state.reset();
-      Rng rng = batch.inject(lane, state);
+      // The stream a lane leaves is the pinned seed's, `consumed` draws on.
+      const std::int32_t consumed = batch.inject(lane, state);
+      Rng rng(pin_seed(first + lane));
+      for (std::int32_t d = 0; d < consumed; ++d) (void)rng();
       fold_state(digest, state);
       fnv_fold(digest, rng());
     }
