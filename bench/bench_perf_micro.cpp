@@ -1,8 +1,11 @@
 // google-benchmark micro-benchmarks for the performance-critical kernels:
 // maximum matching (CSR matcher, Hopcroft-Karp), one Monte-Carlo yield
-// run, v1 Bernoulli injection (scalar and lock-step), droplet routing, and
-// the covering-walk test planner.
+// run, v1 Bernoulli injection (scalar and lock-step), v2 Bernoulli
+// injection (scalar and SIMD gaps), droplet routing, and the covering-walk
+// test planner.
 #include <benchmark/benchmark.h>
+
+#include <string_view>
 
 #include "biochip/dtmb.hpp"
 #include "common/rng.hpp"
@@ -11,6 +14,7 @@
 #include "reconfig/local_reconfig.hpp"
 #include "sim/fault_model.hpp"
 #include "sim/fault_state.hpp"
+#include "sim/geometric_gaps.hpp"
 #include "sim/lockstep_bernoulli.hpp"
 #include "sim/session.hpp"
 #include "testplan/stimulus_test.hpp"
@@ -132,6 +136,49 @@ void BM_InjectV1_Lockstep(benchmark::State& state) {
   state.SetLabel(kernel->isa);
 }
 
+// v2 Bernoulli injection plus reset per run, no repair, on the fig9 design
+// of BM_InjectV1_* at p = range(0) / 100 (fig9 spans 0.80-0.99). The
+// scalar row is sim::inject_v2 with no gap kernel (skip_sample_bernoulli);
+// each other row names the gap kernel it passes and is skipped on a CPU
+// without it. Runs are those of one Session query; the fault sets and
+// final cursors are identical across rows. items/s is runs per second.
+void inject_v2_rows(benchmark::State& state, const sim::GapKernel* kernel) {
+  sim::FaultState faults(inject_bench_design());
+  const sim::FaultModel model =
+      sim::FaultModel::bernoulli(static_cast<double>(state.range(0)) / 100.0);
+  std::int32_t run = 0;
+  for (auto _ : state) {
+    CounterStream stream = sim::run_stream_v2(kInjectSeed, run++);
+    sim::inject_v2(model, faults, stream, kernel);
+    benchmark::DoNotOptimize(stream.cursor());
+    faults.reset();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(kernel == nullptr ? "scalar" : kernel->isa);
+}
+
+void BM_InjectV2_Scalar(benchmark::State& state) {
+  inject_v2_rows(state, nullptr);
+}
+
+void inject_v2_gap_rows(benchmark::State& state, const char* isa) {
+  for (const sim::GapKernel& kernel : sim::supported_gap_kernels()) {
+    if (std::string_view(kernel.isa) == isa) {
+      inject_v2_rows(state, &kernel);
+      return;
+    }
+  }
+  state.SkipWithError("this CPU has no such gap kernel");
+}
+
+void BM_InjectV2_Gaps_Avx512f(benchmark::State& state) {
+  inject_v2_gap_rows(state, "avx512f");
+}
+
+void BM_InjectV2_Gaps_Avx2(benchmark::State& state) {
+  inject_v2_gap_rows(state, "avx2");
+}
+
 void BM_SingleDropletRoute(benchmark::State& state) {
   const auto side = static_cast<std::int32_t>(state.range(0));
   const biochip::HexArray array(
@@ -187,6 +234,9 @@ BENCHMARK(BM_McYieldThreads)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_InjectV1_Scalar);
 BENCHMARK(BM_InjectV1_Lockstep);
+BENCHMARK(BM_InjectV2_Scalar)->Arg(80)->Arg(90)->Arg(99);
+BENCHMARK(BM_InjectV2_Gaps_Avx512f)->Arg(80)->Arg(90)->Arg(99);
+BENCHMARK(BM_InjectV2_Gaps_Avx2)->Arg(80)->Arg(90)->Arg(99);
 BENCHMARK(BM_SingleDropletRoute)->Arg(16)->Arg(32)->Arg(64);
 BENCHMARK(BM_HopCount)->Arg(16)->Arg(32)->Arg(64);
 BENCHMARK(BM_CoveringWalk)->Arg(16)->Arg(32);

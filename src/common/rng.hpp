@@ -260,16 +260,32 @@ class CounterStream {
   std::uint64_t cursor_ = 0;
 };
 
+/// The v2 geometric gap of uniform `u` for a run of `count` indices, where
+/// `denom` = log1p(-prob): the inverse-CDF sample floor(log1p(-u) / denom),
+/// or `count` when that reaches count (the run ends at this draw). The
+/// quotient y is compared against `count` in double precision *before* the
+/// integer cast, so a near-1 uniform at tiny prob (y ~ 1e300) ends the run
+/// instead of overflowing the cast. Below count, truncation is floor, since
+/// y >= +0 (log1p(-u) <= 0 and denom < 0): this takes no libm floor call,
+/// which the default x86-64 ISA (no roundsd) would make per gap. The one
+/// definition of a v2 gap: skip_sample_bernoulli and the SIMD gap kernels'
+/// exact fallback (sim/geometric_gaps.hpp) both call it.
+inline std::int64_t geometric_gap(double u, double denom,
+                                  std::int64_t count) noexcept {
+  // u == 0 gives log1p(-0.0) == -0.0, so y is -0.0/denom == +0.0: the
+  // inverse-CDF is total on [0, 1) without further guards.
+  const double y = std::log1p(-u) / denom;
+  if (y >= static_cast<double>(count)) return count;
+  return static_cast<std::int64_t>(y);
+}
+
 /// Geometric skip-sampling: calls on_index(i) for every i in [0, count)
 /// whose independent Bernoulli(prob) trial succeeds, in ascending order,
 /// consuming one uniform draw per *success* (plus one terminating overshoot
-/// draw) instead of one per index. The skip length floor(log1p(-u)/log1p(-p))
-/// is the inverse-CDF geometric sample; it is compared against `count` in
-/// double precision *before* the integer cast, so a near-1 uniform at tiny
-/// prob (skip ~ 1e300) terminates instead of overflowing the cast.
-/// prob <= 0 returns without consuming any draw; prob >= 1 makes every skip
-/// collapse to 0 (log1p(-u)/-inf == -0.0, floored to -0.0) and visits every
-/// index, one draw each — no special case needed.
+/// draw) instead of one per index; each draw's gap is geometric_gap().
+/// prob <= 0 returns without consuming any draw; prob >= 1 makes every gap
+/// collapse to 0 (log1p(-u)/-inf == +0.0) and visits every index, one draw
+/// each — no special case needed.
 template <typename OnIndex>
 void skip_sample_bernoulli(CounterStream& stream, std::int64_t count,
                            double prob, OnIndex&& on_index) {
@@ -278,12 +294,9 @@ void skip_sample_bernoulli(CounterStream& stream, std::int64_t count,
                                    : std::log1p(-prob);
   std::int64_t index = -1;
   for (;;) {
-    const double u = stream.uniform01();
-    // u == 0 gives log1p(-0.0) == -0.0, so skip is -0.0/-denom == +0.0: the
-    // geometric inverse-CDF is total on [0, 1) without further guards.
-    const double skip = std::floor(std::log1p(-u) / denom);
-    if (skip >= static_cast<double>(count)) return;
-    index += 1 + static_cast<std::int64_t>(skip);
+    const std::int64_t skip = geometric_gap(stream.uniform01(), denom, count);
+    if (skip >= count) return;
+    index += 1 + skip;
     if (index >= count) return;
     on_index(static_cast<std::int32_t>(index));
   }

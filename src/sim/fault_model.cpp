@@ -10,6 +10,7 @@
 #include "hexgrid/hex_coord.hpp"
 #include "hexgrid/region.hpp"
 #include "obs/metrics.hpp"
+#include "sim/geometric_gaps.hpp"
 
 namespace dmfb::sim {
 
@@ -20,7 +21,8 @@ namespace {
 // contract; common/rng.hpp). A core walks the draws of one kind and hands
 // each fault to a sink:
 //  * bernoulli — v1: one trial draw per cell (bernoulli_trials). v2:
-//    geometric skip-sampling, one draw per fault plus one overshoot draw.
+//    geometric skip-sampling, one draw per fault plus one overshoot draw
+//    (skip_sample).
 //  * fixed_count — v1: Rng::sample_without_replacement. v2: Floyd's
 //    algorithm (fault::fixed_count_v2), one uniform_below per pick.
 //  * clustered — one spot walk for both: a Poisson spot count, a uniform
@@ -41,7 +43,9 @@ namespace {
 //  * parametric(cell, parameter, deviation) — v1; the fault's draws were
 //    the core's deviates, so the sink consumes none.
 // The draw is consumed even when the cell is already faulty, which keeps
-// every later draw aligned; the first faulter keeps the cell.
+// every later draw aligned; the first faulter keeps the cell. A sink also
+// declares kGapKernel: whether a v2 run may take its gaps from a SIMD gap
+// kernel (skip_sample below; only the standalone bitmap sink may).
 
 fault::ProcessSpec parametric_spec(const FaultModel& model) {
   return fault::ProcessSpec::typical().scaled(model.param);
@@ -56,12 +60,38 @@ void bernoulli_core(const FaultModel& model, Rng& rng, Sink& sink) {
                    });
 }
 
+/// v2 geometric skip-sampling at fault probability `prob` over the sink's
+/// cells. A sink with a gap kernel (sim/geometric_gaps.hpp) takes its gaps
+/// from it when the run expects kMinGapKernelFaults or more faults and
+/// `prob` suits the kernel: the sink marks each fault and then tallies the
+/// draws the kernel skipped in bulk, the same marks and tallies on_index
+/// makes per fault. Otherwise the scalar skip_sample_bernoulli loop runs
+/// on_index. Both give the same faults, cursor and tallies.
+template <typename Sink, typename OnIndex>
+void skip_sample(Sink& sink, CounterStream& stream, double prob,
+                 OnIndex&& on_index) {
+  if constexpr (Sink::kGapKernel) {
+    const GapKernel* kernel = sink.gap_kernel();
+    if (kernel != nullptr &&
+        prob * static_cast<double>(sink.cell_count()) >= kMinGapKernelFaults) {
+      const std::int64_t faults =
+          skip_sample_gaps(*kernel, stream, sink.cell_count(), prob,
+                           [&](std::int32_t cell) { sink.mark(cell); });
+      if (faults >= 0) {
+        sink.skipped_draws(faults);
+        return;
+      }
+    }
+  }
+  skip_sample_bernoulli(stream, sink.cell_count(), prob, on_index);
+}
+
 template <typename Sink>
 void bernoulli_core(const FaultModel& model, CounterStream& stream,
                     Sink& sink) {
-  skip_sample_bernoulli(
-      stream, sink.cell_count(), 1.0 - model.param,
-      [&](std::int32_t cell) { sink.catastrophic(cell, stream); });
+  skip_sample(sink, stream, 1.0 - model.param, [&](std::int32_t cell) {
+    sink.catastrophic(cell, stream);
+  });
 }
 
 template <typename Sink>
@@ -133,8 +163,8 @@ template <typename Sink>
 void parametric_core(const FaultModel& model, CounterStream& stream,
                      Sink& sink) {
   const fault::ProcessSpec spec = parametric_spec(model);
-  skip_sample_bernoulli(
-      stream, sink.cell_count(), spec.cell_fault_probability(),
+  skip_sample(
+      sink, stream, spec.cell_fault_probability(),
       [&](std::int32_t cell) { sink.parametric(cell, stream, spec); });
 }
 
@@ -186,14 +216,24 @@ struct InjectTally {
 /// contract), so they append without the set_faulty membership probe. A
 /// template parameter, not a member: a run-time branch in the per-cell
 /// loop made v1 Bernoulli injection about 30% slower.
+///
+/// kGapKernel: a standalone v2 run (ascending) may take its gaps from a
+/// gap kernel, `gaps` (nullptr: the scalar loop). The kernel addresses gap
+/// j's draw at start + 2j, which holds because this sink consumes exactly
+/// one draw per fault; mixture components take the probing sink.
 template <typename Stream, bool kAscending>
 class BitmapSink {
  public:
   static constexpr bool kV1 = std::is_same_v<Stream, Rng>;
+  static constexpr bool kGapKernel = !kV1 && kAscending;
 
-  explicit BitmapSink(FaultState& state) : state_(state) {
+  explicit BitmapSink(FaultState& state, const GapKernel* gaps = nullptr)
+      : state_(state), gaps_(gaps) {
     DMFB_EXPECTS(state.faulty_count() == 0);
+    DMFB_EXPECTS(gaps == nullptr || kGapKernel);
   }
+
+  const GapKernel* gap_kernel() const noexcept { return gaps_; }
 
   std::int32_t cell_count() const noexcept {
     return state_.design().cell_count();
@@ -225,6 +265,21 @@ class BitmapSink {
     mark(cell);
   }
 
+  /// The tallies of `faults` classification or attribution draws a gap
+  /// kernel skipped in bulk (consume_draw's, without the skip itself).
+  void skipped_draws(std::int64_t faults) noexcept {
+    tally_.classification += faults;
+    tally_.trials += faults;
+  }
+
+  void mark(CellIndex cell) {
+    if constexpr (kAscending) {
+      state_.set_faulty_ascending(cell);
+    } else {
+      state_.set_faulty(cell);
+    }
+  }
+
   /// One flush per call keeps the per-cell loops TLS-free; the guard makes
   /// the disabled default a single relaxed load.
   void flush() const {
@@ -246,15 +301,8 @@ class BitmapSink {
     }
   }
 
-  void mark(CellIndex cell) {
-    if constexpr (kAscending) {
-      state_.set_faulty_ascending(cell);
-    } else {
-      state_.set_faulty(cell);
-    }
-  }
-
   FaultState& state_;
+  const GapKernel* gaps_;
   InjectTally tally_;
 };
 
@@ -270,6 +318,8 @@ class RecordSink {
 
   std::int32_t cell_count() const noexcept { return array_.cell_count(); }
   const hex::Region& region() const noexcept { return array_.region(); }
+  /// Records evaluate each fault's draws: always the scalar loop.
+  static constexpr bool kGapKernel = false;
   bool is_faulty(hex::CellIndex cell) const {
     return array_.health(cell) == biochip::CellHealth::kFaulty;
   }
@@ -322,17 +372,18 @@ class RecordSink {
 /// models visit cells in ascending order on the empty bitmap under both
 /// contracts (per-cell trials under v1, skip-sampling under v2), so only
 /// they run with the ascending sink; mixture components, fixed-count picks
-/// and cluster spots take the probing one.
+/// and cluster spots take the probing one. `gaps` is the v2 gap kernel for
+/// the ascending kinds (nullptr under v1).
 template <typename Stream>
-void inject_into(const FaultModel& model, FaultState& state,
-                 Stream& stream) {
+void inject_into(const FaultModel& model, FaultState& state, Stream& stream,
+                 const GapKernel* gaps) {
   const auto run = [&](auto&& sink) {
     inject_model(model, stream, sink);
     sink.flush();
   };
   if (model.kind == FaultModel::Kind::kBernoulli ||
       model.kind == FaultModel::Kind::kParametric) {
-    run(BitmapSink<Stream, /*kAscending=*/true>(state));
+    run(BitmapSink<Stream, /*kAscending=*/true>(state, gaps));
   } else {
     run(BitmapSink<Stream, /*kAscending=*/false>(state));
   }
@@ -385,12 +436,17 @@ void validate(const FaultModel& model, std::int32_t cell_count) {
 }
 
 void inject(const FaultModel& model, FaultState& state, Rng& rng) {
-  inject_into(model, state, rng);
+  inject_into(model, state, rng, nullptr);
 }
 
 void inject_v2(const FaultModel& model, FaultState& state,
                CounterStream& stream) {
-  inject_into(model, state, stream);
+  inject_into(model, state, stream, default_gap_kernel());
+}
+
+void inject_v2(const FaultModel& model, FaultState& state,
+               CounterStream& stream, const GapKernel* gaps) {
+  inject_into(model, state, stream, gaps);
 }
 
 fault::FaultMap inject(const FaultModel& model, biochip::HexArray& array,
