@@ -5,8 +5,6 @@
 // test planner.
 #include <benchmark/benchmark.h>
 
-#include <string_view>
-
 #include "biochip/dtmb.hpp"
 #include "common/rng.hpp"
 #include "fluidics/router.hpp"
@@ -136,47 +134,52 @@ void BM_InjectV1_Lockstep(benchmark::State& state) {
   state.SetLabel(kernel->isa);
 }
 
-// v2 Bernoulli injection plus reset per run, no repair, on the fig9 design
-// of BM_InjectV1_* at p = range(0) / 100 (fig9 spans 0.80-0.99). The
-// scalar row is sim::inject_v2 with no gap kernel (skip_sample_bernoulli);
-// each other row names the gap kernel it passes and is skipped on a CPU
-// without it. Runs are those of one Session query; the fault sets and
-// final cursors are identical across rows. items/s is runs per second.
-void inject_v2_rows(benchmark::State& state, const sim::GapKernel* kernel) {
+// v2 Bernoulli skip-sampling plus reset per run, no repair, on the fig9
+// design of BM_InjectV1_* at p = range(0) / 100 (fig9 spans 0.80-0.99):
+// each fault is marked on a FaultState and consumes one draw, as in
+// sim::inject_v2. The scalar row is skip_sample_bernoulli; the gap row is
+// skip_sample_gaps through default_gap_kernel() (skipped on a CPU without
+// one), with no kMinGapKernelFaults cut, so p = 0.99 shows the kernel below
+// the point where inject_v2 takes it. Runs are those of one Session query;
+// both rows give the same fault sets and final cursors. items/s is runs
+// per second.
+void BM_InjectV2_Scalar(benchmark::State& state) {
   sim::FaultState faults(inject_bench_design());
-  const sim::FaultModel model =
-      sim::FaultModel::bernoulli(static_cast<double>(state.range(0)) / 100.0);
+  const double prob = 1.0 - static_cast<double>(state.range(0)) / 100.0;
   std::int32_t run = 0;
   for (auto _ : state) {
     CounterStream stream = sim::run_stream_v2(kInjectSeed, run++);
-    sim::inject_v2(model, faults, stream, kernel);
+    skip_sample_bernoulli(stream, faults.design().cell_count(), prob,
+                          [&](std::int32_t cell) {
+                            faults.set_faulty_ascending(cell);
+                            stream.skip(1);
+                          });
     benchmark::DoNotOptimize(stream.cursor());
     faults.reset();
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(kernel == nullptr ? "scalar" : kernel->isa);
+  state.SetLabel("scalar");
 }
 
-void BM_InjectV2_Scalar(benchmark::State& state) {
-  inject_v2_rows(state, nullptr);
-}
-
-void inject_v2_gap_rows(benchmark::State& state, const char* isa) {
-  for (const sim::GapKernel& kernel : sim::supported_gap_kernels()) {
-    if (std::string_view(kernel.isa) == isa) {
-      inject_v2_rows(state, &kernel);
-      return;
-    }
+void BM_InjectV2_Gaps(benchmark::State& state) {
+  const sim::GapKernel* kernel = sim::default_gap_kernel();
+  if (kernel == nullptr) {
+    state.SkipWithError("this CPU has no gap kernel");
+    return;
   }
-  state.SkipWithError("this CPU has no such gap kernel");
-}
-
-void BM_InjectV2_Gaps_Avx512f(benchmark::State& state) {
-  inject_v2_gap_rows(state, "avx512f");
-}
-
-void BM_InjectV2_Gaps_Avx2(benchmark::State& state) {
-  inject_v2_gap_rows(state, "avx2");
+  sim::FaultState faults(inject_bench_design());
+  const double prob = 1.0 - static_cast<double>(state.range(0)) / 100.0;
+  std::int32_t run = 0;
+  for (auto _ : state) {
+    CounterStream stream = sim::run_stream_v2(kInjectSeed, run++);
+    benchmark::DoNotOptimize(sim::skip_sample_gaps(
+        *kernel, stream, faults.design().cell_count(), prob,
+        [&](std::int32_t cell) { faults.set_faulty_ascending(cell); }));
+    benchmark::DoNotOptimize(stream.cursor());
+    faults.reset();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(kernel->isa);
 }
 
 void BM_SingleDropletRoute(benchmark::State& state) {
@@ -235,8 +238,7 @@ BENCHMARK(BM_McYieldThreads)
 BENCHMARK(BM_InjectV1_Scalar);
 BENCHMARK(BM_InjectV1_Lockstep);
 BENCHMARK(BM_InjectV2_Scalar)->Arg(80)->Arg(90)->Arg(99);
-BENCHMARK(BM_InjectV2_Gaps_Avx512f)->Arg(80)->Arg(90)->Arg(99);
-BENCHMARK(BM_InjectV2_Gaps_Avx2)->Arg(80)->Arg(90)->Arg(99);
+BENCHMARK(BM_InjectV2_Gaps)->Arg(80)->Arg(90)->Arg(99);
 BENCHMARK(BM_SingleDropletRoute)->Arg(16)->Arg(32)->Arg(64);
 BENCHMARK(BM_HopCount)->Arg(16)->Arg(32)->Arg(64);
 BENCHMARK(BM_CoveringWalk)->Arg(16)->Arg(32);

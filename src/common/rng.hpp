@@ -268,7 +268,7 @@ class CounterStream {
 /// instead of overflowing the cast. Below count, truncation is floor, since
 /// y >= +0 (log1p(-u) <= 0 and denom < 0): this takes no libm floor call,
 /// which the default x86-64 ISA (no roundsd) would make per gap. The one
-/// definition of a v2 gap: skip_sample_bernoulli and the SIMD gap kernels'
+/// definition of a v2 gap: skip_sample_bernoulli and the SIMD gap kernel's
 /// exact fallback (sim/geometric_gaps.hpp) both call it.
 inline std::int64_t geometric_gap(double u, double denom,
                                   std::int64_t count) noexcept {

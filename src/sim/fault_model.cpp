@@ -61,17 +61,18 @@ void bernoulli_core(const FaultModel& model, Rng& rng, Sink& sink) {
 }
 
 /// v2 geometric skip-sampling at fault probability `prob` over the sink's
-/// cells. A sink with a gap kernel (sim/geometric_gaps.hpp) takes its gaps
-/// from it when the run expects kMinGapKernelFaults or more faults and
-/// `prob` suits the kernel: the sink marks each fault and then tallies the
-/// draws the kernel skipped in bulk, the same marks and tallies on_index
-/// makes per fault. Otherwise the scalar skip_sample_bernoulli loop runs
+/// cells. A sink that allows it (kGapKernel) takes its gaps from
+/// default_gap_kernel() (sim/geometric_gaps.hpp), where the CPU has one,
+/// when the run expects kMinGapKernelFaults or more faults and `prob`
+/// suits the kernel: the sink marks each fault and then tallies the draws
+/// the kernel skipped in bulk, the same marks and tallies on_index makes
+/// per fault. Otherwise the scalar skip_sample_bernoulli loop runs
 /// on_index. Both give the same faults, cursor and tallies.
 template <typename Sink, typename OnIndex>
 void skip_sample(Sink& sink, CounterStream& stream, double prob,
                  OnIndex&& on_index) {
   if constexpr (Sink::kGapKernel) {
-    const GapKernel* kernel = sink.gap_kernel();
+    const GapKernel* kernel = default_gap_kernel();
     if (kernel != nullptr &&
         prob * static_cast<double>(sink.cell_count()) >= kMinGapKernelFaults) {
       const std::int64_t faults =
@@ -218,22 +219,18 @@ struct InjectTally {
 /// loop made v1 Bernoulli injection about 30% slower.
 ///
 /// kGapKernel: a standalone v2 run (ascending) may take its gaps from a
-/// gap kernel, `gaps` (nullptr: the scalar loop). The kernel addresses gap
-/// j's draw at start + 2j, which holds because this sink consumes exactly
-/// one draw per fault; mixture components take the probing sink.
+/// gap kernel. The kernel addresses gap j's draw at start + 2j, which
+/// holds because this sink consumes exactly one draw per fault; mixture
+/// components take the probing sink.
 template <typename Stream, bool kAscending>
 class BitmapSink {
  public:
   static constexpr bool kV1 = std::is_same_v<Stream, Rng>;
   static constexpr bool kGapKernel = !kV1 && kAscending;
 
-  explicit BitmapSink(FaultState& state, const GapKernel* gaps = nullptr)
-      : state_(state), gaps_(gaps) {
+  explicit BitmapSink(FaultState& state) : state_(state) {
     DMFB_EXPECTS(state.faulty_count() == 0);
-    DMFB_EXPECTS(gaps == nullptr || kGapKernel);
   }
-
-  const GapKernel* gap_kernel() const noexcept { return gaps_; }
 
   std::int32_t cell_count() const noexcept {
     return state_.design().cell_count();
@@ -302,7 +299,6 @@ class BitmapSink {
   }
 
   FaultState& state_;
-  const GapKernel* gaps_;
   InjectTally tally_;
 };
 
@@ -372,18 +368,17 @@ class RecordSink {
 /// models visit cells in ascending order on the empty bitmap under both
 /// contracts (per-cell trials under v1, skip-sampling under v2), so only
 /// they run with the ascending sink; mixture components, fixed-count picks
-/// and cluster spots take the probing one. `gaps` is the v2 gap kernel for
-/// the ascending kinds (nullptr under v1).
+/// and cluster spots take the probing one.
 template <typename Stream>
-void inject_into(const FaultModel& model, FaultState& state, Stream& stream,
-                 const GapKernel* gaps) {
+void inject_into(const FaultModel& model, FaultState& state,
+                 Stream& stream) {
   const auto run = [&](auto&& sink) {
     inject_model(model, stream, sink);
     sink.flush();
   };
   if (model.kind == FaultModel::Kind::kBernoulli ||
       model.kind == FaultModel::Kind::kParametric) {
-    run(BitmapSink<Stream, /*kAscending=*/true>(state, gaps));
+    run(BitmapSink<Stream, /*kAscending=*/true>(state));
   } else {
     run(BitmapSink<Stream, /*kAscending=*/false>(state));
   }
@@ -436,17 +431,12 @@ void validate(const FaultModel& model, std::int32_t cell_count) {
 }
 
 void inject(const FaultModel& model, FaultState& state, Rng& rng) {
-  inject_into(model, state, rng, nullptr);
+  inject_into(model, state, rng);
 }
 
 void inject_v2(const FaultModel& model, FaultState& state,
                CounterStream& stream) {
-  inject_into(model, state, stream, default_gap_kernel());
-}
-
-void inject_v2(const FaultModel& model, FaultState& state,
-               CounterStream& stream, const GapKernel* gaps) {
-  inject_into(model, state, stream, gaps);
+  inject_into(model, state, stream);
 }
 
 fault::FaultMap inject(const FaultModel& model, biochip::HexArray& array,

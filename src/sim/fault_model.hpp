@@ -32,8 +32,6 @@
 
 namespace dmfb::sim {
 
-struct GapKernel;  // sim/geometric_gaps.hpp
-
 /// Largest clustered mean spot count validate() accepts (campaign specs
 /// and serve queries share it): the Poisson sampler's own bound.
 inline constexpr double kMaxMeanSpots = fault::kMaxPoissonMean;
@@ -130,13 +128,6 @@ void inject(const FaultModel& model, FaultState& state, Rng& rng);
 /// final cursor and counters as the scalar loop.
 void inject_v2(const FaultModel& model, FaultState& state,
                CounterStream& stream);
-
-/// inject_v2 with the gap kernel named: `gaps` computes a standalone
-/// bernoulli or parametric run's gaps, nullptr keeps the scalar loop. For
-/// tests and benches that compare the kernels; every choice gives the same
-/// faults, cursor and counters.
-void inject_v2(const FaultModel& model, FaultState& state,
-               CounterStream& stream, const GapKernel* gaps);
 
 /// Validates `model` against `array`, marks one v1 run's faults on it
 /// (`array` must arrive healthy) and returns them with their sampled

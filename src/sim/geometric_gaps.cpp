@@ -1,32 +1,17 @@
 #include "sim/geometric_gaps.hpp"
 
-#include <vector>
-
 namespace dmfb::sim {
 
 namespace {
 
 #if defined(__x86_64__)
-[[gnu::target("avx512f,avx512dq")]] void at_counters_avx512f(
-    std::uint64_t key, std::uint64_t counter, std::int32_t n,
-    double inv_denom, double count, double* codes) {
-  gap_codes<8, true, true>(key, counter, nullptr, n, inv_denom, count, codes);
-}
-
-[[gnu::target("avx512f,avx512dq")]] void of_uniforms_avx512f(
-    const double* uniforms, std::int32_t n, double inv_denom, double count,
-    double* codes) {
-  gap_codes<8, true, false>(0, 0, uniforms, n, inv_denom, count, codes);
-}
-
 [[gnu::target("avx2,fma")]] void at_counters_avx2(std::uint64_t key,
                                                   std::uint64_t counter,
                                                   std::int32_t n,
                                                   double inv_denom,
                                                   double count,
                                                   double* codes) {
-  gap_codes<4, false, true>(key, counter, nullptr, n, inv_denom, count,
-                            codes);
+  gap_codes<4, true>(key, counter, nullptr, n, inv_denom, count, codes);
 }
 
 [[gnu::target("avx2,fma")]] void of_uniforms_avx2(const double* uniforms,
@@ -34,36 +19,26 @@ namespace {
                                                   double inv_denom,
                                                   double count,
                                                   double* codes) {
-  gap_codes<4, false, false>(0, 0, uniforms, n, inv_denom, count, codes);
+  gap_codes<4, false>(0, 0, uniforms, n, inv_denom, count, codes);
 }
 
-std::vector<GapKernel> detect_kernels() {
+const GapKernel* detect_kernel() {
+  static const GapKernel kAvx2{4, "avx2", &at_counters_avx2,
+                               &of_uniforms_avx2};
   __builtin_cpu_init();
-  std::vector<GapKernel> kernels;
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512dq")) {
-    kernels.push_back(
-        {8, "avx512f", &at_counters_avx512f, &of_uniforms_avx512f});
-  }
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    kernels.push_back({4, "avx2", &at_counters_avx2, &of_uniforms_avx2});
-  }
-  return kernels;
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")
+             ? &kAvx2
+             : nullptr;
 }
 #else
-std::vector<GapKernel> detect_kernels() { return {}; }
+const GapKernel* detect_kernel() { return nullptr; }
 #endif
 
 }  // namespace
 
-std::span<const GapKernel> supported_gap_kernels() {
-  static const std::vector<GapKernel> kernels = detect_kernels();
-  return kernels;
-}
-
 const GapKernel* default_gap_kernel() {
-  const std::span<const GapKernel> kernels = supported_gap_kernels();
-  return kernels.empty() ? nullptr : &kernels.front();
+  static const GapKernel* const kernel = detect_kernel();
+  return kernel;
 }
 
 }  // namespace dmfb::sim

@@ -45,33 +45,37 @@
 //   lo = x (1 - tau),  hi = x (1 + tau),
 // each rounded once more, holds lo <= y <= hi with a margin of about 2^13
 // on the error bound: it would survive a log1p some thousands of ulp off.
-// A compiler may fuse such a product into the subtraction of a compare
-// below; the bracket holds for the rounded and the exact product alike.
 // r finite keeps x finite or +inf; x = +inf only when the real quotient
 // exceeds DBL_MAX, and then y >= count too.
 //
-// Filter. A lane with x > 0, hi < count and lo >= floor(hi) is settled at
-// floor(hi): floor is monotone and lo <= y <= hi, so floor(y) = floor(hi)
-// and y < count. A lane with lo >= count ends the run (y >= count). Any
+// Filter. floor_hi is hi rounded to the nearest integer, less 1 where that
+// exceeds hi, so floor_hi + 1 > hi >= y. A compiler may fuse hi's product
+// into that rounding; the bracket holds for the exact product too, and
+// then floor_hi + 1 exceeds one of the two products, both >= y. A lane
+// with x > 0, hi < count and lo >= floor_hi is settled at floor_hi:
+// floor_hi <= lo <= y < floor_hi + 1, so floor(y) = floor_hi, and
+// y <= hi < count. A lane with lo >= count ends the run (y >= count). Any
 // other lane, x = 0 (only u = 0) or an integer inside (lo, hi] (count
 // included), is evaluated exactly. An integer falls in the bracket with
 // probability about 2 tau x per gap, so the exact path is rare; it is
 // never wrong.
 //
 // ISA dispatch, like sim/lockstep_bernoulli.hpp: the filter is built for
-// AVX-512F + DQ (8 lanes, native 64-bit multiply and int64 -> double
-// conversion) and AVX2 + FMA (4 lanes) through per-function target
-// attributes, and the CPU is queried once, on first use. A host with
-// neither, or a non-x86-64 build, has no kernel and keeps the scalar loop.
-// Kernels take pointers, not vector values, so no vector type crosses a
-// function boundary whose ABI depends on the ISA.
+// AVX2 + FMA (4 lanes) through per-function target attributes, and the CPU
+// is queried once, on first use. A host without both, or a non-x86-64
+// build, has no kernel and keeps the scalar loop. There is no AVX-512
+// build: on a 4-vCPU Xeon VM with AVX-512 an 8-lane kernel's first vector
+// cost about 75-80 ns against 48-56 for AVX2's, so it was slower for runs
+// of up to about 8 expected faults, and it did not win serve_mixed's fig9
+// mix reliably (4 pairs against AVX2, 3 won, medians 1.90M vs 1.83M
+// runs/s). The kernel takes pointers, not vector values, so no vector type
+// crosses a function boundary whose ABI depends on the ISA.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <span>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -92,9 +96,9 @@ inline constexpr std::int32_t kMaxGapBlock = 32;
 /// Fewest expected faults per run (prob * count) at which inject_v2 takes
 /// its gaps from a kernel. A sparser run needs one or two gaps, and the
 /// scalar loop's log1p calls cost less than the latency of one vector:
-/// on a 4-vCPU Xeon VM the AVX-512 kernel broke even with the scalar loop
-/// near 2.5 expected faults and the AVX2 kernel near 1.3 (DTMB(2,6), 169
-/// cells, 0.25-12 expected faults).
+/// on a 4-vCPU Xeon VM the AVX2 kernel broke even with the scalar loop
+/// near 1.3 expected faults (DTMB(2,6), 169 cells, 0.25-12 expected
+/// faults), so the cut leaves a margin.
 inline constexpr double kMinGapKernelFaults = 2.0;
 
 /// L lanes of doubles, and of 64-bit integers, as GCC/Clang vectors. A
@@ -104,31 +108,26 @@ template <int L>
 struct GapLanes {
   typedef double real __attribute__((vector_size(8 * L)));
   typedef std::uint64_t bits __attribute__((vector_size(8 * L)));
-  typedef std::int64_t whole __attribute__((vector_size(8 * L)));
 };
 
 /// The filter over `n` lanes (a multiple of L): codes[i] is lane i's gap
 /// code for a run of `count` indices, given inv_denom = 1 / log1p(-prob)
 /// (finite). kHashed: lane i's uniform is the draw at counter
 /// `counter + 2i` of the stream keyed `key`; otherwise it is uniforms[i]
-/// (a multiple of 2^-53 in [0, 1)). kNativeConvert converts the draw's 53
-/// bits with the ISA's int64 -> double instruction (AVX-512DQ), else with
-/// two exact magic-number conversions. Always inlined, so a caller with a
+/// (a multiple of 2^-53 in [0, 1)). Always inlined, so a caller with a
 /// target attribute gets the body in its own ISA.
-template <int L, bool kNativeConvert, bool kHashed>
+template <int L, bool kHashed>
 [[gnu::always_inline]] inline void gap_codes(
     std::uint64_t key, std::uint64_t counter, const double* uniforms,
     std::int32_t n, double inv_denom, double count, double* codes) {
   static_assert(L > 0 && (L & (L - 1)) == 0);
   using R = typename GapLanes<L>::real;
   using B = typename GapLanes<L>::bits;
-  using W = typename GapLanes<L>::whole;
   // Constants typed as the lanes: counter_mix's, then bit patterns.
   constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
   constexpr std::uint64_t kMix1 = 0xbf58476d1ce4e5b9ULL;
   constexpr std::uint64_t kMix2 = 0x94d049bb133111ebULL;
   constexpr std::uint64_t kLow32 = 0xffffffffULL;
-  constexpr std::uint64_t kBit = 1;
   constexpr std::uint64_t kTwo52 = 0x4330000000000000ULL;  // bits of 2^52
   constexpr std::uint64_t kC = 0x3fe6a09e667f3bcdULL;      // bits of c
   constexpr std::uint64_t kOne = 0x3ff0000000000000ULL;    // bits of 1.0
@@ -155,17 +154,13 @@ template <int L, bool kNativeConvert, bool kHashed>
       z = (z ^ (z >> 30)) * kMix1;
       z = (z ^ (z >> 27)) * kMix2;
       z ^= z >> 31;
+      // top = hi * 2^32 + lo, each half below 2^21 / 2^32, so each
+      // converts exactly as (2^52 + half) - 2^52 and the sum is exact (no
+      // int64 -> double vector instruction before AVX-512DQ).
       const B top = z >> 11;  // < 2^53
-      if constexpr (kNativeConvert) {
-        u = __builtin_convertvector(reinterpret_cast<W>(top), R) * 0x1.0p-53;
-      } else {
-        // top = hi * 2^32 + lo, each half below 2^21 / 2^32, so each
-        // converts exactly as (2^52 + half) - 2^52 and the sum is exact.
-        const R high = reinterpret_cast<R>((top >> 32) | kTwo52) - 0x1.0p52;
-        const R low =
-            reinterpret_cast<R>((top & kLow32) | kTwo52) - 0x1.0p52;
-        u = (high * 0x1.0p32 + low) * 0x1.0p-53;
-      }
+      const R high = reinterpret_cast<R>((top >> 32) | kTwo52) - 0x1.0p52;
+      const R low = reinterpret_cast<R>((top & kLow32) | kTwo52) - 0x1.0p52;
+      u = (high * 0x1.0p32 + low) * 0x1.0p-53;
     } else {
       std::memcpy(&u, uniforms + i, sizeof(R));
     }
@@ -188,23 +183,17 @@ template <int L, bool kNativeConvert, bool kHashed>
 
     const R lo = x * (1.0 - kGapTau);
     const R hi = x * (1.0 + kGapTau);
-    // Compares as sign bits, 1 where true: a < b iff a - b is negative,
-    // for doubles that are not NaN (an inf - inf lane is masked by another
-    // compare). GCC 12 scalarises several vector compares on AVX-512;
-    // these stay vector ops on every ISA. floor(hi) for 0 <= hi < 2^52:
-    // round to nearest through 2^52, then step down where that rounded up
-    // (used only where hi < count).
+    // floor(hi) for 0 <= hi < 2^52: round to nearest through 2^52, then
+    // step down where that rounded up (used only where hi < count).
+    // Compares give lane masks, all ones where true.
     const R nearest = (hi + 0x1.0p52) - 0x1.0p52;
-    const B rounded_up = reinterpret_cast<B>(hi - nearest) >> 63;
     const R floor_hi =
-        nearest -
-        reinterpret_cast<R>((B{} - rounded_up) & reinterpret_cast<B>(one));
-    const B positive = reinterpret_cast<B>(zero - x) >> 63;
-    const B hi_below = reinterpret_cast<B>(hi - limit) >> 63;
-    const B lo_below_floor = reinterpret_cast<B>(lo - floor_hi) >> 63;
-    const B lo_below = reinterpret_cast<B>(lo - limit) >> 63;
-    const B settled = B{} - (positive & hi_below & (lo_below_floor ^ kBit));
-    const B ends = B{} - (lo_below ^ kBit);
+        nearest - reinterpret_cast<R>(reinterpret_cast<B>(nearest > hi) &
+                                      reinterpret_cast<B>(one));
+    const B settled = reinterpret_cast<B>(x > zero) &
+                      reinterpret_cast<B>(hi < limit) &
+                      reinterpret_cast<B>(lo >= floor_hi);
+    const B ends = reinterpret_cast<B>(lo >= limit);
     const B code = (ends & reinterpret_cast<B>(limit)) |
                    (~ends & ((settled & reinterpret_cast<B>(floor_hi)) |
                              (~settled & reinterpret_cast<B>(exact))));
@@ -233,14 +222,13 @@ template <int L>
 void generic_gaps_at_counters(std::uint64_t key, std::uint64_t counter,
                               std::int32_t n, double inv_denom, double count,
                               double* codes) {
-  gap_codes<L, false, true>(key, counter, nullptr, n, inv_denom, count,
-                            codes);
+  gap_codes<L, true>(key, counter, nullptr, n, inv_denom, count, codes);
 }
 
 template <int L>
 void generic_gaps_of_uniforms(const double* uniforms, std::int32_t n,
                               double inv_denom, double count, double* codes) {
-  gap_codes<L, false, false>(0, 0, uniforms, n, inv_denom, count, codes);
+  gap_codes<L, false>(0, 0, uniforms, n, inv_denom, count, codes);
 }
 
 /// The filter at the translation unit's default ISA. Correct on any host;
@@ -251,13 +239,9 @@ GapKernel generic_gap_kernel() noexcept {
           &generic_gaps_of_uniforms<L>};
 }
 
-/// The ISA builds this CPU runs, widest first: "avx512f" (8 lanes, with
-/// AVX-512DQ), then "avx2" (4 lanes, with FMA). Empty off x86-64 or on a
-/// CPU with neither.
-std::span<const GapKernel> supported_gap_kernels();
-
-/// The kernel sim::inject_v2 uses on a FaultState: the widest supported
-/// one, or nullptr (the scalar loop).
+/// The kernel sim::inject_v2 uses on a FaultState: the "avx2" build (4
+/// lanes, with FMA) where the CPU runs it, else nullptr (the scalar loop,
+/// as off x86-64).
 const GapKernel* default_gap_kernel();
 
 /// skip_sample_bernoulli with its gaps from `kernel`, for a sink whose
@@ -280,18 +264,19 @@ std::int64_t skip_sample_gaps(const GapKernel& kernel, CounterStream& stream,
   if (!std::isfinite(inv_denom)) return -1;
   const std::int32_t lanes = kernel.lanes;
   DMFB_EXPECTS(lanes > 0 && kMaxGapBlock % lanes == 0);
-  // The draws a run most likely needs, faults + 1, in whole vectors.
-  const auto likely = static_cast<std::int32_t>(
-      std::min(prob * static_cast<double>(count) + 1.0,
-               static_cast<double>(kMaxGapBlock)));
-  const std::int32_t block =
-      std::min(kMaxGapBlock, (likely / lanes + 1) * lanes);
   double codes[kMaxGapBlock];
   const std::uint64_t start = stream.cursor();
   std::uint64_t counter = start;  // gap j of the run draws at start + 2j
   std::int64_t index = -1;
   std::int64_t faults = 0;
   for (;;) {
+    // The draws the rest of the run most likely needs, faults + 1, in
+    // whole vectors.
+    const auto likely = static_cast<std::int32_t>(
+        std::min(prob * static_cast<double>(count - 1 - index) + 1.0,
+                 static_cast<double>(kMaxGapBlock)));
+    const std::int32_t block =
+        std::min(kMaxGapBlock, (likely / lanes + 1) * lanes);
     kernel.at_counters(stream.key(), counter, block, inv_denom,
                        static_cast<double>(count), codes);
     for (std::int32_t j = 0; j < block; ++j, counter += 2) {

@@ -1,8 +1,9 @@
-// Differential fuzz: the SIMD geometric-gap kernels against the scalar v2
-// skip-sampling loop. Every kernel this CPU runs, plus the filter built at
-// the default ISA (4 and 8 lanes), must give the scalar loop's faults in
-// the same order and leave the stream at the same cursor; on a FaultState
-// they must also flush the same fault.* counters.
+// Differential fuzz: the SIMD geometric-gap kernel against the scalar v2
+// skip-sampling loop. The AVX2 kernel where this CPU runs it, plus the
+// filter built at the default ISA (4 and 8 lanes), must give the scalar
+// loop's faults in the same order and leave the stream at the same cursor;
+// inject_v2 on a FaultState, which uses the AVX2 kernel where it can, must
+// also flush the same fault.* counters.
 //
 // Random streams almost never reach the exact fallback (an integer lies in
 // the filter's bracket with probability about 2 tau x per gap), so the
@@ -17,12 +18,14 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "biochip/hex_array.hpp"
 #include "common/rng.hpp"
+#include "fault/parametric.hpp"
 #include "hexgrid/region.hpp"
 #include "obs/metrics.hpp"
 #include "sim/fault_model.hpp"
@@ -43,8 +46,8 @@ constexpr std::int32_t kKeysPerCase = 64;
 std::vector<GapKernel> kernels_under_test() {
   std::vector<GapKernel> kernels = {generic_gap_kernel<4>(),
                                     generic_gap_kernel<8>()};
-  for (const GapKernel& kernel : supported_gap_kernels()) {
-    kernels.push_back(kernel);
+  if (const GapKernel* kernel = default_gap_kernel()) {
+    kernels.push_back(*kernel);
   }
   return kernels;
 }
@@ -158,8 +161,7 @@ TEST(GeometricGaps, UnsuitedProbabilitiesLeaveTheScalarLoopInCharge) {
   EXPECT_EQ(stream.cursor(), 0u);
 }
 
-/// The fault cells, final cursor and fault.* counters of `runs` runs of
-/// `model` through inject_v2 with `kernel` (nullptr: the scalar loop).
+/// The fault cells, final cursor and fault.* counters of a batch of runs.
 struct Injected {
   std::vector<std::vector<std::int32_t>> cells;
   std::vector<std::uint64_t> cursors;
@@ -170,16 +172,19 @@ constexpr obs::Metric kInjectMetrics[] = {
     obs::Metric::kInjectRuns, obs::Metric::kInjectCellsFaulted,
     obs::Metric::kInjectCellTrials, obs::Metric::kInjectClassificationDraws};
 
+constexpr std::uint64_t kInjectSeed = 17;
+
+/// `runs` runs of `model` through inject_v2 on a FaultState of `design`.
 Injected inject_runs(const FaultModel& model,
                      const std::shared_ptr<const ChipDesign>& design,
-                     const GapKernel* kernel, std::int32_t runs) {
+                     std::int32_t runs) {
   obs::Registry registry;
   registry.install();
   Injected out;
   FaultState state(design);
   for (std::int32_t run = 0; run < runs; ++run) {
-    CounterStream stream = run_stream_v2(17, run);
-    inject_v2(model, state, stream, kernel);
+    CounterStream stream = run_stream_v2(kInjectSeed, run);
+    inject_v2(model, state, stream);
     out.cells.push_back(state.faulty_cells());
     out.cursors.push_back(stream.cursor());
     state.reset();
@@ -192,53 +197,75 @@ Injected inject_runs(const FaultModel& model,
   return out;
 }
 
+/// The same runs from the scalar loop at fault probability `prob` over
+/// `count` cells, each fault consuming one draw, with the counters the
+/// bitmap sink flushes: per run one injection, and per fault one skipped
+/// classification or attribution draw, counted as a trial too.
+Injected scalar_runs(double prob, std::int32_t count, std::int32_t runs) {
+  Injected out;
+  std::int64_t faults = 0;
+  for (std::int32_t run = 0; run < runs; ++run) {
+    CounterStream stream = run_stream_v2(kInjectSeed, run);
+    std::vector<std::int32_t> cells;
+    skip_sample_bernoulli(stream, count, prob, [&](std::int32_t cell) {
+      cells.push_back(cell);
+      stream.skip(1);
+    });
+    faults += static_cast<std::int64_t>(cells.size());
+    out.cells.push_back(std::move(cells));
+    out.cursors.push_back(stream.cursor());
+  }
+  out.counters = {runs, faults, faults, faults};
+  return out;
+}
+
 TEST(GeometricGaps, FaultStateInjectionMatchesTheScalarLoop) {
+  // inject_v2 takes the default kernel's gaps wherever the CPU has it and
+  // a run expects kMinGapKernelFaults or more; every case must still read
+  // as the scalar loop, counters included.
   constexpr std::int32_t kRuns = 40;
-  std::vector<FaultModel> models;
+  std::vector<std::pair<FaultModel, double>> models;  // and fault prob
   for (const double prob : kFaultProbs) {
-    models.push_back(FaultModel::bernoulli(1.0 - prob));
+    // The model's own q: 1 - (1 - 1e-300) is 0.
+    const FaultModel model = FaultModel::bernoulli(1.0 - prob);
+    models.emplace_back(model, 1.0 - model.param);
   }
   for (const double sigma : {0.8, 1.2, 2.0}) {
-    models.push_back(FaultModel::parametric(sigma));
+    models.emplace_back(
+        FaultModel::parametric(sigma),
+        fault::ProcessSpec::typical().scaled(sigma).cell_fault_probability());
   }
-  const std::vector<GapKernel> kernels = kernels_under_test();
   for (const std::int32_t count : kCounts) {
     const auto design = row_design(count);
-    for (const FaultModel& model : models) {
-      const Injected scalar = inject_runs(model, design, nullptr, kRuns);
+    for (const auto& [model, prob] : models) {
       const std::string where = "count=" + std::to_string(count) +
                                 " param=" + std::to_string(model.param);
-      // Per run: one injection, and one skipped classification or
-      // attribution draw per fault, counted as a trial too.
-      std::int64_t faults = 0;
-      for (const auto& cells : scalar.cells) {
-        faults += static_cast<std::int64_t>(cells.size());
-      }
-      EXPECT_EQ(scalar.counters,
-                (std::vector<std::int64_t>{kRuns, faults, faults, faults}))
-          << where;
-      for (const GapKernel& kernel : kernels) {
-        const Injected gaps = inject_runs(model, design, &kernel, kRuns);
-        ASSERT_EQ(gaps.cells, scalar.cells) << name_of(kernel) << " " << where;
-        ASSERT_EQ(gaps.cursors, scalar.cursors)
-            << name_of(kernel) << " " << where;
-        ASSERT_EQ(gaps.counters, scalar.counters)
-            << name_of(kernel) << " " << where;
-      }
+      const Injected scalar = scalar_runs(prob, count, kRuns);
+      const Injected injected = inject_runs(model, design, kRuns);
+      ASSERT_EQ(injected.cells, scalar.cells) << where;
+      ASSERT_EQ(injected.cursors, scalar.cursors) << where;
+      ASSERT_EQ(injected.counters, scalar.counters) << where;
     }
   }
 }
 
-TEST(GeometricGaps, DefaultKernelIsTheWidestSupported) {
-  const auto kernels = supported_gap_kernels();
-  if (kernels.empty()) {
-    EXPECT_EQ(default_gap_kernel(), nullptr);
+TEST(GeometricGaps, DefaultKernelIsTheAvx2BuildWhereTheCpuRunsIt) {
+  const GapKernel* kernel = default_gap_kernel();
+  EXPECT_EQ(default_gap_kernel(), kernel);  // detected once
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  const bool avx2 =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+  const bool avx2 = false;
+#endif
+  if (!avx2) {
+    EXPECT_EQ(kernel, nullptr);
     return;
   }
-  EXPECT_EQ(default_gap_kernel(), &kernels.front());
-  for (std::size_t i = 1; i < kernels.size(); ++i) {
-    EXPECT_GT(kernels[i - 1].lanes, kernels[i].lanes);
-  }
+  ASSERT_NE(kernel, nullptr);
+  EXPECT_EQ(kernel->lanes, 4);
+  EXPECT_STREQ(kernel->isa, "avx2");
 }
 
 constexpr std::int64_t kProbeCount = 400;
