@@ -1,10 +1,15 @@
 // google-benchmark micro-benchmarks for the performance-critical kernels:
 // maximum matching (CSR matcher, Hopcroft-Karp), one Monte-Carlo yield
 // run, v1 Bernoulli injection (scalar and lock-step), v2 Bernoulli
-// injection (scalar and SIMD gaps), droplet routing, and the covering-walk
-// test planner.
+// injection (scalar and SIMD gaps), droplet routing and hop counting (one
+// pair, and batches on the multiplexed chip), and the covering-walk test
+// planner.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "assay/multiplexed_chip.hpp"
 #include "biochip/dtmb.hpp"
 #include "common/rng.hpp"
 #include "fluidics/router.hpp"
@@ -196,7 +201,8 @@ void BM_SingleDropletRoute(benchmark::State& state) {
   }
 }
 
-// Same array and endpoints as BM_SingleDropletRoute, counted on the bitmap.
+// Same array and endpoints as BM_SingleDropletRoute, counted on the bitmap:
+// one lane of the hop-count kernel HopGrid picked (the label).
 void BM_HopCount(benchmark::State& state) {
   const auto side = static_cast<std::int32_t>(state.range(0));
   const biochip::HexArray array(
@@ -210,6 +216,54 @@ void BM_HopCount(benchmark::State& state) {
     benchmark::DoNotOptimize(
         grid.hops(grid.primary_words(), from, to, scratch));
   }
+  state.SetLabel(fluidics::default_hop_kernel().isa);
+}
+
+// The batch entry as the operational kernel calls it: range(0) pairs on one
+// usable bitmap per call, on the multiplexed chip's primaries with 16 cells
+// faulted (fixed seed) so that routes detour. Pairs are random usable
+// primaries, 64 drawn once and taken in turn; items are pairs.
+void BM_HopCount_Batch(benchmark::State& state) {
+  const biochip::HexArray array = assay::make_multiplexed_chip().array;
+  const fluidics::HopGrid grid(array);
+  std::vector<std::uint64_t> usable(grid.primary_words().begin(),
+                                    grid.primary_words().end());
+  Rng rng(13);
+  const auto any_cell = [&] {
+    return static_cast<hex::CellIndex>(
+        rng.uniform_below(static_cast<std::uint64_t>(array.cell_count())));
+  };
+  std::vector<hex::CellIndex> faulty;
+  while (faulty.size() < 16) {
+    const hex::CellIndex cell = any_cell();
+    if (array.role(cell) != biochip::CellRole::kPrimary) continue;
+    grid.clear(usable, cell);
+    faulty.push_back(cell);
+  }
+  const auto is_usable = [&](hex::CellIndex cell) {
+    return array.role(cell) == biochip::CellRole::kPrimary &&
+           std::find(faulty.begin(), faulty.end(), cell) == faulty.end();
+  };
+  std::vector<fluidics::HopGrid::Pair> pairs;
+  while (pairs.size() < 64) {
+    const fluidics::HopGrid::Pair pair{any_cell(), any_cell()};
+    if (pair.from != pair.to && is_usable(pair.from) && is_usable(pair.to)) {
+      pairs.push_back(pair);
+    }
+  }
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  std::vector<std::int32_t> out(batch);
+  fluidics::HopGrid::Scratch scratch;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    grid.hops(usable, {pairs.data() + next, batch}, out, scratch);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    next = (next + batch) % pairs.size();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch));
+  state.SetLabel(fluidics::default_hop_kernel().isa);
 }
 
 void BM_CoveringWalk(benchmark::State& state) {
@@ -241,4 +295,5 @@ BENCHMARK(BM_InjectV2_Scalar)->Arg(80)->Arg(90)->Arg(99);
 BENCHMARK(BM_InjectV2_Gaps)->Arg(80)->Arg(90)->Arg(99);
 BENCHMARK(BM_SingleDropletRoute)->Arg(16)->Arg(32)->Arg(64);
 BENCHMARK(BM_HopCount)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_HopCount_Batch)->Arg(1)->Arg(4)->Arg(8);
 BENCHMARK(BM_CoveringWalk)->Arg(16)->Arg(32);

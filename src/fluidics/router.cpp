@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <utility>
 
 #include "common/contracts.hpp"
 #include "hexgrid/hex_coord.hpp"
@@ -74,19 +73,6 @@ namespace {
 // modelled here are a few hundred cells.
 constexpr std::int64_t kMaxHopGridBits = std::int64_t{1} << 24;
 
-// Word i of a padded bitmap `f` shifted by `s` = 64q + r bits towards higher
-// (up) or lower (down) bit indices, ORed together. The carried-in halves
-// shift by 1 and then 63 - r, which is the 64 - r carry for r > 0 and
-// clears the carry for r = 0, where a single shift by 64 would be UB.
-inline std::uint64_t shifted_both_ways(const std::uint64_t* f,
-                                       std::ptrdiff_t i, std::ptrdiff_t q,
-                                       std::uint32_t r) noexcept {
-  const std::uint64_t up = (f[i - q] << r) | ((f[i - q - 1] >> 1) >> (63 - r));
-  const std::uint64_t down =
-      (f[i + q] >> r) | ((f[i + q + 1] << 1) << (63 - r));
-  return up | down;
-}
-
 }  // namespace
 
 HopGrid::HopGrid(const biochip::HexArray& array) {
@@ -114,70 +100,66 @@ HopGrid::HopGrid(const biochip::HexArray& array) {
 std::int32_t HopGrid::hops(std::span<const std::uint64_t> usable,
                            hex::CellIndex from, hex::CellIndex to,
                            Scratch& scratch) const {
+  const Pair pair{from, to};
+  std::int32_t out = -1;
+  hops(usable, {&pair, 1}, {&out, 1}, scratch);
+  return out;
+}
+
+void HopGrid::hops(std::span<const std::uint64_t> usable,
+                   std::span<const Pair> pairs, std::span<std::int32_t> out,
+                   Scratch& scratch, const HopKernel& kernel) const {
   const std::size_t words = word_count();
   DMFB_EXPECTS(usable.size() == words);
-  const auto is_usable = [&](hex::CellIndex cell) {
+  DMFB_EXPECTS(out.size() == pairs.size());
+  DMFB_EXPECTS(kernel.lanes > 0 && kernel.lanes <= kMaxHopLanes);
+  // A cell's bit when the cell is on the grid and usable, else -1.
+  const auto usable_bit = [&](hex::CellIndex cell) -> std::int32_t {
     if (cell < 0 || static_cast<std::size_t>(cell) >= bit_of_cell_.size()) {
-      return false;
+      return -1;
     }
     const std::int32_t bit = bit_of_cell_[static_cast<std::size_t>(cell)];
-    return ((usable[static_cast<std::size_t>(bit) >> 6] >> (bit & 63)) & 1) !=
-           0;
+    const std::uint64_t word = usable[static_cast<std::size_t>(bit) >> 6];
+    return ((word >> (bit & 63)) & 1) != 0 ? bit : -1;
   };
-  if (!is_usable(from) || !is_usable(to)) return -1;
-  if (from == to) return 0;
+  const std::size_t need = hop_buffer_words(static_cast<std::int32_t>(words),
+                                            stride_, kernel.lanes);
+  if (scratch.buffer.size() < need) scratch.buffer.resize(need);
 
-  // `open` holds the usable cells not yet reached. The frontier buffers
-  // carry `pad` zero words on each side, so the shifted reads at i ± (q + 1)
-  // never leave the buffer, and a level only sweeps the words within `pad`
-  // of the frontier's nonzero span [lo, hi]. Words outside that sweep keep
-  // bits of older frontiers; those cells and all their neighbours are
-  // already reached, so they add no fresh bits and need no clearing.
-  const auto diagonal = static_cast<std::uint32_t>(stride_ - 1);
-  const auto vertical = static_cast<std::uint32_t>(stride_);
-  const auto pad = static_cast<std::ptrdiff_t>(vertical >> 6) + 1;
-  const auto n = static_cast<std::ptrdiff_t>(words);
-  scratch.frontier.assign(words + 2 * static_cast<std::size_t>(pad), 0);
-  scratch.next.assign(words + 2 * static_cast<std::size_t>(pad), 0);
-  scratch.open.assign(usable.begin(), usable.end());
-  std::uint64_t* frontier = scratch.frontier.data() + pad;
-  std::uint64_t* next = scratch.next.data() + pad;
-  std::uint64_t* open = scratch.open.data();
-
-  const std::int32_t from_bit = bit_of_cell_[static_cast<std::size_t>(from)];
-  const std::int32_t to_bit = bit_of_cell_[static_cast<std::size_t>(to)];
-  std::ptrdiff_t lo = from_bit >> 6;
-  std::ptrdiff_t hi = lo;
-  frontier[lo] = std::uint64_t{1} << (from_bit & 63);
-  open[lo] &= ~frontier[lo];
-  const std::ptrdiff_t to_word = to_bit >> 6;
-  const std::uint64_t to_mask = std::uint64_t{1} << (to_bit & 63);
-  for (std::int32_t level = 1;; ++level) {
-    const std::ptrdiff_t first = std::max<std::ptrdiff_t>(0, lo - pad);
-    const std::ptrdiff_t last = std::min<std::ptrdiff_t>(n - 1, hi + pad);
-    std::ptrdiff_t next_lo = n;
-    std::ptrdiff_t next_hi = -1;
-    for (std::ptrdiff_t i = first; i <= last; ++i) {
-      // East/west (±1), south-east/north-west (±stride) and
-      // south-west/north-east (±(stride - 1)).
-      const std::uint64_t reach =
-          shifted_both_ways(frontier, i, 0, 1) |
-          shifted_both_ways(frontier, i, vertical >> 6, vertical & 63) |
-          shifted_both_ways(frontier, i, diagonal >> 6, diagonal & 63);
-      const std::uint64_t fresh = reach & open[i];
-      next[i] = fresh;
-      open[i] &= ~fresh;
-      if (fresh != 0) {
-        next_lo = std::min(next_lo, i);
-        next_hi = i;
-      }
+  std::int32_t from_bits[kMaxHopLanes] = {};
+  std::int32_t to_bits[kMaxHopLanes] = {};
+  std::int32_t lane_hops[kMaxHopLanes] = {};
+  std::size_t slot[kMaxHopLanes] = {};  // the out index of each lane's pair
+  HopSearch search;
+  search.usable = usable.data();
+  search.words = static_cast<std::int32_t>(words);
+  search.stride = stride_;
+  search.from_bits = from_bits;
+  search.to_bits = to_bits;
+  search.buffer = scratch.buffer.data();
+  search.hops = lane_hops;
+  const auto run = [&] {
+    kernel.search(search);
+    for (std::int32_t k = 0; k < search.pairs; ++k) {
+      out[slot[k]] = lane_hops[k];
     }
-    if ((next[to_word] & to_mask) != 0) return level;
-    if (next_hi < 0) return -1;
-    std::swap(frontier, next);
-    lo = next_lo;
-    hi = next_hi;
+    search.pairs = 0;
+  };
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    const std::int32_t from = usable_bit(pairs[p].from);
+    const std::int32_t to = usable_bit(pairs[p].to);
+    if (from < 0 || to < 0) {
+      out[p] = -1;
+    } else if (from == to) {
+      out[p] = 0;
+    } else {
+      from_bits[search.pairs] = from;
+      to_bits[search.pairs] = to;
+      slot[search.pairs] = p;
+      if (++search.pairs == kernel.lanes) run();
+    }
   }
+  if (search.pairs > 0) run();
 }
 
 PrimaryGeodesics::PrimaryGeodesics(const biochip::HexArray& array,

@@ -8,7 +8,9 @@
 //    operational payoff of interstitial redundancy.
 //  * HopGrid — the same BFS distance without the path: a word-parallel
 //    frontier expansion over a usable-cell bitmap, for callers that only
-//    need hop counts (the operational Monte-Carlo kernel).
+//    need hop counts (the operational Monte-Carlo kernel). A batch of
+//    pairs on one bitmap runs several searches at once, one per SIMD lane
+//    (fluidics/hop_kernel.hpp).
 //
 // PrimaryGeodesics answers many of those hop counts without a search: it
 // stores one all-primary shortest path per pair of anchor cells, and a pair
@@ -22,6 +24,7 @@
 
 #include "biochip/hex_array.hpp"
 #include "common/contracts.hpp"
+#include "fluidics/hop_kernel.hpp"
 #include "reconfig/local_reconfig.hpp"
 
 namespace dmfb::fluidics {
@@ -71,11 +74,16 @@ class Router {
 /// row. Bitmaps are std::uint64_t words (bit b in word b/64, bit b%64).
 class HopGrid {
  public:
-  /// Reusable BFS buffers, one per thread; hops() sizes them for its grid.
+  /// Reusable kernel buffer, one per thread; hops() grows it to what its
+  /// grid and kernel need, so a reused Scratch allocates nothing.
   struct Scratch {
-    std::vector<std::uint64_t> frontier;
-    std::vector<std::uint64_t> next;
-    std::vector<std::uint64_t> open;
+    std::vector<std::uint64_t> buffer;
+  };
+
+  /// One transport to count: its two endpoint cells.
+  struct Pair {
+    hex::CellIndex from = hex::kInvalidCell;
+    hex::CellIndex to = hex::kInvalidCell;
   };
 
   /// Embeds `array`'s region; the bounding box may hold at most 2^24 bits.
@@ -106,9 +114,18 @@ class HopGrid {
   /// `usable` (word_count() words, built with set/clear): exactly
   /// Router::shortest_route(from, to).size() - 1 for the same usable set,
   /// and -1 where that route is empty (an endpoint unusable, or no path).
+  /// One lane of the batch entry below.
   std::int32_t hops(std::span<const std::uint64_t> usable,
                     hex::CellIndex from, hex::CellIndex to,
                     Scratch& scratch) const;
+
+  /// hops(usable, pair.from, pair.to) for every pair, into `out` (same
+  /// size, same order). Pairs with an unusable endpoint (-1) or from == to
+  /// (0) are answered here; the rest are searched `kernel.lanes` at a time.
+  void hops(std::span<const std::uint64_t> usable,
+            std::span<const Pair> pairs, std::span<std::int32_t> out,
+            Scratch& scratch,
+            const HopKernel& kernel = default_hop_kernel()) const;
 
  private:
   std::int32_t stride_ = 0;

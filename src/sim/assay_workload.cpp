@@ -131,11 +131,11 @@ std::optional<double> OperationalState::degraded_completion(
   const fluidics::HopGrid& grid = workload_->grid_;
   const fluidics::PrimaryGeodesics& geodesics = workload_->geodesics_;
   const std::span<const std::uint64_t> fault_words = faults_.fault_words();
-  bool usable_built = false;
   anchor_.assign(static_cast<std::size_t>(graph.op_count()),
                  hex::kInvalidCell);
   home_.assign(static_cast<std::size_t>(graph.op_count()), -1);
-  std::int64_t transport_hops = 0;
+  certified_hops_.clear();
+  searches_.clear();
   for (const assay::AssayOp& op : graph.ops()) {
     const auto id = static_cast<std::size_t>(op.id);
     const auto kind = module_kind_of(assay::resource_class(op.kind));
@@ -158,43 +158,53 @@ std::optional<double> OperationalState::degraded_completion(
     DMFB_ASSERT(anchor_[id] != hex::kInvalidCell);
     for (const std::int32_t input : op.inputs) {
       const auto from = static_cast<std::size_t>(input);
-      ++transports_;
       // Geodesic first: both endpoints at home and the stored primary path
-      // intact prove hops = hex distance (PrimaryGeodesics).
-      std::int32_t hops =
+      // intact prove hops = hex distance (PrimaryGeodesics). The rest wait
+      // for one batched search.
+      const std::int32_t hops =
           home_[from] >= 0 && home_[id] >= 0
               ? geodesics.certified_hops(static_cast<std::size_t>(home_[from]),
                                          static_cast<std::size_t>(home_[id]),
                                          fault_words)
               : -1;
-      if (hops >= 0) {
-        ++certified_;
-      } else {
-        // BFS on refusal. Usable cells: healthy primaries plus the plan's
-        // replacements (spares, or unused primaries already in the mask),
-        // minus every faulty cell; built on the run's first fallback.
-        if (!usable_built) {
-          usable_.assign(grid.primary_words().begin(),
-                         grid.primary_words().end());
-          for (const reconfig::Replacement& replacement : plan.replacements) {
-            grid.set(usable_, replacement.spare);
-          }
-          for (std::size_t w = 0; w < fault_words.size(); ++w) {
-            for (std::uint64_t bits = fault_words[w]; bits != 0;
-                 bits &= bits - 1) {
-              grid.clear(usable_,
-                         static_cast<CellIndex>(
-                             (w << 6) +
-                             static_cast<std::size_t>(std::countr_zero(bits))));
-            }
-          }
-          usable_built = true;
-        }
-        hops = grid.hops(usable_, anchor_[from], anchor_[id], hop_scratch_);
-      }
-      if (hops < 0) return std::nullopt;  // transport severed: assay fails
-      transport_hops += hops;
+      certified_hops_.push_back(hops);
+      if (hops < 0) searches_.push_back({anchor_[from], anchor_[id]});
     }
+  }
+
+  // BFS on refusal, every refused transport of the run in one batch.
+  // Usable cells: healthy primaries plus the plan's replacements (spares,
+  // or unused primaries already in the mask), minus every faulty cell.
+  if (!searches_.empty()) {
+    usable_.assign(grid.primary_words().begin(), grid.primary_words().end());
+    for (const reconfig::Replacement& replacement : plan.replacements) {
+      grid.set(usable_, replacement.spare);
+    }
+    for (std::size_t w = 0; w < fault_words.size(); ++w) {
+      for (std::uint64_t bits = fault_words[w]; bits != 0; bits &= bits - 1) {
+        grid.clear(usable_,
+                   static_cast<CellIndex>(
+                       (w << 6) +
+                       static_cast<std::size_t>(std::countr_zero(bits))));
+      }
+    }
+    searched_hops_.resize(searches_.size());
+    grid.hops(usable_, searches_, searched_hops_, hop_scratch_);
+  }
+
+  // Sum in op order. The counters stop at the first severed transport,
+  // which fails the assay.
+  std::int64_t transport_hops = 0;
+  std::size_t searched = 0;
+  for (std::int32_t hops : certified_hops_) {
+    ++transports_;
+    if (hops >= 0) {
+      ++certified_;
+    } else {
+      hops = searched_hops_[searched++];
+    }
+    if (hops < 0) return std::nullopt;  // transport severed: assay fails
+    transport_hops += hops;
   }
   return degraded->makespan() +
          kTransportSecondsPerHop * static_cast<double>(transport_hops);

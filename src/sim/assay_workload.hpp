@@ -25,13 +25,15 @@
 // modules' own anchor cells and the all-primary shortest path stored for
 // that pair (fluidics::PrimaryGeodesics, built once per workload) has no
 // faulty cell, the hop count is the hex distance, proved without a search;
-// otherwise fluidics::HopGrid runs a word-parallel BFS on a usable-cell
-// bitmap built from the primary mask, the fault bits and the plan's spares
-// (once per run, on its first refused transport). A run is operationally successful iff every resource class the graph needs
-// keeps >= 1 instance, the degraded schedule exists, and every droplet
-// transport still has a path; its completion time is the degraded makespan
-// plus the transport overhead, so "slowdown" = completion /
-// healthy-baseline-completion.
+// otherwise the transport waits for fluidics::HopGrid's batch entry, which
+// counts every refused transport of the run at once, several BFS to a SIMD
+// vector, on a usable-cell bitmap built from the primary mask, the fault
+// bits and the plan's spares (once per run, when any transport is
+// refused). A run is operationally successful iff every resource class
+// the graph needs keeps >= 1 instance, the degraded schedule exists, and
+// every droplet transport still has a path; its completion time is the
+// degraded makespan plus the transport overhead, so "slowdown" =
+// completion / healthy-baseline-completion.
 //
 // Everything in the kernel is a deterministic function of the drawn fault
 // set, so operational estimates inherit the session's thread-count
@@ -221,6 +223,11 @@ class OperationalState {
   std::vector<CellIndex> replacement_of_;
   std::vector<std::uint64_t> usable_;  ///< HopGrid bitmap of usable cells
   fluidics::HopGrid::Scratch hop_scratch_;
+  /// Per transport in op order: the certified hop count, or -1 when the
+  /// transport is in searches_.
+  std::vector<std::int32_t> certified_hops_;
+  std::vector<fluidics::HopGrid::Pair> searches_;  ///< refused transports
+  std::vector<std::int32_t> searched_hops_;        ///< their hop counts
   std::vector<std::size_t> alive_by_kind_[3];  ///< surviving modules by kind
   std::vector<CellIndex> anchor_;              ///< per-op transport endpoint
   /// Per op: the module whose own anchor cell is its endpoint, or -1 when

@@ -10,6 +10,15 @@
 // vertical or diagonal step a whole-word shift, so the kernel's word-carry
 // runs at r = 0 under the sanitizers.
 //
+// The batch entry (HopGrid::hops over a list of pairs) is checked against
+// the same router answers, with every kernel build the CPU runs
+// (fluidics::hop_kernels: AVX2 at 4 lanes where the CPU has it, the
+// default ISA at 2 lanes everywhere), in batches of 1-9 pairs, so full,
+// partial and several-vector batches all occur. Each array also gets one
+// mixed batch holding an unusable endpoint, a from == to pair, a
+// disconnected pair and routed pairs of different lengths, and a direct
+// kernel call checks that the idle lanes of a partial batch answer -1.
+//
 // The geodesic certificate (PrimaryGeodesics) is checked the same way:
 // whenever its table settles a transport, the router and HopGrid must both
 // route it in exactly the hex distance, over the random arrays above and
@@ -17,6 +26,7 @@
 // spares.
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -82,10 +92,66 @@ struct Tally {
   int unusable_endpoint = 0;
   int disconnected = 0;
   int routed = 0;
+  int batches = 0;        ///< batch-entry calls, every kernel
+  int mixed_batches = 0;  ///< batches holding every outcome class
 };
 
+/// The bit HopGrid gives `cell`, read back through set().
+std::int32_t bit_of(const HopGrid& grid, hex::CellIndex cell) {
+  std::vector<std::uint64_t> words(grid.word_count(), 0);
+  grid.set(words, cell);
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    if (words[w] != 0) {
+      return static_cast<std::int32_t>(w * 64) +
+             std::countr_zero(words[w]);
+    }
+  }
+  return -1;
+}
+
+/// Calls every kernel build directly with 1 to lanes - 1 of `pairs` (each
+/// pair's endpoints usable and distinct, as the kernel requires): the used
+/// lanes answer `expected`, the idle ones -1.
+void check_idle_lanes(const HopGrid& grid,
+                      const std::vector<std::uint64_t>& words,
+                      const std::vector<HopGrid::Pair>& pairs,
+                      const std::vector<std::int32_t>& expected) {
+  for (const HopKernel& kernel : hop_kernels()) {
+    std::vector<std::uint64_t> buffer(hop_buffer_words(
+        static_cast<std::int32_t>(grid.word_count()), grid.stride(),
+        kernel.lanes));
+    for (std::int32_t used = 1;
+         used < kernel.lanes && used <= static_cast<std::int32_t>(pairs.size());
+         ++used) {
+      std::int32_t from_bits[kMaxHopLanes] = {};
+      std::int32_t to_bits[kMaxHopLanes] = {};
+      std::int32_t hops[kMaxHopLanes] = {-7, -7, -7, -7};
+      for (std::int32_t k = 0; k < used; ++k) {
+        from_bits[k] = bit_of(grid, pairs[static_cast<std::size_t>(k)].from);
+        to_bits[k] = bit_of(grid, pairs[static_cast<std::size_t>(k)].to);
+      }
+      HopSearch search;
+      search.usable = words.data();
+      search.words = static_cast<std::int32_t>(grid.word_count());
+      search.stride = grid.stride();
+      search.pairs = used;
+      search.from_bits = from_bits;
+      search.to_bits = to_bits;
+      search.buffer = buffer.data();
+      search.hops = hops;
+      kernel.search(search);
+      for (std::int32_t k = 0; k < kernel.lanes; ++k) {
+        ASSERT_EQ(hops[k], k < used ? expected[static_cast<std::size_t>(k)]
+                                    : -1)
+            << kernel.isa << " lane " << k << " of " << used << " used";
+      }
+    }
+  }
+}
+
 /// Compares hops with the router for `pairs` random (from, to) pairs, plus
-/// one from == to pair and the out-of-range endpoints.
+/// one from == to pair and the out-of-range endpoints: one pair at a time,
+/// then through the batch entry with every kernel build.
 void compare(const biochip::HexArray& array, const UsableCells& usable,
              int pairs, Rng& rng, Tally& tally) {
   const HopGrid grid(array);
@@ -95,6 +161,8 @@ void compare(const biochip::HexArray& array, const UsableCells& usable,
   }
   const Router router(usable);
   HopGrid::Scratch scratch;
+  std::vector<HopGrid::Pair> checked;
+  std::vector<std::int32_t> answers;
   const auto check = [&](hex::CellIndex from, hex::CellIndex to) {
     const std::vector<hex::CellIndex> route = router.shortest_route(from, to);
     const std::int32_t expected =
@@ -102,6 +170,8 @@ void compare(const biochip::HexArray& array, const UsableCells& usable,
     ASSERT_EQ(grid.hops(words, from, to, scratch), expected)
         << "from " << from << " to " << to << " on " << array.cell_count()
         << " cells, stride " << grid.stride();
+    checked.push_back({from, to});
+    answers.push_back(expected);
     ++tally.compared;
     if (from == to && expected == 0) ++tally.same_cell;
     if (!usable.usable(from) || !usable.usable(to)) {
@@ -121,6 +191,100 @@ void compare(const biochip::HexArray& array, const UsableCells& usable,
   check(cell, cell);
   check(hex::kInvalidCell, cell);
   check(cell, array.cell_count());
+  if (::testing::Test::HasFatalFailure()) return;
+
+  // The mixed batch: one pair of each outcome class found above, plus the
+  // routed pairs of the shortest and the longest length, shuffled.
+  std::vector<std::size_t> mixed;
+  const auto first_of = [&](auto&& is_class) {
+    for (std::size_t p = 0; p < checked.size(); ++p) {
+      if (is_class(checked[p], answers[p])) {
+        mixed.push_back(p);
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto usable_pair = [&](const HopGrid::Pair& pair) {
+    return usable.usable(pair.from) && usable.usable(pair.to);
+  };
+  const bool unusable = first_of([&](const HopGrid::Pair& pair,
+                                     std::int32_t) {
+    return !usable_pair(pair);
+  });
+  const bool same_cell = first_of([&](const HopGrid::Pair& pair,
+                                      std::int32_t hops) {
+    return pair.from == pair.to && hops == 0;
+  });
+  const bool disconnected = first_of([&](const HopGrid::Pair& pair,
+                                         std::int32_t hops) {
+    return usable_pair(pair) && hops < 0;
+  });
+  bool all_classes = unusable && same_cell && disconnected;
+  std::size_t shortest = checked.size();
+  std::size_t longest = checked.size();
+  for (std::size_t p = 0; p < checked.size(); ++p) {
+    if (answers[p] <= 0) continue;
+    if (shortest == checked.size() || answers[p] < answers[shortest]) {
+      shortest = p;
+    }
+    if (longest == checked.size() || answers[p] > answers[longest]) {
+      longest = p;
+    }
+  }
+  if (longest != checked.size() && answers[shortest] < answers[longest]) {
+    mixed.push_back(shortest);
+    mixed.push_back(longest);
+  } else {
+    all_classes = false;
+  }
+  for (std::size_t p = mixed.size(); p > 1; --p) {
+    std::swap(mixed[p - 1], mixed[rng.uniform_below(p)]);
+  }
+
+  // Every kernel: the mixed batch, then all pairs in batches of 1-9.
+  std::vector<HopGrid::Pair> batch;
+  std::vector<std::int32_t> out;
+  for (const HopKernel& kernel : hop_kernels()) {
+    const auto run_batch = [&](const std::vector<std::size_t>& picks) {
+      batch.clear();
+      for (const std::size_t p : picks) batch.push_back(checked[p]);
+      out.assign(batch.size(), -7);
+      grid.hops(words, batch, out, scratch, kernel);
+      ++tally.batches;
+      for (std::size_t b = 0; b < picks.size(); ++b) {
+        ASSERT_EQ(out[b], answers[picks[b]])
+            << kernel.isa << " batch of " << picks.size() << ", pair " << b
+            << ": from " << batch[b].from << " to " << batch[b].to << " on "
+            << array.cell_count() << " cells, stride " << grid.stride();
+      }
+    };
+    run_batch(mixed);
+    if (::testing::Test::HasFatalFailure()) return;
+    if (all_classes) ++tally.mixed_batches;
+    std::vector<std::size_t> picks;
+    for (std::size_t p = 0; p < checked.size();) {
+      const auto size = static_cast<std::size_t>(rng.uniform_int(1, 9));
+      picks.clear();
+      for (; p < checked.size() && picks.size() < size; ++p) {
+        picks.push_back(p);
+      }
+      run_batch(picks);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+
+  // The idle lanes of a partial kernel call, on routed or disconnected
+  // pairs of distinct usable endpoints.
+  std::vector<HopGrid::Pair> searched;
+  std::vector<std::int32_t> searched_hops;
+  for (std::size_t p = 0; p < checked.size(); ++p) {
+    if (usable_pair(checked[p]) && checked[p].from != checked[p].to) {
+      searched.push_back(checked[p]);
+      searched_hops.push_back(answers[p]);
+    }
+  }
+  check_idle_lanes(grid, words, searched, searched_hops);
 }
 
 TEST(HopCountFuzz, PrimaryWordsAreTheHealthyUsableSet) {
@@ -180,11 +344,13 @@ TEST(HopCountFuzz, HopsMatchTheRouterOnRandomArrays) {
     compare(array, usable, 24, rng, tally);
     if (HasFatalFailure()) return;
   }
-  // Every outcome class actually occurred.
+  // Every outcome class actually occurred, also side by side in a batch.
   EXPECT_GT(tally.same_cell, 50);
   EXPECT_GT(tally.unusable_endpoint, 200);
   EXPECT_GT(tally.disconnected, 50);
   EXPECT_GT(tally.routed, 1000);
+  EXPECT_GT(tally.batches, 1000);
+  EXPECT_GT(tally.mixed_batches, 40);
 }
 
 TEST(HopCountFuzz, OpenGridHopsAreHexDistances) {

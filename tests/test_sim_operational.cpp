@@ -15,14 +15,18 @@
 // two reused steps have their own oracles: its plan equals
 // reconfig::LocalReconfigurer's on an equally faulted HexArray, and its
 // memoised schedule equals a fresh assay::ListScheduler schedule for every
-// pool.
+// pool. The route step's counters (fluidics.route.transports and
+// .certified) are checked run by run against a serial reference that
+// routes each transport with fluidics::Router in op order.
 #include <bit>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <string>
+#include <span>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -31,6 +35,8 @@
 #include "campaign/sink.hpp"
 #include "campaign/spec.hpp"
 #include "common/contracts.hpp"
+#include "fluidics/router.hpp"
+#include "obs/metrics.hpp"
 #include "sim/assay_workload.hpp"
 #include "sim/fault_model.hpp"
 #include "sim/session.hpp"
@@ -297,6 +303,180 @@ TEST(OperationalState, EvaluateFillsTheMemoOncePerSurvivingPool) {
     EXPECT_TRUE(run.operational);
     EXPECT_EQ(state.memoised_schedules(), 1u);
   }
+}
+
+// ------------------------------------------------------ route counters
+
+/// One run's route counters, computed serially: the transports in op
+/// order, each settled by the geodesic table when both endpoints sit on
+/// their modules' own anchor cells and the stored path has no faulty cell,
+/// else routed by fluidics::Router::shortest_route on the repaired array.
+/// Counting stops at the first transport with no route, where the assay
+/// fails.
+struct RouteCount {
+  std::int64_t transports = 0;
+  std::int64_t certified = 0;
+  bool severed = false;
+};
+
+RouteCount reference_route_count(const AssayWorkload& workload,
+                                 const fluidics::PrimaryGeodesics& geodesics,
+                                 const biochip::HexArray& faulted,
+                                 std::span<const std::uint64_t> fault_words,
+                                 const reconfig::ReconfigPlan& plan) {
+  const std::span<const WorkloadModule> modules = workload.modules();
+  std::vector<CellIndex> replacement(
+      static_cast<std::size_t>(faulted.cell_count()), hex::kInvalidCell);
+  for (const reconfig::Replacement& r : plan.replacements) {
+    replacement[static_cast<std::size_t>(r.faulty)] = r.spare;
+  }
+  const auto operator_of = [&](CellIndex cell) {
+    return faulted.health(cell) == biochip::CellHealth::kFaulty
+               ? replacement[static_cast<std::size_t>(cell)]
+               : cell;
+  };
+  const auto slot_of = [](assay::ResourceClass rc) -> int {
+    switch (rc) {
+      case assay::ResourceClass::kPort: return 0;
+      case assay::ResourceClass::kMixer: return 1;
+      case assay::ResourceClass::kDetector: return 2;
+      case assay::ResourceClass::kNone: return -1;
+    }
+    return -1;
+  };
+  const auto kind_slot = [](WorkloadModule::Kind kind) {
+    switch (kind) {
+      case WorkloadModule::Kind::kPort: return 0;
+      case WorkloadModule::Kind::kMixer: return 1;
+      case WorkloadModule::Kind::kDetector: return 2;
+    }
+    return 0;
+  };
+  std::vector<std::size_t> alive[3];
+  for (std::size_t m = 0; m < modules.size(); ++m) {
+    bool survives = true;
+    for (const CellIndex cell : modules[m].cells) {
+      survives = survives && operator_of(cell) != hex::kInvalidCell;
+    }
+    if (survives) alive[kind_slot(modules[m].kind)].push_back(m);
+  }
+  const assay::ResourcePool pool{static_cast<std::int32_t>(alive[0].size()),
+                                 static_cast<std::int32_t>(alive[1].size()),
+                                 static_cast<std::int32_t>(alive[2].size())};
+  const assay::SequencingGraph& graph = workload.graph();
+  RouteCount count;
+  for (const assay::AssayOp& op : graph.ops()) {
+    if (assay::capacity_of(pool, assay::resource_class(op.kind)) < 1) {
+      return count;  // no schedule: the assay fails before any transport
+    }
+  }
+  const assay::Schedule schedule = assay::ListScheduler(pool).schedule(graph);
+  fluidics::UsableCells usable(faulted);
+  usable.activate_plan(plan);
+  const fluidics::Router router(usable);
+  std::vector<CellIndex> anchor(static_cast<std::size_t>(graph.op_count()));
+  std::vector<std::int32_t> home(static_cast<std::size_t>(graph.op_count()),
+                                 -1);
+  for (const assay::AssayOp& op : graph.ops()) {
+    const auto id = static_cast<std::size_t>(op.id);
+    const int slot = slot_of(assay::resource_class(op.kind));
+    if (slot >= 0) {
+      const std::size_t module = alive[slot][static_cast<std::size_t>(
+          schedule.of(op.id).resource_index)];
+      const CellIndex own = modules[module].cells.front();
+      anchor[id] = operator_of(own);
+      if (anchor[id] == own) home[id] = static_cast<std::int32_t>(module);
+    } else {
+      const auto producer = static_cast<std::size_t>(op.inputs.front());
+      anchor[id] = anchor[producer];
+      home[id] = home[producer];
+    }
+    for (const std::int32_t input : op.inputs) {
+      const auto from = static_cast<std::size_t>(input);
+      ++count.transports;
+      if (home[from] >= 0 && home[id] >= 0 &&
+          geodesics.certified_hops(static_cast<std::size_t>(home[from]),
+                                   static_cast<std::size_t>(home[id]),
+                                   fault_words) >= 0) {
+        ++count.certified;
+      } else if (router.shortest_route(anchor[from], anchor[id]).empty()) {
+        count.severed = true;
+        return count;
+      }
+    }
+  }
+  return count;
+}
+
+TEST(OperationalState, RouteCountersMatchASerialRouterReference) {
+  const auto& workload = multiplexed_workload();
+  OperationalState state(workload);
+  std::vector<CellIndex> anchors;
+  for (const WorkloadModule& module : workload->modules()) {
+    anchors.push_back(module.cells.front());
+  }
+  const fluidics::PrimaryGeodesics geodesics(workload->design().array(),
+                                             anchors);
+  const FaultModel models[] = {
+      FaultModel::fixed_count(20), FaultModel::fixed_count(60),
+      FaultModel::fixed_count(90), FaultModel::fixed_count(120),
+      FaultModel::bernoulli(0.90),
+  };
+  std::int64_t certified = 0;
+  std::int64_t searched = 0;
+  std::size_t severed = 0;
+  std::size_t severed_after_others = 0;
+  for (std::size_t m = 0; m < std::size(models); ++m) {
+    for (const CoveragePolicy policy :
+         {CoveragePolicy::kAllFaultyPrimaries,
+          CoveragePolicy::kUsedFaultyPrimaries}) {
+      for (const ReplacementPool pool :
+           {ReplacementPool::kSparesOnly,
+            ReplacementPool::kSparesAndUnusedPrimaries}) {
+        for (std::int32_t run = 0; run < 40; ++run) {
+          Rng rng = run_stream(900 + m, run);
+          inject(models[m], state.faults(), rng);
+          biochip::HexArray faulted = workload->design().array();
+          for (const CellIndex cell : state.faults().faulty_cells()) {
+            faulted.set_health(cell, biochip::CellHealth::kFaulty);
+          }
+          const RouteCount expected = reference_route_count(
+              *workload, geodesics, faulted, state.faults().fault_words(),
+              reconfig::LocalReconfigurer(policy, pool).plan(faulted));
+
+          obs::Registry registry;
+          registry.install();
+          const OperationalRun result = state.evaluate(policy, pool);
+          registry.uninstall();
+          const obs::Snapshot snapshot = registry.snapshot();
+          const std::string where = "model " + std::to_string(m) + " run " +
+                                    std::to_string(run) + " policy " +
+                                    to_string(policy) + " pool " +
+                                    to_string(pool);
+          ASSERT_EQ(snapshot.counter(obs::Metric::kRouteTransports),
+                    expected.transports)
+              << where;
+          ASSERT_EQ(snapshot.counter(obs::Metric::kRouteCertified),
+                    expected.certified)
+              << where;
+          if (expected.severed) {
+            EXPECT_FALSE(result.operational) << where;
+            ++severed;
+            if (expected.transports > 1) ++severed_after_others;
+          }
+          certified += expected.certified;
+          searched += expected.transports - expected.certified;
+          state.reset();
+        }
+      }
+    }
+  }
+  // Both kinds of transport occur, and runs stop at a severed transport
+  // with earlier transports already counted.
+  EXPECT_GT(certified, 1000);
+  EXPECT_GT(searched, 1000);
+  EXPECT_GT(severed, 20u);
+  EXPECT_GT(severed_after_others, 10u);
 }
 
 // ------------------------------------------------- determinism (acceptance)
