@@ -1,13 +1,12 @@
 // serve::MpmcQueue — bounded multi-producer multi-consumer work queue.
 //
-// The dispatch backbone of dmfb_serve: the stdin reader pushes work items,
-// the worker pool pops them. The transfer path is a Vyukov-style ring — one
-// per-cell sequence atomic arbitrates producers and consumers without a
-// lock, so a push and a pop touch disjoint cache lines except on the very
-// slot handed over. Blocking (a full queue backpressures the reader, an
-// empty queue parks workers) is layered on top with two counting
-// semaphores rather than a mutex/condvar pair, so wakeups are targeted and
-// the fast path stays lock-free.
+// The dispatch backbone of dmfb_serve (the stdin reader pushes work items,
+// the worker pool pops them) and of serve::ResultStore (store() calls push
+// records, the one writer thread pops them). A power-of-two ring guarded by
+// one mutex, with two condition variables for blocking: a full queue
+// backpressures producers on `not_full_`, an empty one parks consumers on
+// `not_empty_`. Every state change a waiter depends on happens under the
+// mutex, so no wakeup can fall between a waiter's check and its wait.
 //
 // Shutdown: close() wakes every blocked producer and consumer. After
 // close(), push() refuses new work (returns false) while pop() keeps
@@ -16,12 +15,11 @@
 // nothing after the close is.
 #pragma once
 
-#include <atomic>
+#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
-#include <semaphore>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -33,14 +31,9 @@ class MpmcQueue {
  public:
   /// `capacity` is rounded up to a power of two (>= 2) for mask indexing.
   explicit MpmcQueue(std::size_t capacity)
-      : slots_(static_cast<std::ptrdiff_t>(round_up(capacity))),
-        items_(0),
-        mask_(round_up(capacity) - 1),
-        cells_(std::make_unique<Cell[]>(round_up(capacity))) {
+      : mask_(round_up(capacity) - 1),
+        cells_(std::make_unique<T[]>(round_up(capacity))) {
     DMFB_EXPECTS(capacity > 0);
-    for (std::size_t i = 0; i <= mask_; ++i) {
-      cells_[i].sequence.store(i, std::memory_order_relaxed);
-    }
   }
 
   MpmcQueue(const MpmcQueue&) = delete;
@@ -52,38 +45,26 @@ class MpmcQueue {
   /// the queue is closed — including producers already blocked in push()
   /// when close() lands.
   bool push(T value) {
-    for (;;) {
-      if (closed_.load(std::memory_order_acquire)) return false;
-      slots_.acquire();
-      if (closed_.load(std::memory_order_acquire)) return false;
-      // A real (non-shutdown) slot permit guarantees a publishable cell:
-      // consumers release their slot only after re-arming the cell's
-      // sequence, so this cannot spin.
-      if (try_push(value)) {
-        items_.release();
-        return true;
-      }
-    }
+    std::unique_lock lock(mutex_);
+    not_full_.wait(lock, [this] { return closed_ || tail_ - head_ <= mask_; });
+    if (closed_) return false;
+    cells_[tail_++ & mask_] = std::move(value);
+    lock.unlock();
+    not_empty_.notify_one();
+    return true;
   }
 
   /// Blocks while the queue is empty and open. Returns nullopt only when
   /// the queue is closed AND fully drained; items accepted before close()
   /// are always delivered.
   std::optional<T> pop() {
-    for (;;) {
-      if (closed_.load(std::memory_order_acquire)) {
-        // Drain without blocking: permits stopped meaning anything at
-        // close(), the ring itself is the source of truth now.
-        return try_pop();
-      }
-      items_.acquire();
-      std::optional<T> value = try_pop();
-      if (value) {
-        slots_.release();
-        return value;
-      }
-      // Shutdown permit from close(): loop into the drain branch.
-    }
+    std::unique_lock lock(mutex_);
+    not_empty_.wait(lock, [this] { return closed_ || head_ != tail_; });
+    if (head_ == tail_) return std::nullopt;
+    std::optional<T> value(std::move(cells_[head_++ & mask_]));
+    lock.unlock();
+    not_full_.notify_one();
+    return value;
   }
 
   /// Idempotent. Wakes all blocked producers (which give up) and consumers
@@ -92,92 +73,36 @@ class MpmcQueue {
   /// Delivery guarantee: items whose push() returned before close() was
   /// called are always delivered. A push racing close() may win or lose the
   /// race (false); callers that need every accepted item answered — like
-  /// the serve reader thread — must quiesce producers before closing,
-  /// otherwise a push that commits concurrently with the last drain could
-  /// go unanswered.
+  /// the serve reader thread — must quiesce producers before closing.
   void close() {
-    if (closed_.exchange(true, std::memory_order_acq_rel)) return;
-    slots_.release(kWakeBurst);
-    items_.release(kWakeBurst);
+    {
+      const std::scoped_lock lock(mutex_);
+      closed_ = true;
+    }
+    not_full_.notify_all();
+    not_empty_.notify_all();
   }
 
-  bool closed() const noexcept {
-    return closed_.load(std::memory_order_acquire);
+  bool closed() const {
+    const std::scoped_lock lock(mutex_);
+    return closed_;
   }
 
  private:
-  // Enough permits to wake any realistic number of blocked threads; the
-  // permit count stops tracking occupancy after close(), by design.
-  static constexpr std::ptrdiff_t kWakeBurst = 4096;
-
-  struct alignas(64) Cell {
-    std::atomic<std::size_t> sequence{0};
-    T value{};
-  };
-
   static constexpr std::size_t round_up(std::size_t capacity) noexcept {
     std::size_t size = 2;
     while (size < capacity) size <<= 1;
     return size;
   }
 
-  bool try_push(T& value) {
-    std::size_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-    Cell* cell;
-    for (;;) {
-      cell = &cells_[pos & mask_];
-      const std::size_t seq = cell->sequence.load(std::memory_order_acquire);
-      const auto dif = static_cast<std::intptr_t>(seq) -
-                       static_cast<std::intptr_t>(pos);
-      if (dif == 0) {
-        if (enqueue_pos_.compare_exchange_weak(pos, pos + 1,
-                                               std::memory_order_relaxed)) {
-          break;
-        }
-      } else if (dif < 0) {
-        return false;  // full (only reachable without a slot permit)
-      } else {
-        pos = enqueue_pos_.load(std::memory_order_relaxed);
-      }
-    }
-    cell->value = std::move(value);
-    cell->sequence.store(pos + 1, std::memory_order_release);
-    return true;
-  }
-
-  std::optional<T> try_pop() {
-    std::size_t pos = dequeue_pos_.load(std::memory_order_relaxed);
-    Cell* cell;
-    for (;;) {
-      cell = &cells_[pos & mask_];
-      const std::size_t seq = cell->sequence.load(std::memory_order_acquire);
-      const auto dif = static_cast<std::intptr_t>(seq) -
-                       static_cast<std::intptr_t>(pos + 1);
-      if (dif == 0) {
-        if (dequeue_pos_.compare_exchange_weak(pos, pos + 1,
-                                               std::memory_order_relaxed)) {
-          break;
-        }
-      } else if (dif < 0) {
-        return std::nullopt;  // empty
-      } else {
-        pos = dequeue_pos_.load(std::memory_order_relaxed);
-      }
-    }
-    std::optional<T> value(std::move(cell->value));
-    // Re-arm for the producer one lap ahead; publish before the slot permit
-    // so an acquired permit implies a writable cell.
-    cell->sequence.store(pos + mask_ + 1, std::memory_order_release);
-    return value;
-  }
-
-  std::counting_semaphore<> slots_;  ///< free cells (producers acquire)
-  std::counting_semaphore<> items_;  ///< committed items (consumers acquire)
   const std::size_t mask_;
-  std::unique_ptr<Cell[]> cells_;
-  alignas(64) std::atomic<std::size_t> enqueue_pos_{0};
-  alignas(64) std::atomic<std::size_t> dequeue_pos_{0};
-  alignas(64) std::atomic<bool> closed_{false};
+  std::unique_ptr<T[]> cells_;
+  mutable std::mutex mutex_;
+  std::condition_variable not_full_;   ///< producers wait for a free cell
+  std::condition_variable not_empty_;  ///< consumers wait for an item
+  std::size_t head_ = 0;  ///< next cell to pop (monotonic; masked on use)
+  std::size_t tail_ = 0;  ///< next cell to push
+  bool closed_ = false;
 };
 
 }  // namespace dmfb::serve

@@ -13,6 +13,7 @@
 
 #include "common/contracts.hpp"
 #include "obs/metrics.hpp"
+#include "serve/drain_signals.hpp"
 
 namespace dmfb::serve {
 
@@ -43,7 +44,7 @@ std::string crc_line(const std::string& key, const std::string& payload) {
   return "crc " + hex64(fnv1a64(payload, fnv1a64("\n", fnv1a64(key))));
 }
 
-/// The writer pid of a store() temp name "<record>.rec.tmp.<pid>.<n>", or
+/// The writer pid of a record temp name "<record>.rec.tmp.<pid>.<n>", or
 /// 0 when `name` is not such a temp.
 pid_t temp_writer(const std::string& name) {
   constexpr std::string_view kTempTag = ".rec.tmp.";
@@ -60,7 +61,7 @@ pid_t temp_writer(const std::string& name) {
   return static_cast<pid_t>(pid);
 }
 
-/// Removes the temps that store() calls of dead processes left behind (a
+/// Removes the temps that the writers of dead processes left behind (a
 /// kill -9 between create and rename). A temp whose writer is alive, or is
 /// this process, may still be renamed into place and stays, as does every
 /// record. Best-effort: an unreadable directory or a failed removal is
@@ -94,6 +95,12 @@ ResultStore::ResultStore(std::filesystem::path root)
   sweep_orphaned_temps(root_);
 }
 
+ResultStore::~ResultStore() {
+  // close() still delivers every queued record: joining the writer flushes.
+  queue_.close();
+  if (writer_.joinable()) writer_.join();
+}
+
 std::filesystem::path ResultStore::path_of(const std::string& key) const {
   // Two independent FNV-1a passes (the second over the reversed-role seed)
   // make a 128-bit address: collisions are already vanishing at 64 bits,
@@ -115,6 +122,14 @@ std::optional<std::string> ResultStore::load(const std::string& key) {
     return std::nullopt;
   };
   try {
+    {
+      const std::scoped_lock lock(mutex_);
+      if (const auto found = pending_.find(key); found != pending_.end()) {
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        obs::count(obs::Metric::kStoreHits);
+        return found->second.payload;
+      }
+    }
     std::ifstream in(path_of(key), std::ios::binary);
     if (!in.is_open()) return miss(false);
     std::string magic, stored_key, payload, crc;
@@ -142,17 +157,83 @@ std::optional<std::string> ResultStore::load(const std::string& key) {
 void ResultStore::store(const std::string& key, const std::string& payload) {
   DMFB_EXPECTS(key.find('\n') == std::string::npos);
   DMFB_EXPECTS(payload.find('\n') == std::string::npos);
+  std::uint64_t ticket = 0;
+  try {
+    {
+      const std::scoped_lock lock(mutex_);
+      if (!writer_.joinable()) {
+        const DrainSignalsBlocked blocked;
+        writer_ = std::thread([this] {
+          while (const std::optional<Queued> queued = queue_.pop()) {
+            write_pending(*queued);
+          }
+        });
+      }
+      ticket = ++queued_;
+      pending_.insert_or_assign(key, Pending{payload, ticket});
+    }
+    if (queue_.push(Queued{key, ticket})) return;
+  } catch (...) {
+    // Best-effort contract: a writer that cannot start or a failed
+    // allocation loses the cache entry, not the caller's computation.
+  }
+  if (ticket != 0) finish(key, ticket);
+}
+
+void ResultStore::flush() {
+  std::unique_lock lock(mutex_);
+  const std::uint64_t target = queued_;
+  written_.wait(lock, [&] { return finished_ >= target; });
+}
+
+void ResultStore::write_pending(const Queued& queued) {
+  // Only the key's latest store() writes: an older ticket was superseded,
+  // and the newer one is still queued or has already landed.
+  try {
+    std::optional<std::string> payload;
+    {
+      const std::scoped_lock lock(mutex_);
+      if (const auto found = pending_.find(queued.key);
+          found != pending_.end() && found->second.ticket == queued.ticket) {
+        payload = found->second.payload;
+      }
+    }
+    if (payload) write_record(queued.key, *payload);
+  } catch (...) {
+    // A payload that cannot be copied is lost like a failed write; the
+    // ticket still finishes, so flush() returns.
+  }
+  finish(queued.key, queued.ticket);
+}
+
+void ResultStore::finish(const std::string& key, std::uint64_t ticket) {
+  {
+    const std::scoped_lock lock(mutex_);
+    if (const auto found = pending_.find(key);
+        found != pending_.end() && found->second.ticket == ticket) {
+      pending_.erase(found);
+    }
+    ++finished_;
+  }
+  written_.notify_all();
+}
+
+void ResultStore::write_record(const std::string& key,
+                               const std::string& payload) {
   std::filesystem::path temp;
   try {
     const std::filesystem::path target = path_of(key);
-    std::filesystem::create_directories(target.parent_path());
-    // Unique per (process, call): concurrent writers of the same key never
-    // share a temp file, and whichever rename lands last wins with a
-    // complete record either way.
+    // The shard only, never the root: a store whose root was removed
+    // loses its writes rather than resurrect the directory.
+    std::error_code shard_error;
+    std::filesystem::create_directory(target.parent_path(), shard_error);
+    if (shard_error) return;
+    // Unique per (process, record): writers of other processes never share
+    // a temp file, and whichever rename lands last wins with a complete
+    // record either way.
     temp = target;
     temp += ".tmp." + std::to_string(::getpid()) + "." +
-            std::to_string(temp_counter_.fetch_add(1,
-                                                   std::memory_order_relaxed));
+            std::to_string(temp_counter_++);
     {
       std::ofstream out(temp, std::ios::binary | std::ios::trunc);
       if (!out.is_open()) return;

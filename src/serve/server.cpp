@@ -12,7 +12,6 @@
 #include <vector>
 
 #include <pthread.h>
-#include <signal.h>
 #ifdef __linux__
 #include <sched.h>
 #endif
@@ -20,6 +19,7 @@
 #include "campaign/runner.hpp"
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
+#include "serve/drain_signals.hpp"
 #include "serve/mpmc_queue.hpp"
 
 namespace dmfb::serve {
@@ -91,26 +91,6 @@ void pin_worker(std::thread& thread, unsigned index) {
   (void)index;
 #endif
 }
-
-/// Blocks SIGTERM and SIGINT in the calling thread for its lifetime. Threads
-/// inherit their creator's mask, so workers spawned under it never take a
-/// drain signal, and the signal always interrupts the reader's blocking read.
-class DrainSignalsBlocked {
- public:
-  DrainSignalsBlocked() {
-    sigset_t drain_signals;
-    sigemptyset(&drain_signals);
-    sigaddset(&drain_signals, SIGTERM);
-    sigaddset(&drain_signals, SIGINT);
-    pthread_sigmask(SIG_BLOCK, &drain_signals, &saved_);
-  }
-  ~DrainSignalsBlocked() { pthread_sigmask(SIG_SETMASK, &saved_, nullptr); }
-  DrainSignalsBlocked(const DrainSignalsBlocked&) = delete;
-  DrainSignalsBlocked& operator=(const DrainSignalsBlocked&) = delete;
-
- private:
-  sigset_t saved_;
-};
 
 enum class LineRead : std::uint8_t { kLine, kTooLong, kEof };
 

@@ -135,6 +135,7 @@ TEST(ResultStore, RoundtripsAndCountsHitsMissesWrites) {
   store.store("k2", "payload-two");
   EXPECT_EQ(store.load("k1"), std::optional<std::string>("payload-one"));
   EXPECT_EQ(store.load("k2"), std::optional<std::string>("payload-two"));
+  store.flush();
   const ResultStore::Stats stats = store.stats();
   EXPECT_EQ(stats.hits, 2);
   EXPECT_EQ(stats.misses, 1);
@@ -158,6 +159,7 @@ TEST(ResultStore, TornRecordIsACountedCorruptMiss) {
   TempDir dir("torn");
   ResultStore store(dir.path());
   store.store("k", "payload");
+  store.flush();
   // Truncate mid-payload: fewer lines than the format requires.
   const fs::path record = store.path_of("k");
   {
@@ -175,6 +177,7 @@ TEST(ResultStore, ChecksumMismatchIsACountedCorruptMiss) {
   TempDir dir("crc");
   ResultStore store(dir.path());
   store.store("k", "payload");
+  store.flush();
   const fs::path record = store.path_of("k");
   {
     std::ofstream out(record, std::ios::binary | std::ios::trunc);
@@ -188,6 +191,7 @@ TEST(ResultStore, ForeignSchemaIsAPlainMissNotCorruption) {
   TempDir dir("schema");
   ResultStore store(dir.path());
   store.store("k", "payload");
+  store.flush();
   const fs::path record = store.path_of("k");
   {
     std::ofstream out(record, std::ios::binary | std::ios::trunc);
@@ -203,6 +207,7 @@ TEST(ResultStore, HashCollisionDegradesToAMissNeverAWrongAnswer) {
   // Forge an intact record for a *different* key at k's address — exactly
   // what a 128-bit hash collision would leave on disk.
   store.store("other-key", "other-payload");
+  store.flush();
   const fs::path forged = store.path_of("other-key");
   const fs::path target = store.path_of("k");
   fs::create_directories(target.parent_path());
@@ -217,6 +222,7 @@ TEST(ResultStore, StoreLeavesNoTempFilesBehind) {
   for (int i = 0; i < 16; ++i) {
     store.store("key-" + std::to_string(i), "payload");
   }
+  store.flush();
   for (const auto& entry : fs::recursive_directory_iterator(dir.path())) {
     if (entry.is_regular_file()) {
       EXPECT_EQ(entry.path().extension(), ".rec") << entry.path();
@@ -255,6 +261,62 @@ TEST(ResultStore, RejectsMultilineKeysAndPayloads) {
   ResultStore store(dir.path());
   EXPECT_THROW(store.store("bad\nkey", "payload"), ContractViolation);
   EXPECT_THROW(store.store("key", "bad\npayload"), ContractViolation);
+}
+
+TEST(ResultStore, LoadHitsAStoredRecordBeforeFlush) {
+  // store() returns before the writer renames; the record is readable at
+  // once, and a later store() of the key wins on disk too.
+  TempDir dir("pending");
+  ResultStore store(dir.path());
+  store.store("k", "old");
+  EXPECT_EQ(store.load("k"), std::optional<std::string>("old"));
+  store.store("k", "new");
+  EXPECT_EQ(store.load("k"), std::optional<std::string>("new"));
+  EXPECT_EQ(store.stats().hits, 2);
+  store.flush();
+  ResultStore reopened(dir.path());
+  EXPECT_EQ(reopened.load("k"), std::optional<std::string>("new"));
+}
+
+TEST(ResultStore, DestructionWritesEveryQueuedRecord) {
+  TempDir dir("drain");
+  constexpr int kRecords = 1000;
+  {
+    ResultStore store(dir.path());
+    for (int i = 0; i < kRecords; ++i) {
+      store.store("key-" + std::to_string(i), "payload-" + std::to_string(i));
+    }
+  }
+  ResultStore reopened(dir.path());
+  for (int i = 0; i < kRecords; ++i) {
+    EXPECT_EQ(reopened.load("key-" + std::to_string(i)),
+              std::optional<std::string>("payload-" + std::to_string(i)));
+  }
+  EXPECT_EQ(reopened.stats().hits, kRecords);
+  int records = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(dir.path())) {
+    if (!entry.is_regular_file()) continue;
+    EXPECT_EQ(entry.path().extension(), ".rec") << entry.path();
+    ++records;
+  }
+  EXPECT_EQ(records, kRecords);
+}
+
+TEST(ResultStore, RemovedRootLosesWritesWithoutThrowing) {
+  // The writer never recreates a root removed under it: the records are
+  // lost, store() and flush() return, and no rename is counted.
+  TempDir dir("removed");
+  const fs::path root = dir.path() / "store";
+  ResultStore store(root);
+  store.store("before", "payload");
+  store.flush();
+  ASSERT_EQ(store.stats().writes, 1);
+  fs::remove_all(root);
+  EXPECT_NO_THROW(store.store("after", "payload"));
+  store.flush();
+  EXPECT_EQ(store.stats().writes, 1);
+  EXPECT_FALSE(fs::exists(root));
+  EXPECT_EQ(store.load("after"), std::nullopt);
 }
 
 // ------------------------------------------------------------- store_key
@@ -843,6 +905,7 @@ TEST(CampaignResume, InterruptedStoreResumesByteIdenticalToCold) {
   TempDir dir("resume");
   auto store = std::make_shared<ResultStore>(dir.path());
   EXPECT_EQ(run_campaign_csv(1, store), cold);
+  store->flush();
 
   // Simulate an interrupted run: drop every third record and tear one of
   // the survivors mid-file, then resume at several thread counts.
@@ -877,6 +940,7 @@ TEST(CampaignResume, InterruptedStoreResumesByteIdenticalToCold) {
   runner.run();
   EXPECT_EQ(csv.str(), cold);
   EXPECT_EQ(runner.stats().unique_points, 0u);
+  warm->flush();
   EXPECT_EQ(warm->stats().writes, 0);
 }
 

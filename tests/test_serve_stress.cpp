@@ -2,17 +2,21 @@
 // ThreadSanitizer CI job runs against serve (ctest label: concurrency).
 //
 // The daemon's correctness rests on three concurrent structures: the
-// Vyukov MPMC ring with its semaphore blocking layer, the ResultStore's
-// write-temp-then-rename discipline under concurrent writers and readers
-// of the same keys, and the full Server pipeline (reader + worker pool +
-// reorder buffer) at 8 threads. Each test hammers one of them and then
-// re-checks the user-visible invariant — nothing lost, nothing duplicated,
-// byte-identical output — because a benign-looking race is exactly the bug
-// that turns into a one-in-a-thousand wrong answer in production.
+// bounded MPMC queue (one mutex, two condition variables), the
+// ResultStore's pending map and single writer under concurrent store(),
+// load() and flush() callers of the same keys, and the full Server
+// pipeline (reader + worker pool + reorder buffer) at 8 threads. Each test
+// hammers one of them and then re-checks the user-visible invariant —
+// nothing lost, nothing duplicated, byte-identical output — because a
+// benign-looking race is exactly the bug that turns into a
+// one-in-a-thousand wrong answer in production.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -107,6 +111,60 @@ TEST(ServeStress, MpmcQueueCloseWhileConsumersBlockIsLossFree) {
   EXPECT_EQ(delivered.load(), kBurst);
 }
 
+TEST(ServeStress, MpmcQueueCloseAfterBackpressureWakesEveryConsumer) {
+  // Regression: one producer pushes through backpressure into a 4-cell
+  // ring, closes it, then joins the consumers. The queue's semaphore-based
+  // predecessor lost a close() wakeup here once in a few thousand rounds,
+  // leaving a consumer parked in pop() with every item delivered. A
+  // watchdog turns such a hang into a failure; a time budget bounds slow
+  // (sanitizer) builds.
+  constexpr int kRounds = 10000;
+  constexpr int kConsumers = 4;
+  constexpr int kItems = 64;
+  using Clock = std::chrono::steady_clock;
+  std::atomic<int> rounds_done{0};
+  std::atomic<bool> finished{false};
+  std::thread watchdog([&] {
+    int seen = -1;
+    Clock::time_point progress = Clock::now();
+    while (!finished.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      const int now = rounds_done.load();
+      if (now != seen) {
+        seen = now;
+        progress = Clock::now();
+      } else if (Clock::now() - progress > std::chrono::seconds(10)) {
+        std::fprintf(stderr,
+                     "MpmcQueue: a consumer stayed parked after close() in "
+                     "round %d\n",
+                     now);
+        std::abort();
+      }
+    }
+  });
+  const Clock::time_point budget = Clock::now() + std::chrono::seconds(20);
+  for (int round = 0; round < kRounds && Clock::now() < budget; ++round) {
+    MpmcQueue<int> queue(4);
+    std::atomic<int> delivered{0};
+    std::vector<std::thread> consumers;
+    for (int t = 0; t < kConsumers; ++t) {
+      consumers.emplace_back([&] {
+        while (queue.pop()) delivered.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+    bool pushed = true;
+    for (int i = 0; i < kItems; ++i) pushed = queue.push(i) && pushed;
+    queue.close();
+    for (std::thread& consumer : consumers) consumer.join();
+    EXPECT_TRUE(pushed);
+    EXPECT_EQ(delivered.load(), kItems) << "round " << round;
+    rounds_done.fetch_add(1);
+  }
+  finished.store(true);
+  watchdog.join();
+  EXPECT_GT(rounds_done.load(), 0);
+}
+
 TEST(ServeStress, ResultStoreConcurrentReadersAndWritersAgree) {
   // 8 threads hammer an overlapping key set: every thread writes and reads
   // the same 32 keys. Readers must only ever see absent or complete
@@ -138,6 +196,7 @@ TEST(ServeStress, ResultStoreConcurrentReadersAndWritersAgree) {
     });
   }
   for (std::thread& hammer : hammers) hammer.join();
+  store.flush();
   EXPECT_EQ(wrong.load(), 0);
   EXPECT_EQ(store.stats().corrupt_dropped, 0);
 
@@ -149,6 +208,49 @@ TEST(ServeStress, ResultStoreConcurrentReadersAndWritersAgree) {
   for (const auto& entry : fs::recursive_directory_iterator(dir.path())) {
     if (entry.is_regular_file()) {
       EXPECT_EQ(entry.path().extension(), ".rec") << entry.path();
+    }
+  }
+}
+
+TEST(ServeStress, ResultStoreStoreLoadFlushFromEightThreads) {
+  // 8 threads store their own keys through the one writer, read each back
+  // at once, and flush every 16 stores: a flushed record is on disk, and a
+  // reopened store reads them all.
+  TempDir dir("writer");
+  constexpr int kPerThread = 200;
+  const auto key_of = [](int thread, int i) {
+    return "t" + std::to_string(thread) + "-" + std::to_string(i);
+  };
+  std::atomic<int> wrong{0};
+  {
+    ResultStore store(dir.path());
+    std::vector<std::thread> hammers;
+    for (int t = 0; t < kHammerThreads; ++t) {
+      hammers.emplace_back([&, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          const std::string key = key_of(t, i);
+          store.store(key, "payload-" + key);
+          if (store.load(key) != "payload-" + key) {
+            wrong.fetch_add(1, std::memory_order_relaxed);
+          }
+          if (i % 16 == 15) {
+            store.flush();
+            if (!fs::exists(store.path_of(key))) {
+              wrong.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+        }
+      });
+    }
+    for (std::thread& hammer : hammers) hammer.join();
+    store.flush();
+    EXPECT_EQ(store.stats().writes, kHammerThreads * kPerThread);
+  }
+  EXPECT_EQ(wrong.load(), 0);
+  ResultStore reopened(dir.path());
+  for (int t = 0; t < kHammerThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      EXPECT_EQ(reopened.load(key_of(t, i)), "payload-" + key_of(t, i));
     }
   }
 }

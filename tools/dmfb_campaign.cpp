@@ -322,6 +322,9 @@ int main(int argc, char** argv) {
               << "' failed: " << ex.what() << '\n';
     return 1;
   }
+  // The store's writer counts its renames into the registry as they land:
+  // flush before the metrics and the store line are read.
+  if (store) store->flush();
 
   if (registry) {
     registry->uninstall();

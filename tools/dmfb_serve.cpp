@@ -20,8 +20,9 @@
 // Shutdown: EOF on stdin drains naturally. SIGTERM/SIGINT stop the reader
 // at once, even while it waits for input: a line the signal cuts short is
 // dropped unanswered, and every query already accepted is still computed
-// and answered before exit. Exit status is 0 after a clean drain,
-// 1 on setup failure (bad store directory), 2 on bad usage.
+// and answered, and its --store record written, before exit. Exit status
+// is 0 after a clean drain, 1 on setup failure (bad store directory), 2 on
+// bad usage.
 #include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
@@ -181,6 +182,8 @@ int main(int argc, char** argv) {
 
   std::cerr << "dmfb_serve " << kVersionString << ": serving on stdio\n";
   const std::uint64_t answered = server.serve(std::cin, std::cout);
+  // Every answered record reaches the disk before the stats report it.
+  if (store) store->flush();
 
   const sim::Session::Stats stats = server.session_stats();
   const std::string summary = stats_json(stats, answered);
