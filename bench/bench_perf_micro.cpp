@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "assay/multiplexed_chip.hpp"
@@ -121,8 +122,8 @@ void BM_InjectV1_Lockstep(benchmark::State& state) {
     BM_InjectV1_Scalar(state);
     return;
   }
-  sim::LockstepBernoulli batch(*kernel, design->cell_count(),
-                               1.0 - model.param);
+  const double q = 1.0 - model.param;
+  sim::LockstepBernoulli batch(*kernel, design->cell_count(), {&q, 1});
   std::int32_t run = 0;
   for (auto _ : state) {
     for (std::int32_t lane = 0; lane < batch.lanes(); ++lane) {
@@ -130,12 +131,60 @@ void BM_InjectV1_Lockstep(benchmark::State& state) {
     }
     batch.draw();
     for (std::int32_t lane = 0; lane < batch.lanes(); ++lane) {
-      benchmark::DoNotOptimize(batch.inject(lane, faults));
+      benchmark::DoNotOptimize(batch.inject(0, lane, faults));
       faults.reset();
     }
     run += batch.lanes();
   }
   state.SetItemsProcessed(state.iterations() * batch.lanes());
+  state.SetLabel(kernel->isa);
+}
+
+// Lock-step v1 injection plus reset over fig9's nine survival
+// probabilities on the same fig9 design, T per LockstepBernoulli: T = 1 is
+// nine separate queries (nine phase As per lane batch), T = 9 one sweep
+// (Session::run_sweep's shared pass: one phase A, then phase B for each
+// member). items/s counts (run, point) pairs, so the rows compare per
+// point on the same work.
+void BM_LockstepSweep(benchmark::State& state) {
+  constexpr double kFig9Survival[] = {0.80, 0.85, 0.88, 0.90, 0.92,
+                                      0.94, 0.96, 0.98, 0.99};
+  const auto design = inject_bench_design();
+  sim::FaultState faults(design);
+  const sim::LockstepKernel* kernel =
+      sim::lockstep_kernel_for(sim::FaultModel::bernoulli(kInjectSurvival));
+  if (kernel == nullptr) {
+    state.SkipWithError("no lock-step kernel on this CPU");
+    return;
+  }
+  const auto members = static_cast<std::size_t>(state.range(0));
+  std::vector<sim::LockstepBernoulli> batches;
+  for (std::size_t first = 0; first < std::size(kFig9Survival);
+       first += members) {
+    std::vector<double> fault_probs;
+    for (std::size_t t = first; t < first + members; ++t) {
+      fault_probs.push_back(1.0 - kFig9Survival[t]);
+    }
+    batches.emplace_back(*kernel, design->cell_count(), fault_probs);
+  }
+  std::int32_t run = 0;
+  for (auto _ : state) {
+    for (sim::LockstepBernoulli& batch : batches) {
+      for (std::int32_t lane = 0; lane < batch.lanes(); ++lane) {
+        batch.load(lane, sim::run_stream(kInjectSeed, run + lane));
+      }
+      batch.draw();
+      for (std::int32_t member = 0; member < batch.members(); ++member) {
+        for (std::int32_t lane = 0; lane < batch.lanes(); ++lane) {
+          benchmark::DoNotOptimize(batch.inject(member, lane, faults));
+          faults.reset();
+        }
+      }
+    }
+    run += kernel->lanes;
+  }
+  state.SetItemsProcessed(state.iterations() * kernel->lanes *
+                          static_cast<std::int64_t>(std::size(kFig9Survival)));
   state.SetLabel(kernel->isa);
 }
 
@@ -291,6 +340,7 @@ BENCHMARK(BM_McYieldThreads)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_InjectV1_Scalar);
 BENCHMARK(BM_InjectV1_Lockstep);
+BENCHMARK(BM_LockstepSweep)->Arg(1)->Arg(9);
 BENCHMARK(BM_InjectV2_Scalar)->Arg(80)->Arg(90)->Arg(99);
 BENCHMARK(BM_InjectV2_Gaps)->Arg(80)->Arg(90)->Arg(99);
 BENCHMARK(BM_SingleDropletRoute)->Arg(16)->Arg(32)->Arg(64);

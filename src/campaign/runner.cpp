@@ -226,30 +226,51 @@ std::vector<PointResult> CampaignRunner::run() {
       std::move(sessions_);
   stats_.grid_points = points.size();
 
-  // -- work order: first occurrences ahead of duplicates ---------------------
+  // -- jobs: sweeps largest first, then duplicates ---------------------------
+  // The unique points of a session whose queries share a sim::sweep_key
+  // (they differ only in p) form one job, computed by one Session::run_sweep
+  // pass; every other unique point is a job of its own. Jobs run largest
+  // first (cells x runs x points) so the last ones to finish are short.
   // Duplicates resolve through the session cache; scheduling them after
   // every distinct computation keeps workers on fresh work instead of
-  // parked on an in-flight duplicate's future. The worker count is likewise
-  // sized to the number of distinct computations so a duplicate-heavy grid
-  // still gets deep inner parallelism.
-  std::vector<std::size_t> order;
-  order.reserve(points.size());
-  std::int32_t unique_jobs = 0;
+  // parked on an in-flight duplicate's future. The worker count is sized to
+  // the number of distinct jobs so a duplicate-heavy grid still gets deep
+  // inner parallelism.
+  struct Job {
+    std::vector<std::size_t> points;
+    std::int64_t cost = 0;  ///< cells x runs x points
+  };
+  std::vector<Job> jobs;
+  std::vector<Job> duplicates;
   {
-    std::vector<std::size_t> duplicates;
     std::unordered_map<std::string, char> seen;
+    std::map<std::pair<SessionKey, std::string>, std::size_t> sweeps;
     for (std::size_t i = 0; i < points.size(); ++i) {
-      std::string key = point_key(points[i]) + '|' +
-                        sim::query_key(query_of(points[i], spec_, 1));
-      if (seen.emplace(std::move(key), 1).second) {
-        order.push_back(i);
-        ++unique_jobs;
-      } else {
-        duplicates.push_back(i);
+      const sim::YieldQuery query = query_of(points[i], spec_, 1);
+      if (!seen.emplace(point_key(points[i]) + '|' + sim::query_key(query), 1)
+               .second) {
+        duplicates.push_back({{i}, 0});
+        continue;
       }
+      const SessionKey session = {points[i].design, points[i].min_primaries};
+      // A point with no sweep_key is keyed by its index, which no sweep_key
+      // (a '|'-joined query_key) can equal.
+      std::string sweep = sim::sweep_key(query);
+      if (sweep.empty()) sweep = std::to_string(i);
+      const std::size_t slot =
+          sweeps.try_emplace({session, std::move(sweep)}, jobs.size())
+              .first->second;
+      if (slot == jobs.size()) jobs.emplace_back();
+      jobs[slot].points.push_back(i);
+      jobs[slot].cost += std::int64_t{spec_.runs} *
+                         sessions.at(session)->design().cell_count();
     }
-    order.insert(order.end(), duplicates.begin(), duplicates.end());
+    std::stable_sort(jobs.begin(), jobs.end(), [](const Job& a, const Job& b) {
+      return a.cost > b.cost;
+    });
   }
+  const auto unique_jobs = static_cast<std::int32_t>(jobs.size());
+  jobs.insert(jobs.end(), duplicates.begin(), duplicates.end());
   const std::int32_t budget = common::resolve_worker_threads(spec_.threads);
   const std::int32_t workers =
       std::max(1, std::min(budget, std::max(unique_jobs, 1)));
@@ -257,37 +278,48 @@ std::vector<PointResult> CampaignRunner::run() {
 
   std::vector<sim::YieldEstimate> estimates(points.size());
   std::vector<sim::OperationalEstimate> operationals(points.size());
-  // Per-worker busy time (summed over its points) and span from its first
-  // point's start to its last point's end; idle is span minus busy. Read
-  // only when enabled, so the disabled default never reads the clock here.
+  // Per-worker busy time (summed over its jobs) and span from its first
+  // job's start to its last job's end; idle is span minus busy. Read only
+  // when enabled, so the disabled default never reads the clock here.
   const bool measuring = obs::enabled();
   std::vector<std::int64_t> busy_ns(static_cast<std::size_t>(workers), 0);
   std::vector<std::int64_t> first_ns(static_cast<std::size_t>(workers), -1);
   std::vector<std::int64_t> last_ns(static_cast<std::size_t>(workers), 0);
   common::deal_items(
-      workers, static_cast<std::int64_t>(order.size()),
+      workers, static_cast<std::int64_t>(jobs.size()),
       [&](std::int32_t worker, std::int64_t slot) {
         const auto w = static_cast<std::size_t>(worker);
         if (measuring && first_ns[w] < 0) first_ns[w] = obs::monotonic_ns();
-        const std::size_t i = order[static_cast<std::size_t>(slot)];
-        const CampaignPoint& point = points[i];
+        const std::vector<std::size_t>& members =
+            jobs[static_cast<std::size_t>(slot)].points;
+        const CampaignPoint& point = points[members.front()];
         sim::Session& session =
             *sessions.at({point.design, point.min_primaries});
-        const sim::YieldQuery query = query_of(point, spec_, inner_threads);
         obs::ScopedSpan span("campaign.point", "campaign");
         if (span.active()) {
           span.set_args(std::string("{\"design\":\"") +
                         to_string(point.design) + "\",\"param\":" +
-                        io::format_double(point.param, 4) + "}");
+                        io::format_double(point.param, 4) + ",\"points\":" +
+                        std::to_string(members.size()) + "}");
         }
         const std::int64_t point_start = measuring ? obs::monotonic_ns() : 0;
         if (point.workload == WorkloadKind::kAssay) {
-          operationals[i] = session.run_operational(query);
+          const std::size_t i = members.front();  // never part of a sweep
+          operationals[i] =
+              session.run_operational(query_of(point, spec_, inner_threads));
           // The structural leg keeps the "yield" column comparable with
           // structural campaigns over the same grid.
           estimates[i] = operationals[i].structural;
         } else {
-          estimates[i] = session.run(query);
+          std::vector<sim::YieldQuery> queries;
+          for (const std::size_t i : members) {
+            queries.push_back(query_of(points[i], spec_, inner_threads));
+          }
+          const std::vector<sim::YieldEstimate> answers =
+              session.run_sweep(queries);
+          for (std::size_t k = 0; k < members.size(); ++k) {
+            estimates[members[k]] = answers[k];
+          }
         }
         if (measuring) {
           last_ns[w] = obs::monotonic_ns();

@@ -1,5 +1,6 @@
 #include "sim/lockstep_bernoulli.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/contracts.hpp"
@@ -25,9 +26,9 @@ struct Pext {
 };
 
 [[gnu::target("avx512f,bmi2")]] void candidates_avx512f(
-    std::uint64_t* state, std::int32_t draws, std::uint64_t threshold,
-    std::uint64_t* masks) {
-  lockstep_candidates<8>(state, draws, threshold, masks);
+    std::uint64_t* state, std::int32_t draws,
+    std::span<const std::uint64_t> thresholds, std::uint64_t* masks) {
+  lockstep_candidates<8>(state, draws, thresholds, masks);
 }
 
 [[gnu::target("avx512f,bmi2")]] LockstepRun faults_avx512f(
@@ -36,11 +37,10 @@ struct Pext {
   return lockstep_faults<Pext>(masks, draws, cell_count, state);
 }
 
-[[gnu::target("avx2,bmi2")]] void candidates_avx2(std::uint64_t* state,
-                                                  std::int32_t draws,
-                                                  std::uint64_t threshold,
-                                                  std::uint64_t* masks) {
-  lockstep_candidates<4>(state, draws, threshold, masks);
+[[gnu::target("avx2,bmi2")]] void candidates_avx2(
+    std::uint64_t* state, std::int32_t draws,
+    std::span<const std::uint64_t> thresholds, std::uint64_t* masks) {
+  lockstep_candidates<4>(state, draws, thresholds, masks);
 }
 
 [[gnu::target("avx2,bmi2")]] LockstepRun faults_avx2(
@@ -101,16 +101,21 @@ std::int32_t lockstep_slack(std::int32_t cell_count, double fault_prob) {
 
 LockstepBernoulli::LockstepBernoulli(const LockstepKernel& kernel,
                                      std::int32_t cell_count,
-                                     double fault_prob)
+                                     std::span<const double> fault_probs)
     : kernel_(kernel),
       cell_count_(cell_count),
-      draws_(cell_count + lockstep_slack(cell_count, fault_prob)),
-      words_((draws_ + 63) / 64),
-      fault_prob_(fault_prob),
-      threshold_(bernoulli_threshold(fault_prob)) {
+      fault_probs_(fault_probs.begin(), fault_probs.end()),
+      draws_(cell_count) {
   DMFB_EXPECTS(kernel.lanes > 0 && kernel.lanes <= kMaxLockstepLanes);
   DMFB_EXPECTS(kernel.candidates != nullptr && kernel.faults != nullptr);
-  masks_.assign(static_cast<std::size_t>(kernel.lanes) *
+  DMFB_EXPECTS(!fault_probs.empty());
+  for (const double fault_prob : fault_probs) {
+    draws_ = std::max(draws_,
+                      cell_count + lockstep_slack(cell_count, fault_prob));
+    thresholds_.push_back(bernoulli_threshold(fault_prob));
+  }
+  words_ = (draws_ + 63) / 64;
+  masks_.assign(fault_probs_.size() * static_cast<std::size_t>(kernel.lanes) *
                     static_cast<std::size_t>(words_),
                 0);
 }
@@ -124,25 +129,27 @@ void LockstepBernoulli::load(std::int32_t lane, const Rng& stream) {
   }
 }
 
-std::int32_t LockstepBernoulli::inject(std::int32_t lane,
+std::int32_t LockstepBernoulli::inject(std::int32_t member, std::int32_t lane,
                                        FaultState& state) const {
+  DMFB_EXPECTS(member >= 0 && member < members());
   DMFB_EXPECTS(lane >= 0 && lane < kernel_.lanes);
   DMFB_EXPECTS(state.faulty_count() == 0);
   DMFB_EXPECTS(state.design().cell_count() == cell_count_);
   const auto k = static_cast<std::size_t>(lane);
+  const auto m = static_cast<std::size_t>(member);
+  const auto lanes = static_cast<std::size_t>(kernel_.lanes);
   const LockstepRun run = kernel_.faults(
-      masks_.data() + k * static_cast<std::size_t>(words_), draws_,
-      cell_count_, state);
+      masks_.data() + (m * lanes + k) * static_cast<std::size_t>(words_),
+      draws_, cell_count_, state);
   std::int32_t hits = run.hits;
   if (run.cells < cell_count_) {
     // More hits than the slack: finish on the lane's stream, which phase A
     // left at draw draws_.
-    const auto lanes = static_cast<std::size_t>(kernel_.lanes);
     std::array<std::uint64_t, 4> words{};
     for (std::size_t i = 0; i < 4; ++i) words[i] = state_[i * lanes + k];
     Rng rng = Rng::from_state(words);
     if (run.classification_owed) (void)rng();
-    bernoulli_trials(rng, cell_count_ - run.cells, fault_prob_,
+    bernoulli_trials(rng, cell_count_ - run.cells, fault_probs_[m],
                      [&](std::int32_t index, Rng& draws) {
                        (void)draws();
                        ++hits;

@@ -14,7 +14,9 @@
 //    always come from the vector loop too. Bit j of a lane's candidate
 //    mask says its draw j fell below bernoulli_threshold(q). xoshiro's *5,
 //    *9 and rotates are shifts, adds and ors, so no 64-bit vector multiply
-//    is needed.
+//    is needed. A sweep's members differ only in q, and run r of each
+//    starts from the same stream, so one pass of draws fills a mask set
+//    per member.
 //  * Phase B (lockstep_faults, one lane and one 64-draw mask word at a
 //    time, branch-free within a word): a candidate at draw j is a hit
 //    unless draw j - 1 was a hit, in which case j is that hit's
@@ -66,17 +68,20 @@ struct LaneVector {
   typedef std::uint64_t type __attribute__((vector_size(8 * L)));
 };
 
-/// Phase A over L lanes. `state` holds the lanes' xoshiro256** states
-/// structure-of-arrays (word i of lane k at state[i * L + k]) and is
-/// advanced by `draws` steps in place. Lane k's candidate mask fills
-/// masks[k * words .. k * words + words - 1], words = ceil(draws / 64):
-/// bit j % 64 of word j / 64 is set iff the lane's draw j is below
-/// `threshold`; bits past `draws` are zero. Always inlined, so a caller
-/// with a target attribute gets the body in its own ISA.
+/// Phase A over L lanes and T = thresholds.size() members. `state` holds
+/// the lanes' xoshiro256** states structure-of-arrays (word i of lane k at
+/// state[i * L + k]) and is advanced by `draws` steps in place. Member t's
+/// lane k candidate mask fills masks[(t * L + k) * words + 0 .. words - 1],
+/// words = ceil(draws / 64): bit j % 64 of word j / 64 is set iff the
+/// lane's draw j is below thresholds[t]; bits past `draws` are zero. Each
+/// word's 64 draws are made once into a buffer, then compared against
+/// every threshold, so a sweep of T fault probabilities shares the draws.
+/// Always inlined, so a caller with a target attribute gets the body in its
+/// own ISA.
 template <int L>
 [[gnu::always_inline]] inline void lockstep_candidates(
-    std::uint64_t* state, std::int32_t draws, std::uint64_t threshold,
-    std::uint64_t* masks) {
+    std::uint64_t* state, std::int32_t draws,
+    std::span<const std::uint64_t> thresholds, std::uint64_t* masks) {
   static_assert(L > 0 && L <= kMaxLockstepLanes && (L & (L - 1)) == 0);
   using V = typename LaneVector<L>::type;
   V s0{};
@@ -87,17 +92,16 @@ template <int L>
   std::memcpy(&s1, state + L, sizeof(V));
   std::memcpy(&s2, state + 2 * L, sizeof(V));
   std::memcpy(&s3, state + 3 * L, sizeof(V));
-  const V limit = V{} + threshold;
   const std::int32_t words = (draws + 63) / 64;
+  const auto lane_words = static_cast<std::size_t>(words);
+  V results[64] = {};
   for (std::int32_t w = 0; w < words; ++w) {
     const std::int32_t in_word = draws - w * 64 < 64 ? draws - w * 64 : 64;
-    V candidates = V{};
-    V bit = V{} + 1;
     for (std::int32_t b = 0; b < in_word; ++b) {
       // result = rotl(s1 * 5, 7) * 9, then the xoshiro256** state update.
       const V times5 = (s1 << 2) + s1;
       const V rotated = (times5 << 7) | (times5 >> 57);
-      const V result = (rotated << 3) + rotated;
+      results[b] = (rotated << 3) + rotated;
       const V t = s1 << 17;
       s2 ^= s0;
       s3 ^= s1;
@@ -105,12 +109,22 @@ template <int L>
       s0 ^= s3;
       s2 ^= t;
       s3 = (s3 << 45) | (s3 >> 19);
-      candidates |= reinterpret_cast<V>(result < limit) & bit;
-      bit += bit;
     }
-    for (int k = 0; k < L; ++k) {
-      masks[static_cast<std::size_t>(k) * static_cast<std::size_t>(words) +
-            static_cast<std::size_t>(w)] = candidates[k];
+    // No threshold exceeds ~0, so the slots past the last draw stay clear.
+    for (std::int32_t b = in_word; b < 64; ++b) results[b] = ~V{};
+    std::uint64_t* word = masks + w;
+    for (const std::uint64_t threshold : thresholds) {
+      const V limit = V{} + threshold;
+      V candidates = V{};
+      V bit = V{} + 1;
+      for (std::int32_t b = 0; b < 64; ++b) {
+        candidates |= reinterpret_cast<V>(results[b] < limit) & bit;
+        bit += bit;
+      }
+      for (int k = 0; k < L; ++k) {
+        word[static_cast<std::size_t>(k) * lane_words] = candidates[k];
+      }
+      word += L * lane_words;
     }
   }
   std::memcpy(state, &s0, sizeof(V));
@@ -224,7 +238,8 @@ template <typename Compress>
 /// (a lockstep_faults instantiation).
 struct LockstepKernel {
   using Candidates = void (*)(std::uint64_t* state, std::int32_t draws,
-                              std::uint64_t threshold, std::uint64_t* masks);
+                              std::span<const std::uint64_t> thresholds,
+                              std::uint64_t* masks);
   using Faults = LockstepRun (*)(const std::uint64_t* masks,
                                  std::int32_t draws, std::int32_t cell_count,
                                  FaultState& state);
@@ -265,43 +280,56 @@ const LockstepKernel* lockstep_kernel_for(const FaultModel& model);
 /// (cell_count, q), fixed for a query.
 std::int32_t lockstep_slack(std::int32_t cell_count, double fault_prob);
 
-/// Lock-step v1 Bernoulli injection of `kernel.lanes` runs at a time. Owns
-/// one batch's lane states and candidate masks; reuse it across the batches
-/// of one query.
+/// Lock-step v1 Bernoulli injection of `kernel.lanes` runs at a time, for
+/// the members of a sweep: one fault probability each, every member's run
+/// drawing from the same lane stream. Owns one batch's lane states and
+/// candidate masks; reuse it across the batches of one query or sweep.
+///
+/// Phase A makes cell_count + the largest member slack draws per lane.
+/// Draws past a member's own slack leave its faults as they were: phase B
+/// stops once the member's trials reach cell_count, and a member that runs
+/// out of draws resumes on the scalar loop at the shared draw count.
 class LockstepBernoulli {
  public:
-  /// `fault_prob` is q = 1 - p and must lie strictly inside (0, 1).
+  /// One member per entry of `fault_probs` (q = 1 - p, each strictly inside
+  /// (0, 1); unsorted and repeated values are fine).
   LockstepBernoulli(const LockstepKernel& kernel, std::int32_t cell_count,
-                    double fault_prob);
+                    std::span<const double> fault_probs);
 
   std::int32_t lanes() const noexcept { return kernel_.lanes; }
 
-  /// Phase-A draws per lane: cell_count + lockstep_slack(cell_count, q).
+  std::int32_t members() const noexcept {
+    return static_cast<std::int32_t>(fault_probs_.size());
+  }
+
+  /// Phase-A draws per lane: cell_count + the largest member's
+  /// lockstep_slack(cell_count, q).
   std::int32_t draws() const noexcept { return draws_; }
 
   /// Sets the stream `lane` starts from at the next draw(); Session loads
   /// run_stream(seed, first_run + lane).
   void load(std::int32_t lane, const Rng& stream);
 
-  /// Phase A over the loaded lanes.
+  /// Phase A over the loaded lanes, for every member at once.
   void draw() {
-    kernel_.candidates(state_.data(), draws_, threshold_, masks_.data());
+    kernel_.candidates(state_.data(), draws_, thresholds_, masks_.data());
   }
 
-  /// Phase B for `lane` of the last draw(), with the scalar fallback: marks
-  /// the run's faults in `state`, which must arrive reset, and flushes the
-  /// injection counters as sim::inject does. Returns the draws the run
-  /// consumed, cell_count + #faults: sim::inject leaves the run's stream
-  /// that many draws past its start.
-  std::int32_t inject(std::int32_t lane, FaultState& state) const;
+  /// Phase B for `member`'s run in `lane` of the last draw(), with the
+  /// scalar fallback: marks the run's faults in `state`, which must arrive
+  /// reset, and flushes the injection counters as sim::inject does. Returns
+  /// the draws the run consumed, cell_count + #faults: sim::inject leaves
+  /// the run's stream that many draws past its start.
+  std::int32_t inject(std::int32_t member, std::int32_t lane,
+                      FaultState& state) const;
 
  private:
   LockstepKernel kernel_;
   std::int32_t cell_count_;
+  std::vector<double> fault_probs_;
+  std::vector<std::uint64_t> thresholds_;
   std::int32_t draws_;
   std::int32_t words_;
-  double fault_prob_;
-  std::uint64_t threshold_;
   std::array<std::uint64_t, 4 * kMaxLockstepLanes> state_{};
   std::vector<std::uint64_t> masks_;
 };

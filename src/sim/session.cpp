@@ -1,7 +1,6 @@
 #include "sim/session.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <chrono>
 #include <exception>
@@ -291,17 +290,34 @@ void Session::evict_locked() {
   }
 }
 
-template <typename Result, typename Compute>
-Result Session::memoized(const YieldQuery& query, const Compute& compute) {
+namespace {
+
+void check_query(const YieldQuery& query, std::int32_t cell_count) {
   DMFB_EXPECTS(query.runs > 0);
   DMFB_EXPECTS(query.threads >= 0);
   DMFB_EXPECTS(query.target_ci_half_width >= 0.0);
-  validate(query.fault, design_->cell_count());
+  validate(query.fault, cell_count);
+}
 
-  const std::string key = query_key(query);
-  std::optional<std::promise<Result>> promise;  // set on cache miss
-  std::shared_future<Result> future;
-  std::shared_ptr<ResultCache> store;
+}  // namespace
+
+std::string sweep_key(const YieldQuery& query) {
+  if (query.rng_version != RngVersion::kV1 ||
+      query.workload != Workload::kStructural ||
+      query.target_ci_half_width != 0.0 ||
+      lockstep_kernel_for(query.fault) == nullptr) {
+    return {};
+  }
+  YieldQuery shared = query;
+  shared.fault.param = 0.0;
+  return query_key(shared);
+}
+
+template <typename Result>
+std::optional<Session::Claim<Result>> Session::claim(
+    const YieldQuery& query, std::shared_future<Result>& future) {
+  std::string key = query_key(query);
+  std::optional<Claim<Result>> claimed;
   {
     const std::scoped_lock lock(mutex_);
     ++stats_.queries;
@@ -309,64 +325,57 @@ Result Session::memoized(const YieldQuery& query, const Compute& compute) {
     if (found != cache_.end()) {
       future = std::get<std::shared_future<Result>>(found->second);
     } else {
-      promise.emplace();
-      future = promise->get_future().share();
+      claimed.emplace();
+      future = claimed->promise.get_future().share();
       cache_.emplace(key, future);
-      store = result_cache_;
+      claimed->store = result_cache_;
     }
   }
   obs::count(obs::Metric::kSessionQueries);
-  if (!promise) {
+  if (!claimed) {
     // A hit whose future is not yet ready is an in-flight join: this query
     // blocked on an identical computation started by another thread —
     // inherently schedule-dependent, hence an unstable counter. A miss is
-    // counted below, once it resolves as computed or store-served.
+    // counted at publish(), once it resolves as computed or store-served.
     obs::count(obs::Metric::kSessionCacheHits);
     if (obs::enabled() && future.wait_for(std::chrono::seconds(0)) !=
                               std::future_status::ready) {
       obs::count(obs::Metric::kSessionInflightJoins);
     }
-    return future.get();
+    return claimed;
   }
+  claimed->query = &query;
+  claimed->key = std::move(key);
+  if (claimed->store) {
+    claimed->persistent_key =
+        workload_ ? store_key(query, *workload_) : store_key(query, *design_);
+  }
+  return claimed;
+}
 
-  constexpr bool kOperational = std::is_same_v<Result, OperationalEstimate>;
-  Result result;
-  bool from_store = false;
-  std::string persistent_key;
-  try {
-    if (store) {
-      persistent_key = workload_ ? store_key(query, *workload_)
-                                 : store_key(query, *design_);
-      if (const std::optional<std::string> payload =
-              store->load(persistent_key)) {
-        std::optional<Result> decoded;
-        if constexpr (kOperational) {
-          decoded = decode_operational(*payload);
-        } else {
-          decoded = decode_estimate(*payload);
-        }
-        if (decoded) {
-          result = *decoded;
-          from_store = true;
-        }
-      }
-    }
-    if (!from_store) result = compute();
-  } catch (...) {
-    // Fail every waiter with the original error, then drop the entry so a
-    // later identical query may retry.
-    promise->set_exception(std::current_exception());
-    const std::scoped_lock lock(mutex_);
-    cache_.erase(key);
-    return future.get();  // rethrows for this caller too
+template <typename Result>
+std::optional<Result> Session::load_stored(const Claim<Result>& claim) const {
+  if (!claim.store) return std::nullopt;
+  const std::optional<std::string> payload =
+      claim.store->load(claim.persistent_key);
+  if (!payload) return std::nullopt;
+  if constexpr (std::is_same_v<Result, OperationalEstimate>) {
+    return decode_operational(*payload);
+  } else {
+    return decode_estimate(*payload);
   }
-  promise->set_value(result);
-  if (store && !from_store) {
+}
+
+template <typename Result>
+void Session::publish(Claim<Result>& claim, const Result& result,
+                      bool from_store) {
+  claim.promise.set_value(result);
+  if (claim.store && !from_store) {
     try {
-      if constexpr (kOperational) {
-        store->store(persistent_key, encode_operational(result));
+      if constexpr (std::is_same_v<Result, OperationalEstimate>) {
+        claim.store->store(claim.persistent_key, encode_operational(result));
       } else {
-        store->store(persistent_key, encode_estimate(result));
+        claim.store->store(claim.persistent_key, encode_estimate(result));
       }
     } catch (...) {
       // Persistence is best-effort; the published in-memory answer stands.
@@ -379,19 +388,46 @@ Result Session::memoized(const YieldQuery& query, const Compute& compute) {
     } else {
       ++stats_.computed;
     }
-    completed_order_.push_back(key);
+    completed_order_.push_back(claim.key);
     evict_locked();
   }
   obs::count(from_store ? obs::Metric::kSessionStoreHits
                         : obs::Metric::kSessionComputed);
-  return result;
+}
+
+template <typename Result>
+void Session::fail(Claim<Result>& claim, std::exception_ptr error) {
+  claim.promise.set_exception(std::move(error));
+  const std::scoped_lock lock(mutex_);
+  cache_.erase(claim.key);
+}
+
+template <typename Result, typename Compute>
+Result Session::memoized(const YieldQuery& query, const Compute& compute) {
+  check_query(query, design_->cell_count());
+  std::shared_future<Result> future;
+  std::optional<Claim<Result>> claimed = claim<Result>(query, future);
+  if (!claimed) return future.get();
+  std::optional<Result> result;
+  bool from_store = false;
+  try {
+    result = load_stored(*claimed);
+    from_store = result.has_value();
+    if (!from_store) result = compute();
+  } catch (...) {
+    fail(*claimed, std::current_exception());
+    return future.get();  // rethrows for this caller too
+  }
+  publish(*claimed, *result, from_store);
+  return *result;
 }
 
 YieldEstimate Session::run(const YieldQuery& query) {
   if (query.workload == Workload::kAssay) {
     return run_operational(query).operational;
   }
-  return memoized<YieldEstimate>(query, [&] { return execute(query); });
+  return memoized<YieldEstimate>(
+      query, [&] { return execute({&query, 1}).front(); });
 }
 
 OperationalEstimate Session::run_operational(const YieldQuery& query) {
@@ -399,6 +435,71 @@ OperationalEstimate Session::run_operational(const YieldQuery& query) {
   DMFB_EXPECTS(workload_ != nullptr);
   return memoized<OperationalEstimate>(
       query, [&] { return execute_operational(query); });
+}
+
+std::vector<YieldEstimate> Session::run_sweep(
+    std::span<const YieldQuery> queries) {
+  for (const YieldQuery& query : queries) {
+    check_query(query, design_->cell_count());
+  }
+  std::vector<YieldEstimate> answers(queries.size());
+  std::vector<std::shared_future<YieldEstimate>> futures(queries.size());
+  // Operational members go through run() while this sweep holds no claim;
+  // structural ones are all claimed and published before any is waited on.
+  // So a sweep never waits while it holds an unpublished claim.
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    if (queries[i].workload == Workload::kAssay) answers[i] = run(queries[i]);
+  }
+  // The misses no store holds, one pass per non-empty sweep_key (in sweep
+  // order) and one per miss without one.
+  std::vector<std::string> keys;
+  std::vector<std::vector<Claim<YieldEstimate>>> passes;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    if (queries[i].workload == Workload::kAssay) continue;
+    std::optional<Claim<YieldEstimate>> claimed =
+        claim<YieldEstimate>(queries[i], futures[i]);
+    if (!claimed) continue;
+    try {
+      if (const std::optional<YieldEstimate> stored = load_stored(*claimed)) {
+        publish(*claimed, *stored, true);
+        continue;
+      }
+    } catch (...) {
+      fail(*claimed, std::current_exception());
+      continue;
+    }
+    std::string key = sweep_key(queries[i]);
+    const auto same = key.empty() ? keys.end() : std::ranges::find(keys, key);
+    if (same != keys.end()) {
+      passes[static_cast<std::size_t>(same - keys.begin())].push_back(
+          std::move(*claimed));
+      continue;
+    }
+    keys.push_back(std::move(key));
+    passes.emplace_back().push_back(std::move(*claimed));
+  }
+  for (std::vector<Claim<YieldEstimate>>& pass : passes) {
+    std::vector<YieldQuery> members;
+    for (const Claim<YieldEstimate>& member : pass) {
+      members.push_back(*member.query);
+    }
+    std::vector<YieldEstimate> estimates;
+    try {
+      estimates = execute(members);
+    } catch (...) {
+      for (Claim<YieldEstimate>& member : pass) {
+        fail(member, std::current_exception());
+      }
+      continue;
+    }
+    for (std::size_t k = 0; k < pass.size(); ++k) {
+      publish(pass[k], estimates[k], false);
+    }
+  }
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    if (futures[i].valid()) answers[i] = futures[i].get();
+  }
+  return answers;
 }
 
 namespace {
@@ -430,10 +531,13 @@ void deal_runs(std::int32_t begin, std::int32_t end, std::int32_t threads,
 /// that the stop rule reads. Chunk boundaries are fixed, so the realised
 /// run count is a pure function of the query. Returns that count.
 template <typename RunChunk>
-std::int32_t run_chunks(const YieldQuery& query, const RunChunk& run_chunk) {
+std::int32_t run_chunks(const YieldQuery& query, std::size_t members,
+                        const RunChunk& run_chunk) {
   obs::ScopedSpan span("session.query", "sim");
   if (span.active()) {
     span.set_args("{\"runs\":" + std::to_string(query.runs) +
+                  (members > 1 ? ",\"members\":" + std::to_string(members)
+                               : std::string()) +
                   (query.workload == Workload::kAssay
                        ? ",\"workload\":\"assay\"}"
                        : "}"));
@@ -455,18 +559,22 @@ std::int32_t run_chunks(const YieldQuery& query, const RunChunk& run_chunk) {
       if (ci.width() / 2.0 <= query.target_ci_half_width) break;
     }
   }
-  // Flushed once per computed query (never per run): the chunk sequence is
-  // a pure function of the query, so the totals are stable.
+  // Flushed once per computed query or sweep (never per run), for each of
+  // its members: the chunk sequence is a pure function of the query, so
+  // the totals are stable.
   if (obs::enabled()) {
-    obs::count(obs::Metric::kSimRuns, done);
-    obs::count(obs::Metric::kSimAdaptiveChunks, chunks);
+    const auto count = static_cast<std::int64_t>(members);
+    obs::count(obs::Metric::kSimRuns, done * count);
+    obs::count(obs::Metric::kSimAdaptiveChunks, chunks * count);
   }
   return done;
 }
 
 }  // namespace
 
-YieldEstimate Session::execute(const YieldQuery& query) const {
+std::vector<YieldEstimate> Session::execute(
+    std::span<const YieldQuery> members) const {
+  const YieldQuery& query = members.front();
   // Repairs and resets the run just injected into `state`. The verdict is a
   // pure function of the fault set, so partitioning runs over workers never
   // changes the estimate.
@@ -475,66 +583,96 @@ YieldEstimate Session::execute(const YieldQuery& query) const {
     state.reset();
     return ok;
   };
+  // A worker's run state and its per-member success counts.
+  struct Scratch {
+    FaultState state;
+    std::vector<std::int64_t> successes;
+  };
+  std::vector<double> fault_probs;
+  for (const YieldQuery& member : members) {
+    fault_probs.push_back(1.0 - member.fault.param);
+  }
   // One lambda per draw contract (not a per-run branch): injector-path
   // functions never mix the two APIs (tools/lint_determinism.py's
   // mixed-rng-version rule). Under v1 a standalone Bernoulli model injects
   // whole lane batches in lock-step (sim/lockstep_bernoulli.hpp) when the
-  // CPU has a kernel; the runs of a batch are still repaired in run order,
-  // and the range's tail takes the scalar loop.
+  // CPU has a kernel, one phase A for every member; the runs of a batch are
+  // still repaired in run order, and the range's tail takes the scalar
+  // loop.
   const LockstepKernel* lockstep = lockstep_kernel_for(query.fault);
-  const auto count_range_v1 = [&](FaultState& state, std::int32_t lo,
+  const auto count_range_v1 = [&](Scratch& scratch, std::int32_t lo,
                                   std::int32_t hi) {
-    std::int64_t successes = 0;
     std::int32_t run = lo;
     if (lockstep != nullptr && hi - lo >= lockstep->lanes) {
-      LockstepBernoulli batch(*lockstep, design_->cell_count(),
-                              1.0 - query.fault.param);
+      LockstepBernoulli batch(*lockstep, design_->cell_count(), fault_probs);
       for (; hi - run >= batch.lanes(); run += batch.lanes()) {
         for (std::int32_t lane = 0; lane < batch.lanes(); ++lane) {
           batch.load(lane, run_stream(query.seed, run + lane));
         }
         batch.draw();
-        for (std::int32_t lane = 0; lane < batch.lanes(); ++lane) {
-          (void)batch.inject(lane, state);
-          if (settle(state)) ++successes;
+        for (std::int32_t member = 0; member < batch.members(); ++member) {
+          for (std::int32_t lane = 0; lane < batch.lanes(); ++lane) {
+            (void)batch.inject(member, lane, scratch.state);
+            if (settle(scratch.state)) {
+              ++scratch.successes[static_cast<std::size_t>(member)];
+            }
+          }
         }
       }
     }
     for (; run < hi; ++run) {
-      Rng rng = run_stream(query.seed, run);
-      inject(query.fault, state, rng);
-      if (settle(state)) ++successes;
+      for (std::size_t member = 0; member < members.size(); ++member) {
+        Rng rng = run_stream(query.seed, run);
+        inject(members[member].fault, scratch.state, rng);
+        if (settle(scratch.state)) ++scratch.successes[member];
+      }
     }
-    return successes;
   };
-  const auto count_range_v2 = [&](FaultState& state, std::int32_t lo,
+  const auto count_range_v2 = [&](Scratch& scratch, std::int32_t lo,
                                   std::int32_t hi) {
-    std::int64_t successes = 0;
     for (std::int32_t run = lo; run < hi; ++run) {
-      CounterStream stream = run_stream_v2(query.seed, run);
-      inject_v2(query.fault, state, stream);
-      if (settle(state)) ++successes;
+      for (std::size_t member = 0; member < members.size(); ++member) {
+        CounterStream stream = run_stream_v2(query.seed, run);
+        inject_v2(members[member].fault, scratch.state, stream);
+        if (settle(scratch.state)) ++scratch.successes[member];
+      }
     }
-    return successes;
   };
 
-  std::vector<std::unique_ptr<FaultState>> scratch;
-  std::atomic<std::int64_t> successes{0};
+  std::vector<std::unique_ptr<Scratch>> scratch;
+  const auto successes_of = [&](std::size_t member) {
+    std::int64_t successes = 0;
+    for (const auto& worker : scratch) successes += worker->successes[member];
+    return successes;
+  };
   const std::int32_t done = run_chunks(
-      query, [&](std::int32_t begin, std::int32_t end, std::int32_t threads) {
+      query, members.size(),
+      [&](std::int32_t begin, std::int32_t end, std::int32_t threads) {
         deal_runs(
             begin, end, threads, scratch,
-            [&] { return std::make_unique<FaultState>(design_); },
-            [&](FaultState& state, std::int32_t lo, std::int32_t hi) {
-              successes.fetch_add(query.rng_version == RngVersion::kV2
-                                      ? count_range_v2(state, lo, hi)
-                                      : count_range_v1(state, lo, hi),
-                                  std::memory_order_relaxed);
+            [&] {
+              return std::make_unique<Scratch>(
+                  Scratch{FaultState(design_),
+                          std::vector<std::int64_t>(members.size(), 0)});
+            },
+            [&](Scratch& worker, std::int32_t lo, std::int32_t hi) {
+              if (query.rng_version == RngVersion::kV2) {
+                count_range_v2(worker, lo, hi);
+              } else {
+                count_range_v1(worker, lo, hi);
+              }
             });
-        return successes.load(std::memory_order_relaxed);
+        // The stop rule reads the one member of an adaptive query.
+        return successes_of(0);
       });
-  if (obs::enabled()) obs::count(obs::Metric::kSimSuccesses, successes);
-  return YieldEstimate::from_counts(successes, done);
+  std::vector<YieldEstimate> estimates;
+  std::int64_t total = 0;
+  for (std::size_t member = 0; member < members.size(); ++member) {
+    total += successes_of(member);
+    estimates.push_back(YieldEstimate::from_counts(successes_of(member), done));
+  }
+  if (obs::enabled()) obs::count(obs::Metric::kSimSuccesses, total);
+  return estimates;
 }
 
 OperationalEstimate Session::execute_operational(
@@ -571,7 +709,8 @@ OperationalEstimate Session::execute_operational(
   double slowdown_sum = 0.0;
   double worst_slowdown = 0.0;
   const std::int32_t done = run_chunks(
-      query, [&](std::int32_t begin, std::int32_t end, std::int32_t threads) {
+      query, 1,
+      [&](std::int32_t begin, std::int32_t end, std::int32_t threads) {
         chunk_begin = begin;
         chunk_runs.resize(static_cast<std::size_t>(end - begin));
         deal_runs(

@@ -18,13 +18,16 @@
 
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <variant>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -117,6 +120,13 @@ struct YieldQuery {
 /// length-prefix or escape it first. These keys become durable on disk via
 /// store_key(), where a collision would silently alias two experiments.
 std::string query_key(const YieldQuery& query);
+
+/// The key Session::run_sweep groups misses by: query_key with fault.param
+/// cleared for a fixed-run structural v1 query whose standalone Bernoulli
+/// model has a lock-step kernel (lockstep_kernel_for), else "". Misses with
+/// one non-empty key are computed in one pass of lock-step draws, since run
+/// r of each draws from the same run_stream(seed, r).
+std::string sweep_key(const YieldQuery& query);
 
 /// Durable cross-process store key for (design, query): a store-schema
 /// version prefix + the design's content fingerprint + query_key. Two
@@ -222,6 +232,13 @@ class Session {
   /// determinism contract as run().
   OperationalEstimate run_operational(const YieldQuery& query);
 
+  /// Answers each query as run() would, in order, each memoized and stored
+  /// under its own key: the answers are bit-identical to per-query run()
+  /// calls. The misses that share a non-empty sweep_key() are computed
+  /// together, phase-A draws once per lane batch for all of them; every
+  /// other miss is computed alone. Thread-safe.
+  std::vector<YieldEstimate> run_sweep(std::span<const YieldQuery> queries);
+
   /// Attaches an external result cache consulted (under store_key) on
   /// in-memory misses before simulating; freshly computed estimates are
   /// stored back. Pass nullptr to detach. Not thread-safe against
@@ -247,14 +264,38 @@ class Session {
   Stats stats() const;
 
  private:
-  /// The memo both workloads share: lookup, in-flight join, store
-  /// load/decode, compute(), store write-back, stats and eviction.
+  /// A cache miss this caller owns: it must publish() or fail() it.
+  template <typename Result>
+  struct Claim {
+    const YieldQuery* query = nullptr;
+    std::string key;
+    std::promise<Result> promise;
+    std::shared_ptr<ResultCache> store;  ///< attached at claim time
+    std::string persistent_key;          ///< set when `store` is
+  };
+  /// Counts the query and sets `future` to its entry; a miss inserts the
+  /// entry and returns the claim on it.
+  template <typename Result>
+  std::optional<Claim<Result>> claim(const YieldQuery& query,
+                                     std::shared_future<Result>& future);
+  template <typename Result>
+  std::optional<Result> load_stored(const Claim<Result>& claim) const;
+  /// Fulfils the claim, stores a computed result, counts it and evicts.
+  template <typename Result>
+  void publish(Claim<Result>& claim, const Result& result, bool from_store);
+  /// Fails the claim's waiters and drops its entry, so a retry recomputes.
+  template <typename Result>
+  void fail(Claim<Result>& claim, std::exception_ptr error);
+  /// The memo both workloads share: claim, store load, compute(), publish.
   template <typename Result, typename Compute>
   Result memoized(const YieldQuery& query, const Compute& compute);
   /// Evicts the oldest completed entries beyond capacity_. Call with
   /// mutex_ held.
   void evict_locked();
-  YieldEstimate execute(const YieldQuery& query) const;
+  /// Structural estimates of `members`, queries that differ at most in
+  /// fault.param and, when there is more than one, share a sweep_key().
+  std::vector<YieldEstimate> execute(
+      std::span<const YieldQuery> members) const;
   OperationalEstimate execute_operational(const YieldQuery& query) const;
 
   std::shared_ptr<const ChipDesign> design_;

@@ -4,8 +4,13 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -907,6 +912,98 @@ TEST(CampaignRunner, SessionCacheBacksTheDedupeStats) {
   EXPECT_EQ(runner.stats().grid_points, 8u);
   EXPECT_EQ(runner.stats().unique_points, 4u);
   EXPECT_EQ(runner.stats().cache_hits(), 4u);
+}
+
+/// An in-memory ResultCache standing in for a `--store` directory.
+class MapCache final : public sim::ResultCache {
+ public:
+  std::optional<std::string> load(const std::string& key) override {
+    const std::scoped_lock lock(mutex_);
+    const auto found = records_.find(key);
+    if (found == records_.end()) return std::nullopt;
+    return found->second;
+  }
+  void store(const std::string& key, const std::string& payload) override {
+    const std::scoped_lock lock(mutex_);
+    records_[key] = payload;
+  }
+  std::size_t size() {
+    const std::scoped_lock lock(mutex_);
+    return records_.size();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::map<std::string, std::string> records_;
+};
+
+/// Four sessions of three p values each: four sweeps at run time.
+constexpr std::string_view kSweepSpec =
+    R"(name = sweeps
+runs = 96
+seed = 7
+design = dtmb2_6, dtmb3_6
+primaries = 20, 30
+injector = bernoulli
+p = 0.80, 0.90, 0.95
+)";
+
+/// The CSV of `spec_text` at `threads`, over `cache` when it is set.
+std::string sweep_csv(std::string_view spec_text, std::int32_t threads,
+                      const std::shared_ptr<sim::ResultCache>& cache,
+                      RunnerStats* stats) {
+  CampaignSpec spec = parse_or_die(spec_text);
+  spec.threads = threads;
+  CampaignRunner runner(std::move(spec));
+  if (cache) runner.set_result_cache(cache);
+  std::ostringstream csv_out;
+  CsvSink csv(csv_out);
+  runner.add_sink(csv);
+  runner.run();
+  if (stats != nullptr) *stats = runner.stats();
+  return csv_out.str();
+}
+
+TEST(CampaignRunner, PartlyStoredSweepsComputeOnlyTheMissingPoints) {
+  const std::string cold = sweep_csv(kSweepSpec, 1, nullptr, nullptr);
+  for (const std::int32_t threads : {1, 4}) {
+    // An earlier, interrupted campaign stored p = 0.90 of every session.
+    auto cache = std::make_shared<MapCache>();
+    std::string partial(kSweepSpec);
+    partial.replace(partial.find("0.80, 0.90, 0.95"), 16, "0.90");
+    RunnerStats stats;
+    (void)sweep_csv(partial, threads, cache, &stats);
+    ASSERT_EQ(stats.unique_points, 4u);
+    ASSERT_EQ(cache->size(), 4u);
+
+    EXPECT_EQ(sweep_csv(kSweepSpec, threads, cache, &stats), cold)
+        << "threads=" << threads;
+    EXPECT_EQ(stats.grid_points, 12u);
+    EXPECT_EQ(stats.unique_points, 8u);
+    EXPECT_EQ(stats.store_hits, 4u);
+    EXPECT_EQ(cache->size(), 12u);
+  }
+}
+
+TEST(CampaignRunner, SweepJobsMatchDirectSessionQueries) {
+  // Each session's three points run as one Session::run_sweep job; every
+  // row must still equal its own one-query run.
+  CampaignSpec spec = parse_or_die(kSweepSpec);
+  spec.threads = 2;
+  CampaignRunner runner(std::move(spec));
+  const auto results = runner.run();
+  ASSERT_EQ(results.size(), 12u);
+  for (const PointResult& result : results) {
+    sim::YieldQuery query;
+    query.fault = sim::FaultModel::bernoulli(result.point.param);
+    query.runs = 96;
+    query.seed = 7;
+    sim::Session session(build_design_array(result.point.design,
+                                            result.point.min_primaries));
+    EXPECT_EQ(result.estimate.successes, session.run(query).successes)
+        << to_string(result.point.design)
+        << " n=" << result.point.min_primaries << " p=" << result.point.param;
+  }
 }
 
 }  // namespace

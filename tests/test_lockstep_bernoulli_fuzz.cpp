@@ -1,7 +1,9 @@
 // Differential fuzz: the lock-step v1 Bernoulli kernel against scalar
-// sim::inject. Every lane of every batch must fault the same cells, write
-// the same fault words, and consume the draws the scalar loop consumes (its
-// stream, replayed that many draws, ends where the scalar stream ends).
+// sim::inject. Every member's run in every lane of every batch must fault
+// the same cells, write the same fault words, and consume the draws the
+// scalar loop consumes (its stream, replayed that many draws, ends where the
+// scalar stream ends). A batch is a sweep of fault probabilities sharing
+// one phase A; a single query is a sweep of one.
 // Each case runs the generic template (4 and 8 lanes, at the default ISA,
 // with a portable compress) on any host, plus every ISA build this CPU
 // supports.
@@ -15,7 +17,10 @@
 // run count no lane width divides. A seed search adds lanes whose hits
 // exceed the slack, so phase A ends before their last cell and the scalar
 // fallback finishes them, some owing the classification draw of a hit on
-// the last phase-A draw.
+// the last phase-A draw. Random sweeps of 1 to 12 members (unsorted, with
+// repeats) check that draws past a member's own slack, made for a larger
+// member's, leave its faults and draw count as they were.
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <iterator>
@@ -58,6 +63,9 @@ struct Coverage {
   std::int64_t classification_past_phase_a = 0;
   std::int64_t slack_exhausted = 0;   ///< the scalar fallback ran
   std::int64_t owed_at_fallback = 0;  ///< ... after a hit on the last draw
+  /// The run's draws pass its own member's phase A (so alone it would fall
+  /// back) but fit the sweep's longer one.
+  std::int64_t past_own_slack = 0;
 };
 
 /// Where a run's scalar draws fall against a phase A of `phase_a` draws.
@@ -105,20 +113,30 @@ DrawProfile note_coverage(Rng rng, std::int32_t cells,
   return profile;
 }
 
-/// Runs the streams `runs` of (seed, run) through `kernel`, lanes() at a
-/// time, and checks every lane against scalar sim::inject.
+/// Runs the streams `runs` of (seed, run) through `kernel` for a sweep of
+/// `fault_probs`, lanes() at a time, and checks every member's run in every
+/// lane against scalar sim::inject.
 void expect_lanes_match_scalar(const LockstepKernel& kernel,
-                               std::int32_t cells, double fault_prob,
+                               std::int32_t cells,
+                               const std::vector<double>& fault_probs,
                                std::uint64_t seed,
                                const std::vector<std::int32_t>& runs,
                                Coverage& coverage) {
   const auto design = row_design(cells);
-  // The model's survival p, and back: the double the scalar core receives.
-  const FaultModel model = FaultModel::bernoulli(1.0 - fault_prob);
-  const double q = 1.0 - model.param;
+  // Each model's survival p, and back: the double the scalar core receives.
+  std::vector<FaultModel> models;
+  std::vector<double> qs;
+  std::int32_t slack = 0;
+  for (const double fault_prob : fault_probs) {
+    models.push_back(FaultModel::bernoulli(1.0 - fault_prob));
+    qs.push_back(1.0 - models.back().param);
+    slack = std::max(slack, lockstep_slack(cells, qs.back()));
+  }
   FaultState lockstep_state(design);
   FaultState scalar_state(design);
-  LockstepBernoulli batch(kernel, cells, q);
+  LockstepBernoulli batch(kernel, cells, qs);
+  ASSERT_EQ(batch.members(), static_cast<std::int32_t>(qs.size()));
+  ASSERT_EQ(batch.draws(), cells + slack);
   const auto lanes = static_cast<std::size_t>(batch.lanes());
   for (std::size_t first = 0; first + lanes <= runs.size(); first += lanes) {
     for (std::size_t lane = 0; lane < lanes; ++lane) {
@@ -126,37 +144,50 @@ void expect_lanes_match_scalar(const LockstepKernel& kernel,
                  run_stream(seed, runs[first + lane]));
     }
     batch.draw();
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      const std::int32_t run = runs[first + lane];
-      const std::string where = std::string(kernel.isa) + " lanes=" +
-                                std::to_string(kernel.lanes) +
-                                " cells=" + std::to_string(cells) +
-                                " q=" + std::to_string(q) +
-                                " run=" + std::to_string(run);
-      Rng scalar = run_stream(seed, run);
-      const DrawProfile profile = note_coverage(
-          scalar, cells, bernoulli_threshold(q), batch.draws(), coverage);
-      inject(model, scalar_state, scalar);
-      const std::int32_t consumed =
-          batch.inject(static_cast<std::int32_t>(lane), lockstep_state);
+    for (std::size_t member = 0; member < qs.size(); ++member) {
+      const double q = qs[member];
+      const std::int32_t own_phase_a = cells + lockstep_slack(cells, q);
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        const std::int32_t run = runs[first + lane];
+        const std::string where = std::string(kernel.isa) + " lanes=" +
+                                  std::to_string(kernel.lanes) +
+                                  " cells=" + std::to_string(cells) +
+                                  " member=" + std::to_string(member) + "/" +
+                                  std::to_string(qs.size()) +
+                                  " q=" + std::to_string(q) +
+                                  " run=" + std::to_string(run);
+        Rng scalar = run_stream(seed, run);
+        Coverage alone;
+        const bool own_exhausted =
+            note_coverage(scalar, cells, bernoulli_threshold(q), own_phase_a,
+                          alone)
+                .exhausted;
+        const DrawProfile profile = note_coverage(
+            scalar, cells, bernoulli_threshold(q), batch.draws(), coverage);
+        coverage.past_own_slack += own_exhausted && !profile.exhausted ? 1 : 0;
+        inject(models[member], scalar_state, scalar);
+        const std::int32_t consumed = batch.inject(
+            static_cast<std::int32_t>(member), static_cast<std::int32_t>(lane),
+            lockstep_state);
 
-      ASSERT_EQ(lockstep_state.faulty_cells(), scalar_state.faulty_cells())
-          << where;
-      ASSERT_EQ(lockstep_state.faulty_count(), scalar_state.faulty_count())
-          << where;
-      ASSERT_EQ(consumed, profile.consumed) << where;
-      Rng replay = run_stream(seed, run);
-      for (std::int32_t d = 0; d < consumed; ++d) (void)replay();
-      ASSERT_EQ(replay.state(), scalar.state()) << where;
-      ASSERT_EQ(lockstep_state.fault_words().size(),
-                scalar_state.fault_words().size());
-      for (std::size_t w = 0; w < scalar_state.fault_words().size(); ++w) {
-        ASSERT_EQ(lockstep_state.fault_words()[w],
-                  scalar_state.fault_words()[w])
-            << where << " word " << w;
+        ASSERT_EQ(lockstep_state.faulty_cells(), scalar_state.faulty_cells())
+            << where;
+        ASSERT_EQ(lockstep_state.faulty_count(), scalar_state.faulty_count())
+            << where;
+        ASSERT_EQ(consumed, profile.consumed) << where;
+        Rng replay = run_stream(seed, run);
+        for (std::int32_t d = 0; d < consumed; ++d) (void)replay();
+        ASSERT_EQ(replay.state(), scalar.state()) << where;
+        ASSERT_EQ(lockstep_state.fault_words().size(),
+                  scalar_state.fault_words().size());
+        for (std::size_t w = 0; w < scalar_state.fault_words().size(); ++w) {
+          ASSERT_EQ(lockstep_state.fault_words()[w],
+                    scalar_state.fault_words()[w])
+              << where << " word " << w;
+        }
+        scalar_state.reset();
+        lockstep_state.reset();
       }
-      scalar_state.reset();
-      lockstep_state.reset();
     }
   }
 }
@@ -175,7 +206,7 @@ void expect_kernel_matches_scalar(const LockstepKernel& kernel) {
   for (const std::int32_t cells : kCellCounts) {
     for (const double fault_prob : kFaultProbs) {
       for (const std::uint64_t seed : {0xD0E5A11ULL, 7ULL}) {
-        expect_lanes_match_scalar(kernel, cells, fault_prob, seed,
+        expect_lanes_match_scalar(kernel, cells, {fault_prob}, seed,
                                   first_runs(16 * kernel.lanes), coverage);
         if (testing::Test::HasFatalFailure()) return;
       }
@@ -185,6 +216,17 @@ void expect_kernel_matches_scalar(const LockstepKernel& kernel) {
   EXPECT_GT(coverage.consecutive_candidates, 0) << kernel.isa;
   EXPECT_GT(coverage.candidate_classification_draw, 0) << kernel.isa;
   EXPECT_GT(coverage.owed_across_word, 0) << kernel.isa;
+}
+
+/// Every build the suite checks: the generic template at 4 and 8 lanes,
+/// then each ISA build this CPU runs.
+std::vector<LockstepKernel> all_kernels() {
+  std::vector<LockstepKernel> kernels = {generic_lockstep_kernel<4>(),
+                                         generic_lockstep_kernel<8>()};
+  for (const LockstepKernel& kernel : supported_lockstep_kernels()) {
+    kernels.push_back(kernel);
+  }
+  return kernels;
 }
 
 TEST(LockstepBernoulli, GenericTemplateMatchesScalarInject) {
@@ -242,25 +284,58 @@ TEST(LockstepBernoulli, SlackExhaustedLanesMatchScalarInject) {
                                   kSeed, phase_a, 16));
     ASSERT_EQ(runs.back().size(), 16u) << "cells=" << slack_case.cells;
   }
-  std::vector<LockstepKernel> kernels = {generic_lockstep_kernel<4>(),
-                                         generic_lockstep_kernel<8>()};
-  for (const LockstepKernel& kernel : supported_lockstep_kernels()) {
-    kernels.push_back(kernel);
-  }
-  for (const LockstepKernel& kernel : kernels) {
-    Coverage coverage;
+  for (const LockstepKernel& kernel : all_kernels()) {
+    Coverage alone;
+    Coverage smaller;
+    Coverage larger;
     for (std::size_t c = 0; c < std::size(kSlackCases); ++c) {
-      expect_lanes_match_scalar(kernel, kSlackCases[c].cells,
-                                kSlackCases[c].fault_prob, kSeed, runs[c],
-                                coverage);
+      const std::int32_t cells = kSlackCases[c].cells;
+      const double q = kSlackCases[c].fault_prob;
+      expect_lanes_match_scalar(kernel, cells, {q}, kSeed, runs[c], alone);
+      // Smaller members (unsorted, q repeated, not first) leave phase A at
+      // q's own length, so q's runs still fall back, at q.
+      expect_lanes_match_scalar(kernel, cells, {q / 4, q, q / 2, q}, kSeed,
+                                runs[c], smaller);
+      // A larger member's longer phase A holds the draws q alone falls
+      // back for.
+      expect_lanes_match_scalar(kernel, cells, {q + (1.0 - q) / 2, q}, kSeed,
+                                runs[c], larger);
       if (testing::Test::HasFatalFailure()) return;
     }
     // The search reached each edge of phase A's end: fallbacks, fallbacks
     // owing the classification draw of a hit on the last phase-A draw, and
     // a last hit whose classification draw phase A did not hold.
-    EXPECT_GT(coverage.slack_exhausted, 0) << kernel.isa;
-    EXPECT_GT(coverage.owed_at_fallback, 0) << kernel.isa;
-    EXPECT_GT(coverage.classification_past_phase_a, 0) << kernel.isa;
+    for (const Coverage* coverage : {&alone, &smaller}) {
+      EXPECT_GT(coverage->slack_exhausted, 0) << kernel.isa;
+      EXPECT_GT(coverage->owed_at_fallback, 0) << kernel.isa;
+      EXPECT_GT(coverage->classification_past_phase_a, 0) << kernel.isa;
+    }
+    EXPECT_GT(larger.past_own_slack, 0) << kernel.isa;
+  }
+}
+
+TEST(LockstepBernoulli, RandomSweepsMatchScalarInject) {
+  constexpr double kSweepProbs[] = {1e-9, 0.01, 0.02, 0.04, 0.06, 0.08,
+                                    0.1,  0.12, 0.15, 0.2,  0.5,  1.0 - 1e-9};
+  for (const LockstepKernel& kernel : all_kernels()) {
+    Rng pick(0x5EE95EEDULL);
+    Coverage coverage;
+    for (std::size_t members = 1; members <= 12; ++members) {
+      for (int round = 0; round < 3; ++round) {
+        const std::int32_t cells =
+            kCellCounts[pick() % std::size(kCellCounts)];
+        std::vector<double> sweep;
+        for (std::size_t t = 0; t < members; ++t) {
+          sweep.push_back(kSweepProbs[pick() % std::size(kSweepProbs)]);
+        }
+        if (round == 0) sweep.back() = sweep.front();  // a repeat
+        expect_lanes_match_scalar(kernel, cells, sweep, pick(),
+                                  first_runs(4 * kernel.lanes), coverage);
+        if (testing::Test::HasFatalFailure()) return;
+      }
+    }
+    EXPECT_GT(coverage.consecutive_candidates, 0) << kernel.isa;
+    EXPECT_GT(coverage.owed_across_word, 0) << kernel.isa;
   }
 }
 
@@ -328,46 +403,57 @@ TEST(LockstepBernoulli, OnlyStandaloneBernoulliStrictlyInsideTakesTheKernel) {
 
 TEST(LockstepBernoulli, CountersMatchScalarInject) {
   const auto design = row_design(129);
-  const FaultModel model = FaultModel::bernoulli(0.8);
-  const auto snapshot_of = [&](bool lockstep) {
-    obs::Registry registry;
-    registry.install();
-    FaultState state(design);
-    LockstepBernoulli batch(generic_lockstep_kernel<4>(), 129,
-                            1.0 - model.param);
-    for (std::int32_t first = 0; first < 64; first += batch.lanes()) {
-      if (lockstep) {
-        for (std::int32_t lane = 0; lane < batch.lanes(); ++lane) {
-          batch.load(lane, run_stream(11, first + lane));
-        }
-        batch.draw();
-      }
-      for (std::int32_t lane = 0; lane < batch.lanes(); ++lane) {
-        if (lockstep) {
-          (void)batch.inject(lane, state);
-        } else {
-          Rng rng = run_stream(11, first + lane);
-          inject(model, state, rng);
-        }
-        state.reset();
-      }
+  // A sweep of one, then an unsorted sweep with a repeat whose largest
+  // member (q = 0.6) makes the others draw past their own slack.
+  for (const std::vector<double>& survivals :
+       {std::vector<double>{0.8}, std::vector<double>{0.8, 0.95, 0.4, 0.8}}) {
+    std::vector<double> qs;
+    for (const double p : survivals) {
+      qs.push_back(1.0 - FaultModel::bernoulli(p).param);
     }
-    registry.uninstall();
-    return registry.snapshot();
-  };
-  const obs::Snapshot scalar = snapshot_of(false);
-  const obs::Snapshot lockstep = snapshot_of(true);
-  for (const obs::Metric metric :
-       {obs::Metric::kInjectRuns, obs::Metric::kInjectCellsFaulted,
-        obs::Metric::kInjectCellTrials,
-        obs::Metric::kInjectClassificationDraws}) {
-    EXPECT_EQ(lockstep.counter(metric), scalar.counter(metric))
-        << obs::info(metric).name;
+    for (std::size_t member = 0; member < qs.size(); ++member) {
+      const FaultModel model = FaultModel::bernoulli(survivals[member]);
+      const auto snapshot_of = [&](bool lockstep) {
+        obs::Registry registry;
+        registry.install();
+        FaultState state(design);
+        LockstepBernoulli batch(generic_lockstep_kernel<4>(), 129, qs);
+        for (std::int32_t first = 0; first < 64; first += batch.lanes()) {
+          if (lockstep) {
+            for (std::int32_t lane = 0; lane < batch.lanes(); ++lane) {
+              batch.load(lane, run_stream(11, first + lane));
+            }
+            batch.draw();
+          }
+          for (std::int32_t lane = 0; lane < batch.lanes(); ++lane) {
+            if (lockstep) {
+              (void)batch.inject(static_cast<std::int32_t>(member), lane,
+                                 state);
+            } else {
+              Rng rng = run_stream(11, first + lane);
+              inject(model, state, rng);
+            }
+            state.reset();
+          }
+        }
+        registry.uninstall();
+        return registry.snapshot();
+      };
+      const obs::Snapshot scalar = snapshot_of(false);
+      const obs::Snapshot lockstep = snapshot_of(true);
+      for (const obs::Metric metric :
+           {obs::Metric::kInjectRuns, obs::Metric::kInjectCellsFaulted,
+            obs::Metric::kInjectCellTrials,
+            obs::Metric::kInjectClassificationDraws}) {
+        EXPECT_EQ(lockstep.counter(metric), scalar.counter(metric))
+            << obs::info(metric).name << " member " << member;
+      }
+      EXPECT_EQ(lockstep.counter(obs::Metric::kInjectRuns), 64);
+      EXPECT_EQ(lockstep.counter(obs::Metric::kInjectCellTrials), 64 * 129);
+      EXPECT_EQ(lockstep.counter(obs::Metric::kInjectClassificationDraws),
+                lockstep.counter(obs::Metric::kInjectCellsFaulted));
+    }
   }
-  EXPECT_EQ(lockstep.counter(obs::Metric::kInjectRuns), 64);
-  EXPECT_EQ(lockstep.counter(obs::Metric::kInjectCellTrials), 64 * 129);
-  EXPECT_EQ(lockstep.counter(obs::Metric::kInjectClassificationDraws),
-            lockstep.counter(obs::Metric::kInjectCellsFaulted));
 }
 
 /// Successes of runs [0, runs) of `query`, one scalar run at a time.

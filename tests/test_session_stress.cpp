@@ -16,6 +16,7 @@
 // exactly the kind of bug that turns into a one-in-a-thousand artifact diff.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -104,6 +105,53 @@ TEST(SessionStress, ManyThreadsOverlappingQueriesStayBitIdentical) {
             static_cast<std::size_t>(kHammerThreads) * kRounds * queries.size());
   // Every distinct query computed exactly once, no matter the interleaving.
   EXPECT_EQ(stats.computed, queries.size());
+}
+
+TEST(SessionStress, OverlappingSweepsAndQueriesStayBitIdentical) {
+  const auto design = shared_design();
+  const std::vector<YieldQuery> queries = overlapping_queries();
+  Session reference(design);
+  std::vector<YieldEstimate> expected;
+  for (const YieldQuery& query : queries) {
+    expected.push_back(reference.run(query));
+  }
+
+  // Each thread sweeps a rotated window of the queries (two pools, so two
+  // sweep_keys per window), reversed on odd threads, then asks the rest one
+  // at a time: sweeps join each other's claims and plain queries' in both
+  // directions.
+  Session session(design);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kHammerThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::size_t> order;
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        order.push_back((i + static_cast<std::size_t>(t)) % queries.size());
+      }
+      if (t % 2 == 1) std::reverse(order.begin(), order.end());
+      const std::size_t window = 3 + static_cast<std::size_t>(t) % 4;
+      std::vector<YieldQuery> sweep;
+      for (std::size_t k = 0; k < window; ++k) {
+        sweep.push_back(queries[order[k]]);
+      }
+      const std::vector<YieldEstimate> answers = session.run_sweep(sweep);
+      for (std::size_t k = 0; k < order.size(); ++k) {
+        const YieldEstimate got =
+            k < window ? answers[k] : session.run(queries[order[k]]);
+        const YieldEstimate& want = expected[order[k]];
+        if (got.successes != want.successes || got.runs != want.runs ||
+            got.value != want.value || got.ci95.lo != want.ci95.lo ||
+            got.ci95.hi != want.ci95.hi) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(session.stats().queries, kHammerThreads * queries.size());
+  EXPECT_EQ(session.stats().computed, queries.size());
 }
 
 TEST(SessionStress, SimultaneousIdenticalQueriesJoinOneComputation) {

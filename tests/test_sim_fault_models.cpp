@@ -259,7 +259,8 @@ std::uint64_t lockstep_digest(const LockstepKernel& kernel,
   const auto design = ChipDesign::make(
       biochip::make_dtmb_array_with_primaries(DtmbKind::kDtmb2_6, 60));
   FaultState state(design);
-  LockstepBernoulli batch(kernel, design->cell_count(), 1.0 - model.param);
+  const double q = 1.0 - model.param;
+  LockstepBernoulli batch(kernel, design->cell_count(), {&q, 1});
   std::uint64_t digest = kFnvOffset;
   for (int first = 0; first < kPinSeeds; first += kernel.lanes) {
     for (std::int32_t lane = 0; lane < kernel.lanes; ++lane) {
@@ -269,7 +270,7 @@ std::uint64_t lockstep_digest(const LockstepKernel& kernel,
     for (std::int32_t lane = 0; lane < kernel.lanes; ++lane) {
       state.reset();
       // The stream a lane leaves is the pinned seed's, `consumed` draws on.
-      const std::int32_t consumed = batch.inject(lane, state);
+      const std::int32_t consumed = batch.inject(0, lane, state);
       Rng rng(pin_seed(first + lane));
       for (std::int32_t d = 0; d < consumed; ++d) (void)rng();
       fold_state(digest, state);

@@ -8,7 +8,15 @@
 // combination, at threads 1 and 4. That is what lets CampaignRunner and
 // the core facade ride on the session without moving a single golden
 // number.
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +26,8 @@
 #include "biochip/dtmb.hpp"
 #include "common/contracts.hpp"
 #include "repair_witness.hpp"
+#include "sim/assay_workload.hpp"
+#include "sim/lockstep_bernoulli.hpp"
 #include "sim/session.hpp"
 
 namespace dmfb::sim {
@@ -331,6 +341,200 @@ TEST(SimSession, ValidatesQueries) {
   EXPECT_THROW(session.run(query), ContractViolation);
   query.fault = FaultModel::clustered(1.0, {1, 0.5, 0.9});  // edge > core
   EXPECT_THROW(session.run(query), ContractViolation);
+}
+
+// ------------------------------------------------------------------ sweeps
+
+/// An in-memory ResultCache: what a `--store` directory is to the session.
+class MapCache final : public ResultCache {
+ public:
+  std::optional<std::string> load(const std::string& key) override {
+    const std::scoped_lock lock(mutex_);
+    const auto found = records_.find(key);
+    if (found == records_.end()) return std::nullopt;
+    return found->second;
+  }
+  void store(const std::string& key, const std::string& payload) override {
+    const std::scoped_lock lock(mutex_);
+    records_[key] = payload;
+  }
+  std::size_t size() {
+    const std::scoped_lock lock(mutex_);
+    return records_.size();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::map<std::string, std::string> records_;
+};
+
+void expect_same_estimate(const YieldEstimate& got, const YieldEstimate& want,
+                          const std::string& where) {
+  EXPECT_EQ(got.successes, want.successes) << where;
+  EXPECT_EQ(got.runs, want.runs) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.value),
+            std::bit_cast<std::uint64_t>(want.value))
+      << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.ci95.lo),
+            std::bit_cast<std::uint64_t>(want.ci95.lo))
+      << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.ci95.hi),
+            std::bit_cast<std::uint64_t>(want.ci95.hi))
+      << where;
+}
+
+/// fig9's p list, `runs` runs each (333: no lane width divides it).
+std::vector<YieldQuery> fig9_sweep(std::int32_t runs, std::int32_t threads) {
+  std::vector<YieldQuery> queries;
+  for (const double p :
+       {0.80, 0.85, 0.88, 0.90, 0.92, 0.94, 0.96, 0.98, 0.99}) {
+    YieldQuery query;
+    query.fault = FaultModel::bernoulli(p);
+    query.runs = runs;
+    query.seed = 0xD0E5A11;
+    query.threads = threads;
+    queries.push_back(query);
+  }
+  return queries;
+}
+
+TEST(SimSessionSweep, EqualsPerQueryRunBitForBit) {
+  const auto design = ChipDesign::make(
+      biochip::make_dtmb_array_with_primaries(DtmbKind::kDtmb3_6, 60));
+  for (const std::int32_t threads : {1, 4}) {
+    const std::vector<YieldQuery> queries = fig9_sweep(333, threads);
+    for (const YieldQuery& query : queries) {
+      EXPECT_EQ(sweep_key(query).empty(),
+                lockstep_kernel_for(query.fault) == nullptr);
+      EXPECT_EQ(sweep_key(query), sweep_key(queries.front()));
+    }
+    Session single(design);
+    Session swept(design);
+    const std::vector<YieldEstimate> answers = swept.run_sweep(queries);
+    ASSERT_EQ(answers.size(), queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      expect_same_estimate(answers[i], single.run(queries[i]),
+                           "threads=" + std::to_string(threads) +
+                               " p=" + std::to_string(queries[i].fault.param));
+      // Each member is memoized under its own key.
+      expect_same_estimate(swept.run(queries[i]), answers[i], "memo");
+    }
+    EXPECT_EQ(swept.stats().computed, queries.size());
+    EXPECT_EQ(swept.stats().cache_hits(), queries.size());
+  }
+}
+
+TEST(SimSessionSweep, MixedMembersEqualPerQueryRun) {
+  const auto design = ChipDesign::make(
+      biochip::make_dtmb_array_with_primaries(DtmbKind::kDtmb2_6, 60));
+  std::vector<YieldQuery> queries = fig9_sweep(200, 1);
+  YieldQuery v2 = queries[1];
+  v2.rng_version = RngVersion::kV2;
+  YieldQuery adaptive = queries[2];
+  adaptive.runs = 3000;
+  adaptive.target_ci_half_width = 0.02;
+  YieldQuery certain = queries[0];
+  certain.fault = FaultModel::bernoulli(1.0);  // q = 0: no kernel
+  YieldQuery fixed = queries[0];
+  fixed.fault = FaultModel::fixed_count(4);
+  YieldQuery other_pool = queries[3];
+  other_pool.pool = reconfig::ReplacementPool::kSparesAndUnusedPrimaries;
+  const YieldQuery repeated = queries[4];
+  const YieldQuery in_memory = queries[5];
+  const YieldQuery in_store = queries[6];
+  for (const YieldQuery& query : {v2, adaptive, certain, fixed}) {
+    EXPECT_TRUE(sweep_key(query).empty());
+  }
+  EXPECT_NE(sweep_key(other_pool), sweep_key(queries[0]));
+  queries.insert(queries.begin() + 3, {v2, adaptive, certain, fixed});
+  queries.push_back(other_pool);
+  queries.push_back(repeated);
+
+  // in_store's record comes from an earlier process; in_memory was asked
+  // before the sweep.
+  auto cache = std::make_shared<MapCache>();
+  {
+    Session writer(design);
+    writer.attach_result_cache(cache);
+    (void)writer.run(in_store);
+  }
+  ASSERT_EQ(cache->size(), 1u);
+  Session swept(design);
+  swept.attach_result_cache(cache);
+  (void)swept.run(in_memory);
+  const std::vector<YieldEstimate> answers = swept.run_sweep(queries);
+
+  Session single(design);
+  ASSERT_EQ(answers.size(), queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    expect_same_estimate(answers[i], single.run(queries[i]),
+                         "member " + std::to_string(i));
+  }
+  // 14 asked + the earlier in_memory query: one store hit, a cache hit
+  // each for in_memory and the repeat, and every other distinct query
+  // computed and written back.
+  const Session::Stats stats = swept.stats();
+  EXPECT_EQ(stats.queries, queries.size() + 1);
+  EXPECT_EQ(stats.store_hits, 1u);
+  EXPECT_EQ(stats.computed, queries.size() + 1 - 1 - 2);
+  EXPECT_EQ(cache->size(), stats.computed + 1);
+}
+
+TEST(SimSessionSweep, AssayMembersEqualPerQueryRun) {
+  Session swept(AssayWorkload::multiplexed());
+  Session single(AssayWorkload::multiplexed());
+  std::vector<YieldQuery> queries = fig9_sweep(40, 2);
+  queries.resize(3);
+  YieldQuery assay = queries[1];
+  assay.workload = Workload::kAssay;
+  assay.runs = 12;
+  queries.insert(queries.begin() + 1, assay);
+  const std::vector<YieldEstimate> answers = swept.run_sweep(queries);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    expect_same_estimate(answers[i], single.run(queries[i]),
+                         "member " + std::to_string(i));
+  }
+  EXPECT_EQ(swept.stats().computed, queries.size());
+}
+
+/// load() throws until disarmed.
+class ThrowingCache final : public ResultCache {
+ public:
+  std::optional<std::string> load(const std::string&) override {
+    if (armed) throw std::runtime_error("store offline");
+    return std::nullopt;
+  }
+  void store(const std::string&, const std::string&) override {}
+  std::atomic<bool> armed{true};
+};
+
+TEST(SimSessionSweep, AFailedMemberThrowsAndLeavesNothingInFlight) {
+  const auto design = ChipDesign::make(
+      biochip::make_dtmb_array_with_primaries(DtmbKind::kDtmb2_6, 40));
+  const std::vector<YieldQuery> queries = fig9_sweep(100, 2);
+  auto cache = std::make_shared<ThrowingCache>();
+  Session session(design);
+  session.attach_result_cache(cache);
+  EXPECT_THROW((void)session.run_sweep(queries), std::runtime_error);
+  // Every failed entry was dropped, so a retry recomputes instead of
+  // waiting on a promise nobody fulfils.
+  cache->armed = false;
+  const std::vector<YieldEstimate> answers = session.run_sweep(queries);
+  Session single(design);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    expect_same_estimate(answers[i], single.run(queries[i]), "retry");
+  }
+  EXPECT_EQ(session.stats().computed, queries.size());
+}
+
+TEST(SimSessionSweep, InvalidMemberThrowsBeforeAnyIsClaimed) {
+  const auto design = ChipDesign::make(
+      biochip::make_dtmb_array_with_primaries(DtmbKind::kDtmb2_6, 40));
+  std::vector<YieldQuery> queries = fig9_sweep(50, 1);
+  queries.back().runs = 0;
+  Session session(design);
+  EXPECT_THROW((void)session.run_sweep(queries), ContractViolation);
+  EXPECT_EQ(session.stats().queries, 0u);
 }
 
 }  // namespace
