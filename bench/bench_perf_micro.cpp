@@ -251,7 +251,7 @@ void BM_SingleDropletRoute(benchmark::State& state) {
 }
 
 // Same array and endpoints as BM_SingleDropletRoute, counted on the bitmap:
-// one lane of the hop-count kernel HopGrid picked (the label).
+// a one-pair batch of the hop-count kernel HopGrid picked (the label).
 void BM_HopCount(benchmark::State& state) {
   const auto side = static_cast<std::int32_t>(state.range(0));
   const biochip::HexArray array(
@@ -259,11 +259,13 @@ void BM_HopCount(benchmark::State& state) {
       [](hex::HexCoord) { return biochip::CellRole::kPrimary; });
   const fluidics::HopGrid grid(array);
   fluidics::HopGrid::Scratch scratch;
-  const auto from = array.region().index_of({0, 0});
-  const auto to = array.region().index_of({side - 1, side - 1});
+  const fluidics::HopGrid::Pair pair{
+      array.region().index_of({0, 0}),
+      array.region().index_of({side - 1, side - 1})};
+  std::int32_t hops = -1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        grid.hops(grid.primary_words(), from, to, scratch));
+    grid.hops(grid.primary_words(), {&pair, 1}, {&hops, 1}, scratch);
+    benchmark::DoNotOptimize(hops);
   }
   state.SetLabel(fluidics::default_hop_kernel().isa);
 }

@@ -1,7 +1,5 @@
 #include "campaign/grid.hpp"
 
-#include <sstream>
-
 #include "common/contracts.hpp"
 
 namespace dmfb::campaign {
@@ -68,38 +66,6 @@ std::vector<CampaignPoint> expand_grid(const CampaignSpec& spec) {
     }
   }
   return points;
-}
-
-namespace {
-
-bool uses_cluster_shape(const CampaignPoint& point) noexcept {
-  if (point.injector == InjectorKind::kClustered) return true;
-  for (const MixtureComponent& component : point.components) {
-    if (component.kind == InjectorKind::kClustered) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-std::string point_key(const CampaignPoint& point) {
-  std::ostringstream key;
-  key << to_string(point.design) << '/' << point.min_primaries << '/'
-      << to_string(point.workload) << '/' << spec_token(point.rng_version)
-      << '/' << to_string(point.injector) << '/' << std::hexfloat
-      << point.param << '/' << std::defaultfloat;
-  for (const MixtureComponent& component : point.components) {
-    key << to_string(component.kind) << ':' << std::hexfloat
-        << component.param << '/' << std::defaultfloat;
-  }
-  if (uses_cluster_shape(point)) {
-    key << point.cluster.radius << '/' << std::hexfloat
-        << point.cluster.core_kill << '/' << point.cluster.edge_kill << '/'
-        << std::defaultfloat;
-  }
-  key << spec_token(point.policy) << '/' << spec_token(point.engine) << '/'
-      << spec_token(point.pool);
-  return key.str();
 }
 
 }  // namespace dmfb::campaign

@@ -5,10 +5,14 @@
 // engine, pool — slowest to fastest) so artifacts are stable across runs
 // and thread counts. The fixed-size multiplexed chip collapses the
 // primaries dimension to a single entry.
+//
+// A point speaks sim's vocabulary (sim::FaultModel::Kind, sim::ClusterShape,
+// sim::Workload under their campaign names); campaign::query_of
+// (campaign/runner.hpp) turns it into the session query, and its identity
+// is the (design, min_primaries, sim::query_key) of that query.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "campaign/spec.hpp"
@@ -60,9 +64,5 @@ struct CampaignPoint {
 
 /// Flattens the spec's sweep dimensions into points, in canonical order.
 std::vector<CampaignPoint> expand_grid(const CampaignSpec& spec);
-
-/// Canonical dedupe/cache key: two points with equal keys are guaranteed to
-/// produce bit-identical results under the same (runs, seed).
-std::string point_key(const CampaignPoint& point);
 
 }  // namespace dmfb::campaign

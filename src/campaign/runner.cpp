@@ -47,48 +47,35 @@ biochip::HexArray build_design_array(Design design,
   return assay::make_multiplexed_chip().array;  // unreachable
 }
 
-namespace {
-
-sim::FaultModel component_model(InjectorKind kind, double param,
-                                const ClusterParams& cluster) {
-  switch (kind) {
-    case InjectorKind::kBernoulli:
-      return sim::FaultModel::bernoulli(param);
-    case InjectorKind::kFixedCount:
-      return sim::FaultModel::fixed_count(static_cast<std::int32_t>(param));
-    case InjectorKind::kClustered:
-      return sim::FaultModel::clustered(
-          param, {cluster.radius, cluster.core_kill, cluster.edge_kill});
-    case InjectorKind::kParametric:
-      return sim::FaultModel::parametric(param);
-    case InjectorKind::kMixture:
-      break;  // mixtures never nest; handled by fault_model_of
-  }
-  DMFB_ASSERT(false);
-  return {};
+std::unique_ptr<sim::Session> open_session(
+    Design design, std::int32_t min_primaries,
+    std::shared_ptr<sim::ResultCache> store) {
+  std::unique_ptr<sim::Session> session =
+      design == Design::kMultiplexed
+          ? std::make_unique<sim::Session>(sim::AssayWorkload::multiplexed())
+          : std::make_unique<sim::Session>(
+                build_design_array(design, min_primaries));
+  if (store) session->attach_result_cache(std::move(store));
+  return session;
 }
 
-sim::FaultModel fault_model_of(const CampaignPoint& point) {
-  if (point.injector != InjectorKind::kMixture) {
-    return component_model(point.injector, point.param, point.cluster);
-  }
-  std::vector<sim::FaultModel> parts;
-  parts.reserve(point.components.size());
-  for (const MixtureComponent& component : point.components) {
-    parts.push_back(
-        component_model(component.kind, component.param, point.cluster));
-  }
-  return sim::FaultModel::mixture(std::move(parts));
-}
-
-/// The session query a grid point expands to under the spec's run knobs.
 sim::YieldQuery query_of(const CampaignPoint& point, const CampaignSpec& spec,
                          std::int32_t inner_threads) {
   sim::YieldQuery query;
-  query.fault = fault_model_of(point);
-  query.workload = point.workload == WorkloadKind::kAssay
-                       ? sim::Workload::kAssay
-                       : sim::Workload::kStructural;
+  if (point.injector == InjectorKind::kMixture) {
+    std::vector<sim::FaultModel> parts;
+    parts.reserve(point.components.size());
+    for (const MixtureComponent& component : point.components) {
+      parts.push_back(sim::FaultModel::concrete(component.kind,
+                                                component.param,
+                                                point.cluster));
+    }
+    query.fault = sim::FaultModel::mixture(std::move(parts));
+  } else {
+    query.fault =
+        sim::FaultModel::concrete(point.injector, point.param, point.cluster);
+  }
+  query.workload = point.workload;
   query.runs = spec.runs;
   query.seed = spec.seed;
   query.threads = inner_threads;
@@ -97,8 +84,6 @@ sim::YieldQuery query_of(const CampaignPoint& point, const CampaignSpec& spec,
   query.pool = point.pool;
   return query;
 }
-
-}  // namespace
 
 CampaignRunner::CampaignRunner(CampaignSpec spec) : spec_(std::move(spec)) {}
 
@@ -186,17 +171,7 @@ void CampaignRunner::prepare() {
   for (const CampaignPoint& point : points_) {
     auto& session = sessions_[{point.design, point.min_primaries}];
     if (!session) {
-      if (point.workload == WorkloadKind::kAssay) {
-        // Parse-time validation pins assay campaigns to the multiplexed
-        // chip, whose workload (graph + placed modules) is compiled in.
-        DMFB_EXPECTS(point.design == Design::kMultiplexed);
-        session =
-            std::make_unique<sim::Session>(sim::AssayWorkload::multiplexed());
-      } else {
-        session = std::make_unique<sim::Session>(
-            build_design_array(point.design, point.min_primaries));
-      }
-      if (result_cache_) session->attach_result_cache(result_cache_);
+      session = open_session(point.design, point.min_primaries, result_cache_);
     }
     const std::int32_t cells = session->design().cell_count();
     const auto check_count = [&](InjectorKind kind, double param) {
@@ -247,8 +222,10 @@ std::vector<PointResult> CampaignRunner::run() {
     std::map<std::pair<SessionKey, std::string>, std::size_t> sweeps;
     for (std::size_t i = 0; i < points.size(); ++i) {
       const sim::YieldQuery query = query_of(points[i], spec_, 1);
-      if (!seen.emplace(point_key(points[i]) + '|' + sim::query_key(query), 1)
-               .second) {
+      const std::string key = std::string(to_string(points[i].design)) +
+                              '/' + std::to_string(points[i].min_primaries) +
+                              '|' + sim::query_key(query);
+      if (!seen.emplace(key, 1).second) {
         duplicates.push_back({{i}, 0});
         continue;
       }

@@ -8,11 +8,13 @@
 // (seed, run)-derived Rng stream and rows are emitted in canonical grid
 // order regardless of completion order.
 //
-// Duplicate grid points (same design/size/injector/param/policy/engine/pool)
-// are computed once: all points of one (design, size) share a sim::Session
-// over one immutable ChipDesign snapshot, and the session's query cache
-// serves every duplicate (concurrent duplicates wait for the first
-// computation instead of re-running it).
+// A grid point becomes work as a dmfb_serve wire request does: open_session
+// opens its (design, size) session and query_of builds its sim::YieldQuery.
+// Duplicate grid points (equal design, size and sim::query_key) are computed
+// once: all points of one (design, size) share a sim::Session over one
+// immutable ChipDesign snapshot, and the session's query cache serves every
+// duplicate (concurrent duplicates wait for the first computation instead
+// of re-running it).
 #pragma once
 
 #include <cstdint>
@@ -29,12 +31,23 @@
 
 namespace dmfb::campaign {
 
-/// Builds the chip array a (design, min_primaries) point runs on — the
-/// construction the runner uses for its sessions, exported so dmfb_serve
-/// resolves wire requests onto the exact same geometry (and therefore the
-/// same ChipDesign fingerprint / store keys).
+/// Builds the chip array a (design, min_primaries) point runs on; the
+/// multiplexed chip ignores min_primaries.
 biochip::HexArray build_design_array(Design design,
                                      std::int32_t min_primaries);
+
+/// Opens the session of a (design, min_primaries) pair for the runner and
+/// dmfb_serve alike, so both key one geometry. The multiplexed chip
+/// (min_primaries ignored) is workload-backed, so its session answers
+/// structural and assay queries. A non-null `store` becomes its result cache.
+std::unique_ptr<sim::Session> open_session(
+    Design design, std::int32_t min_primaries,
+    std::shared_ptr<sim::ResultCache> store);
+
+/// A grid point's session query under the spec's run knobs; its fault model
+/// comes from sim::FaultModel::concrete (per component for a mixture).
+sim::YieldQuery query_of(const CampaignPoint& point, const CampaignSpec& spec,
+                         std::int32_t inner_threads);
 
 /// One executed grid point with its realised chip geometry and estimate.
 struct PointResult {
@@ -78,7 +91,7 @@ class CampaignRunner {
   /// uninterrupted run (stored payloads are bit-exact).
   void set_result_cache(std::shared_ptr<sim::ResultCache> cache);
 
-  /// Expands the grid, builds one session per (design, size) and checks
+  /// Expands the grid, opens one session per (design, size) and checks
   /// every point against its design: a fixed_count m, or a mixture
   /// component's m, above the design's cell count throws ContractViolation
   /// naming the value and the cell count. run() prepares when this was not

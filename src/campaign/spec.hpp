@@ -29,6 +29,8 @@
 #include "common/rng.hpp"
 #include "graph/matching.hpp"
 #include "reconfig/local_reconfig.hpp"
+#include "sim/fault_model.hpp"
+#include "sim/session.hpp"
 
 namespace dmfb::campaign {
 
@@ -43,14 +45,8 @@ enum class Design : std::uint8_t {
   kMultiplexed,  ///< the Section-7 multiplexed diagnostics chip (fixed size)
 };
 
-/// Defect-injection model for the sweep.
-enum class InjectorKind : std::uint8_t {
-  kBernoulli,   ///< iid survival probability p (paper Section 6)
-  kFixedCount,  ///< exactly m random cell failures (Fig. 13)
-  kClustered,   ///< Poisson spot clusters (independence ablation)
-  kParametric,  ///< Gaussian geometry deviations vs tolerance (Section 4)
-  kMixture,     ///< ordered composition of the concrete kinds above
-};
+/// Defect-injection model for the sweep: sim's own fault kinds.
+using InjectorKind = sim::FaultModel::Kind;
 
 /// Artifact column name of the parameter an injector kind sweeps
 /// ("p" / "m" / "mean_spots" / "sigma_scale"); also the spec key holding
@@ -65,15 +61,9 @@ enum class SinkKind : std::uint8_t {
   kJsonl,
 };
 
-/// What every Monte-Carlo run of the campaign evaluates.
-enum class WorkloadKind : std::uint8_t {
-  /// Structural repairability (the default; the Figs. 7/9/10 metric).
-  kStructural,
-  /// Operational completion of the multiplexed assay on the repaired array
-  /// (the Figs. 12/13 metric). Requires `design = multiplexed`; rows gain
-  /// the operational-yield and slowdown columns.
-  kAssay,
-};
+/// What every Monte-Carlo run evaluates. kAssay (Figs. 12/13) requires
+/// `design = multiplexed` and adds the operational columns to each row.
+using WorkloadKind = sim::Workload;
 
 const char* to_string(Design design) noexcept;
 const char* to_string(InjectorKind kind) noexcept;
@@ -116,11 +106,7 @@ inline constexpr std::int32_t kMaxPrimaries = 1'000'000;
 inline constexpr std::int32_t kMaxRuns = 100'000'000;
 
 /// Clustered-injector knobs shared by every clustered grid point.
-struct ClusterParams {
-  std::int32_t radius = 1;
-  double core_kill = 0.9;
-  double edge_kill = 0.3;
-};
+using ClusterParams = sim::ClusterShape;
 
 /// A parsed, validated campaign description.
 struct CampaignSpec {

@@ -97,15 +97,6 @@ HopGrid::HopGrid(const biochip::HexArray& array) {
   }
 }
 
-std::int32_t HopGrid::hops(std::span<const std::uint64_t> usable,
-                           hex::CellIndex from, hex::CellIndex to,
-                           Scratch& scratch) const {
-  const Pair pair{from, to};
-  std::int32_t out = -1;
-  hops(usable, {&pair, 1}, {&out, 1}, scratch);
-  return out;
-}
-
 void HopGrid::hops(std::span<const std::uint64_t> usable,
                    std::span<const Pair> pairs, std::span<std::int32_t> out,
                    Scratch& scratch, const HopKernel& kernel) const {

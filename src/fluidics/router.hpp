@@ -110,18 +110,13 @@ class HopGrid {
         ~(std::uint64_t{1} << (bit & 63));
   }
 
-  /// Hops on a shortest path from `from` to `to` through the cells set in
-  /// `usable` (word_count() words, built with set/clear): exactly
+  /// For every pair, into `out` (same size, same order): the hops on a
+  /// shortest path from `pair.from` to `pair.to` through the cells set in
+  /// `usable` (word_count() words, built with set/clear). That is exactly
   /// Router::shortest_route(from, to).size() - 1 for the same usable set,
   /// and -1 where that route is empty (an endpoint unusable, or no path).
-  /// One lane of the batch entry below.
-  std::int32_t hops(std::span<const std::uint64_t> usable,
-                    hex::CellIndex from, hex::CellIndex to,
-                    Scratch& scratch) const;
-
-  /// hops(usable, pair.from, pair.to) for every pair, into `out` (same
-  /// size, same order). Pairs with an unusable endpoint (-1) or from == to
-  /// (0) are answered here; the rest are searched `kernel.lanes` at a time.
+  /// Pairs with an unusable endpoint (-1) or from == to (0) are answered
+  /// here; the rest are searched `kernel.lanes` at a time.
   void hops(std::span<const std::uint64_t> usable,
             std::span<const Pair> pairs, std::span<std::int32_t> out,
             Scratch& scratch,

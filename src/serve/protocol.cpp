@@ -6,7 +6,6 @@
 #include <map>
 #include <string>
 
-#include "common/contracts.hpp"
 #include "common/parse.hpp"
 
 namespace dmfb::serve {
@@ -284,32 +283,11 @@ ParsedRequest parse_request(std::string_view line,
   return ParsedRequest{std::move(request), {}};
 }
 
-sim::FaultModel fault_model_of(const ServeRequest& request) {
-  switch (request.injector) {
-    case campaign::InjectorKind::kBernoulli:
-      return sim::FaultModel::bernoulli(request.param);
-    case campaign::InjectorKind::kFixedCount:
-      return sim::FaultModel::fixed_count(
-          static_cast<std::int32_t>(request.param));
-    case campaign::InjectorKind::kClustered:
-      return sim::FaultModel::clustered(
-          request.param, {request.cluster.radius, request.cluster.core_kill,
-                          request.cluster.edge_kill});
-    case campaign::InjectorKind::kParametric:
-      return sim::FaultModel::parametric(request.param);
-    case campaign::InjectorKind::kMixture:
-      break;  // rejected at parse time
-  }
-  DMFB_ASSERT(false);
-  return {};
-}
-
 sim::YieldQuery query_of(const ServeRequest& request) {
   sim::YieldQuery query;
-  query.fault = fault_model_of(request);
-  query.workload = request.workload == campaign::WorkloadKind::kAssay
-                       ? sim::Workload::kAssay
-                       : sim::Workload::kStructural;
+  query.fault = sim::FaultModel::concrete(request.injector, request.param,
+                                         request.cluster);
+  query.workload = request.workload;
   query.runs = request.runs;
   query.seed = request.seed;
   query.threads = 1;

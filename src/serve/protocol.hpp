@@ -1,7 +1,9 @@
 // serve wire protocol: one JSON object per line in, one per line out.
 //
 // Requests use the campaign spec vocabulary (the same tokens a .campaign
-// file uses), so a fig9 grid point and a serve query read identically:
+// file uses, parsed into the same types: sim::FaultModel::Kind,
+// sim::ClusterShape and sim::Workload under their campaign names), so a
+// fig9 grid point and a serve query read identically:
 //
 //   {"id": 7, "design": "dtmb2_6", "primaries": 60,
 //    "injector": "bernoulli", "param": 0.8,
@@ -42,7 +44,7 @@
 
 namespace dmfb::serve {
 
-/// One parsed wire query, campaign-vocabulary fields resolved.
+/// One parsed wire query in the types a CampaignPoint holds.
 struct ServeRequest {
   std::string id;  ///< raw JSON token to echo (number or quoted string)
   campaign::Design design = campaign::Design::kDtmb2_6;
@@ -73,11 +75,9 @@ struct ParsedRequest {
 /// default id. Never throws — malformed input lands in `error`.
 ParsedRequest parse_request(std::string_view line, std::uint64_t line_number);
 
-/// The sim::FaultModel a parsed request injects per run.
-sim::FaultModel fault_model_of(const ServeRequest& request);
-
 /// The session query a request resolves to (inner threads fixed to 1: the
-/// daemon parallelises across queries, not within one).
+/// daemon parallelises across queries, not within one). Its fault model
+/// comes from sim::FaultModel::concrete, as a grid point's does.
 sim::YieldQuery query_of(const ServeRequest& request);
 
 /// Response line for a structural estimate (no trailing newline).

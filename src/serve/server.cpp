@@ -145,18 +145,10 @@ std::shared_ptr<sim::Session> Server::session_for(
   if (const auto found = sessions_.find(key); found != sessions_.end()) {
     return found->second;
   }
-  // Built before it is inserted: a build that throws leaves no entry.
-  std::shared_ptr<sim::Session> session;
-  if (multiplexed) {
-    // Workload-backed so one session answers structural AND assay queries
-    // over the same design snapshot.
-    session = std::make_shared<sim::Session>(sim::AssayWorkload::multiplexed());
-  } else {
-    session = std::make_shared<sim::Session>(campaign::build_design_array(
-        request.design, request.min_primaries));
-  }
+  // Opened before it is inserted: a build that throws leaves no entry.
+  std::shared_ptr<sim::Session> session =
+      campaign::open_session(key.first, key.second, options_.store);
   session->set_cache_capacity(options_.cache_capacity);
-  if (options_.store) session->attach_result_cache(options_.store);
   sessions_.emplace(key, session);
   return session;
 }

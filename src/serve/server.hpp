@@ -2,7 +2,8 @@
 //
 // One serve() call is one daemon lifetime: a reader loop (the calling
 // thread) parses jsonl requests, resolves each onto a shared sim::Session
-// for its (design, primaries), and shards the work across a bounded
+// for its (design, primaries), opened by campaign::open_session as the
+// campaign runner opens its own, and shards the work across a bounded
 // MpmcQueue drained by a worker pool. Responses stream back in submission
 // order — a reorder buffer holds completed answers until their
 // predecessors land, and whichever worker completes the next-in-line

@@ -395,6 +395,20 @@ fault::FaultMap record_faults(const FaultModel& model,
 
 }  // namespace
 
+FaultModel FaultModel::concrete(Kind kind, double param,
+                                const ClusterShape& cluster) {
+  switch (kind) {
+    case Kind::kBernoulli: return bernoulli(param);
+    case Kind::kFixedCount:
+      return fixed_count(static_cast<std::int32_t>(param));
+    case Kind::kClustered: return clustered(param, cluster);
+    case Kind::kParametric: return parametric(param);
+    case Kind::kMixture: break;
+  }
+  throw ContractViolation("FaultModel::concrete: a mixture is not a "
+                          "concrete kind");
+}
+
 void validate(const FaultModel& model, std::int32_t cell_count) {
   switch (model.kind) {
     case FaultModel::Kind::kBernoulli:

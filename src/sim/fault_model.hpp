@@ -97,6 +97,13 @@ struct FaultModel {
     model.param = sigma_scale;
     return model;
   }
+  /// The concrete model of a kind chosen at run time: the named factory of
+  /// `kind` (the one above) with `param`, so its query_key is that
+  /// factory's. `cluster` is read by kClustered only; every other kind
+  /// keeps the default ClusterShape. A kMixture `kind` throws
+  /// ContractViolation: build mixtures with mixture().
+  static FaultModel concrete(Kind kind, double param,
+                             const ClusterShape& cluster);
   /// Ordered composition; see the mixture contract in the header comment.
   static FaultModel mixture(std::vector<FaultModel> parts) {
     FaultModel model;

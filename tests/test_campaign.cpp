@@ -33,6 +33,14 @@ CampaignSpec parse_or_die(std::string_view text) {
   return std::move(*result.spec);
 }
 
+// A grid point's identity as the runner dedupes it and a store keys it:
+// its (design, size) plus the query_key of its session query.
+std::string identity_of(const CampaignPoint& point, const CampaignSpec& spec) {
+  return std::string(to_string(point.design)) + '/' +
+         std::to_string(point.min_primaries) + '|' +
+         sim::query_key(query_of(point, spec, 1));
+}
+
 // A tiny fast campaign for runner-behaviour tests.
 constexpr std::string_view kTinySpec =
     R"(name = tiny
@@ -151,7 +159,7 @@ TEST(CampaignGridWorkload, PointsInheritTheWorkloadAndKeyOnIt) {
   }
   CampaignPoint structural = points.front();
   structural.workload = WorkloadKind::kStructural;
-  EXPECT_NE(point_key(structural), point_key(points.front()));
+  EXPECT_NE(identity_of(structural, spec), identity_of(points.front(), spec));
 }
 
 // ------------------------------------------------------- rng_version axis
@@ -222,7 +230,7 @@ TEST(CampaignGridRngVersion, PointsInheritTheVersionAndKeyOnIt) {
   }
   CampaignPoint v1 = points.front();
   v1.rng_version = RngVersion::kV1;
-  EXPECT_NE(point_key(v1), point_key(points.front()));
+  EXPECT_NE(identity_of(v1, spec), identity_of(points.front(), spec));
 }
 
 TEST(CampaignSpecParse, UnknownKeyIsDiagnosedWithLine) {
@@ -489,7 +497,9 @@ TEST(CampaignGrid, PointKeyDistinguishesEveryDimension) {
   const CampaignSpec spec = parse_or_die(builtin_campaign("fig13"));
   const auto points = expand_grid(spec);
   std::set<std::string> keys;
-  for (const CampaignPoint& point : points) keys.insert(point_key(point));
+  for (const CampaignPoint& point : points) {
+    keys.insert(identity_of(point, spec));
+  }
   EXPECT_EQ(keys.size(), points.size());
 }
 
@@ -613,10 +623,72 @@ TEST(CampaignGrid, MixtureExpansionResolvesComponents) {
   EXPECT_DOUBLE_EQ(points[0].param, 0.95);
   EXPECT_DOUBLE_EQ(points[1].param, 0.98);
   // Keys separate the two points and survive component param changes.
-  EXPECT_NE(point_key(points[0]), point_key(points[1]));
+  EXPECT_NE(identity_of(points[0], spec), identity_of(points[1], spec));
   CampaignPoint tweaked = points[0];
   tweaked.components[1].param = 1.3;
-  EXPECT_NE(point_key(tweaked), point_key(points[0]));
+  EXPECT_NE(identity_of(tweaked, spec), identity_of(points[0], spec));
+}
+
+TEST(CampaignGrid, QueriesKeyAsTheNamedFactoriesWithTheSpecsClusterShape) {
+  // A non-default cluster shape reaches the clustered kind only: every
+  // other kind keys with the default ClusterShape, as the named factories
+  // build it, so no store key moves.
+  const CampaignSpec spec = parse_or_die(
+      "runs = 48\n"
+      "seed = 7\n"
+      "design = dtmb2_6\n"
+      "primaries = 30\n"
+      "injector = mixture\n"
+      "components = bernoulli, fixed_count, clustered, parametric\n"
+      "p = 0.95, 0.98\n"
+      "m = 3\n"
+      "mean_spots = 0.5\n"
+      "sigma_scale = 1.2\n"
+      "cluster_radius = 2\n"
+      "core_kill = 0.8\n"
+      "edge_kill = 0.25\n");
+  const sim::ClusterShape shape{2, 0.8, 0.25};
+  const auto points = expand_grid(spec);
+  ASSERT_EQ(points.size(), 2u);
+  for (const CampaignPoint& point : points) {
+    sim::YieldQuery expected;
+    expected.fault = sim::FaultModel::mixture(
+        {sim::FaultModel::bernoulli(point.param),
+         sim::FaultModel::fixed_count(3),
+         sim::FaultModel::clustered(0.5, shape),
+         sim::FaultModel::parametric(1.2)});
+    expected.runs = 48;
+    expected.seed = 7;
+    EXPECT_EQ(sim::query_key(query_of(point, spec, 1)),
+              sim::query_key(expected))
+        << "p = " << point.param;
+  }
+
+  struct Case {
+    InjectorKind kind;
+    double param;
+    sim::FaultModel named;
+  };
+  const Case cases[] = {
+      {InjectorKind::kBernoulli, 0.9, sim::FaultModel::bernoulli(0.9)},
+      {InjectorKind::kFixedCount, 4.0, sim::FaultModel::fixed_count(4)},
+      {InjectorKind::kClustered, 0.5, sim::FaultModel::clustered(0.5, shape)},
+      {InjectorKind::kParametric, 1.2, sim::FaultModel::parametric(1.2)},
+  };
+  for (const Case& c : cases) {
+    CampaignPoint point = points.front();
+    point.injector = c.kind;
+    point.sweep_kind = c.kind;
+    point.param = c.param;
+    point.components.clear();
+    sim::YieldQuery expected;
+    expected.fault = c.named;
+    expected.runs = 48;
+    expected.seed = 7;
+    EXPECT_EQ(sim::query_key(query_of(point, spec, 1)),
+              sim::query_key(expected))
+        << to_string(c.kind);
+  }
 }
 
 TEST(CampaignRunner, MixtureCampaignMatchesDirectSessionQuery) {

@@ -150,8 +150,8 @@ void check_idle_lanes(const HopGrid& grid,
 }
 
 /// Compares hops with the router for `pairs` random (from, to) pairs, plus
-/// one from == to pair and the out-of-range endpoints: one pair at a time,
-/// then through the batch entry with every kernel build.
+/// one from == to pair and the out-of-range endpoints: one pair per call,
+/// then in batches of 1-9 pairs with every kernel build.
 void compare(const biochip::HexArray& array, const UsableCells& usable,
              int pairs, Rng& rng, Tally& tally) {
   const HopGrid grid(array);
@@ -167,7 +167,10 @@ void compare(const biochip::HexArray& array, const UsableCells& usable,
     const std::vector<hex::CellIndex> route = router.shortest_route(from, to);
     const std::int32_t expected =
         route.empty() ? -1 : static_cast<std::int32_t>(route.size()) - 1;
-    ASSERT_EQ(grid.hops(words, from, to, scratch), expected)
+    const HopGrid::Pair pair{from, to};
+    std::int32_t counted = -1;
+    grid.hops(words, {&pair, 1}, {&counted, 1}, scratch);
+    ASSERT_EQ(counted, expected)
         << "from " << from << " to " << to << " on " << array.cell_count()
         << " cells, stride " << grid.stride();
     checked.push_back({from, to});
@@ -370,7 +373,10 @@ TEST(HopCountFuzz, OpenGridHopsAreHexDistances) {
           rng.uniform_below(static_cast<std::uint64_t>(array.cell_count())));
       const auto to = static_cast<hex::CellIndex>(
           rng.uniform_below(static_cast<std::uint64_t>(array.cell_count())));
-      EXPECT_EQ(grid.hops(grid.primary_words(), from, to, scratch),
+      const HopGrid::Pair pair{from, to};
+      std::int32_t counted = -1;
+      grid.hops(grid.primary_words(), {&pair, 1}, {&counted, 1}, scratch);
+      EXPECT_EQ(counted,
                 hex::distance(region.coord_at(from), region.coord_at(to)))
           << "width " << width;
     }
@@ -472,7 +478,9 @@ void check_certificates(biochip::HexArray array,
       ++tally.certified;
       expect_geodesic_path(array, table, a, b, from, to);
       if (::testing::Test::HasFailure()) return;
-      const std::int32_t bfs = grid.hops(words, from, to, scratch);
+      const HopGrid::Pair pair{from, to};
+      std::int32_t bfs = -1;
+      grid.hops(words, {&pair, 1}, {&bfs, 1}, scratch);
       const std::int32_t hops = table.certified_hops(a, b, faulty);
       if (hops < 0) {
         if (bfs == lattice) ++tally.fault_refused;

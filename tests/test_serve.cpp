@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "biochip/dtmb.hpp"
+#include "campaign/builtin.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/sink.hpp"
 #include "campaign/spec.hpp"
@@ -942,6 +943,91 @@ TEST(CampaignResume, InterruptedStoreResumesByteIdenticalToCold) {
   EXPECT_EQ(runner.stats().unique_points, 0u);
   warm->flush();
   EXPECT_EQ(warm->stats().writes, 0);
+}
+
+// ------------------------------------------- campaign store -> daemon
+
+constexpr std::string_view kMultiplexedStructuralSpec =
+    R"(name = mux
+runs = 200
+seed = 0xD0E5A11
+design = multiplexed
+injector = fixed_count
+m = 5
+)";
+
+constexpr std::string_view kMultiplexedAssaySpec =
+    R"(name = mux_assay
+runs = 100
+seed = 0xD0E5A11
+workload = assay
+design = multiplexed
+injector = fixed_count
+m = 5
+)";
+
+/// A grid point as the wire request naming the same experiment.
+std::string wire_line(const campaign::CampaignPoint& point,
+                      const campaign::CampaignSpec& spec) {
+  std::ostringstream line;
+  line << "{\"design\": \"" << campaign::to_string(point.design) << '"';
+  if (point.design != campaign::Design::kMultiplexed) {
+    line << ", \"primaries\": " << point.min_primaries;
+  }
+  line << ", \"injector\": \"" << campaign::to_string(point.injector)
+       << "\", \"param\": " << json_double(point.param)
+       << ", \"runs\": " << spec.runs << ", \"seed\": " << spec.seed
+       << ", \"policy\": \"" << campaign::spec_token(point.policy)
+       << "\", \"pool\": \"" << campaign::spec_token(point.pool)
+       << "\", \"workload\": \"" << campaign::to_string(point.workload)
+       << "\", \"rng_version\": \"" << campaign::spec_token(point.rng_version)
+       << "\"}";
+  return line.str();
+}
+
+TEST(CampaignServe, CampaignStoreAnswersTheDaemonWithoutComputing) {
+  TempDir dir("campaign_serve");
+  std::string batch;
+  std::string expected;
+  std::uint64_t lines = 0;
+  {
+    auto store = std::make_shared<ResultStore>(dir.path());
+    for (const std::string_view text :
+         {campaign::builtin_campaign("fig9_smoke"),
+          kMultiplexedStructuralSpec, kMultiplexedAssaySpec}) {
+      campaign::ParseResult parsed = campaign::parse_campaign_spec(text);
+      ASSERT_TRUE(parsed.ok()) << parsed.error_text();
+      parsed.spec->threads = 2;
+      campaign::CampaignRunner runner(std::move(*parsed.spec));
+      runner.set_result_cache(store);
+      for (const campaign::PointResult& result : runner.run()) {
+        const std::string line = wire_line(result.point, runner.spec());
+        batch += line + '\n';
+        const ParsedRequest request = parse_request(line, ++lines);
+        ASSERT_TRUE(request.ok()) << request.error << " in " << line;
+        // Bytes of the exact-double response: equal lines mean equal
+        // yield and CI bits, runs and successes.
+        expected += (result.point.workload == campaign::WorkloadKind::kAssay
+                         ? format_response(*request.request,
+                                           result.operational)
+                         : format_response(*request.request,
+                                           result.estimate)) +
+                    '\n';
+      }
+    }
+    store->flush();
+  }
+  // 81 sized structural points, one structural and one assay point on the
+  // multiplexed chip, all distinct.
+  ASSERT_EQ(lines, 83u);
+
+  ServerOptions options;
+  options.threads = 2;
+  options.store = std::make_shared<ResultStore>(dir.path());
+  Server server(options);
+  EXPECT_EQ(serve_batch(server, batch), expected);
+  EXPECT_EQ(server.session_stats().computed, 0u);
+  EXPECT_EQ(server.session_stats().store_hits, lines);
 }
 
 // ------------------------------------------------- satellite bugfix tests

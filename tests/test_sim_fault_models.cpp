@@ -467,6 +467,33 @@ TEST(SimFaultModelKeys, MixtureKeysDistinguishCompositionAndOrder) {
   EXPECT_EQ(query_key(other), key);  // deterministic serialisation
 }
 
+TEST(SimFaultModelKeys, ConcreteBuilderKeysEqualTheNamedFactories) {
+  // A non-default shape: only the clustered kind may carry it, because
+  // query_key renders the cluster fields of every kind.
+  const ClusterShape shape{3, 0.7, 0.2};
+  struct Case {
+    FaultModel::Kind kind;
+    double param;
+    FaultModel named;
+  };
+  const Case cases[] = {
+      {FaultModel::Kind::kBernoulli, 0.93, FaultModel::bernoulli(0.93)},
+      {FaultModel::Kind::kFixedCount, 12.0, FaultModel::fixed_count(12)},
+      {FaultModel::Kind::kClustered, 1.5, FaultModel::clustered(1.5, shape)},
+      {FaultModel::Kind::kParametric, 1.2, FaultModel::parametric(1.2)},
+  };
+  for (const Case& c : cases) {
+    YieldQuery built;
+    built.fault = FaultModel::concrete(c.kind, c.param, shape);
+    YieldQuery named;
+    named.fault = c.named;
+    EXPECT_EQ(query_key(built), query_key(named))
+        << "kind " << static_cast<int>(c.kind);
+  }
+  EXPECT_THROW(FaultModel::concrete(FaultModel::Kind::kMixture, 0.5, shape),
+               ContractViolation);
+}
+
 TEST(SimFaultModelKeys, MixtureQueriesShareTheSessionCache) {
   Session session(biochip::make_dtmb_array(DtmbKind::kDtmb2_6, 8, 8));
   YieldQuery query;
